@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .augment import AugmentConfig
-from .contrastive import EncoderConfig, TrainConfig
+from .contrastive import EncoderConfig, TrainConfig, load_encoders
 from .data import (
     generate_synthetic_dataset,
     generic_spec,
@@ -34,7 +34,6 @@ from .eval import (
     extract_features,
     fit_linear_probe,
     label_efficiency_sweep,
-    load_encoder,
     split_dataset,
     write_accuracy_svg,
     write_results_csv,
@@ -260,6 +259,11 @@ def _load_labeled(path) -> list:
     return dataset
 
 
+def _query_encoder(path, enc_cfg: EncoderConfig):
+    """The checkpoint's query encoder, or None when no checkpoint is named."""
+    return load_encoders(path, enc_cfg, ("query",))[0] if path else None
+
+
 def cmd_gen_data(cfg: dict) -> int:
     out = _out_dir(cfg, "gen-data")
     tspec = target_spec(cfg["target_phases"], cfg["target_frames_per_phase"],
@@ -339,8 +343,8 @@ def cmd_linear_probe(cfg: dict) -> int:
     enc_cfg = encoder_config(cfg)
     dataset = _load_labeled(cfg["data"])
     num_classes = max(lf.phase for lf in dataset) + 1
-    student = load_encoder(cfg["ckpt"], enc_cfg) if cfg["ckpt"] else None
-    teacher = load_encoder(cfg["teacher"], enc_cfg) if cfg["teacher"] else None
+    student = _query_encoder(cfg["ckpt"], enc_cfg)
+    teacher = _query_encoder(cfg["teacher"], enc_cfg)
     train_set, test_set = split_dataset(dataset, cfg["holdout_fraction"], seed=cfg["seed"])
     ftr = extract_features(student, teacher, [lf.frame for lf in train_set], mode,
                            np.array([lf.phase for lf in train_set]))
@@ -369,8 +373,8 @@ def cmd_sweep_labels(cfg: dict) -> int:
     dataset = _load_labeled(cfg["data"])
     num_classes = max(lf.phase for lf in dataset) + 1
     encoders: list[SweepEncoder] = []
-    teacher = load_encoder(cfg["teacher"], enc_cfg) if cfg["teacher"] else None
-    plain = load_encoder(cfg["plain"], enc_cfg) if cfg["plain"] else None
+    teacher = _query_encoder(cfg["teacher"], enc_cfg)
+    plain = _query_encoder(cfg["plain"], enc_cfg)
     if teacher is not None:
         encoders.append(SweepEncoder("teacher", "teacher", teacher=teacher))
     if plain is not None:
@@ -382,11 +386,11 @@ def cmd_sweep_labels(cfg: dict) -> int:
         )
     if cfg["init_student"]:
         encoders.append(
-            SweepEncoder("initialization", "student", student=load_encoder(cfg["init_student"], enc_cfg))
+            SweepEncoder("initialization", "student", student=_query_encoder(cfg["init_student"], enc_cfg))
         )
     if cfg["distilled"]:
         encoders.append(
-            SweepEncoder("distillation", "student", student=load_encoder(cfg["distilled"], enc_cfg))
+            SweepEncoder("distillation", "student", student=_query_encoder(cfg["distilled"], enc_cfg))
         )
     if not encoders:
         raise CliError("sweep-labels needs at least one checkpoint "
@@ -411,13 +415,12 @@ def cmd_sweep_labels(cfg: dict) -> int:
 
 def cmd_gradcheck(cfg: dict) -> int:
     out = _out_dir(cfg, "gradcheck")
-    ok, report, elapsed = main_check(instances=cfg["gradcheck_instances"])
-    _progress(report)
+    ok, report, text, elapsed = main_check(instances=cfg["gradcheck_instances"])
+    _progress(text)
     _progress(f"gradcheck: {'all ok' if ok else 'FAILED'} in {elapsed:.1f}s")
     lines = ["op,max_rel_err,instances"]
-    for line in report.splitlines()[1:]:
-        parts = line.split()
-        lines.append(f"{parts[0]},{parts[2]},{parts[1]}")
+    for op, entry in report.items():
+        lines.append(f"{op},{entry['max_rel_err']:.3e},{entry['instances']}")
     (out / "metrics.csv").write_text("\n".join(lines) + "\n")
     _write_provenance(out, "gradcheck", cfg)
     return 0 if ok else 1
@@ -453,8 +456,8 @@ def build_parser() -> argparse.ArgumentParser:
                                    action="store_false", default=None,
                                    help=f"disable {key.replace('_', ' ')}")
             else:
-                p.add_argument(flag, dest=key, type=kind if default is not None else str,
-                               default=None, help=f"{help_text} (default {default})")
+                p.add_argument(flag, dest=key, type=kind, default=None,
+                               help=f"{help_text} (default {default})")
     return parser
 
 

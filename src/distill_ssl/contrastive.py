@@ -2,8 +2,12 @@
 
 The query encoder learns by backpropagation; the key encoder tracks it as
 an exponential moving average and feeds a FIFO queue of negative keys.
-``moco_train_step`` and the distilled variant share one step core so a
-zero distillation weight reproduces plain training bit for bit.
+Every training state is a ``MoCoState``: the student, the teacher being
+adapted and the teacher that supervises a distilled student.
+``moco_train_step``, teacher adaptation and the distilled step share one
+step core, ``_train_step``; the distilled step passes it one extra loss
+term, computed from the views and embeddings the core already holds, and
+a zero distillation weight reproduces plain training bit for bit.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import numpy as np
 
 from . import tensor as T
 from .augment import AugmentConfig, Frame, sample_view, view_stream
-from .data import Batch
+from .data import Batch, load_checkpoint
 from .rng import STREAM_INIT, Rng
 from .tensor import GraphError, ParamSet, ParameterError, Tensor
 
@@ -88,6 +92,28 @@ class EncoderParams:
     def zero_grad(self) -> None:
         self.backbone.zero_grad()
         self.head.zero_grad()
+
+
+def load_encoders(
+    path, enc_cfg: EncoderConfig, sides=("query", "key"), freeze_backbone: bool = False
+) -> list[EncoderParams]:
+    """One cloned encoder per requested checkpoint side, in order.
+
+    A side may repeat: ``("query", "query")`` starts a teacher's key
+    encoder as a copy of the checkpoint's query encoder.  The shapes of
+    every requested side are validated in one load, so a mismatch loads
+    nothing.
+    """
+    shapes = enc_cfg.param_shapes()
+    expected = {f"{side}.{part}": params for side in sides for part, params in shapes.items()}
+    named, _ = load_checkpoint(path, expected_shapes=expected)
+    encoders = []
+    for side in sides:
+        enc = EncoderParams(named[f"{side}.backbone"].clone(), named[f"{side}.head"].clone(), enc_cfg)
+        if freeze_backbone:
+            enc.backbone.set_frozen(True)
+        encoders.append(enc)
+    return encoders
 
 
 def _uniform_init(rng: Rng, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
@@ -210,10 +236,6 @@ class KeyQueue:
         return self.filled >= self.capacity
 
 
-def queue_push(queue: KeyQueue, keys: np.ndarray) -> None:
-    queue.push(keys)
-
-
 def momentum_update(key: EncoderParams, query: EncoderParams, m: float) -> None:
     """theta_k <- m*theta_k + (1-m)*theta_q over backbone and head."""
     if not 0.0 <= m <= 1.0:
@@ -305,6 +327,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.tau <= 0:
             raise ParameterError(f"tau must be positive, got {self.tau}")
+        if self.distill_tau is not None and self.distill_tau <= 0:
+            raise ParameterError(f"distill_tau must be positive, got {self.distill_tau}")
         if not 0.0 <= self.m < 1.0:
             raise ParameterError(f"m must be in [0, 1), got {self.m}")
         if self.lam < 0:
@@ -352,42 +376,40 @@ def build_views(batch: Batch, aug: AugmentConfig, rng: Rng) -> tuple[np.ndarray,
     return np.stack(vq), np.stack(vk)
 
 
-def warm_up_queue(state: MoCoState, stream, rng: Rng, hook=None) -> None:
+def warm_up_queue(state: MoCoState, stream, rng: Rng, teacher: MoCoState | None = None) -> None:
     """Fill the queue with key-encoder embeddings before any loss is taken.
 
-    Consumes capacity/batch_size batches from the stream.  ``hook``, when
-    given, receives (batch, view_k_frames) per warm-up batch so a paired
-    queue can be filled from the same samples.
+    Consumes capacity/batch_size batches from the stream.  When a
+    ``teacher`` is given, its key encoder fills its queue from the same
+    views, so index i of both queues holds the same sample.
     """
     for _ in range(state.queue.capacity // state.cfg.batch_size):
-        batch = stream.next_batch()
-        _, views_k = build_views(batch, state.cfg.augment, rng)
-        keys = encode(state.key, views_k)
-        state.queue.push(keys.data)
-        if hook is not None:
-            hook(batch, views_k)
+        _, views_k = build_views(stream.next_batch(), state.cfg.augment, rng)
+        state.queue.push(encode(state.key, views_k).data)
+        if teacher is not None:
+            teacher.queue.push(encode(teacher.key, views_k).data)
 
 
 def moco_train_step(state: MoCoState, batch: Batch, rng: Rng) -> float:
     """One contrastive step; returns the InfoNCE loss value."""
-    return _train_step(state, batch, rng, distill=None).l_con
+    return _train_step(state, batch, rng).l_con
 
 
-def _train_step(state: MoCoState, batch: Batch, rng: Rng, distill=None) -> StepResult:
+def _train_step(state: MoCoState, batch: Batch, rng: Rng, extra_loss=None) -> StepResult:
     """Shared step core.
 
     Order: views, query/key embeddings, losses, backprop + SGD on the
-    query encoder, momentum update of the key encoder, queue pushes.
-    ``distill`` is an optional duck-typed context providing soft targets
-    and the distillation loss (see distill.distilled_train_step).
+    query encoder, momentum update of the key encoder, queue push.
+    ``extra_loss(views_q, views_k, q, k_plus)``, when given, runs inside
+    the recorded graph before the queue moves and returns (term, value):
+    ``term`` is added to the InfoNCE loss unless it is None, and ``value``
+    is reported as ``l_dis`` (see distill.distilled_train_step).
     """
     cfg = state.cfg
     if batch.frames.shape[0] != cfg.batch_size:
         raise ContractError(f"batch of {batch.frames.shape[0]}, config says {cfg.batch_size}")
     if not state.queue.warmed:
         raise ContractError("queue must be warmed before training steps")
-    if distill is not None:
-        distill.pre_check(state)
 
     views_q, views_k = build_views(batch, cfg.augment, rng)
     graph = T.Graph()
@@ -395,21 +417,10 @@ def _train_step(state: MoCoState, batch: Batch, rng: Rng, distill=None) -> StepR
         q = encode(state.query, views_q, record_grads=True)
         k_plus = encode(state.key, views_k).data
         l_con = info_nce_loss(q, k_plus, state.queue, cfg.tau)
-        l_dis_value = 0.0
-        teacher_keys = None
-        if distill is not None:
-            p_t, teacher_keys = distill.teacher_forward(views_q, views_k)
-            if distill.lam != 0.0:
-                l_dis = distill.distill_loss(p_t, q, k_plus, state.queue)
-                total = T.add(l_con, T.scale(l_dis, distill.lam))
-                l_dis_value = float(l_dis.data)
-            else:
-                # Keep the recorded graph identical to plain training so a
-                # zero weight reproduces it bitwise; report the value only.
-                l_dis_value = float(distill.distill_loss_value(p_t, q.data, k_plus, state.queue))
-                total = l_con
-        else:
-            total = l_con
+        term, l_dis_value = None, 0.0
+        if extra_loss is not None:
+            term, l_dis_value = extra_loss(views_q, views_k, q, k_plus)
+        total = l_con if term is None else T.add(l_con, term)
     graph.backward(total)
 
     frozen_backbone = state.query.backbone.frozen
@@ -431,8 +442,5 @@ def _train_step(state: MoCoState, batch: Batch, rng: Rng, distill=None) -> StepR
         momentum_update(state.key, state.query, cfg.m)
 
     state.queue.push(k_plus)
-    if distill is not None:
-        distill.push_keys(teacher_keys)
-        distill.post_check(state)
     state.step_count += 1
     return StepResult(l_con=float(l_con.data), l_dis=l_dis_value, total=float(total.data))

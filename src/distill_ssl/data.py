@@ -163,10 +163,6 @@ def generate_synthetic_dataset(spec: SyntheticSpec, seed: int) -> list[LabeledFr
     return out
 
 
-def frames_to_array(frames: list[Frame]) -> np.ndarray:
-    return np.stack([f.pixels for f in frames])
-
-
 def dataset_arrays(dataset: list[LabeledFrame]) -> tuple[np.ndarray, np.ndarray]:
     frames = np.stack([lf.frame.pixels for lf in dataset])
     labels = np.array([lf.phase for lf in dataset], dtype=np.int64)

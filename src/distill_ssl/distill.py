@@ -1,11 +1,12 @@
 """Teacher adaptation and distilled contrastive training.
 
-The teacher is a frozen-backbone encoder pair whose projection head was
-adapted on the target data.  During student training it scores the same
-two views the student sees and its tempered key-similarity distribution
-supervises the student's through a KL divergence.  Teacher and student
-keep parallel queues pushed with the same raw samples each step, so index
-i of both distributions always refers to the same key sample.
+The teacher is an ordinary ``MoCoState`` whose backbones are frozen and
+whose projection head was adapted on the target data.  During student
+training it scores the same two views the student sees and its tempered
+key-similarity distribution supervises the student's through a KL
+divergence.  Teacher and student keep parallel queues pushed with the
+same raw samples each step, so index i of both distributions always
+refers to the same key sample.
 """
 
 from __future__ import annotations
@@ -17,30 +18,16 @@ import numpy as np
 from . import tensor as T
 from .contrastive import (
     ContractError,
-    EncoderConfig,
-    EncoderParams,
     KeyQueue,
     MoCoState,
     StepResult,
-    TrainConfig,
     _train_step,
     encode,
     key_similarity_logits,
 )
-from .data import Batch, load_checkpoint
+from .data import Batch
 from .rng import Rng
 from .tensor import ParameterError, ParamSet, Tensor
-
-
-@dataclass
-class TeacherState:
-    """Frozen-backbone encoder pair with its own synchronized key queue."""
-
-    query: EncoderParams
-    key: EncoderParams
-    queue: KeyQueue
-    cfg: TrainConfig
-    step_count: int = 0
 
 
 @dataclass
@@ -59,49 +46,13 @@ class SimilarityDistribution:
         return self.probs.data
 
 
-def encoder_from_checkpoint(
-    named: dict[str, ParamSet], set_prefix: str, enc_cfg: EncoderConfig
-) -> EncoderParams:
-    backbone = named[f"{set_prefix}.backbone"].clone()
-    head = named[f"{set_prefix}.head"].clone()
-    return EncoderParams(backbone, head, enc_cfg)
-
-
-def init_teacher(
-    ckpt_path,
-    enc_cfg: EncoderConfig,
-    cfg: TrainConfig,
-    freeze_backbone: bool = True,
-) -> TeacherState:
-    """Teacher from a pretrained checkpoint: query and key both load the
-    checkpoint's query encoder; backbones are frozen unless disabled.
-
-    Shape validation covers the whole checkpoint up front, so nothing is
-    partially loaded on mismatch.
-    """
-    shapes = enc_cfg.param_shapes()
-    expected = {f"query.{name}": params for name, params in shapes.items()}
-    named, _ = load_checkpoint(ckpt_path, expected_shapes=expected)
-    query = encoder_from_checkpoint(named, "query", enc_cfg)
-    key = encoder_from_checkpoint(named, "query", enc_cfg)
-    if freeze_backbone:
-        query.backbone.set_frozen(True)
-        key.backbone.set_frozen(True)
-    return TeacherState(query, key, KeyQueue(cfg.queue_size, enc_cfg.d), cfg)
-
-
-def teacher_adapt_step(teacher: TeacherState, batch: Batch, rng: Rng) -> float:
+def teacher_adapt_step(teacher: MoCoState, batch: Batch, rng: Rng) -> float:
     """One head-adaptation step; identical to a plain contrastive step
     except that frozen backbones receive neither gradients nor updates."""
-    result = _train_step(_as_moco_state(teacher), batch, rng, distill=None)
-    teacher.step_count += 1
+    result = _train_step(teacher, batch, rng)
     if teacher.query.backbone.frozen:
         _assert_zero_grads(teacher.query.backbone, "teacher backbone")
     return result.l_con
-
-
-def _as_moco_state(teacher: TeacherState) -> MoCoState:
-    return MoCoState(teacher.query, teacher.key, teacher.queue, teacher.cfg, teacher.step_count)
 
 
 def _assert_zero_grads(ps: ParamSet, what: str) -> None:
@@ -156,59 +107,43 @@ def kl_distillation_loss(p_t: SimilarityDistribution, p_s: SimilarityDistributio
     return out
 
 
-class _DistillContext:
-    """Hooks the teacher into the shared train-step core."""
-
-    def __init__(self, teacher: TeacherState, lam: float, tau: float):
-        self.teacher = teacher
-        self.lam = lam
-        self.tau = tau
-
-    def pre_check(self, student: MoCoState) -> None:
-        if self.teacher.queue.ptr != student.queue.ptr:
-            raise ContractError(
-                f"queues desynchronized: student ptr {student.queue.ptr}, "
-                f"teacher ptr {self.teacher.queue.ptr}"
-            )
-        if not self.teacher.queue.warmed:
-            raise ContractError("teacher queue must be warmed before distilled steps")
-
-    def teacher_forward(self, views_q: np.ndarray, views_k: np.ndarray):
-        q_t = encode(self.teacher.query, views_q)
-        k_t = encode(self.teacher.key, views_k)
-        p_t = soft_targets(q_t.data, k_t.data, self.teacher.queue, self.tau)
-        return p_t, k_t.data
-
-    def distill_loss(
-        self, p_t: SimilarityDistribution, q: Tensor, k_plus: np.ndarray, queue: KeyQueue
-    ) -> Tensor:
-        p_s = student_similarity_distribution(q, k_plus, queue, self.tau)
-        return kl_distillation_loss(p_t, p_s)
-
-    def distill_loss_value(
-        self, p_t: SimilarityDistribution, q: np.ndarray, k_plus: np.ndarray, queue: KeyQueue
-    ) -> float:
-        with T.no_grad():
-            p_s = student_similarity_distribution(Tensor(q), k_plus, queue, self.tau)
-            return float(kl_distillation_loss(p_t, p_s).data)
-
-    def push_keys(self, teacher_keys: np.ndarray) -> None:
-        self.teacher.queue.push(teacher_keys)
-
-    def post_check(self, student: MoCoState) -> None:
-        if self.teacher.queue.ptr != student.queue.ptr:
-            raise ContractError("queues desynchronized after push")
-        _assert_zero_grads(self.teacher.query.backbone, "teacher backbone")
-        _assert_zero_grads(self.teacher.query.head, "teacher head")
-
-
 def distilled_train_step(
-    student: MoCoState, teacher: TeacherState, batch: Batch, rng: Rng
+    student: MoCoState, teacher: MoCoState, batch: Batch, rng: Rng
 ) -> StepResult:
     """One combined-objective step: total = L_con + lambda * L_dis.
 
     Both models see the same two augmented views; the teacher runs without
     gradients and both queues receive keys of the same samples.
     """
-    ctx = _DistillContext(teacher, student.cfg.lam, student.cfg.effective_distill_tau)
-    return _train_step(student, batch, rng, distill=ctx)
+    if teacher.queue.ptr != student.queue.ptr:
+        raise ContractError(
+            f"queues desynchronized: student ptr {student.queue.ptr}, "
+            f"teacher ptr {teacher.queue.ptr}"
+        )
+    if not teacher.queue.warmed:
+        raise ContractError("teacher queue must be warmed before distilled steps")
+    lam, tau = student.cfg.lam, student.cfg.effective_distill_tau
+    teacher_keys = None
+
+    def distill_term(views_q, views_k, q: Tensor, k_plus: np.ndarray):
+        nonlocal teacher_keys
+        q_t = encode(teacher.query, views_q)
+        teacher_keys = encode(teacher.key, views_k).data
+        p_t = soft_targets(q_t.data, teacher_keys, teacher.queue, tau)
+        if lam == 0.0:
+            # Keep the recorded graph identical to plain training so a
+            # zero weight reproduces it bitwise; report the value only.
+            with T.no_grad():
+                p_s = student_similarity_distribution(Tensor(q.data), k_plus, student.queue, tau)
+                return None, float(kl_distillation_loss(p_t, p_s).data)
+        p_s = student_similarity_distribution(q, k_plus, student.queue, tau)
+        l_dis = kl_distillation_loss(p_t, p_s)
+        return T.scale(l_dis, lam), float(l_dis.data)
+
+    result = _train_step(student, batch, rng, distill_term)
+    teacher.queue.push(teacher_keys)
+    if teacher.queue.ptr != student.queue.ptr:
+        raise ContractError("queues desynchronized after push")
+    _assert_zero_grads(teacher.query.backbone, "teacher backbone")
+    _assert_zero_grads(teacher.query.head, "teacher head")
+    return result

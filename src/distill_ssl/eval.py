@@ -17,18 +17,8 @@ import numpy as np
 
 from . import tensor as T
 from .augment import Frame, resize_to
-from .contrastive import (
-    ContractError,
-    EncoderConfig,
-    EncoderParams,
-    KeyQueue,
-    MoCoState,
-    TrainConfig,
-    center_input,
-    forward_backbone,
-)
-from .data import LabeledFrame, load_checkpoint
-from .distill import encoder_from_checkpoint
+from .contrastive import ContractError, EncoderParams, center_input, forward_backbone
+from .data import LabeledFrame
 from .rng import STREAM_PROBE, Rng
 from .tensor import stable_softmax
 
@@ -120,12 +110,6 @@ def extract_features(
     n = feats.shape[0]
     lab = labels if labels is not None else np.zeros(n, dtype=np.int64)
     return FeatureSet(feats, np.asarray(lab, dtype=np.int64))
-
-
-def load_encoder(ckpt_path, enc_cfg: EncoderConfig, set_prefix: str = "query") -> EncoderParams:
-    expected = {f"{set_prefix}.{n}": p for n, p in enc_cfg.param_shapes().items()}
-    named, _ = load_checkpoint(ckpt_path, expected_shapes=expected)
-    return encoder_from_checkpoint(named, set_prefix, enc_cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -332,17 +316,6 @@ def label_efficiency_sweep(
                 "seeds": len(accs),
             }
     return rows, summary
-
-
-def init_transfer(ckpt_path, enc_cfg: EncoderConfig, cfg: TrainConfig) -> MoCoState:
-    """A student whose query and key encoders start as the teacher's."""
-    expected = {
-        f"{side}.{n}": p for side in ("query", "key") for n, p in enc_cfg.param_shapes().items()
-    }
-    named, _ = load_checkpoint(ckpt_path, expected_shapes=expected)
-    query = encoder_from_checkpoint(named, "query", enc_cfg)
-    key = encoder_from_checkpoint(named, "key", enc_cfg)
-    return MoCoState(query, key, KeyQueue(cfg.queue_size, enc_cfg.d), cfg)
 
 
 # ---------------------------------------------------------------------------

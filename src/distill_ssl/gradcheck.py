@@ -265,9 +265,12 @@ def format_report(report: dict[str, dict], tolerance: float = DEFAULT_TOLERANCE)
     return "\n".join(lines)
 
 
-def main_check(instances: int = 100, tolerance: float = DEFAULT_TOLERANCE) -> tuple[bool, str, float]:
+def main_check(
+    instances: int = 100, tolerance: float = DEFAULT_TOLERANCE
+) -> tuple[bool, dict[str, dict], str, float]:
+    """(all within tolerance, per-op report, formatted report, seconds)."""
     start = time.time()
     report = run_gradcheck(instances=instances)
     elapsed = time.time() - start
     ok = all(entry["max_rel_err"] <= tolerance for entry in report.values())
-    return ok, format_report(report, tolerance), elapsed
+    return ok, report, format_report(report, tolerance), elapsed

@@ -15,20 +15,13 @@ from .contrastive import (
     KeyQueue,
     MoCoState,
     TrainConfig,
-    encode,
     init_moco_state,
+    load_encoders,
     moco_train_step,
     warm_up_queue,
 )
-from .data import BatchStream, LabeledFrame, dataset_arrays, load_checkpoint, save_checkpoint
-from .distill import (
-    TeacherState,
-    distilled_train_step,
-    encoder_from_checkpoint,
-    init_teacher,
-    teacher_adapt_step,
-)
-from .eval import init_transfer
+from .data import BatchStream, LabeledFrame, dataset_arrays, save_checkpoint
+from .distill import distilled_train_step, teacher_adapt_step
 from .rng import Rng
 
 
@@ -37,7 +30,7 @@ class TrainRun:
     losses: list[float]  # per-step total loss
     l_con: list[float]
     l_dis: list[float]
-    state: MoCoState | TeacherState
+    state: MoCoState
 
 
 def _stream_and_rng(dataset: list[LabeledFrame], cfg: TrainConfig):
@@ -55,7 +48,8 @@ def pretrain(
     a checkpoint (the teacher-initialization transfer arm)."""
     stream, rng = _stream_and_rng(dataset, cfg)
     if init_from is not None:
-        state = init_transfer(init_from, enc_cfg, cfg)
+        encoders = load_encoders(init_from, enc_cfg)
+        state = MoCoState(*encoders, KeyQueue(cfg.queue_size, enc_cfg.d), cfg)
     else:
         state = init_moco_state(enc_cfg, cfg, rng)
     warm_up_queue(state, stream, rng)
@@ -72,18 +66,18 @@ def adapt_teacher(
     cfg: TrainConfig,
     freeze_backbone: bool = True,
 ) -> TrainRun:
-    """Head-only adaptation of a generic-domain encoder on the target data."""
+    """Head-only adaptation of a generic-domain encoder on the target data.
+
+    Query and key both start as the checkpoint's query encoder.
+    """
     stream, rng = _stream_and_rng(dataset, cfg)
-    teacher = init_teacher(generic_ckpt, enc_cfg, cfg, freeze_backbone=freeze_backbone)
-    warm_up_queue(_teacher_view(teacher), stream, rng)
+    encoders = load_encoders(generic_ckpt, enc_cfg, ("query", "query"), freeze_backbone)
+    teacher = MoCoState(*encoders, KeyQueue(cfg.queue_size, enc_cfg.d), cfg)
+    warm_up_queue(teacher, stream, rng)
     losses = []
     for _ in range(cfg.steps):
         losses.append(teacher_adapt_step(teacher, stream.next_batch(), rng))
     return TrainRun(losses, losses, [0.0] * len(losses), teacher)
-
-
-def _teacher_view(teacher: TeacherState) -> MoCoState:
-    return MoCoState(teacher.query, teacher.key, teacher.queue, teacher.cfg, teacher.step_count)
 
 
 def pretrain_distilled(
@@ -96,12 +90,9 @@ def pretrain_distilled(
     stream, then every step pushes paired keys."""
     stream, rng = _stream_and_rng(dataset, cfg)
     student = init_moco_state(enc_cfg, cfg, rng)
-    teacher = load_teacher(teacher_ckpt, enc_cfg, cfg)
-
-    def fill_teacher(batch, views_k):
-        teacher.queue.push(encode(teacher.key, views_k).data)
-
-    warm_up_queue(student, stream, rng, hook=fill_teacher)
+    encoders = load_encoders(teacher_ckpt, enc_cfg, freeze_backbone=True)
+    teacher = MoCoState(*encoders, KeyQueue(cfg.queue_size, enc_cfg.d), cfg)
+    warm_up_queue(student, stream, rng, teacher)
     losses, cons, diss = [], [], []
     for _ in range(cfg.steps):
         res = distilled_train_step(student, teacher, stream.next_batch(), rng)
@@ -111,23 +102,7 @@ def pretrain_distilled(
     return TrainRun(losses, cons, diss, student)
 
 
-def load_teacher(ckpt_path: str, enc_cfg: EncoderConfig, cfg: TrainConfig) -> TeacherState:
-    """Rebuild an adapted teacher (query and key sides) from its checkpoint."""
-    shapes = enc_cfg.param_shapes()
-    expected = {
-        f"{side}.{name}": params
-        for side in ("query", "key")
-        for name, params in shapes.items()
-    }
-    named, _ = load_checkpoint(ckpt_path, expected_shapes=expected)
-    query = encoder_from_checkpoint(named, "query", enc_cfg)
-    key = encoder_from_checkpoint(named, "key", enc_cfg)
-    query.backbone.set_frozen(True)
-    key.backbone.set_frozen(True)
-    return TeacherState(query, key, KeyQueue(cfg.queue_size, enc_cfg.d), cfg)
-
-
-def save_model(state: MoCoState | TeacherState, path, config: dict | None = None) -> None:
+def save_model(state: MoCoState, path, config: dict | None = None) -> None:
     save_checkpoint(
         {
             "query.backbone": state.query.backbone,

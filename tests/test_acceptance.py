@@ -106,7 +106,7 @@ def _probe_accuracy(artifacts, ckpt_name: str, fraction: float, seeds=(0, 1, 2))
     enc_cfg = C.EncoderConfig()
     dataset, _ = load_dataset(artifacts["data"] / "target")
     train_set, test_set = E.split_dataset(dataset, 0.5, seed=7)
-    enc = E.load_encoder(artifacts["root"] / ckpt_name / "checkpoint", enc_cfg)
+    (enc,) = C.load_encoders(artifacts["root"] / ckpt_name / "checkpoint", enc_cfg, ("query",))
     ftr = E.extract_features(enc, None, [lf.frame for lf in train_set], "student",
                              np.array([lf.phase for lf in train_set]))
     fte = E.extract_features(enc, None, [lf.frame for lf in test_set], "student",
@@ -218,6 +218,12 @@ def test_criterion_4_momentum_and_queue_invariants():
                 assert set(expected) <= set(got) or got == expected
 
 
+def _fresh_teacher(path, cfg, freeze_backbone):
+    """Query and key both start as the checkpoint's query encoder."""
+    encoders = C.load_encoders(path, TOY_ENC, ("query", "query"), freeze_backbone)
+    return C.MoCoState(*encoders, C.KeyQueue(cfg.queue_size, TOY_ENC.d), cfg)
+
+
 def test_criterion_5_semantic_preserving_freeze(tmp_path):
     with criterion(5, "frozen backbone bitwise over 100 adapt steps; unfrozen equals plain step"):
         cfg = toy_cfg(steps=100)
@@ -225,13 +231,13 @@ def test_criterion_5_semantic_preserving_freeze(tmp_path):
         gpath = tmp_path / "gen"
         P.save_model(run_gen.state, gpath)
 
-        teacher = K.init_teacher(gpath, TOY_ENC, cfg)
+        teacher = _fresh_teacher(gpath, cfg, freeze_backbone=True)
         backbone_before = {n: t.data.copy() for n, t in teacher.query.backbone.items()}
         head_before = {n: t.data.copy() for n, t in teacher.query.head.items()}
         frames, _ = dataset_arrays(toy_dataset())
         stream = BatchStream(frames, cfg.batch_size, cfg.seed)
         rng = Rng(cfg.seed)
-        C.warm_up_queue(P._teacher_view(teacher), stream, rng)
+        C.warm_up_queue(teacher, stream, rng)
         for _ in range(100):
             K.teacher_adapt_step(teacher, stream.next_batch(), rng)
         for n, t in teacher.query.backbone.items():
@@ -243,14 +249,14 @@ def test_criterion_5_semantic_preserving_freeze(tmp_path):
         )
 
         # freeze disabled: bitwise identical to plain training from the same state
-        unfrozen = K.init_teacher(gpath, TOY_ENC, cfg, freeze_backbone=False)
+        unfrozen = _fresh_teacher(gpath, cfg, freeze_backbone=False)
         stream_a = BatchStream(frames, cfg.batch_size, cfg.seed)
         rng_a = Rng(cfg.seed)
-        C.warm_up_queue(P._teacher_view(unfrozen), stream_a, rng_a)
+        C.warm_up_queue(unfrozen, stream_a, rng_a)
         for _ in range(10):
             K.teacher_adapt_step(unfrozen, stream_a.next_batch(), rng_a)
 
-        plain = K.init_teacher(gpath, TOY_ENC, cfg, freeze_backbone=False)
+        plain = _fresh_teacher(gpath, cfg, freeze_backbone=False)
         moco = C.MoCoState(plain.query, plain.key, C.KeyQueue(cfg.queue_size, TOY_ENC.d), cfg)
         stream_b = BatchStream(frames, cfg.batch_size, cfg.seed)
         rng_b = Rng(cfg.seed)
@@ -280,12 +286,9 @@ def _paired_student(tmp_path, lam, steps=50):
     stream = BatchStream(frames, cfg.batch_size, cfg.seed)
     rng = Rng(cfg.seed)
     student = C.init_moco_state(TOY_ENC, cfg, rng)
-    teacher = P.load_teacher(tpath, TOY_ENC, cfg)
-
-    def hook(batch, views_k):
-        teacher.queue.push(C.encode(teacher.key, views_k).data)
-
-    C.warm_up_queue(student, stream, rng, hook=hook)
+    encoders = C.load_encoders(tpath, TOY_ENC, freeze_backbone=True)
+    teacher = C.MoCoState(*encoders, C.KeyQueue(cfg.queue_size, TOY_ENC.d), cfg)
+    C.warm_up_queue(student, stream, rng, teacher)
     return student, teacher, stream, rng
 
 

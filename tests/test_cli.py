@@ -229,9 +229,28 @@ class TestStages:
         assert (out / "summary.json").exists()
         assert (out / "accuracy.svg").exists()
 
+    def test_distill_tau_flag_reaches_training_as_float(
+        self, small_config, data_dir, teacher_ckpt, tmp_path
+    ):
+        stud = tmp_path / "stud"
+        assert run([
+            "pretrain-student", "--config", small_config, "--data", str(data_dir / "target"),
+            "--distill", "--teacher", str(teacher_ckpt), "--distill-tau", "0.5",
+            "--steps", "3", "--out", str(stud),
+        ]) == 0
+        resolved = json.loads((stud / "config.json").read_text())
+        assert resolved["distill_tau"] == 0.5 and isinstance(resolved["distill_tau"], float)
+        metrics = (stud / "metrics.csv").read_text().splitlines()
+        assert len(metrics) == 1 + 3
+        assert all(float(row.split(",")[3]) > 0.0 for row in metrics[1:])
+
     def test_gradcheck_writes_report(self, tmp_path):
+        from distill_ssl.gradcheck import run_gradcheck
+
         out = tmp_path / "gc"
         assert run(["gradcheck", "--gradcheck-instances", "3", "--out", str(out)]) == 0
         lines = (out / "metrics.csv").read_text().splitlines()
         assert lines[0] == "op,max_rel_err,instances"
         assert len(lines) > 5
+        ops = [line.split(",")[0] for line in lines[1:]]
+        assert ops == list(run_gradcheck(instances=1))

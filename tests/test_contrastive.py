@@ -350,3 +350,5 @@ class TestTrainConfigValidation:
             toy_cfg(m=1.0)
         with pytest.raises(T.ParameterError):
             toy_cfg(lam=-0.5)
+        with pytest.raises(T.ParameterError):
+            toy_cfg(distill_tau=0.0)

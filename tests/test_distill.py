@@ -32,6 +32,12 @@ def toy_dataset(seed=3):
     return generate_synthetic_dataset(target_spec(4, 16, (12, 12)), seed)
 
 
+def fresh_teacher(path, cfg, freeze_backbone=True):
+    """Query and key both start as the checkpoint's query encoder."""
+    encoders = C.load_encoders(path, TOY_ENC, ("query", "query"), freeze_backbone)
+    return C.MoCoState(*encoders, C.KeyQueue(cfg.queue_size, TOY_ENC.d), cfg)
+
+
 def unit_rows(rng, shape):
     v = rng.normal(size=shape)
     return v / np.linalg.norm(v, axis=-1, keepdims=True)
@@ -51,7 +57,7 @@ class TestInitTeacher:
         from distill_ssl.data import load_checkpoint
 
         named, _ = load_checkpoint(generic_ckpt)
-        teacher = K.init_teacher(generic_ckpt, TOY_ENC, toy_cfg())
+        teacher = fresh_teacher(generic_ckpt, toy_cfg())
         for side in (teacher.query, teacher.key):
             for ps, tag in ((side.backbone, "backbone"), (side.head, "head")):
                 for name, t in ps.items():
@@ -62,16 +68,28 @@ class TestInitTeacher:
         from distill_ssl.data import TensorShapeError
 
         with pytest.raises(TensorShapeError, match=r"query\.head/fc2\.weight"):
-            K.init_teacher(generic_ckpt, wrong, toy_cfg())
+            C.load_encoders(generic_ckpt, wrong, ("query", "query"))
+
+    def test_wrong_shape_key_side_fails_atomically(self, tmp_path, generic_ckpt):
+        from distill_ssl.data import TensorShapeError, load_checkpoint, save_checkpoint
+
+        named, _ = load_checkpoint(generic_ckpt)
+        narrow = C.EncoderConfig(conv_channels=(4, 6), d_backbone=12, d=4, input_size=(12, 12))
+        named["key.head"] = C.init_encoder(narrow, Rng(0)).head
+        save_checkpoint(named, tmp_path / "bad_key")
+        # the query side alone is intact and loads; asking for both sides loads nothing
+        assert len(C.load_encoders(tmp_path / "bad_key", TOY_ENC, ("query",))) == 1
+        with pytest.raises(TensorShapeError, match=r"key\.head/fc2\.weight"):
+            C.load_encoders(tmp_path / "bad_key", TOY_ENC, ("query", "key"))
 
     def test_backbones_frozen(self, generic_ckpt):
-        teacher = K.init_teacher(generic_ckpt, TOY_ENC, toy_cfg())
+        teacher = fresh_teacher(generic_ckpt, toy_cfg())
         assert teacher.query.backbone.frozen and teacher.key.backbone.frozen
         for _, t in teacher.query.backbone.items():
             assert not t.requires_grad
 
     def test_freeze_disabled_leaves_backbone_trainable(self, generic_ckpt):
-        teacher = K.init_teacher(generic_ckpt, TOY_ENC, toy_cfg(), freeze_backbone=False)
+        teacher = fresh_teacher(generic_ckpt, toy_cfg(), freeze_backbone=False)
         assert not teacher.query.backbone.frozen
 
 
@@ -80,14 +98,14 @@ class TestTeacherAdaptStep:
         cfg = toy_cfg(seed=seed)
         frames, _ = dataset_arrays(toy_dataset())
         rng = Rng(cfg.seed)
-        teacher = K.init_teacher(generic_ckpt, TOY_ENC, cfg, freeze_backbone=freeze)
+        teacher = fresh_teacher(generic_ckpt, cfg, freeze_backbone=freeze)
         stream = BatchStream(frames, cfg.batch_size, cfg.seed)
-        C.warm_up_queue(P._teacher_view(teacher), stream, rng)
+        C.warm_up_queue(teacher, stream, rng)
         losses = [K.teacher_adapt_step(teacher, stream.next_batch(), rng) for _ in range(steps)]
         return teacher, losses
 
     def test_backbone_bitwise_frozen_over_100_steps(self, generic_ckpt):
-        teacher0 = K.init_teacher(generic_ckpt, TOY_ENC, toy_cfg())
+        teacher0 = fresh_teacher(generic_ckpt, toy_cfg())
         before = {n: t.data.copy() for n, t in teacher0.query.backbone.items()}
         teacher, _ = self.run_steps(generic_ckpt, 100)
         for n, t in teacher.query.backbone.items():
@@ -96,7 +114,7 @@ class TestTeacherAdaptStep:
             assert np.array_equal(t.data, before[n])
 
     def test_head_moves_after_one_step(self, generic_ckpt):
-        teacher0 = K.init_teacher(generic_ckpt, TOY_ENC, toy_cfg())
+        teacher0 = fresh_teacher(generic_ckpt, toy_cfg())
         before = {n: t.data.copy() for n, t in teacher0.query.head.items()}
         teacher, _ = self.run_steps(generic_ckpt, 1)
         assert any(not np.array_equal(t.data, before[n]) for n, t in teacher.query.head.items())
@@ -105,15 +123,15 @@ class TestTeacherAdaptStep:
         cfg = toy_cfg()
         frames, _ = dataset_arrays(toy_dataset())
 
-        teacher = K.init_teacher(generic_ckpt, TOY_ENC, cfg, freeze_backbone=False)
+        teacher = fresh_teacher(generic_ckpt, cfg, freeze_backbone=False)
         rng_a = Rng(cfg.seed)
         stream_a = BatchStream(frames, cfg.batch_size, cfg.seed)
-        C.warm_up_queue(P._teacher_view(teacher), stream_a, rng_a)
+        C.warm_up_queue(teacher, stream_a, rng_a)
         for _ in range(3):
             K.teacher_adapt_step(teacher, stream_a.next_batch(), rng_a)
 
         # identical starting state, stepped with moco_train_step instead
-        fresh = K.init_teacher(generic_ckpt, TOY_ENC, cfg, freeze_backbone=False)
+        fresh = fresh_teacher(generic_ckpt, cfg, freeze_backbone=False)
         moco = C.MoCoState(
             fresh.query, fresh.key, C.KeyQueue(cfg.queue_size, TOY_ENC.d), cfg
         )
@@ -275,12 +293,9 @@ def build_pair(tmp_path, seed=7, lam=5.0):
     stream = BatchStream(frames, cfg.batch_size, cfg.seed)
     rng = Rng(cfg.seed)
     student = C.init_moco_state(TOY_ENC, cfg, rng)
-    teacher = P.load_teacher(tpath, TOY_ENC, cfg)
-
-    def hook(batch, views_k):
-        teacher.queue.push(C.encode(teacher.key, views_k).data)
-
-    C.warm_up_queue(student, stream, rng, hook=hook)
+    encoders = C.load_encoders(tpath, TOY_ENC, freeze_backbone=True)
+    teacher = C.MoCoState(*encoders, C.KeyQueue(cfg.queue_size, TOY_ENC.d), cfg)
+    C.warm_up_queue(student, stream, rng, teacher)
     return student, teacher, stream, rng
 
 

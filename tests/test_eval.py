@@ -29,6 +29,16 @@ def toy_dataset(seed=3, per_phase=16):
     return generate_synthetic_dataset(target_spec(4, per_phase, (12, 12)), seed)
 
 
+def query_encoder(path, enc_cfg):
+    (enc,) = C.load_encoders(path, enc_cfg, ("query",))
+    return enc
+
+
+def transfer_state(path, cfg):
+    """A student whose query and key encoders start as the checkpoint's."""
+    return C.MoCoState(*C.load_encoders(path, TOY_ENC), C.KeyQueue(cfg.queue_size, TOY_ENC.d), cfg)
+
+
 @pytest.fixture(scope="module")
 def ckpts(tmp_path_factory):
     root = tmp_path_factory.mktemp("ckpts")
@@ -42,43 +52,43 @@ def ckpts(tmp_path_factory):
 
 class TestExtractFeatures:
     def test_concatenation_dimension(self, ckpts):
-        a, b = (E.load_encoder(p, TOY_ENC) for p in ckpts)
+        a, b = (query_encoder(p, TOY_ENC) for p in ckpts)
         frames = [lf.frame for lf in toy_dataset()[:6]]
         fs = E.extract_features(a, b, frames, "concatenation")
         assert fs.features.shape == (6, 2 * TOY_ENC.d_backbone)
 
     def test_addition_with_identical_encoders_doubles(self, ckpts):
-        a = E.load_encoder(ckpts[0], TOY_ENC)
+        a = query_encoder(ckpts[0], TOY_ENC)
         frames = [lf.frame for lf in toy_dataset()[:5]]
         single = E.extract_features(a, None, frames, "student")
         double = E.extract_features(a, a, frames, "addition")
         assert np.array_equal(double.features, 2.0 * single.features)
 
     def test_deterministic(self, ckpts):
-        a = E.load_encoder(ckpts[0], TOY_ENC)
+        a = query_encoder(ckpts[0], TOY_ENC)
         frames = [lf.frame for lf in toy_dataset()[:5]]
         x = E.extract_features(a, None, frames, "student").features
         y = E.extract_features(a, None, frames, "student").features
         assert np.array_equal(x, y)
 
     def test_features_are_backbone_dimension(self, ckpts):
-        a = E.load_encoder(ckpts[0], TOY_ENC)
+        a = query_encoder(ckpts[0], TOY_ENC)
         frames = [lf.frame for lf in toy_dataset()[:4]]
         fs = E.extract_features(a, None, frames, "student")
         assert fs.features.shape == (4, TOY_ENC.d_backbone)
 
     def test_unknown_mode_rejected(self, ckpts):
-        a = E.load_encoder(ckpts[0], TOY_ENC)
+        a = query_encoder(ckpts[0], TOY_ENC)
         with pytest.raises(ValueError, match="unknown mode"):
             E.extract_features(a, None, [], "blend")
 
     def test_missing_encoder_rejected(self, ckpts):
-        a = E.load_encoder(ckpts[0], TOY_ENC)
+        a = query_encoder(ckpts[0], TOY_ENC)
         with pytest.raises(C.ContractError):
             E.extract_features(a, None, [], "addition")
 
     def test_addition_with_mismatched_dims_rejected(self, ckpts):
-        a = E.load_encoder(ckpts[0], TOY_ENC)
+        a = query_encoder(ckpts[0], TOY_ENC)
         narrow = C.EncoderConfig(conv_channels=(4, 6), d_backbone=10, d=8, input_size=(12, 12))
         b = C.init_encoder(narrow, Rng(0))
         frames = [lf.frame for lf in toy_dataset()[:3]]
@@ -135,7 +145,7 @@ class TestLinearProbe:
         assert (diffs <= 1e-12).all()
 
     def test_loss_non_increasing_on_backbone_features(self, ckpts):
-        enc = E.load_encoder(ckpts[0], TOY_ENC)
+        enc = query_encoder(ckpts[0], TOY_ENC)
         dataset = toy_dataset(per_phase=10)
         fs = E.extract_features(enc, None, [lf.frame for lf in dataset], "student",
                                 np.array([lf.phase for lf in dataset]))
@@ -213,7 +223,7 @@ class TestPhaseMetrics:
 
 class TestSweep:
     def test_row_count_and_degenerate_sweep(self, ckpts):
-        a = E.load_encoder(ckpts[0], TOY_ENC)
+        a = query_encoder(ckpts[0], TOY_ENC)
         dataset = toy_dataset(per_phase=12)
         train_set, test_set = E.split_dataset(dataset, 0.5, seed=0)
         encoders = [E.SweepEncoder("a", "student", student=a)]
@@ -243,7 +253,7 @@ class TestSweep:
         assert all((labels == c).sum() == 6 for c in range(4))
 
     def test_empty_arguments_rejected(self, ckpts):
-        a = E.load_encoder(ckpts[0], TOY_ENC)
+        a = query_encoder(ckpts[0], TOY_ENC)
         dataset = toy_dataset(per_phase=8)
         tr, te = E.split_dataset(dataset, 0.5, seed=0)
         with pytest.raises(ValueError):
@@ -259,15 +269,15 @@ class TestInitTransfer:
         from distill_ssl.data import load_checkpoint
 
         named, _ = load_checkpoint(ckpts[0])
-        state = E.init_transfer(ckpts[0], TOY_ENC, toy_cfg())
+        state = transfer_state(ckpts[0], toy_cfg())
         for side, tag in ((state.query, "query"), (state.key, "key")):
             for ps, part in ((side.backbone, "backbone"), (side.head, "head")):
                 for name, t in ps.items():
                     assert np.array_equal(t.data, named[f"{tag}.{part}"][name].data)
 
     def test_zero_step_features_match_teacher(self, ckpts):
-        state = E.init_transfer(ckpts[0], TOY_ENC, toy_cfg())
-        teacher_enc = E.load_encoder(ckpts[0], TOY_ENC)
+        state = transfer_state(ckpts[0], toy_cfg())
+        teacher_enc = query_encoder(ckpts[0], TOY_ENC)
         frames = [lf.frame for lf in toy_dataset()[:6]]
         a = E.extract_features(state.query, None, frames, "student").features
         b = E.extract_features(teacher_enc, None, frames, "student").features
@@ -277,7 +287,7 @@ class TestInitTransfer:
         from distill_ssl.data import BatchStream, dataset_arrays
 
         cfg = toy_cfg()
-        state = E.init_transfer(ckpts[0], TOY_ENC, cfg)
+        state = transfer_state(ckpts[0], cfg)
         before = {n: t.data.copy() for n, t in state.query.head.items()}
         frames, _ = dataset_arrays(toy_dataset())
         stream = BatchStream(frames, cfg.batch_size, cfg.seed)
@@ -289,7 +299,7 @@ class TestInitTransfer:
 
 class TestEmission:
     def test_csv_json_svg_outputs(self, tmp_path, ckpts):
-        a = E.load_encoder(ckpts[0], TOY_ENC)
+        a = query_encoder(ckpts[0], TOY_ENC)
         dataset = toy_dataset(per_phase=8)
         tr, te = E.split_dataset(dataset, 0.5, seed=0)
         rows, summary = E.label_efficiency_sweep(

@@ -60,7 +60,9 @@ def test_adapt_teacher_counts_steps_and_freezes(stage_artifacts):
 
 def test_load_teacher_round_trip(stage_artifacts):
     root, _, run_t = stage_artifacts
-    teacher = P.load_teacher(root / "teacher", TOY_ENC, toy_cfg())
+    cfg = toy_cfg()
+    encoders = C.load_encoders(root / "teacher", TOY_ENC, freeze_backbone=True)
+    teacher = C.MoCoState(*encoders, C.KeyQueue(cfg.queue_size, TOY_ENC.d), cfg)
     for ps_a, ps_b in (
         (teacher.query.backbone, run_t.state.query.backbone),
         (teacher.query.head, run_t.state.query.head),
