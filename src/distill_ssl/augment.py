@@ -5,6 +5,13 @@ horizontal flip, photometric jitter, gaussian noise.  Each sample in a
 batch gets its own derived random stream keyed by
 (run seed, epoch, sample index, view index), so per-sample work can be
 reordered or parallelized without changing a single draw.
+
+``sample_views`` makes every view of a batch in one pass: it draws each
+view's parameters from its own stream, resamples all crops with one
+gather per bilinear corner (a flipped view samples its columns right to
+left), then applies jitter and noise over the stacked views.
+``sample_view`` is the one-view reference it is tested against: for the
+same streams both give the same bytes.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import STREAM_VIEW, Rng
+from .rng import STREAM_VIEW, Rng, normals
 
 _LOG_ASPECT_LO = math.log(3.0 / 4.0)
 _LOG_ASPECT_HI = math.log(4.0 / 3.0)
@@ -69,11 +76,12 @@ class AugmentConfig:
             raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
 
 
-def _source_grid(start: float, extent: int, out: int) -> np.ndarray:
+def _source_grid(start, extent, out: int) -> np.ndarray:
     # Endpoint-aligned sampling; a full-extent box at equal size reproduces
-    # the input grid exactly.
+    # the input grid exactly.  Scalar start/extent give (out,), (V, 1)
+    # columns give (V, out).
     if out == 1:
-        return np.array([start + (extent - 1) / 2.0])
+        return start + np.full(1, 0.5) * (extent - 1)
     return start + np.arange(out) * ((extent - 1) / (out - 1))
 
 
@@ -132,18 +140,95 @@ def _sample_crop_box(height: int, width: int, scale_range: tuple[float, float], 
     return 0, 0, height, width
 
 
-def sample_view(v: Frame, cfg: AugmentConfig, rng: Rng) -> Frame:
-    """One augmented view; a pure function of (frame, cfg, rng seed)."""
-    box = _sample_crop_box(v.height, v.width, cfg.crop_scale_range, rng)
-    out = crop_resize(v, box, cfg.output_size)
-    if rng.uniform() < cfg.flip_prob:
-        out = horizontal_flip(out)
+def _sample_params(height: int, width: int, cfg: AugmentConfig, rng: Rng):
+    """Crop box, flip, brightness and contrast of one view, in draw order."""
+    box = _sample_crop_box(height, width, cfg.crop_scale_range, rng)
+    flip = rng.uniform() < cfg.flip_prob
     b = -cfg.brightness_delta + 2.0 * cfg.brightness_delta * rng.uniform()
     clo, chi = cfg.contrast_range
     c = clo + (chi - clo) * rng.uniform()
+    return box, flip, b, c
+
+
+def sample_view(v: Frame, cfg: AugmentConfig, rng: Rng) -> Frame:
+    """One augmented view; a pure function of (frame, cfg, rng seed)."""
+    box, flip, b, c = _sample_params(v.height, v.width, cfg, rng)
+    out = crop_resize(v, box, cfg.output_size)
+    if flip:
+        out = horizontal_flip(out)
     if b != 0.0 or c != 1.0:
         out = photometric_jitter(out, b, c)
     return gaussian_noise(out, cfg.noise_sigma, rng)
+
+
+def sample_views(frames: np.ndarray, cfg: AugmentConfig, rngs: list[Rng]) -> np.ndarray:
+    """Views of stacked N x C x H x W frames, one per stream, in one pass.
+
+    View i augments ``frames[i % N]`` with ``rngs[i]``; the result is
+    ``np.stack([sample_view(Frame(frames[i % N]), cfg, rngs[i]).pixels])``
+    bit for bit, and every stream advances as that call advances it.
+    """
+    frames = np.ascontiguousarray(frames, dtype=np.float64)
+    n, ch, height, width = frames.shape
+    nv = len(rngs)
+    oh, ow = cfg.output_size
+    params = [_sample_params(height, width, cfg, r) for r in rngs]
+    tops, lefts, hs, ws = (np.array(col)[:, None] for col in zip(*(p[0] for p in params)))
+    flip = np.array([p[1] for p in params])
+    b = np.array([p[2] for p in params])
+    c = np.array([p[3] for p in params])
+
+    rows = _source_grid(tops.astype(np.float64), hs, oh)
+    cols = _source_grid(lefts.astype(np.float64), ws, ow)
+    cols[flip] = cols[flip, ::-1]  # a flipped view samples its columns right to left
+    r0 = np.floor(rows).astype(np.int64)
+    c0 = np.floor(cols).astype(np.int64)
+    r1 = np.minimum(r0 + 1, height - 1)
+    c1 = np.minimum(c0 + 1, width - 1)
+    fr = (rows - r0)[:, :, None, None]
+    fc = (cols - c0)[:, None, :, None]
+    # Views are built V x h x w x C, the memory order crop_resize's gather
+    # leaves a frame in; np.mean sums in memory order (see the jitter).
+    frame_at = (np.arange(nv) % n) * (ch * height * width)
+    base = frame_at[:, None, None, None] + np.arange(ch) * (height * width)
+    flat = frames.ravel()
+
+    def edge(r):  # bilinear along the source rows r, in place
+        at = base + (r * width)[:, :, None, None]
+        left = flat.take(at + c0[:, None, :, None])
+        right = flat.take(at + c1[:, None, :, None])
+        left *= 1.0 - fc
+        right *= fc
+        left += right
+        return left
+
+    out = edge(r0)
+    out *= 1.0 - fr
+    bottom = edge(r1)
+    bottom *= fr
+    out += bottom
+
+    # sample_view sums an unflipped view's channel means in h x w x C order
+    # and a flipped one's in horizontal_flip's C x h x w copy.
+    mean = out.mean(axis=(1, 2), keepdims=True)
+    chw = np.ascontiguousarray(out[flip].transpose(0, 3, 1, 2))
+    mean[flip] = chw.mean(axis=(2, 3))[:, None, None, :]
+    # sample_view skips neutral jitter, and (x - m) * 1 + m + 0 can round away from x
+    unjittered = (b == 0.0) & (c == 1.0)
+    kept = out[unjittered]
+    out -= mean
+    out *= c[:, None, None, None]
+    out += mean
+    out += b[:, None, None, None]
+    np.clip(out, 0.0, 1.0, out=out)
+    out[unjittered] = kept
+    out = np.ascontiguousarray(out.transpose(0, 3, 1, 2))
+    if cfg.noise_sigma == 0.0:
+        return out
+    noise = normals(rngs, ch * oh * ow).reshape(out.shape)
+    noise *= cfg.noise_sigma
+    out += noise
+    return np.clip(out, 0.0, 1.0, out=out)
 
 
 def view_stream(root: Rng, epoch: int, sample_index: int, view_index: int) -> Rng:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .augment import AugmentConfig, Frame, sample_view, view_stream
+from .augment import AugmentConfig, sample_views, view_stream
 from .data import Batch, load_checkpoint
 from .rng import STREAM_INIT, Rng
 from .tensor import GraphError, ParamSet, ParameterError, Tensor
@@ -26,6 +26,10 @@ from .tensor import GraphError, ParamSet, ParameterError, Tensor
 
 class ContractError(RuntimeError):
     """A state invariant was violated by the caller."""
+
+
+class NonFiniteLossError(FloatingPointError):
+    """A loss term is NaN or infinite; the step changed no state."""
 
 
 # ---------------------------------------------------------------------------
@@ -366,14 +370,17 @@ def init_moco_state(enc_cfg: EncoderConfig, cfg: TrainConfig, rng: Rng) -> MoCoS
 
 
 def build_views(batch: Batch, aug: AugmentConfig, rng: Rng) -> tuple[np.ndarray, np.ndarray]:
-    """Two stacked view batches from per-sample derived streams."""
-    vq, vk = [], []
-    for pos in range(batch.frames.shape[0]):
-        frame = Frame(batch.frames[pos])
-        idx = int(batch.indices[pos])
-        vq.append(sample_view(frame, aug, view_stream(rng, batch.epoch, idx, 0)).pixels)
-        vk.append(sample_view(frame, aug, view_stream(rng, batch.epoch, idx, 1)).pixels)
-    return np.stack(vq), np.stack(vk)
+    """Query and key view batches, each B x C x h x w, from per-sample streams.
+
+    Sample i's query view comes from ``view_stream(rng, epoch, index, 0)``
+    and its key view from ``view_stream(rng, epoch, index, 1)``.  All 2B
+    views are made in one batched pass (``augment.sample_views``), which
+    is bitwise equal to ``augment.sample_view`` on each stream.
+    """
+    n = batch.frames.shape[0]
+    streams = [view_stream(rng, batch.epoch, int(i), v) for v in (0, 1) for i in batch.indices]
+    views = sample_views(batch.frames, aug, streams)
+    return views[:n], views[n:]
 
 
 def warm_up_queue(state: MoCoState, stream, rng: Rng, teacher: MoCoState | None = None) -> None:
@@ -403,7 +410,11 @@ def _train_step(state: MoCoState, batch: Batch, rng: Rng, extra_loss=None) -> St
     ``extra_loss(views_q, views_k, q, k_plus)``, when given, runs inside
     the recorded graph before the queue moves and returns (term, value):
     ``term`` is added to the InfoNCE loss unless it is None, and ``value``
-    is reported as ``l_dis`` (see distill.distilled_train_step).
+    is reported as ``l_dis`` (see distill.distilled_train_step).  A
+    non-finite l_con, l_dis or total raises ``NonFiniteLossError`` before
+    the backward pass, naming the term and the step index (the ``step``
+    column of metrics.csv), so parameters, queue and step count stay as
+    they were.
     """
     cfg = state.cfg
     if batch.frames.shape[0] != cfg.batch_size:
@@ -421,6 +432,10 @@ def _train_step(state: MoCoState, batch: Batch, rng: Rng, extra_loss=None) -> St
         if extra_loss is not None:
             term, l_dis_value = extra_loss(views_q, views_k, q, k_plus)
         total = l_con if term is None else T.add(l_con, term)
+    losses = {"l_con": float(l_con.data), "l_dis": l_dis_value, "total": float(total.data)}
+    for name, value in losses.items():
+        if not math.isfinite(value):
+            raise NonFiniteLossError(f"{name} is {value} at step {state.step_count}")
     graph.backward(total)
 
     frozen_backbone = state.query.backbone.frozen

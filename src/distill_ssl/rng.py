@@ -45,9 +45,16 @@ def _mix_int(z: int) -> int:
 
 
 def _mix_array(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> _U30)) * _U_MIX1
-    z = (z ^ (z >> _U27)) * _U_MIX2
-    return z ^ (z >> _U31)
+    """SplitMix64 finalizer on a uint64 array, in place."""
+    t = z >> _U30
+    z ^= t
+    z *= _U_MIX1
+    np.right_shift(z, _U27, out=t)
+    z ^= t
+    z *= _U_MIX2
+    np.right_shift(z, _U31, out=t)
+    z ^= t
+    return z
 
 
 def derive_seed(base: int, *keys: int) -> int:
@@ -84,23 +91,14 @@ class Rng:
     def uniform(self, n: int | None = None):
         """Draws in [0, 1): a float for n=None, else an ndarray of length n."""
         if n is None:
-            return float(self._next_block(1)[0] >> _U11) * _TWO53_INV
+            self._count += 1
+            return float(_mix_int(self.seed + self._count * _GOLDEN) >> 11) * _TWO53_INV
         return (self._next_block(n) >> _U11).astype(np.float64) * _TWO53_INV
 
     def normal(self, n: int | None = None):
         """Standard normal draws via the Box-Muller transform."""
-        m = 1 if n is None else n
-        pairs = (m + 1) // 2
-        u = self._next_block(2 * pairs)
-        # u1 in (0, 1] keeps the log finite; u2 in [0, 1).
-        u1 = ((u[:pairs] >> _U11).astype(np.float64) + 1.0) * _TWO53_INV
-        u2 = (u[pairs:] >> _U11).astype(np.float64) * _TWO53_INV
-        r = np.sqrt(-2.0 * np.log(u1))
-        theta = (2.0 * math.pi) * u2
-        z = np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:m]
-        if n is None:
-            return float(z[0])
-        return z
+        z = normals([self], 1 if n is None else n)[0]
+        return float(z[0]) if n is None else z
 
     def integer(self, bound: int) -> int:
         """Uniform int in [0, bound)."""
@@ -115,3 +113,32 @@ class Rng:
             j = self.integer(i + 1)
             perm[i], perm[j] = perm[j], perm[i]
         return perm
+
+
+def normals(streams: list[Rng], n: int) -> np.ndarray:
+    """n standard normals from each stream, row i from ``streams[i]``.
+
+    Each stream draws at its own counter and advances exactly as it would
+    by ``streams[i].normal(n)``, so row i equals that call bit for bit.
+    Box-Muller over one SplitMix64 block per stream: the first half of a
+    block gives u1 in (0, 1], which keeps the log finite, the second half
+    u2 in [0, 1).
+    """
+    pairs = (n + 1) // 2
+    # output j of a stream at count c is mix64(seed + c * GOLDEN + j * GOLDEN)
+    starts = np.array([(s.seed + s._count * _GOLDEN) & _MASK for s in streams], dtype=np.uint64)
+    for s in streams:
+        s._count += 2 * pairs
+    u = _mix_array(starts[:, None] + np.arange(1, 2 * pairs + 1, dtype=np.uint64) * _U_GOLDEN)
+    u >>= _U11
+    u1 = (u[:, :pairs] + 1.0) * _TWO53_INV  # 53-bit integers convert to float64 exactly
+    u2 = u[:, pairs:] * _TWO53_INV
+    r = np.log(u1, out=u1)
+    r *= -2.0
+    np.sqrt(r, out=r)
+    theta = np.multiply(2.0 * math.pi, u2, out=u2)
+    z = np.empty((len(streams), 2 * pairs))
+    cos, sin = np.cos(theta, out=z[:, :pairs]), np.sin(theta, out=z[:, pairs:])
+    cos *= r
+    sin *= r
+    return z[:, :n]

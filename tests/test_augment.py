@@ -12,9 +12,12 @@ from distill_ssl.augment import (
     photometric_jitter,
     resize_to,
     sample_view,
+    sample_views,
     two_views,
     view_stream,
 )
+from distill_ssl.contrastive import build_views
+from distill_ssl.data import Batch
 from distill_ssl.rng import Rng
 
 IDENTITY_CFG = AugmentConfig(
@@ -81,6 +84,49 @@ class TestSampleView:
         for i in range(20):
             out = sample_view(frame, cfg, Rng(i))
             assert out.pixels.min() >= 0.0 and out.pixels.max() <= 1.0
+
+
+ORACLE_CONFIGS = {
+    "default": AugmentConfig(),
+    "no_noise": AugmentConfig(noise_sigma=0.0),
+    "no_jitter": AugmentConfig(brightness_delta=0.0, contrast_range=(1.0, 1.0)),
+    # frac = 1 fits only near-square aspects: most views fall back to the full frame
+    "full_frame_crop": AugmentConfig(crop_scale_range=(1.0, 1.0)),
+    "never_flip": AugmentConfig(flip_prob=0.0),
+    "always_flip": AugmentConfig(flip_prob=1.0),
+    "non_square_output": AugmentConfig(output_size=(17, 23)),
+    "single_pixel_output": AugmentConfig(output_size=(1, 1)),
+}
+
+
+class TestBatchedViews:
+    """build_views (one batched pass) against sample_view (one view at a time)."""
+
+    @pytest.mark.parametrize("frame_shape", [(1, 32, 32), (3, 19, 27)], ids=["gray", "rgb_non_square"])
+    @pytest.mark.parametrize("cfg", ORACLE_CONFIGS.values(), ids=ORACLE_CONFIGS.keys())
+    def test_build_views_bitwise_equals_sample_view(self, cfg, frame_shape):
+        frames = np.random.default_rng(0).uniform(size=(6, *frame_shape))
+        indices = np.array([5, 0, 11, 3, 7, 2])
+        root = Rng(2024)
+        for epoch in (0, 1):
+            views = build_views(Batch(frames, indices, epoch), cfg, root)
+            for view_index, got in enumerate(views):
+                expected = np.stack([
+                    sample_view(Frame(f), cfg, view_stream(root, epoch, int(i), view_index)).pixels
+                    for f, i in zip(frames, indices)
+                ])
+                assert got.shape == expected.shape
+                assert got.tobytes() == expected.tobytes()
+
+    def test_streams_advance_as_in_sample_view(self):
+        frames = np.random.default_rng(1).uniform(size=(3, 2, 10, 14))
+        cfg = AugmentConfig(output_size=(5, 6))
+        batched = [Rng(s) for s in range(6)]
+        single = [Rng(s) for s in range(6)]
+        sample_views(frames, cfg, batched)
+        for i, r in enumerate(single):
+            sample_view(Frame(frames[i % 3]), cfg, r)
+        assert [r.uniform() for r in batched] == [r.uniform() for r in single]
 
 
 class TestCropResize:

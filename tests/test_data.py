@@ -237,6 +237,17 @@ class TestBatchStream:
         epochs = [c.next_batch().epoch for _ in range(6)]
         assert epochs == [0, 0, 1, 1, 2, 2]
 
+    def test_epoch_orders_pinned(self):
+        # regression anchor: the scalar draw path fixes every shuffle
+        stream = D.BatchStream(np.zeros((10, 1, 2, 2)), 5, seed=42)
+        batches = [stream.next_batch() for _ in range(4)]
+        assert [(b.epoch, b.indices.tolist()) for b in batches] == [
+            (0, [4, 1, 3, 9, 0]),
+            (0, [5, 2, 6, 8, 7]),
+            (1, [8, 6, 9, 1, 0]),
+            (1, [2, 7, 4, 5, 3]),
+        ]
+
     def test_no_repeats_within_epoch(self):
         frames = np.zeros((12, 1, 1, 1))
         stream = D.BatchStream(frames, 4, seed=1)

@@ -279,9 +279,9 @@ class TestKlDistillationLoss:
         assert abs(kl - nce) <= 1e-10
 
 
-def build_pair(tmp_path, seed=7, lam=5.0):
+def build_pair(tmp_path, seed=7, lam=5.0, distill_tau=None):
     """Student state plus an adapted toy teacher, queues synchronized."""
-    cfg = toy_cfg(seed=seed, lam=lam, steps=5)
+    cfg = toy_cfg(seed=seed, lam=lam, steps=5, distill_tau=distill_tau)
     frames, _ = dataset_arrays(toy_dataset())
     run_g = P.pretrain(toy_dataset(11), TOY_ENC, cfg)
     gpath = tmp_path / "gen"
@@ -364,3 +364,38 @@ class TestDistilledTrainStep:
             for n, t in ps.items():
                 assert np.array_equal(t.data, before[n])
                 assert t.grad is None or np.all(t.grad == 0.0)
+
+
+
+def state_snapshot(state):
+    params = [
+        t.data.copy()
+        for enc in (state.query, state.key)
+        for ps in (enc.backbone, enc.head)
+        for _, t in ps.items()
+    ]
+    return params, state.queue.rows.copy(), state.queue.ptr, state.step_count
+
+
+class TestNonFiniteLoss:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the KL divides by p_s == 0
+    def test_infinite_kl_raises_before_any_update(self, tmp_path):
+        student, teacher, stream, rng = build_pair(tmp_path, distill_tau=1e-3)
+        K.distilled_train_step(student, teacher, stream.next_batch(), rng)
+        # The KL underflow: at distill_tau=1e-3 and random unit queue keys,
+        # p_s is exactly 0 where p_t is not, so KL(p_t || p_s) is inf.
+        keys = np.random.default_rng(0)
+        student.queue.rows[:] = unit_rows(keys, student.queue.rows.shape)
+        teacher.queue.rows[:] = unit_rows(keys, teacher.queue.rows.shape)
+        before = state_snapshot(student)
+        teacher_queue = teacher.queue.rows.copy()
+        with pytest.raises(C.NonFiniteLossError, match=r"^l_dis is inf at step 1$"):
+            K.distilled_train_step(student, teacher, stream.next_batch(), rng)
+        after = state_snapshot(student)
+        for a, b in zip(before[0], after[0]):
+            assert np.array_equal(a, b)
+        assert np.array_equal(before[1], after[1])
+        assert after[2:] == before[2:]
+        assert student.step_count == 1
+        assert np.array_equal(teacher.queue.rows, teacher_queue)
+        assert teacher.queue.ptr == student.queue.ptr

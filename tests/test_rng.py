@@ -1,8 +1,9 @@
 """Deterministic stream contracts."""
 
 import numpy as np
+import pytest
 
-from distill_ssl.rng import Rng, derive_seed
+from distill_ssl.rng import Rng, derive_seed, normals
 
 
 def test_same_seed_same_sequence():
@@ -15,6 +16,16 @@ def test_blockwise_matches_scalar_draws():
     single = Rng(9)
     scalar = np.array([single.uniform() for _ in range(10)])
     assert np.array_equal(block, scalar)
+
+
+@pytest.mark.parametrize("seed", [0, 42, 2**64 - 1])
+def test_scalar_draws_equal_block_draws(seed):
+    # the scalar path mixes Python ints; at 2**64 - 1 seed + count * GOLDEN wraps
+    block = Rng(seed).uniform(12)
+    single = Rng(seed)
+    assert [single.uniform() for _ in range(6)] == block[:6].tolist()
+    assert [single.integer(1000) for _ in range(6)] == [int(u * 1000) for u in block[6:]]
+    assert single.uniform(3).tolist() == Rng(seed).uniform(15)[12:].tolist()
 
 
 def test_golden_values_pinned():
@@ -55,3 +66,32 @@ def test_permutation_is_a_permutation():
     perm = Rng(3).permutation(50)
     assert sorted(perm.tolist()) == list(range(50))
     assert np.array_equal(perm, Rng(3).permutation(50))
+
+
+def test_permutation_pinned():
+    # regression anchor: the scalar draw path fixes every shuffle
+    assert Rng(42).permutation(10).tolist() == [8, 3, 6, 5, 4, 0, 9, 2, 1, 7]
+
+
+def test_normal_pinned_at_wrapping_seed():
+    assert Rng(2**64 - 1).normal(3).tolist() == [
+        0.09024340852575238,
+        -0.38257184953758605,
+        0.4648471082275357,
+    ]
+
+
+@pytest.mark.parametrize("n", [1, 7, 64])
+def test_normals_rows_equal_per_stream_draws(n):
+    streams = [Rng(s) for s in (0, 9, 2**64 - 1)]
+    for s, k in zip(streams, (0, 3, 5)):
+        s.uniform(k)  # each stream at its own counter
+    ref = [Rng(s.seed) for s in streams]
+    for r, k in zip(ref, (0, 3, 5)):
+        r.uniform(k)
+    rows = normals(streams, n)
+    assert rows.shape == (3, n)
+    for row, r in zip(rows, ref):
+        assert row.tolist() == r.normal(n).tolist()
+    # both advanced alike: the next draws agree
+    assert [s.uniform() for s in streams] == [r.uniform() for r in ref]
