@@ -101,17 +101,6 @@ CONFIG_SCHEMA: dict[str, tuple] = {
     "freeze_backbone": (bool, True, "freeze the teacher backbone during adaptation"),
 }
 
-COMMANDS = (
-    "gen-data",
-    "pretrain-generic",
-    "adapt-teacher",
-    "pretrain-student",
-    "linear-probe",
-    "sweep-labels",
-    "gradcheck",
-)
-
-
 class CliError(RuntimeError):
     pass
 
@@ -152,7 +141,7 @@ def resolve_config(args: argparse.Namespace) -> dict:
         file_has_seed = "seed" in loaded
     flag_has_seed = False
     for key in CONFIG_SCHEMA:
-        flag = getattr(args, key.replace("-", "_"), None)
+        flag = getattr(args, key, None)
         if flag is not None:
             config[key] = flag
             if key == "seed":
@@ -443,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Deterministic desk-scale contrastive pretraining with teacher distillation",
     )
     sub = parser.add_subparsers(dest="command", metavar="command")
-    for command in COMMANDS:
+    for command in _HANDLERS:
         p = sub.add_parser(command, help=f"{command} stage")
         p.add_argument("--config", help="JSON config file (flat schema)")
         for key, (kind, default, help_text) in CONFIG_SCHEMA.items():

@@ -397,6 +397,12 @@ def warm_up_queue(state: MoCoState, stream, rng: Rng, teacher: MoCoState | None 
             teacher.queue.push(encode(teacher.key, views_k).data)
 
 
+def _assert_zero_grads(ps: ParamSet, what: str) -> None:
+    for name, t in ps.items():
+        if t.grad is not None and np.any(t.grad != 0.0):
+            raise ContractError(f"{what} parameter {name!r} received gradient")
+
+
 def moco_train_step(state: MoCoState, batch: Batch, rng: Rng) -> float:
     """One contrastive step; returns the InfoNCE loss value."""
     return _train_step(state, batch, rng).l_con
@@ -444,10 +450,8 @@ def _train_step(state: MoCoState, batch: Batch, rng: Rng, extra_loss=None) -> St
     T.sgd_step(state.query.head, cfg.lr, cfg.momentum, cfg.weight_decay)
 
     # the key encoder must never see raw gradients, only the moving average
-    for key_set in (state.key.backbone, state.key.head):
-        for name, t in key_set.items():
-            if t.grad is not None and np.any(t.grad != 0.0):
-                raise ContractError(f"key parameter {name!r} received gradient")
+    _assert_zero_grads(state.key.backbone, "key")
+    _assert_zero_grads(state.key.head, "key")
 
     if frozen_backbone:
         # The frozen query backbone equals the frozen key backbone, so the

@@ -21,13 +21,14 @@ from .contrastive import (
     KeyQueue,
     MoCoState,
     StepResult,
+    _assert_zero_grads,
     _train_step,
     encode,
     key_similarity_logits,
 )
 from .data import Batch
 from .rng import Rng
-from .tensor import ParameterError, ParamSet, Tensor
+from .tensor import ParameterError, Tensor
 
 
 @dataclass
@@ -55,12 +56,6 @@ def teacher_adapt_step(teacher: MoCoState, batch: Batch, rng: Rng) -> float:
     return result.l_con
 
 
-def _assert_zero_grads(ps: ParamSet, what: str) -> None:
-    for name, t in ps.items():
-        if t.grad is not None and np.any(t.grad != 0.0):
-            raise ContractError(f"{what} parameter {name!r} received gradient")
-
-
 def soft_targets(
     q_t: np.ndarray, k_t_plus: np.ndarray, teacher_queue: KeyQueue, tau: float
 ) -> SimilarityDistribution:
@@ -86,8 +81,9 @@ def student_similarity_distribution(
 def kl_distillation_loss(p_t: SimilarityDistribution, p_s: SimilarityDistribution) -> Tensor:
     """Batch-averaged KL(p_t || p_s), differentiable through p_s.
 
-    Convention 0 * ln(0/x) = 0; p_s entries must be positive (softmax
-    output of bounded similarities guarantees it).
+    Convention 0 * ln(0/x) = 0, for the loss and its gradient alike; p_s
+    entries must be positive where p_t is (softmax output of bounded
+    similarities guarantees it).
     """
     pt = p_t.values
     ps_tensor = p_s.probs
@@ -101,7 +97,8 @@ def kl_distillation_loss(p_t: SimilarityDistribution, p_s: SimilarityDistributio
     out = Tensor(np.float64((pt * terms).sum() / n))
 
     def backward(g: np.ndarray) -> None:
-        T.accumulate(ps_tensor, np.divide(-pt, ps) * (float(g) / n))
+        grad = np.divide(-pt, ps, out=np.zeros_like(pt), where=mask)
+        T.accumulate(ps_tensor, grad * (float(g) / n))
 
     T.record(out, backward)
     return out

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -288,13 +288,7 @@ def label_efficiency_sweep(
         for fraction in fractions:
             accs = []
             for seed in seeds:
-                cfg = ProbeConfig(
-                    lr=probe.lr,
-                    steps=probe.steps,
-                    weight_decay=probe.weight_decay,
-                    label_fraction=fraction,
-                    seed=seed,
-                )
+                cfg = replace(probe, label_fraction=fraction, seed=seed)
                 model = fit_linear_probe(fs_train, cfg, num_classes)
                 m = compute_phase_metrics(model.predict(fs_test.features), test_labels, num_classes)
                 rows.append(

@@ -227,6 +227,17 @@ class TestKlDistillationLoss:
         q = K.SimilarityDistribution(T.Tensor(np.array([[0.5, 0.5]])))
         assert abs(float(K.kl_distillation_loss(p, q).data) - math.log(2.0)) <= 1e-12
 
+    def test_zero_mass_in_both_gives_zero_gradient(self):
+        # 0 * ln(0/0) is 0 in the loss, so its gradient entry is 0 too, not -0/0
+        p_t = K.SimilarityDistribution(T.Tensor(np.array([[1.0, 0.0]])))
+        ps = T.parameter(np.array([[1.0, 0.0]]))
+        graph = T.Graph()
+        with graph:
+            loss = K.kl_distillation_loss(p_t, K.SimilarityDistribution(ps))
+        graph.backward(loss)
+        assert float(loss.data) == 0.0
+        np.testing.assert_array_equal(ps.grad, [[-1.0, 0.0]])
+
     def test_length_mismatch_rejected(self):
         p = K.SimilarityDistribution(T.Tensor(np.array([[0.5, 0.5]])))
         q = K.SimilarityDistribution(T.Tensor(np.array([[0.2, 0.3, 0.5]])))
