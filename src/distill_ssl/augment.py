@@ -236,16 +236,6 @@ def view_stream(root: Rng, epoch: int, sample_index: int, view_index: int) -> Rn
     return root.derive(STREAM_VIEW, epoch, sample_index, view_index)
 
 
-def two_views(
-    v: Frame, cfg: AugmentConfig, root: Rng, epoch: int, sample_index: int
-) -> tuple[Frame, Frame]:
-    """Query/key views from independent sub-streams; neither consumes the
-    other's draws."""
-    vq = sample_view(v, cfg, view_stream(root, epoch, sample_index, 0))
-    vk = sample_view(v, cfg, view_stream(root, epoch, sample_index, 1))
-    return vq, vk
-
-
 def resize_to(v: Frame, size: tuple[int, int]) -> Frame:
     """Deterministic full-frame resize (the evaluation-time path)."""
     return crop_resize(v, (0, 0, v.height, v.width), size)

@@ -15,8 +15,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .augment import AugmentConfig
 from .contrastive import EncoderConfig, TrainConfig, load_encoders
 from .data import (
@@ -243,11 +241,6 @@ def _progress(msg: str) -> None:
     print(msg, file=sys.stderr, flush=True)
 
 
-def _load_labeled(path) -> list:
-    dataset, _ = load_dataset(path)
-    return dataset
-
-
 def _query_encoder(path, enc_cfg: EncoderConfig):
     """The checkpoint's query encoder, or None when no checkpoint is named."""
     return load_encoders(path, enc_cfg, ("query",))[0] if path else None
@@ -277,15 +270,14 @@ def _run_training(cfg: dict, command: str, run_fn) -> int:
     pipeline.save_model(run.state, out / "checkpoint",
                         config={"encoder": encoder_config(cfg).to_dict(), "seed": cfg["seed"]})
     _write_provenance(out, command, cfg)
-    _progress(
-        f"{command}: {len(run.losses)} steps, loss {run.losses[0]:.4f} -> {run.losses[-1]:.4f}"
-    )
+    losses = f", loss {run.losses[0]:.4f} -> {run.losses[-1]:.4f}" if run.losses else ""
+    _progress(f"{command}: {len(run.losses)} steps{losses}")
     return 0
 
 
 def cmd_pretrain_generic(cfg: dict) -> int:
     _require(cfg, "pretrain-generic", "data")
-    dataset = _load_labeled(cfg["data"])
+    dataset, _ = load_dataset(cfg["data"])
     return _run_training(
         cfg, "pretrain-generic",
         lambda: pipeline.pretrain(dataset, encoder_config(cfg), train_config(cfg)),
@@ -294,7 +286,7 @@ def cmd_pretrain_generic(cfg: dict) -> int:
 
 def cmd_adapt_teacher(cfg: dict) -> int:
     _require(cfg, "adapt-teacher", "data", "generic")
-    dataset = _load_labeled(cfg["data"])
+    dataset, _ = load_dataset(cfg["data"])
     return _run_training(
         cfg, "adapt-teacher",
         lambda: pipeline.adapt_teacher(
@@ -306,7 +298,7 @@ def cmd_adapt_teacher(cfg: dict) -> int:
 
 def cmd_pretrain_student(cfg: dict) -> int:
     _require(cfg, "pretrain-student", "data")
-    dataset = _load_labeled(cfg["data"])
+    dataset, _ = load_dataset(cfg["data"])
     if cfg["distill"]:
         _require(cfg, "pretrain-student --distill", "teacher")
         run_fn = lambda: pipeline.pretrain_distilled(
@@ -330,21 +322,19 @@ def cmd_linear_probe(cfg: dict) -> int:
         _require(cfg, "linear-probe", "teacher")
     out = _out_dir(cfg, "linear-probe")
     enc_cfg = encoder_config(cfg)
-    dataset = _load_labeled(cfg["data"])
-    num_classes = max(lf.phase for lf in dataset) + 1
+    dataset, _ = load_dataset(cfg["data"])
+    num_classes = int(dataset.labels.max()) + 1
     student = _query_encoder(cfg["ckpt"], enc_cfg)
     teacher = _query_encoder(cfg["teacher"], enc_cfg)
     train_set, test_set = split_dataset(dataset, cfg["holdout_fraction"], seed=cfg["seed"])
-    ftr = extract_features(student, teacher, [lf.frame for lf in train_set], mode,
-                           np.array([lf.phase for lf in train_set]))
-    fte = extract_features(student, teacher, [lf.frame for lf in test_set], mode,
-                           np.array([lf.phase for lf in test_set]))
+    ftr = extract_features(student, teacher, train_set, mode)
+    fte = extract_features(student, teacher, test_set, mode)
     rows = []
     for seed in _int_list(cfg["probe_seeds"]):
         probe = fit_linear_probe(ftr, probe_config(cfg, cfg["label_fraction"], seed), num_classes)
         metrics = compute_phase_metrics(probe.predict(fte.features), fte.labels, num_classes)
         rows.append({
-            "encoder": cfg["ckpt"] or cfg["teacher"], "mode": mode,
+            "encoder": mode, "mode": mode,
             "fraction": cfg["label_fraction"], "seed": seed,
             "accuracy": metrics.accuracy, "precision": metrics.precision,
             "recall": metrics.recall, "jaccard": metrics.jaccard,
@@ -359,8 +349,8 @@ def cmd_sweep_labels(cfg: dict) -> int:
     _require(cfg, "sweep-labels", "data", "out")
     out = _out_dir(cfg, "sweep-labels")
     enc_cfg = encoder_config(cfg)
-    dataset = _load_labeled(cfg["data"])
-    num_classes = max(lf.phase for lf in dataset) + 1
+    dataset, _ = load_dataset(cfg["data"])
+    num_classes = int(dataset.labels.max()) + 1
     encoders: list[SweepEncoder] = []
     teacher = _query_encoder(cfg["teacher"], enc_cfg)
     plain = _query_encoder(cfg["plain"], enc_cfg)

@@ -337,6 +337,8 @@ class TrainConfig:
             raise ParameterError(f"m must be in [0, 1), got {self.m}")
         if self.lam < 0:
             raise ParameterError(f"lambda must be >= 0, got {self.lam}")
+        if self.steps < 0:
+            raise ParameterError(f"steps must be >= 0, got {self.steps}")
         if self.queue_size % self.batch_size != 0:
             raise ParameterError(
                 f"queue size {self.queue_size} must be a multiple of batch size {self.batch_size}"

@@ -1,8 +1,11 @@
 """Synthetic surrogate datasets, Netpbm ingestion, and bit-exact persistence.
 
+In memory a dataset is a ``Dataset``: one N x C x H x W frames array and
+one array of N integer labels; every stage reads those two arrays.
 Checkpoints and dataset caches share one on-disk format: a JSON manifest
 (`name.json`) describing a named tensor table, next to a contiguous
-little-endian float64 blob (`name.bin`).  Round trips are bitwise exact.
+little-endian float64 blob (`name.bin`).  A dataset is stored as its
+``frames`` and ``labels`` tensors.  Round trips are bitwise exact.
 """
 
 from __future__ import annotations
@@ -86,9 +89,25 @@ class SyntheticSpec:
 
 
 @dataclass
-class LabeledFrame:
-    frame: Frame
-    phase: int
+class Dataset:
+    """Labelled frames: ``frames`` N x C x H x W float64, ``labels`` N int64."""
+
+    frames: np.ndarray
+    labels: np.ndarray
+
+    def __post_init__(self):
+        self.frames = np.asarray(self.frames, dtype=np.float64)
+        self.labels = np.asarray(self.labels, dtype=np.int64)
+        if self.frames.ndim != 4 or self.labels.shape != self.frames.shape[:1]:
+            raise ValueError(
+                f"frames {self.frames.shape} do not align with labels {self.labels.shape}"
+            )
+
+    def __len__(self) -> int:
+        return self.frames.shape[0]
+
+    def subset(self, indices) -> Dataset:
+        return Dataset(self.frames[indices], self.labels[indices])
 
 
 def _spread(lo: float, hi: float, n: int) -> tuple[float, ...]:
@@ -139,13 +158,13 @@ def generic_spec(
     )
 
 
-def generate_synthetic_dataset(spec: SyntheticSpec, seed: int) -> list[LabeledFrame]:
+def generate_synthetic_dataset(spec: SyntheticSpec, seed: int) -> Dataset:
     """Deterministic dataset: frame i of phase p depends only on (spec, seed, p, i)."""
     h, w = spec.image_size
     ys = (np.arange(h) / h)[:, None]
     xs = (np.arange(w) / w)[None, :]
     root = Rng(seed)
-    out: list[LabeledFrame] = []
+    frames = np.empty((spec.num_phases * spec.frames_per_phase, spec.channels, h, w))
     for phase in range(spec.num_phases):
         flo, fhi = spec.texture_freq_range[phase]
         base = spec.base_intensity[phase]
@@ -158,15 +177,8 @@ def generate_synthetic_dataset(spec: SyntheticSpec, seed: int) -> list[LabeledFr
             tex = base + _TEXTURE_AMPLITUDE * np.sin(2.0 * math.pi * freq * proj + offset)
             if spec.noise_sigma > 0.0:
                 tex = tex + spec.noise_sigma * rng.normal(h * w).reshape(h, w)
-            pixels = np.clip(np.broadcast_to(tex, (spec.channels, h, w)), 0.0, 1.0)
-            out.append(LabeledFrame(Frame(pixels.copy()), phase))
-    return out
-
-
-def dataset_arrays(dataset: list[LabeledFrame]) -> tuple[np.ndarray, np.ndarray]:
-    frames = np.stack([lf.frame.pixels for lf in dataset])
-    labels = np.array([lf.phase for lf in dataset], dtype=np.int64)
-    return frames, labels
+            frames[phase * spec.frames_per_phase + i] = np.clip(tex, 0.0, 1.0)
+    return Dataset(frames, np.repeat(np.arange(spec.num_phases), spec.frames_per_phase))
 
 
 # ---------------------------------------------------------------------------
@@ -284,24 +296,19 @@ def load_checkpoint(
     return {name: ParamSet(params) for name, params in grouped.items()}, config
 
 
-def save_dataset(dataset: list[LabeledFrame], path, config: dict | None = None) -> None:
-    frames, labels = dataset_arrays(dataset)
-    _write_pair({"frames": frames, "labels": labels.astype(np.float64)}, path, config)
+def save_dataset(dataset: Dataset, path, config: dict | None = None) -> None:
+    tensors = {"frames": dataset.frames, "labels": dataset.labels.astype(np.float64)}
+    _write_pair(tensors, path, config)
 
 
-def load_dataset(path) -> tuple[list[LabeledFrame], dict]:
+def load_dataset(path) -> tuple[Dataset, dict]:
     tensors, config = _read_pair(path)
     if "frames" not in tensors or "labels" not in tensors:
         raise CorruptManifestError(f"dataset {path} lacks frames/labels tensors")
-    frames = tensors["frames"]
-    labels = tensors["labels"].astype(np.int64)
-    if frames.ndim != 4 or frames.shape[0] != labels.shape[0]:
-        raise CorruptManifestError(
-            f"dataset {path}: frames {frames.shape} do not align with labels {labels.shape}"
-        )
-    return [
-        LabeledFrame(Frame(frames[i].copy()), int(labels[i])) for i in range(frames.shape[0])
-    ], config
+    try:
+        return Dataset(tensors["frames"], tensors["labels"]), config
+    except ValueError as exc:
+        raise CorruptManifestError(f"dataset {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
 """Frozen-feature extraction, linear probing, phase metrics, label sweeps.
 
+Every function takes a ``data.Dataset``: its frames go through the
+backbone in batches (resized first only when they differ from the
+encoder's input size), and its labels travel with the features.
 Features are backbone outputs (pre projection head).  Transfer modes
 combine teacher and student features by addition or concatenation, or
 evaluate either alone.  The probe is multinomial logistic regression fit
@@ -18,7 +21,7 @@ import numpy as np
 from . import tensor as T
 from .augment import Frame, resize_to
 from .contrastive import ContractError, EncoderParams, center_input, forward_backbone
-from .data import LabeledFrame
+from .data import Dataset
 from .rng import STREAM_PROBE, Rng
 from .tensor import stable_softmax
 
@@ -67,13 +70,14 @@ class Metrics:
 # feature extraction
 
 
-def _backbone_features(enc: EncoderParams, frames: list[Frame], batch: int = 128) -> np.ndarray:
-    size = enc.cfg.input_size
-    stacked = np.stack([resize_to(f, size).pixels for f in frames])
+def _backbone_features(enc: EncoderParams, frames: np.ndarray, batch: int = 128) -> np.ndarray:
+    size = tuple(enc.cfg.input_size)
+    if frames.shape[2:] != size:
+        frames = np.stack([resize_to(Frame(f), size).pixels for f in frames])
     outs = []
     with T.no_grad():
-        for start in range(0, stacked.shape[0], batch):
-            x = T.constant(center_input(stacked[start : start + batch]))
+        for start in range(0, frames.shape[0], batch):
+            x = T.constant(center_input(frames[start : start + batch]))
             outs.append(forward_backbone(enc, x).data)
     return np.concatenate(outs, axis=0)
 
@@ -81,11 +85,10 @@ def _backbone_features(enc: EncoderParams, frames: list[Frame], batch: int = 128
 def extract_features(
     student: EncoderParams | None,
     teacher: EncoderParams | None,
-    frames: list[Frame],
+    dataset: Dataset,
     mode: str,
-    labels: np.ndarray | None = None,
 ) -> FeatureSet:
-    """Deterministic frozen features for one transfer mode.
+    """Deterministic frozen features of a dataset for one transfer mode.
 
     student/teacher may be None when the mode does not use them.
     """
@@ -95,6 +98,7 @@ def extract_features(
         raise ContractError(f"mode {mode!r} needs student parameters")
     if mode in ("teacher", "addition", "concatenation") and teacher is None:
         raise ContractError(f"mode {mode!r} needs teacher parameters")
+    frames = dataset.frames
     if mode == "student":
         feats = _backbone_features(student, frames)
     elif mode == "teacher":
@@ -107,9 +111,7 @@ def extract_features(
                 f"addition needs matching feature dims, got {f_t.shape[1]} and {f_s.shape[1]}"
             )
         feats = f_t + f_s if mode == "addition" else np.concatenate([f_t, f_s], axis=1)
-    n = feats.shape[0]
-    lab = labels if labels is not None else np.zeros(n, dtype=np.int64)
-    return FeatureSet(feats, np.asarray(lab, dtype=np.int64))
+    return FeatureSet(feats, dataset.labels)
 
 
 # ---------------------------------------------------------------------------
@@ -243,10 +245,10 @@ class SweepEncoder:
 
 
 def split_dataset(
-    dataset: list[LabeledFrame], holdout_fraction: float = 0.5, seed: int = 0
-) -> tuple[list[LabeledFrame], list[LabeledFrame]]:
+    dataset: Dataset, holdout_fraction: float = 0.5, seed: int = 0
+) -> tuple[Dataset, Dataset]:
     """Stratified train/holdout split, deterministic in the seed."""
-    labels = np.array([lf.phase for lf in dataset], dtype=np.int64)
+    labels = dataset.labels
     rng = Rng(seed).derive(STREAM_PROBE, 0xFACE)
     train_idx, test_idx = [], []
     for cls in np.unique(labels):
@@ -257,15 +259,15 @@ def split_dataset(
         test_idx.extend(pool[perm[cut:]])
     train_idx.sort()
     test_idx.sort()
-    return [dataset[i] for i in train_idx], [dataset[i] for i in test_idx]
+    return dataset.subset(train_idx), dataset.subset(test_idx)
 
 
 def label_efficiency_sweep(
     encoders: list[SweepEncoder],
     fractions: list[float],
     seeds: list[int],
-    train_set: list[LabeledFrame],
-    test_set: list[LabeledFrame],
+    train_set: Dataset,
+    test_set: Dataset,
     num_classes: int,
     probe: ProbeConfig = ProbeConfig(),
 ) -> tuple[list[dict], dict]:
@@ -275,22 +277,18 @@ def label_efficiency_sweep(
     for f in fractions:
         if not 0.0 < f <= 1.0:
             raise ValueError(f"fraction {f} outside (0, 1]")
-    train_frames = [lf.frame for lf in train_set]
-    test_frames = [lf.frame for lf in test_set]
-    train_labels = np.array([lf.phase for lf in train_set], dtype=np.int64)
-    test_labels = np.array([lf.phase for lf in test_set], dtype=np.int64)
     rows = []
     summary: dict[str, dict] = {}
     for enc in encoders:
-        fs_train = extract_features(enc.student, enc.teacher, train_frames, enc.mode, train_labels)
-        fs_test = extract_features(enc.student, enc.teacher, test_frames, enc.mode, test_labels)
+        fs_train = extract_features(enc.student, enc.teacher, train_set, enc.mode)
+        fs_test = extract_features(enc.student, enc.teacher, test_set, enc.mode)
         summary[enc.name] = {}
         for fraction in fractions:
             accs = []
             for seed in seeds:
                 cfg = replace(probe, label_fraction=fraction, seed=seed)
                 model = fit_linear_probe(fs_train, cfg, num_classes)
-                m = compute_phase_metrics(model.predict(fs_test.features), test_labels, num_classes)
+                m = compute_phase_metrics(model.predict(fs_test.features), fs_test.labels, num_classes)
                 rows.append(
                     {
                         "encoder": enc.name,

@@ -20,7 +20,7 @@ from .contrastive import (
     moco_train_step,
     warm_up_queue,
 )
-from .data import BatchStream, LabeledFrame, dataset_arrays, save_checkpoint
+from .data import BatchStream, Dataset, save_checkpoint
 from .distill import distilled_train_step, teacher_adapt_step
 from .rng import Rng
 
@@ -33,13 +33,12 @@ class TrainRun:
     state: MoCoState
 
 
-def _stream_and_rng(dataset: list[LabeledFrame], cfg: TrainConfig):
-    frames, _ = dataset_arrays(dataset)
-    return BatchStream(frames, cfg.batch_size, cfg.seed), Rng(cfg.seed)
+def _stream_and_rng(dataset: Dataset, cfg: TrainConfig):
+    return BatchStream(dataset.frames, cfg.batch_size, cfg.seed), Rng(cfg.seed)
 
 
 def pretrain(
-    dataset: list[LabeledFrame],
+    dataset: Dataset,
     enc_cfg: EncoderConfig,
     cfg: TrainConfig,
     init_from: str | None = None,
@@ -60,7 +59,7 @@ def pretrain(
 
 
 def adapt_teacher(
-    dataset: list[LabeledFrame],
+    dataset: Dataset,
     generic_ckpt: str,
     enc_cfg: EncoderConfig,
     cfg: TrainConfig,
@@ -81,7 +80,7 @@ def adapt_teacher(
 
 
 def pretrain_distilled(
-    dataset: list[LabeledFrame],
+    dataset: Dataset,
     teacher_ckpt: str,
     enc_cfg: EncoderConfig,
     cfg: TrainConfig,

@@ -22,7 +22,6 @@ from distill_ssl.augment import AugmentConfig
 from distill_ssl.cli import run as cli_run
 from distill_ssl.data import (
     BatchStream,
-    dataset_arrays,
     generate_synthetic_dataset,
     load_checkpoint,
     load_dataset,
@@ -107,10 +106,8 @@ def _probe_accuracy(artifacts, ckpt_name: str, fraction: float, seeds=(0, 1, 2))
     dataset, _ = load_dataset(artifacts["data"] / "target")
     train_set, test_set = E.split_dataset(dataset, 0.5, seed=7)
     (enc,) = C.load_encoders(artifacts["root"] / ckpt_name / "checkpoint", enc_cfg, ("query",))
-    ftr = E.extract_features(enc, None, [lf.frame for lf in train_set], "student",
-                             np.array([lf.phase for lf in train_set]))
-    fte = E.extract_features(enc, None, [lf.frame for lf in test_set], "student",
-                             np.array([lf.phase for lf in test_set]))
+    ftr = E.extract_features(enc, None, train_set, "student")
+    fte = E.extract_features(enc, None, test_set, "student")
     accs = []
     for seed in seeds:
         probe = E.fit_linear_probe(ftr, E.ProbeConfig(label_fraction=fraction, seed=seed), 4)
@@ -234,7 +231,7 @@ def test_criterion_5_semantic_preserving_freeze(tmp_path):
         teacher = _fresh_teacher(gpath, cfg, freeze_backbone=True)
         backbone_before = {n: t.data.copy() for n, t in teacher.query.backbone.items()}
         head_before = {n: t.data.copy() for n, t in teacher.query.head.items()}
-        frames, _ = dataset_arrays(toy_dataset())
+        frames = toy_dataset().frames
         stream = BatchStream(frames, cfg.batch_size, cfg.seed)
         rng = Rng(cfg.seed)
         C.warm_up_queue(teacher, stream, rng)
@@ -282,7 +279,7 @@ def _paired_student(tmp_path, lam, steps=50):
     tpath = tmp_path / "teach"
     P.save_model(run_teach.state, tpath)
 
-    frames, _ = dataset_arrays(toy_dataset())
+    frames = toy_dataset().frames
     stream = BatchStream(frames, cfg.batch_size, cfg.seed)
     rng = Rng(cfg.seed)
     student = C.init_moco_state(TOY_ENC, cfg, rng)
@@ -299,7 +296,7 @@ def test_criterion_6_degenerate_weight_equivalence(tmp_path):
             K.distilled_train_step(student_a, teacher, stream_a.next_batch(), rng_a)
 
         cfg = toy_cfg(lam=0.0, steps=50)
-        frames, _ = dataset_arrays(toy_dataset())
+        frames = toy_dataset().frames
         stream_b = BatchStream(frames, cfg.batch_size, cfg.seed)
         rng_b = Rng(cfg.seed)
         student_b = C.init_moco_state(TOY_ENC, cfg, rng_b)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -243,6 +244,36 @@ class TestStages:
         metrics = (stud / "metrics.csv").read_text().splitlines()
         assert len(metrics) == 1 + 3
         assert all(float(row.split(",")[3]) > 0.0 for row in metrics[1:])
+
+    def test_zero_steps_writes_header_only_metrics(self, small_config, data_dir, tmp_path, capsys):
+        out = tmp_path / "zero"
+        assert run([
+            "pretrain-student", "--config", small_config, "--data", str(data_dir / "target"),
+            "--steps", "0", "--out", str(out),
+        ]) == 0
+        assert (out / "metrics.csv").read_text() == "step,loss,l_con,l_dis\n"
+        assert (out / "checkpoint.bin").exists()
+        assert "0 steps" in capsys.readouterr().err
+
+    def test_probe_metrics_independent_of_checkpoint_directory(
+        self, small_config, data_dir, teacher_ckpt, tmp_path
+    ):
+        outputs = []
+        for where in ("a", "b/deeper"):
+            ckpt = tmp_path / where / "checkpoint"
+            ckpt.parent.mkdir(parents=True)
+            for suffix in (".json", ".bin"):
+                shutil.copy(teacher_ckpt.with_suffix(suffix), ckpt.with_suffix(suffix))
+            out = tmp_path / f"probe_{where.replace('/', '_')}"
+            assert run([
+                "linear-probe", "--config", small_config, "--data", str(data_dir / "target"),
+                "--ckpt", str(ckpt), "--teacher", str(ckpt), "--mode", "addition",
+                "--out", str(out),
+            ]) == 0
+            outputs.append((out / "metrics.csv").read_bytes())
+        assert outputs[0] == outputs[1]
+        rows = outputs[0].decode().splitlines()[1:]
+        assert {row.split(",")[0] for row in rows} == {"addition"}
 
     def test_gradcheck_writes_report(self, tmp_path):
         from distill_ssl.gradcheck import run_gradcheck

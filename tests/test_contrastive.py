@@ -8,7 +8,7 @@ import pytest
 import distill_ssl.tensor as T
 from distill_ssl import contrastive as C
 from distill_ssl.augment import AugmentConfig
-from distill_ssl.data import BatchStream, dataset_arrays, generate_synthetic_dataset, target_spec
+from distill_ssl.data import BatchStream, generate_synthetic_dataset, target_spec
 from distill_ssl.rng import Rng
 
 TOY_ENC = C.EncoderConfig(conv_channels=(4, 6), d_backbone=12, d=8, input_size=(12, 12))
@@ -33,7 +33,7 @@ def toy_dataset(seed=3, phases=4, per_phase=16):
 
 def warmed_state(cfg=None, seed=7):
     cfg = cfg or toy_cfg()
-    frames, _ = dataset_arrays(toy_dataset())
+    frames = toy_dataset().frames
     rng = Rng(cfg.seed)
     state = C.init_moco_state(TOY_ENC, cfg, rng)
     stream = BatchStream(frames, cfg.batch_size, cfg.seed)
@@ -302,7 +302,7 @@ class TestMocoTrainStep:
     def test_loss_decreases_on_fixed_toy_dataset(self):
         # 64-frame toy, seed 7: training signal must appear within 50 steps.
         spec = target_spec(4, 16, (12, 12))
-        frames, _ = dataset_arrays(generate_synthetic_dataset(spec, 7))
+        frames = generate_synthetic_dataset(spec, 7).frames
         cfg = toy_cfg(batch_size=16, queue_size=32, lr=0.06)
         rng = Rng(7)
         state = C.init_moco_state(TOY_ENC, cfg, rng)
@@ -320,7 +320,7 @@ class TestMocoTrainStep:
 
     def test_unwarmed_queue_rejected(self):
         cfg = toy_cfg()
-        frames, _ = dataset_arrays(toy_dataset())
+        frames = toy_dataset().frames
         rng = Rng(cfg.seed)
         state = C.init_moco_state(TOY_ENC, cfg, rng)
         stream = BatchStream(frames, cfg.batch_size, cfg.seed)
@@ -352,3 +352,5 @@ class TestTrainConfigValidation:
             toy_cfg(lam=-0.5)
         with pytest.raises(T.ParameterError):
             toy_cfg(distill_tau=0.0)
+        with pytest.raises(T.ParameterError, match="steps"):
+            toy_cfg(steps=-1)

@@ -1,9 +1,12 @@
 """Synthetic data, persistence round-trips, Netpbm parsing."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import distill_ssl.data as D
+from distill_ssl.cli import run
 from distill_ssl.tensor import ParamSet, stable_softmax
 
 
@@ -25,24 +28,21 @@ class TestSyntheticDataset:
     def test_same_spec_and_seed_bitwise(self):
         a = D.generate_synthetic_dataset(small_spec(), 5)
         b = D.generate_synthetic_dataset(small_spec(), 5)
-        for x, y in zip(a, b):
-            assert np.array_equal(x.frame.pixels, y.frame.pixels)
-            assert x.phase == y.phase
+        assert np.array_equal(a.frames, b.frames)
+        assert np.array_equal(a.labels, b.labels)
 
     def test_cardinality_and_balance(self):
         ds = D.generate_synthetic_dataset(small_spec(), 1)
         assert len(ds) == 60
-        labels = np.array([lf.phase for lf in ds])
-        assert all((labels == c).sum() == 20 for c in range(3))
+        assert ds.frames.shape == (60, 1, 16, 16) and ds.labels.dtype == np.int64
+        assert all((ds.labels == c).sum() == 20 for c in range(3))
 
     def test_pixels_in_unit_interval(self):
-        ds = D.generate_synthetic_dataset(small_spec(), 2)
-        frames, _ = D.dataset_arrays(ds)
+        frames = D.generate_synthetic_dataset(small_spec(), 2).frames
         assert frames.min() >= 0.0 and frames.max() <= 1.0
 
     def test_multichannel_frames(self):
-        ds = D.generate_synthetic_dataset(small_spec(channels=3), 2)
-        frames, _ = D.dataset_arrays(ds)
+        frames = D.generate_synthetic_dataset(small_spec(channels=3), 2).frames
         assert frames.shape[1] == 3
         assert np.array_equal(frames[:, 0], frames[:, 1])  # texture shared per frame
 
@@ -50,8 +50,8 @@ class TestSyntheticDataset:
         # Linear separability sanity: multinomial logistic regression on
         # flattened pixels of a 4-phase set must beat the 25% chance rate.
         ds = D.generate_synthetic_dataset(D.target_spec(4, 50), 3)
-        frames, labels = D.dataset_arrays(ds)
-        x = frames.reshape(len(ds), -1)
+        labels = ds.labels
+        x = ds.frames.reshape(len(ds), -1)
         x = x - x.mean(axis=0)
         k = 4
         w = np.zeros((x.shape[1], k))
@@ -66,7 +66,7 @@ class TestSyntheticDataset:
         # Generic and target domains must be nearly separable on raw pixels.
         tgt = D.generate_synthetic_dataset(D.target_spec(4, 50), 3)
         gen = D.generate_synthetic_dataset(D.generic_spec(8, 25), 4)
-        xs = np.concatenate([D.dataset_arrays(tgt)[0], D.dataset_arrays(gen)[0]]).reshape(400, -1)
+        xs = np.concatenate([tgt.frames, gen.frames]).reshape(400, -1)
         ys = np.array([0] * 200 + [1] * 200)
         xs = xs - xs.mean(axis=0)
         w = np.zeros(xs.shape[1])
@@ -147,9 +147,23 @@ class TestDatasetPersistence:
         loaded, config = D.load_dataset(tmp_path / "data")
         assert config["seed"] == 9
         assert len(loaded) == len(ds)
-        for a, b in zip(ds, loaded):
-            assert np.array_equal(a.frame.pixels, b.frame.pixels)
-            assert a.phase == b.phase
+        assert np.array_equal(loaded.frames, ds.frames)
+        assert np.array_equal(loaded.labels, ds.labels) and loaded.labels.dtype == np.int64
+
+    def test_misaligned_labels_rejected(self, tmp_path):
+        ds = D.generate_synthetic_dataset(small_spec(), 9)
+        D._write_pair({"frames": ds.frames, "labels": np.zeros(len(ds) - 1)}, tmp_path / "d", None)
+        with pytest.raises(D.CorruptManifestError, match="do not align"):
+            D.load_dataset(tmp_path / "d")
+
+    def test_dataset_shape_contract(self):
+        with pytest.raises(ValueError, match="do not align"):
+            D.Dataset(np.zeros((3, 1, 2, 2)), np.zeros(2))
+        with pytest.raises(ValueError, match="do not align"):
+            D.Dataset(np.zeros((3, 2, 2)), np.zeros(3))
+        part = D.Dataset(np.arange(12.0).reshape(3, 1, 2, 2), [2, 0, 1]).subset([2, 0])
+        assert len(part) == 2 and part.labels.tolist() == [1, 2]
+        assert np.array_equal(part.frames[0], np.arange(8.0, 12.0).reshape(1, 2, 2))
 
 
 def write_pgm(path, width, height, pixels, magic=b"P5", maxval=255):
@@ -221,6 +235,32 @@ class TestNetpbm:
         write_pgm(tmp_path / "big.pgm", 4, 4, list(range(16)))
         frames, _ = D.load_image_directory(tmp_path, (2, 2))
         assert frames[0].pixels.shape == (1, 2, 2)
+
+
+def readme_real_frames_recipe() -> str:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Real frames", 1)[1]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+class TestRealFramesRecipe:
+    def test_readme_recipe_round_trips_and_trains(self, tmp_path, monkeypatch):
+        for cls, name in enumerate(["phase_a", "phase_b"]):
+            sub = tmp_path / "frames" / name
+            sub.mkdir(parents=True)
+            for i in range(3):
+                write_pgm(sub / f"f{i}.pgm", 4, 4, [cls * 100 + i * 16 + j for j in range(16)])
+        monkeypatch.chdir(tmp_path)
+        exec(readme_real_frames_recipe(), {})
+        loaded, _ = D.load_dataset("runs/data/real")
+        frames, _ = D.load_image_directory("frames", (32, 32))
+        assert np.array_equal(loaded.frames, np.stack([f.pixels for f in frames]))
+        assert loaded.frames.shape == (6, 1, 32, 32)
+        assert loaded.labels.tolist() == [0, 0, 0, 1, 1, 1]
+        assert run([
+            "pretrain-student", "--data", "runs/data/real", "--out", "runs/real",
+            "--steps", "2", "--batch-size", "2", "--queue-size", "4",
+        ]) == 0
 
 
 class TestBatchStream:

@@ -10,7 +10,7 @@ from distill_ssl import contrastive as C
 from distill_ssl import distill as K
 from distill_ssl import pipeline as P
 from distill_ssl.augment import AugmentConfig
-from distill_ssl.data import BatchStream, dataset_arrays, generate_synthetic_dataset, target_spec
+from distill_ssl.data import BatchStream, generate_synthetic_dataset, target_spec
 from distill_ssl.rng import Rng
 
 TOY_ENC = C.EncoderConfig(conv_channels=(4, 6), d_backbone=12, d=8, input_size=(12, 12))
@@ -96,7 +96,7 @@ class TestInitTeacher:
 class TestTeacherAdaptStep:
     def run_steps(self, generic_ckpt, steps, freeze=True, seed=7):
         cfg = toy_cfg(seed=seed)
-        frames, _ = dataset_arrays(toy_dataset())
+        frames = toy_dataset().frames
         rng = Rng(cfg.seed)
         teacher = fresh_teacher(generic_ckpt, cfg, freeze_backbone=freeze)
         stream = BatchStream(frames, cfg.batch_size, cfg.seed)
@@ -121,7 +121,7 @@ class TestTeacherAdaptStep:
 
     def test_unfrozen_adapt_equals_moco_step_bitwise(self, generic_ckpt):
         cfg = toy_cfg()
-        frames, _ = dataset_arrays(toy_dataset())
+        frames = toy_dataset().frames
 
         teacher = fresh_teacher(generic_ckpt, cfg, freeze_backbone=False)
         rng_a = Rng(cfg.seed)
@@ -293,7 +293,7 @@ class TestKlDistillationLoss:
 def build_pair(tmp_path, seed=7, lam=5.0, distill_tau=None):
     """Student state plus an adapted toy teacher, queues synchronized."""
     cfg = toy_cfg(seed=seed, lam=lam, steps=5, distill_tau=distill_tau)
-    frames, _ = dataset_arrays(toy_dataset())
+    frames = toy_dataset().frames
     run_g = P.pretrain(toy_dataset(11), TOY_ENC, cfg)
     gpath = tmp_path / "gen"
     P.save_model(run_g.state, gpath)
@@ -317,7 +317,7 @@ class TestDistilledTrainStep:
             K.distilled_train_step(student_a, teacher, stream_a.next_batch(), rng_a)
 
         cfg = toy_cfg(lam=0.0, steps=5)
-        frames, _ = dataset_arrays(toy_dataset())
+        frames = toy_dataset().frames
         stream_b = BatchStream(frames, cfg.batch_size, cfg.seed)
         rng_b = Rng(cfg.seed)
         student_b = C.init_moco_state(TOY_ENC, cfg, rng_b)

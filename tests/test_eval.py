@@ -1,12 +1,15 @@
 """Feature extraction modes, linear probe, metrics, sweeps."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from distill_ssl import contrastive as C
 from distill_ssl import eval as E
 from distill_ssl import pipeline as P
-from distill_ssl.augment import AugmentConfig
+from distill_ssl import tensor as T
+from distill_ssl.augment import AugmentConfig, Frame, resize_to
 from distill_ssl.data import generate_synthetic_dataset, target_spec
 from distill_ssl.rng import Rng
 
@@ -27,6 +30,13 @@ def toy_cfg(**overrides):
 
 def toy_dataset(seed=3, per_phase=16):
     return generate_synthetic_dataset(target_spec(4, per_phase, (12, 12)), seed)
+
+
+def per_frame_resize_features(enc, frames):
+    """Every frame through resize_to, then one backbone pass: the unconditional path."""
+    stacked = np.stack([resize_to(Frame(f), enc.cfg.input_size).pixels for f in frames])
+    with T.no_grad():
+        return C.forward_backbone(enc, T.constant(C.center_input(stacked))).data
 
 
 def query_encoder(path, enc_cfg):
@@ -53,47 +63,72 @@ def ckpts(tmp_path_factory):
 class TestExtractFeatures:
     def test_concatenation_dimension(self, ckpts):
         a, b = (query_encoder(p, TOY_ENC) for p in ckpts)
-        frames = [lf.frame for lf in toy_dataset()[:6]]
-        fs = E.extract_features(a, b, frames, "concatenation")
+        data = toy_dataset().subset(slice(6))
+        fs = E.extract_features(a, b, data, "concatenation")
         assert fs.features.shape == (6, 2 * TOY_ENC.d_backbone)
 
     def test_addition_with_identical_encoders_doubles(self, ckpts):
         a = query_encoder(ckpts[0], TOY_ENC)
-        frames = [lf.frame for lf in toy_dataset()[:5]]
-        single = E.extract_features(a, None, frames, "student")
-        double = E.extract_features(a, a, frames, "addition")
+        data = toy_dataset().subset(slice(5))
+        single = E.extract_features(a, None, data, "student")
+        double = E.extract_features(a, a, data, "addition")
         assert np.array_equal(double.features, 2.0 * single.features)
 
     def test_deterministic(self, ckpts):
         a = query_encoder(ckpts[0], TOY_ENC)
-        frames = [lf.frame for lf in toy_dataset()[:5]]
-        x = E.extract_features(a, None, frames, "student").features
-        y = E.extract_features(a, None, frames, "student").features
+        data = toy_dataset().subset(slice(5))
+        x = E.extract_features(a, None, data, "student").features
+        y = E.extract_features(a, None, data, "student").features
         assert np.array_equal(x, y)
 
     def test_features_are_backbone_dimension(self, ckpts):
         a = query_encoder(ckpts[0], TOY_ENC)
-        frames = [lf.frame for lf in toy_dataset()[:4]]
-        fs = E.extract_features(a, None, frames, "student")
+        data = toy_dataset().subset(slice(4))
+        fs = E.extract_features(a, None, data, "student")
         assert fs.features.shape == (4, TOY_ENC.d_backbone)
 
     def test_unknown_mode_rejected(self, ckpts):
         a = query_encoder(ckpts[0], TOY_ENC)
         with pytest.raises(ValueError, match="unknown mode"):
-            E.extract_features(a, None, [], "blend")
+            E.extract_features(a, None, toy_dataset(), "blend")
 
     def test_missing_encoder_rejected(self, ckpts):
         a = query_encoder(ckpts[0], TOY_ENC)
         with pytest.raises(C.ContractError):
-            E.extract_features(a, None, [], "addition")
+            E.extract_features(a, None, toy_dataset(), "addition")
 
     def test_addition_with_mismatched_dims_rejected(self, ckpts):
         a = query_encoder(ckpts[0], TOY_ENC)
         narrow = C.EncoderConfig(conv_channels=(4, 6), d_backbone=10, d=8, input_size=(12, 12))
         b = C.init_encoder(narrow, Rng(0))
-        frames = [lf.frame for lf in toy_dataset()[:3]]
+        data = toy_dataset().subset(slice(3))
         with pytest.raises(C.ContractError, match="matching feature dims"):
-            E.extract_features(a, b, frames, "addition")
+            E.extract_features(a, b, data, "addition")
+
+
+class TestResize:
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_other_size_frames_equal_per_frame_resize(self, channels):
+        enc_cfg = C.EncoderConfig(in_channels=channels, conv_channels=(4, 6), d_backbone=12, d=8,
+                                  input_size=(12, 12))
+        enc = C.init_encoder(enc_cfg, Rng(channels))
+        spec = target_spec(4, 3, (16, 20))
+        data = generate_synthetic_dataset(replace(spec, channels=channels), 5)
+        fs = E.extract_features(enc, None, data, "student")
+        assert fs.features.shape == (12, enc_cfg.d_backbone)
+        assert np.array_equal(fs.features, per_frame_resize_features(enc, data.frames))
+        assert np.array_equal(fs.labels, data.labels)
+
+    def test_equal_size_frames_skip_resize_bitwise(self, ckpts, monkeypatch):
+        a = query_encoder(ckpts[0], TOY_ENC)
+        data = toy_dataset().subset(slice(10))
+        expected = per_frame_resize_features(a, data.frames)
+
+        def no_resize(*args):
+            raise AssertionError("resize_to called at equal size")
+
+        monkeypatch.setattr(E, "resize_to", no_resize)
+        assert np.array_equal(E.extract_features(a, None, data, "student").features, expected)
 
 
 class TestLinearProbe:
@@ -147,8 +182,7 @@ class TestLinearProbe:
     def test_loss_non_increasing_on_backbone_features(self, ckpts):
         enc = query_encoder(ckpts[0], TOY_ENC)
         dataset = toy_dataset(per_phase=10)
-        fs = E.extract_features(enc, None, [lf.frame for lf in dataset], "student",
-                                np.array([lf.phase for lf in dataset]))
+        fs = E.extract_features(enc, None, dataset, "student")
         probe = E.fit_linear_probe(fs, E.ProbeConfig(lr=0.01, steps=150, label_fraction=1.0))
         assert (np.diff(probe.loss_curve) <= 1e-12).all()
 
@@ -236,10 +270,8 @@ class TestSweep:
         single_rows, _ = E.label_efficiency_sweep(
             encoders, [1.0], [0], train_set, test_set, 4, probe
         )
-        ftr = E.extract_features(a, None, [lf.frame for lf in train_set], "student",
-                                 np.array([lf.phase for lf in train_set]))
-        fte = E.extract_features(a, None, [lf.frame for lf in test_set], "student",
-                                 np.array([lf.phase for lf in test_set]))
+        ftr = E.extract_features(a, None, train_set, "student")
+        fte = E.extract_features(a, None, test_set, "student")
         model = E.fit_linear_probe(ftr, E.ProbeConfig(lr=0.5, steps=40, label_fraction=1.0, seed=0), 4)
         direct = E.compute_phase_metrics(model.predict(fte.features), fte.labels, 4)
         assert single_rows[0]["accuracy"] == direct.accuracy
@@ -248,9 +280,9 @@ class TestSweep:
         dataset = toy_dataset(per_phase=12)
         a1, b1 = E.split_dataset(dataset, 0.5, seed=4)
         a2, b2 = E.split_dataset(dataset, 0.5, seed=4)
-        assert [lf.phase for lf in a1] == [lf.phase for lf in a2]
-        labels = np.array([lf.phase for lf in a1])
-        assert all((labels == c).sum() == 6 for c in range(4))
+        assert np.array_equal(a1.labels, a2.labels) and np.array_equal(a1.frames, a2.frames)
+        assert all((a1.labels == c).sum() == 6 for c in range(4))
+        assert len(a1) + len(b1) == len(dataset)
 
     def test_empty_arguments_rejected(self, ckpts):
         a = query_encoder(ckpts[0], TOY_ENC)
@@ -278,19 +310,18 @@ class TestInitTransfer:
     def test_zero_step_features_match_teacher(self, ckpts):
         state = transfer_state(ckpts[0], toy_cfg())
         teacher_enc = query_encoder(ckpts[0], TOY_ENC)
-        frames = [lf.frame for lf in toy_dataset()[:6]]
-        a = E.extract_features(state.query, None, frames, "student").features
-        b = E.extract_features(teacher_enc, None, frames, "student").features
+        data = toy_dataset().subset(slice(6))
+        a = E.extract_features(state.query, None, data, "student").features
+        b = E.extract_features(teacher_enc, None, data, "student").features
         assert np.array_equal(a, b)
 
     def test_one_step_changes_parameters(self, ckpts):
-        from distill_ssl.data import BatchStream, dataset_arrays
+        from distill_ssl.data import BatchStream
 
         cfg = toy_cfg()
         state = transfer_state(ckpts[0], cfg)
         before = {n: t.data.copy() for n, t in state.query.head.items()}
-        frames, _ = dataset_arrays(toy_dataset())
-        stream = BatchStream(frames, cfg.batch_size, cfg.seed)
+        stream = BatchStream(toy_dataset().frames, cfg.batch_size, cfg.seed)
         rng = Rng(cfg.seed)
         C.warm_up_queue(state, stream, rng)
         C.moco_train_step(state, stream.next_batch(), rng)

@@ -1,0 +1,58 @@
+"""The benchmark's view of the package: every name it wraps or hooks exists.
+
+``perfbench/`` patches package functions by name and counts frames with
+``len()`` of a generated dataset.  These tests only read ``perfbench/``,
+so a renamed function or a changed dataset length fails here instead of
+in a benchmark run.
+"""
+
+import importlib
+import importlib.util
+import os
+import sys
+from pathlib import Path
+
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.fixture(scope="module")
+def bench():
+    """perfbench's run and spans modules, imported as run.py imports them."""
+    env = dict(os.environ)  # run.py pins BLAS threads in os.environ on import
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
+        run = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # for dataclasses
+        spec.loader.exec_module(run)
+        yield run, sys.modules["spans"]
+    finally:
+        for name in ("perfbench_run", "spans", "layers"):
+            sys.modules.pop(name, None)
+        sys.path.remove(str(PERFBENCH))
+        os.environ.clear()
+        os.environ.update(env)
+
+
+def test_every_traced_target_resolves(bench):
+    _, spans = bench
+    for target, _, _ in spans.TRACED:
+        spans.resolve(target)
+    for target in spans.RNG_DRAWS:
+        spans.resolve(target)
+    assert callable(importlib.import_module("distill_ssl.tensor").record)
+
+
+def test_every_stage_hook_resolves(bench, tmp_path):
+    run, spans = bench
+    for workload in run.WORKLOADS:
+        for stage in run.stages_for(workload, 1, tmp_path / "inputs", tmp_path / "run"):
+            spans.resolve(stage.main)
+            if stage.step is not None:
+                spans.resolve(stage.step)
+
+
+def test_eval_sweep_inputs_count_every_frame(bench, tmp_path):
+    run, _ = bench
+    assert run.build_inputs("eval_sweep", 1, tmp_path) == 1200
