@@ -175,8 +175,17 @@ def forward_head(enc: EncoderParams, features: Tensor) -> Tensor:
     return T.affine(h, hd["fc2.weight"], hd["fc2.bias"])
 
 
-def encode(enc: EncoderParams, frames: np.ndarray, record_grads: bool = False) -> Tensor:
-    """Unit-norm embeddings for a stacked B x C x H x W batch."""
+def encode(
+    enc: EncoderParams,
+    frames: np.ndarray,
+    record_grads: bool = False,
+    record_backbone: bool = True,
+) -> Tensor:
+    """Unit-norm embeddings for a stacked B x C x H x W batch.
+
+    ``record_grads`` records the forward on the open graph;
+    ``record_backbone=False`` then records only the head, for a frozen backbone.
+    """
     frames = np.asarray(frames, dtype=np.float64)
     if frames.ndim != 4 or frames.shape[1] != enc.cfg.in_channels:
         raise T.ShapeError(
@@ -185,14 +194,19 @@ def encode(enc: EncoderParams, frames: np.ndarray, record_grads: bool = False) -
     if record_grads:
         if not T.recording():
             raise GraphError("record_grads=True requires an open Graph")
-        return _encode_forward(enc, frames)
+        return _encode_forward(enc, frames, record_backbone)
     with T.no_grad():
         return _encode_forward(enc, frames)
 
 
-def _encode_forward(enc: EncoderParams, frames: np.ndarray) -> Tensor:
+def _encode_forward(enc: EncoderParams, frames: np.ndarray, record_backbone=True) -> Tensor:
     x = T.constant(center_input(frames))
-    return T.l2_normalize(forward_head(enc, forward_backbone(enc, x)))
+    if record_backbone:
+        features = forward_backbone(enc, x)
+    else:
+        with T.no_grad():
+            features = forward_backbone(enc, x)
+    return T.l2_normalize(forward_head(enc, features))
 
 
 # ---------------------------------------------------------------------------
@@ -431,9 +445,10 @@ def _train_step(state: MoCoState, batch: Batch, rng: Rng, extra_loss=None) -> St
         raise ContractError("queue must be warmed before training steps")
 
     views_q, views_k = build_views(batch, cfg.augment, rng)
+    frozen_backbone = state.query.backbone.frozen
     graph = T.Graph()
     with graph:
-        q = encode(state.query, views_q, record_grads=True)
+        q = encode(state.query, views_q, record_grads=True, record_backbone=not frozen_backbone)
         k_plus = encode(state.key, views_k).data
         l_con = info_nce_loss(q, k_plus, state.queue, cfg.tau)
         term, l_dis_value = None, 0.0
@@ -446,7 +461,6 @@ def _train_step(state: MoCoState, batch: Batch, rng: Rng, extra_loss=None) -> St
             raise NonFiniteLossError(f"{name} is {value} at step {state.step_count}")
     graph.backward(total)
 
-    frozen_backbone = state.query.backbone.frozen
     if not frozen_backbone:
         T.sgd_step(state.query.backbone, cfg.lr, cfg.momentum, cfg.weight_decay)
     T.sgd_step(state.query.head, cfg.lr, cfg.momentum, cfg.weight_decay)

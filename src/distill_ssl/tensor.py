@@ -137,9 +137,14 @@ def recording() -> bool:
     return _ACTIVE is not None
 
 
+def participates(t: Tensor) -> bool:
+    """Whether ``t`` takes gradients: a trainable leaf or a recorded op's output."""
+    return t.requires_grad or t._node
+
+
 def accumulate(t: Tensor, g: np.ndarray) -> None:
     """Add a gradient contribution to ``t`` if it participates."""
-    if t.requires_grad or t._node:
+    if participates(t):
         if t.grad is None:
             t.grad = np.zeros_like(t.data)
         t.grad += g
@@ -211,19 +216,25 @@ def conv2d(x: Tensor, kernels: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
     oh = (h + 2 * pad - k) // stride + 1
     ow = (w + 2 * pad - k) // stride + 1
     xpad = np.pad(xd, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else xd
-    win = _conv_windows(xpad, k, stride, oh, ow)
-    out_data = np.einsum("bchwij,ocij->bohw", win, kernels.data, optimize=True)
+    # im2col: one B x C*k*k x OH*OW copy of the windows serves all three GEMMs
+    cols = _conv_windows(xpad, k, stride, oh, ow).transpose(0, 1, 4, 5, 2, 3)
+    cols = cols.reshape(bsz, cin * k * k, oh * ow)
+    wm = kernels.data.reshape(cout, cin * k * k)
+    out_data = (wm @ cols).reshape(bsz, cout, oh, ow)
     out = Tensor(out_data[0] if single else out_data)
 
     def backward(g: np.ndarray) -> None:
-        gb = g[None] if single else g
-        accumulate(kernels, np.einsum("bchwij,bohw->ocij", win, gb, optimize=True))
-        if x.requires_grad or x._node:
+        gm = g.reshape(bsz, cout, oh * ow)
+        if participates(kernels):
+            dw = np.tensordot(gm, cols, axes=([0, 2], [0, 2]))
+            accumulate(kernels, dw.reshape(kernels.data.shape))
+        if participates(x):
+            dcols = (wm.T @ gm).reshape(bsz, cin, k, k, oh, ow)
             dxpad = np.zeros_like(xpad)
             for i in range(k):
                 for j in range(k):
-                    piece = np.einsum("bohw,oc->bchw", gb, kernels.data[:, :, i, j])
-                    dxpad[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride] += piece
+                    dst = dxpad[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride]
+                    dst += dcols[:, :, i, j]
             dx = dxpad[:, :, pad : pad + h, pad : pad + w] if pad else dxpad
             accumulate(x, dx[0] if single else dx)
 

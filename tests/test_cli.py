@@ -3,10 +3,13 @@
 import json
 import os
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import distill_ssl
 from distill_ssl.cli import build_parser, resolve_config, run
 
 SMALL = {
@@ -166,6 +169,22 @@ class TestDeterminism:
             outs.append(out)
         assert (outs[0] / "target.bin").read_bytes() == (outs[1] / "target.bin").read_bytes()
         assert (outs[0] / "generic.bin").read_bytes() == (outs[1] / "generic.bin").read_bytes()
+
+    def test_blas_thread_count_does_not_change_bits(self, data_dir, tmp_path):
+        # default batch and queue, so the conv GEMMs are large enough to split over threads
+        src = os.path.dirname(os.path.dirname(distill_ssl.__file__))
+        outs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+            subprocess.run(
+                [sys.executable, "-m", "distill_ssl", "pretrain-student", "--steps", "3",
+                 "--seed", "7", "--data", str(data_dir / "target"), "--out", str(out)],
+                env=env, check=True, capture_output=True,
+            )
+            outs.append(out)
+        assert (outs[0] / "checkpoint.bin").read_bytes() == (outs[1] / "checkpoint.bin").read_bytes()
+        assert (outs[0] / "metrics.csv").read_text() == (outs[1] / "metrics.csv").read_text()
 
     def test_artifact_reproducible_from_its_config_json(self, small_config, data_dir, tmp_path):
         first = tmp_path / "first"

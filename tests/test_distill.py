@@ -113,6 +113,26 @@ class TestTeacherAdaptStep:
         for n, t in teacher.key.backbone.items():
             assert np.array_equal(t.data, before[n])
 
+    @pytest.mark.parametrize("freeze", (True, False))
+    def test_frozen_backbone_records_no_conv(self, generic_ckpt, monkeypatch, freeze):
+        teacher0 = fresh_teacher(generic_ckpt, toy_cfg())
+        before = {n: t.data.copy() for n, t in teacher0.query.backbone.items()}
+        recorded = []
+        conv2d = T.conv2d
+
+        def spy(*args, **kwargs):
+            recorded.append(T.recording())
+            return conv2d(*args, **kwargs)
+
+        monkeypatch.setattr(T, "conv2d", spy)
+        teacher, _ = self.run_steps(generic_ckpt, 2, freeze=freeze)
+        # unfrozen, each step records the query encoder's two convolutions
+        assert sum(recorded) == (0 if freeze else 4)
+        if freeze:
+            for side in (teacher.query, teacher.key):
+                for n, t in side.backbone.items():
+                    assert np.array_equal(t.data, before[n])
+
     def test_head_moves_after_one_step(self, generic_ckpt):
         teacher0 = fresh_teacher(generic_ckpt, toy_cfg())
         before = {n: t.data.copy() for n, t in teacher0.query.head.items()}

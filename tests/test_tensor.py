@@ -104,6 +104,116 @@ class TestConv2d:
                 assert rel_err(grad_of(op, vals, wrt, weights), fd_of(op, vals, wrt, weights)) <= 1e-5
 
 
+def conv_loops(x, kern, stride, pad, g):
+    """Nested-loop cross-correlation of a B x C x H x W batch and its
+    backward for the upstream gradient ``g``: (out, dW, dx)."""
+    b, _, h, w = x.shape
+    co, _, k, _ = kern.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    oh, ow = (h + 2 * pad - k) // stride + 1, (w + 2 * pad - k) // stride + 1
+    out = np.zeros((b, co, oh, ow))
+    dw = np.zeros_like(kern)
+    dxp = np.zeros_like(xp)
+    for n in range(b):
+        for o in range(co):
+            for r in range(oh):
+                for s in range(ow):
+                    rows = slice(r * stride, r * stride + k)
+                    cols = slice(s * stride, s * stride + k)
+                    out[n, o, r, s] = (xp[n, :, rows, cols] * kern[o]).sum()
+                    dw[o] += g[n, o, r, s] * xp[n, :, rows, cols]
+                    dxp[n, :, rows, cols] += g[n, o, r, s] * kern[o]
+    return out, dw, dxp[:, :, pad : pad + h, pad : pad + w]
+
+
+def conv_einsum(x, kern, stride, pad, g):
+    """The einsum formulation conv2d replaced: (out, dW), kept as a bitwise oracle."""
+    k = kern.shape[-1]
+    h, w = x.shape[-2:]
+    oh, ow = (h + 2 * pad - k) // stride + 1, (w + 2 * pad - k) // stride + 1
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    win = T._conv_windows(xp, k, stride, oh, ow)
+    out = np.einsum("bchwij,ocij->bohw", win, kern, optimize=True)
+    return out, np.einsum("bchwij,bohw->ocij", win, g, optimize=True)
+
+
+def conv_with_grads(x, kern, stride, pad, g):
+    """conv2d forward plus the gradients it sends to x and the kernels for ``g``."""
+    xt, kt = T.parameter(x), T.parameter(kern)
+    graph = T.Graph()
+    with graph:
+        out = T.conv2d(xt, kt, stride=stride, pad=pad)
+        loss = T.tensor_sum(T.multiply(out, T.constant(g)))
+    graph.backward(loss)
+    return out.data, kt.grad, xt.grad
+
+
+class TestConv2dOracle:
+    @pytest.mark.parametrize("stride", (1, 2, 3))
+    @pytest.mark.parametrize("pad", (0, 1, 2))
+    @pytest.mark.parametrize("k", (1, 3, 5))
+    @pytest.mark.parametrize("cin", (1, 3))
+    def test_matches_nested_loops(self, stride, pad, k, cin):
+        rng = np.random.default_rng(100 * stride + 10 * pad + k + cin)
+        x = rng.normal(size=(2, cin, 7, 9))  # H != W
+        kern = rng.normal(size=(2, cin, k, k))
+        oh, ow = (7 + 2 * pad - k) // stride + 1, (9 + 2 * pad - k) // stride + 1
+        g = rng.normal(size=(2, 2, oh, ow))
+        out, dw, dx = conv_with_grads(x, kern, stride, pad, g)
+        ref_out, ref_dw, ref_dx = conv_loops(x, kern, stride, pad, g)
+        np.testing.assert_allclose(out, ref_out, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(dw, ref_dw, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(dx, ref_dx, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("stride", (1, 2, 3))
+    def test_single_input_matches_nested_loops(self, stride):
+        rng = np.random.default_rng(stride)
+        x = rng.normal(size=(3, 6, 8))
+        kern = rng.normal(size=(4, 3, 3, 3))
+        oh, ow = (6 + 2 - 3) // stride + 1, (8 + 2 - 3) // stride + 1
+        g = rng.normal(size=(4, oh, ow))
+        out, dw, dx = conv_with_grads(x, kern, stride, 1, g)
+        ref_out, ref_dw, ref_dx = conv_loops(x[None], kern, stride, 1, g[None])
+        assert out.shape == (4, oh, ow) and dx.shape == x.shape
+        np.testing.assert_allclose(out, ref_out[0], rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(dw, ref_dw, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(dx, ref_dx[0], rtol=1e-12, atol=1e-12)
+
+    # the default encoder's two convolutions, at the training batch and the eval batch
+    @pytest.mark.parametrize("batch", (32, 128))
+    @pytest.mark.parametrize("cin, cout, size", ((1, 8, 32), (8, 16, 16)))
+    def test_encoder_shapes_bitwise_equal_einsum(self, batch, cin, cout, size):
+        rng = np.random.default_rng(cin + batch)
+        x = rng.normal(size=(batch, cin, size, size))
+        kern = rng.normal(size=(cout, cin, 3, 3))
+        g = rng.normal(size=(batch, cout, size // 2, size // 2))
+        out, dw, dx = conv_with_grads(x, kern, 2, 1, g)
+        ref_out, ref_dw = conv_einsum(x, kern, 2, 1, g)
+        assert np.array_equal(out, ref_out)
+        assert np.array_equal(dw, ref_dw)
+        _, _, ref_dx = conv_loops(x[:2], kern, 2, 1, g[:2])
+        assert np.abs(dx[:2] - ref_dx).max() <= 1e-12 * np.abs(ref_dx).max()
+
+    def test_constant_operands_get_no_grad(self):
+        rng = np.random.default_rng(4)
+        x = T.constant(rng.normal(size=(2, 2, 5, 5)))
+        kern = T.parameter(rng.normal(size=(3, 2, 3, 3)))
+        graph = T.Graph()
+        with graph:
+            loss = T.tensor_sum(T.conv2d(x, kern, stride=2, pad=1))
+        graph.backward(loss)
+        assert x.grad is None
+        assert np.any(kern.grad != 0.0)
+
+        x, kern = T.parameter(x.data), T.constant(kern.data)
+        graph = T.Graph()
+        with graph:
+            loss = T.tensor_sum(T.conv2d(x, kern, stride=2, pad=1))
+        graph.backward(loss)
+        assert kern.grad is None
+        assert np.any(x.grad != 0.0)
+
+
 class TestRelu:
     def test_sign_split(self):
         assert np.array_equal(T.relu(T.constant([-1.0, 0.0, 2.0])).data, [0.0, 0.0, 2.0])
