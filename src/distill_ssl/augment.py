@@ -28,30 +28,6 @@ _LOG_ASPECT_HI = math.log(4.0 / 3.0)
 _CROP_ATTEMPTS = 10
 
 
-@dataclass
-class Frame:
-    """One image: pixels C x H x W, float64, values in [0, 1]."""
-
-    pixels: np.ndarray
-
-    def __post_init__(self):
-        self.pixels = np.asarray(self.pixels, dtype=np.float64)
-        if self.pixels.ndim != 3:
-            raise ValueError(f"frame pixels must be C x H x W, got {self.pixels.shape}")
-
-    @property
-    def channels(self) -> int:
-        return self.pixels.shape[0]
-
-    @property
-    def height(self) -> int:
-        return self.pixels.shape[1]
-
-    @property
-    def width(self) -> int:
-        return self.pixels.shape[2]
-
-
 @dataclass(frozen=True)
 class AugmentConfig:
     crop_scale_range: tuple[float, float] = (0.4, 1.0)
@@ -85,44 +61,44 @@ def _source_grid(start, extent, out: int) -> np.ndarray:
     return start + np.arange(out) * ((extent - 1) / (out - 1))
 
 
-def crop_resize(v: Frame, box: tuple[int, int, int, int], out: tuple[int, int]) -> Frame:
-    """Bilinear resample of a box [top, left, h, w] to the given output size."""
+def crop_resize(px: np.ndarray, box: tuple[int, int, int, int], out: tuple[int, int]) -> np.ndarray:
+    """Bilinear resample of a box [top, left, h, w] of the last two axes to ``out``."""
     top, left, h, w = box
-    if h < 1 or w < 1 or top < 0 or left < 0 or top + h > v.height or left + w > v.width:
-        raise ValueError(f"crop box {box} out of bounds for frame {v.pixels.shape}")
+    height, width = px.shape[-2:]
+    if h < 1 or w < 1 or top < 0 or left < 0 or top + h > height or left + w > width:
+        raise ValueError(f"crop box {box} out of bounds for frame {px.shape}")
     rows = _source_grid(float(top), h, out[0])
     cols = _source_grid(float(left), w, out[1])
     r0 = np.floor(rows).astype(np.int64)
     c0 = np.floor(cols).astype(np.int64)
-    r1 = np.minimum(r0 + 1, v.height - 1)
-    c1 = np.minimum(c0 + 1, v.width - 1)
+    r1 = np.minimum(r0 + 1, height - 1)
+    c1 = np.minimum(c0 + 1, width - 1)
     fr = (rows - r0)[:, None]
     fc = (cols - c0)[None, :]
-    px = v.pixels
-    top_edge = px[:, r0[:, None], c0[None, :]] * (1.0 - fc) + px[:, r0[:, None], c1[None, :]] * fc
-    bot_edge = px[:, r1[:, None], c0[None, :]] * (1.0 - fc) + px[:, r1[:, None], c1[None, :]] * fc
-    return Frame(top_edge * (1.0 - fr) + bot_edge * fr)
+    top_edge = px[..., r0[:, None], c0[None, :]] * (1.0 - fc) + px[..., r0[:, None], c1[None, :]] * fc
+    bot_edge = px[..., r1[:, None], c0[None, :]] * (1.0 - fc) + px[..., r1[:, None], c1[None, :]] * fc
+    return top_edge * (1.0 - fr) + bot_edge * fr
 
 
-def horizontal_flip(v: Frame) -> Frame:
-    return Frame(v.pixels[:, :, ::-1].copy())
+def horizontal_flip(px: np.ndarray) -> np.ndarray:
+    return px[:, :, ::-1].copy()
 
 
-def photometric_jitter(v: Frame, b: float, c: float) -> Frame:
+def photometric_jitter(px: np.ndarray, b: float, c: float) -> np.ndarray:
     """Per-channel contrast about the channel mean, then brightness, then clip."""
     if c <= 0:
         raise ValueError(f"contrast factor must be positive, got {c}")
-    mean = v.pixels.mean(axis=(1, 2), keepdims=True)
-    return Frame(np.clip((v.pixels - mean) * c + mean + b, 0.0, 1.0))
+    mean = px.mean(axis=(1, 2), keepdims=True)
+    return np.clip((px - mean) * c + mean + b, 0.0, 1.0)
 
 
-def gaussian_noise(v: Frame, sigma: float, rng: Rng) -> Frame:
+def gaussian_noise(px: np.ndarray, sigma: float, rng: Rng) -> np.ndarray:
     if sigma < 0:
         raise ValueError(f"sigma must be >= 0, got {sigma}")
     if sigma == 0.0:
-        return Frame(v.pixels.copy())
-    noise = rng.normal(v.pixels.size).reshape(v.pixels.shape)
-    return Frame(np.clip(v.pixels + sigma * noise, 0.0, 1.0))
+        return px.copy()
+    noise = rng.normal(px.size).reshape(px.shape)
+    return np.clip(px + sigma * noise, 0.0, 1.0)
 
 
 def _sample_crop_box(height: int, width: int, scale_range: tuple[float, float], rng: Rng):
@@ -150,10 +126,10 @@ def _sample_params(height: int, width: int, cfg: AugmentConfig, rng: Rng):
     return box, flip, b, c
 
 
-def sample_view(v: Frame, cfg: AugmentConfig, rng: Rng) -> Frame:
-    """One augmented view; a pure function of (frame, cfg, rng seed)."""
-    box, flip, b, c = _sample_params(v.height, v.width, cfg, rng)
-    out = crop_resize(v, box, cfg.output_size)
+def sample_view(px: np.ndarray, cfg: AugmentConfig, rng: Rng) -> np.ndarray:
+    """One augmented view of a C x H x W frame; a pure function of (frame, cfg, rng seed)."""
+    box, flip, b, c = _sample_params(px.shape[1], px.shape[2], cfg, rng)
+    out = crop_resize(px, box, cfg.output_size)
     if flip:
         out = horizontal_flip(out)
     if b != 0.0 or c != 1.0:
@@ -165,7 +141,7 @@ def sample_views(frames: np.ndarray, cfg: AugmentConfig, rngs: list[Rng]) -> np.
     """Views of stacked N x C x H x W frames, one per stream, in one pass.
 
     View i augments ``frames[i % N]`` with ``rngs[i]``; the result is
-    ``np.stack([sample_view(Frame(frames[i % N]), cfg, rngs[i]).pixels])``
+    ``np.stack([sample_view(frames[i % N], cfg, rngs[i])])``
     bit for bit, and every stream advances as that call advances it.
     """
     frames = np.ascontiguousarray(frames, dtype=np.float64)
@@ -236,6 +212,6 @@ def view_stream(root: Rng, epoch: int, sample_index: int, view_index: int) -> Rn
     return root.derive(STREAM_VIEW, epoch, sample_index, view_index)
 
 
-def resize_to(v: Frame, size: tuple[int, int]) -> Frame:
-    """Deterministic full-frame resize (the evaluation-time path)."""
-    return crop_resize(v, (0, 0, v.height, v.width), size)
+def resize_to(px: np.ndarray, size: tuple[int, int]) -> np.ndarray:
+    """Full-frame resize of a C x H x W frame or a stack; at equal size a bitwise copy."""
+    return crop_resize(px, (0, 0, *px.shape[-2:]), size)

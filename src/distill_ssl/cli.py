@@ -42,43 +42,51 @@ from . import pipeline
 
 SEED_ENV = "DISTILL_SSL_SEED"
 
+_TRAIN = TrainConfig()
+_AUG = _TRAIN.augment
+_ENC = EncoderConfig()
+_PROBE = ProbeConfig()
+_TARGET = target_spec()
+_GENERIC = generic_spec()
+
 # key: (type, default, help); list-valued keys are comma-separated strings.
+# Keys that build a config dataclass or a dataset spec take its default.
 CONFIG_SCHEMA: dict[str, tuple] = {
-    "seed": (int, 7, "run seed (flag > file > env DISTILL_SSL_SEED > default)"),
-    "tau": (float, 0.07, "similarity temperature"),
-    "m": (float, 0.999, "key-encoder momentum coefficient"),
-    "lambda": (float, 5.0, "distillation loss weight"),
-    "batch_size": (int, 32, "frames per training step"),
-    "queue_size": (int, 256, "key queue capacity (multiple of batch_size)"),
-    "lr": (float, 0.03, "SGD learning rate"),
-    "sgd_momentum": (float, 0.9, "SGD momentum"),
-    "weight_decay": (float, 1e-4, "SGD weight decay"),
-    "steps": (int, 500, "training steps per stage"),
-    "distill_tau": (float, None, "distillation temperature (defaults to tau)"),
-    "in_channels": (int, 1, "encoder input channels"),
-    "conv_channels": (str, "8,16", "conv layer channel counts"),
-    "kernel_size": (int, 3, "conv kernel size"),
-    "conv_stride": (int, 2, "conv stride"),
-    "conv_pad": (int, 1, "conv zero padding"),
-    "d_backbone": (int, 64, "backbone feature dimension"),
-    "embed_dim": (int, 32, "projection head output dimension"),
-    "input_size": (int, 32, "encoder input side length"),
-    "crop_scale_lo": (float, 0.4, "random crop minimum area fraction"),
-    "crop_scale_hi": (float, 1.0, "random crop maximum area fraction"),
-    "flip_prob": (float, 0.5, "horizontal flip probability"),
-    "brightness_delta": (float, 0.2, "brightness jitter half-range"),
-    "contrast_lo": (float, 0.8, "contrast jitter lower bound"),
-    "contrast_hi": (float, 1.2, "contrast jitter upper bound"),
-    "aug_noise_sigma": (float, 0.02, "gaussian pixel noise sigma"),
-    "view_size": (int, 32, "augmented view side length"),
-    "target_phases": (int, 4, "target-domain phase count"),
-    "target_frames_per_phase": (int, 300, "target-domain frames per phase"),
-    "generic_classes": (int, 8, "generic-domain class count"),
-    "generic_frames_per_phase": (int, 300, "generic-domain frames per class"),
-    "image_size": (int, 32, "synthetic image side length"),
-    "probe_lr": (float, 0.5, "linear probe learning rate"),
-    "probe_steps": (int, 300, "linear probe gradient-descent steps"),
-    "probe_weight_decay": (float, 1e-4, "linear probe L2 penalty"),
+    "seed": (int, _TRAIN.seed, "run seed (flag > file > env DISTILL_SSL_SEED > default)"),
+    "tau": (float, _TRAIN.tau, "similarity temperature"),
+    "m": (float, _TRAIN.m, "key-encoder momentum coefficient"),
+    "lambda": (float, _TRAIN.lam, "distillation loss weight"),
+    "batch_size": (int, _TRAIN.batch_size, "frames per training step"),
+    "queue_size": (int, _TRAIN.queue_size, "key queue capacity (multiple of batch_size)"),
+    "lr": (float, _TRAIN.lr, "SGD learning rate"),
+    "sgd_momentum": (float, _TRAIN.momentum, "SGD momentum"),
+    "weight_decay": (float, _TRAIN.weight_decay, "SGD weight decay"),
+    "steps": (int, _TRAIN.steps, "training steps per stage"),
+    "distill_tau": (float, _TRAIN.distill_tau, "distillation temperature (defaults to tau)"),
+    "in_channels": (int, _ENC.in_channels, "encoder input channels"),
+    "conv_channels": (str, ",".join(map(str, _ENC.conv_channels)), "conv layer channel counts"),
+    "kernel_size": (int, _ENC.kernel_size, "conv kernel size"),
+    "conv_stride": (int, _ENC.stride, "conv stride"),
+    "conv_pad": (int, _ENC.pad, "conv zero padding"),
+    "d_backbone": (int, _ENC.d_backbone, "backbone feature dimension"),
+    "embed_dim": (int, _ENC.d, "projection head output dimension"),
+    "input_size": (int, _ENC.input_size[0], "encoder input side length"),
+    "crop_scale_lo": (float, _AUG.crop_scale_range[0], "random crop minimum area fraction"),
+    "crop_scale_hi": (float, _AUG.crop_scale_range[1], "random crop maximum area fraction"),
+    "flip_prob": (float, _AUG.flip_prob, "horizontal flip probability"),
+    "brightness_delta": (float, _AUG.brightness_delta, "brightness jitter half-range"),
+    "contrast_lo": (float, _AUG.contrast_range[0], "contrast jitter lower bound"),
+    "contrast_hi": (float, _AUG.contrast_range[1], "contrast jitter upper bound"),
+    "aug_noise_sigma": (float, _AUG.noise_sigma, "gaussian pixel noise sigma"),
+    "view_size": (int, _AUG.output_size[0], "augmented view side length"),
+    "target_phases": (int, _TARGET.num_phases, "target-domain phase count"),
+    "target_frames_per_phase": (int, _TARGET.frames_per_phase, "target-domain frames per phase"),
+    "generic_classes": (int, _GENERIC.num_phases, "generic-domain class count"),
+    "generic_frames_per_phase": (int, _GENERIC.frames_per_phase, "generic-domain frames per class"),
+    "image_size": (int, _TARGET.image_size[0], "synthetic image side length"),
+    "probe_lr": (float, _PROBE.lr, "linear probe learning rate"),
+    "probe_steps": (int, _PROBE.steps, "linear probe gradient-descent steps"),
+    "probe_weight_decay": (float, _PROBE.weight_decay, "linear probe L2 penalty"),
     "label_fraction": (float, 0.1, "labelled fraction for linear-probe"),
     "probe_seeds": (str, "0,1,2", "probe subset seeds"),
     "holdout_fraction": (float, 0.5, "held-out split fraction for probing"),
@@ -86,7 +94,6 @@ CONFIG_SCHEMA: dict[str, tuple] = {
     "gradcheck_instances": (int, 100, "random instances per op in gradcheck"),
     "out": (str, None, "output directory"),
     "data": (str, None, "dataset file (base path of .json/.bin pair)"),
-    "generic_data": (str, None, "generic-domain dataset file"),
     "generic": (str, None, "generic pretraining checkpoint"),
     "teacher": (str, None, "teacher checkpoint"),
     "ckpt": (str, None, "encoder checkpoint to evaluate"),
@@ -103,17 +110,18 @@ class CliError(RuntimeError):
     pass
 
 
+# The JSON types a config-file value may take, by key type; a boolean is no integer.
+_JSON_TYPES = {bool: ((bool,), "a boolean"), int: ((int,), "an integer"),
+               float: ((int, float), "a number"), str: ((str,), "a string")}
+
+
 def _parse_value(key: str, kind, raw):
     if raw is None:
         return None
-    if kind is bool:
-        if isinstance(raw, bool):
-            return raw
-        raise CliError(f"config key {key!r} must be a boolean")
-    try:
-        return kind(raw)
-    except (TypeError, ValueError):
-        raise CliError(f"config key {key!r}: cannot read {raw!r} as {kind.__name__}")
+    accepted, name = _JSON_TYPES[kind]
+    if not isinstance(raw, accepted) or (isinstance(raw, bool) and kind is not bool):
+        raise CliError(f"config key {key!r} must be {name}, got {json.dumps(raw)}")
+    return kind(raw)
 
 
 def resolve_config(args: argparse.Namespace) -> dict:
@@ -145,7 +153,10 @@ def resolve_config(args: argparse.Namespace) -> dict:
             if key == "seed":
                 flag_has_seed = True
     if not flag_has_seed and not file_has_seed and SEED_ENV in os.environ:
-        config["seed"] = _parse_value("seed", int, os.environ[SEED_ENV])
+        try:
+            config["seed"] = int(os.environ[SEED_ENV])
+        except ValueError:
+            raise CliError(f"{SEED_ENV}: cannot read {os.environ[SEED_ENV]!r} as int")
     return config
 
 

@@ -13,7 +13,7 @@ a zero distillation weight reproduces plain training bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -68,16 +68,7 @@ class EncoderConfig:
         }
 
     def to_dict(self) -> dict:
-        return {
-            "in_channels": self.in_channels,
-            "input_size": list(self.input_size),
-            "conv_channels": list(self.conv_channels),
-            "kernel_size": self.kernel_size,
-            "stride": self.stride,
-            "pad": self.pad,
-            "d_backbone": self.d_backbone,
-            "d": self.d,
-        }
+        return asdict(self)
 
 
 @dataclass

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .augment import Frame, crop_resize
+from .augment import resize_to
 from .rng import STREAM_BATCH, STREAM_DATA, Rng
 from .tensor import ParamSet
 
@@ -363,8 +363,8 @@ _NETPBM_SUFFIXES = (".pgm", ".ppm", ".pnm")
 
 def load_image_directory(
     path, expected_size: tuple[int, int]
-) -> tuple[list[Frame], list[int] | None]:
-    """Read Netpbm frames, resized to ``expected_size``.
+) -> tuple[list[np.ndarray], list[int] | None]:
+    """Read Netpbm frames as C x H x W arrays, resized to ``expected_size``.
 
     Files directly under ``path`` load unlabeled (labels None).  When the
     images live in immediate subdirectories instead, sorted subdirectory
@@ -375,23 +375,16 @@ def load_image_directory(
         raise NetpbmError(f"{path} is not a directory")
     direct = sorted(p for p in root.iterdir() if p.is_file() and p.suffix in _NETPBM_SUFFIXES)
     if direct:
-        frames = [_resized(_read_netpbm(p), expected_size) for p in direct]
+        frames = [resize_to(_read_netpbm(p), expected_size) for p in direct]
         return frames, None
     frames = []
     labels: list[int] = []
     subdirs = sorted(p for p in root.iterdir() if p.is_dir())
     for cls, sub in enumerate(subdirs):
         for p in sorted(q for q in sub.iterdir() if q.is_file() and q.suffix in _NETPBM_SUFFIXES):
-            frames.append(_resized(_read_netpbm(p), expected_size))
+            frames.append(resize_to(_read_netpbm(p), expected_size))
             labels.append(cls)
     return frames, (labels if frames else None)
-
-
-def _resized(pixels: np.ndarray, size: tuple[int, int]) -> Frame:
-    f = Frame(pixels)
-    if (f.height, f.width) == tuple(size):
-        return f
-    return crop_resize(f, (0, 0, f.height, f.width), size)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import tensor as T
-from .augment import Frame, resize_to
+from .augment import resize_to
 from .contrastive import ContractError, EncoderParams, center_input, forward_backbone
 from .data import Dataset
 from .rng import STREAM_PROBE, Rng
@@ -73,7 +73,7 @@ class Metrics:
 def _backbone_features(enc: EncoderParams, frames: np.ndarray, batch: int = 128) -> np.ndarray:
     size = tuple(enc.cfg.input_size)
     if frames.shape[2:] != size:
-        frames = np.stack([resize_to(Frame(f), size).pixels for f in frames])
+        frames = resize_to(frames, size)
     outs = []
     with T.no_grad():
         for start in range(0, frames.shape[0], batch):

@@ -5,7 +5,6 @@ import pytest
 
 from distill_ssl.augment import (
     AugmentConfig,
-    Frame,
     crop_resize,
     gaussian_noise,
     horizontal_flip,
@@ -29,30 +28,30 @@ IDENTITY_CFG = AugmentConfig(
 )
 
 
-def toy_frame(seed: int = 0, c: int = 1, h: int = 8, w: int = 8) -> Frame:
+def toy_frame(seed: int = 0, c: int = 1, h: int = 8, w: int = 8) -> np.ndarray:
     rng = np.random.default_rng(seed)
-    return Frame(rng.uniform(0.0, 1.0, size=(c, h, w)))
+    return rng.uniform(0.0, 1.0, size=(c, h, w))
 
 
 class TestSampleView:
     def test_all_transforms_disabled_is_identity(self):
         frame = toy_frame()
         out = sample_view(frame, IDENTITY_CFG, Rng(5))
-        assert np.abs(out.pixels - frame.pixels).max() <= 1e-12
+        assert np.abs(out - frame).max() <= 1e-12
 
     def test_same_seed_twice_is_bitwise(self):
         frame = toy_frame(1)
         cfg = AugmentConfig(output_size=(8, 8))
         a = sample_view(frame, cfg, Rng(77))
         b = sample_view(frame, cfg, Rng(77))
-        assert np.array_equal(a.pixels, b.pixels)
+        assert np.array_equal(a, b)
 
     def test_different_seeds_differ(self):
         frame = toy_frame(1)
         cfg = AugmentConfig(output_size=(8, 8))
         a = sample_view(frame, cfg, Rng(77))
         b = sample_view(frame, cfg, Rng(78))
-        assert not np.array_equal(a.pixels, b.pixels)
+        assert not np.array_equal(a, b)
 
     def test_flip_rate_over_seeded_draws(self):
         # flips governed by one uniform per view; count over 1000 streams
@@ -62,12 +61,12 @@ class TestSampleView:
             rng.uniform()  # crop fraction
             rng.uniform()  # aspect
             # skip position draws only if the box fits; emulate by sampling the view
-            frame = Frame(np.tile(np.linspace(0, 1, 16), (1, 16, 1)))
+            frame = np.tile(np.linspace(0, 1, 16), (1, 16, 1))
             cfg = AugmentConfig(crop_scale_range=(1.0, 1.0), flip_prob=0.5,
                                 brightness_delta=0.0, contrast_range=(1.0, 1.0),
                                 noise_sigma=0.0, output_size=(16, 16))
             out = sample_view(frame, cfg, Rng(1).derive(i))
-            if not np.array_equal(out.pixels, frame.pixels):
+            if not np.array_equal(out, frame):
                 flips += 1
         assert 450 <= flips <= 550
 
@@ -75,14 +74,14 @@ class TestSampleView:
         frame = toy_frame(2, h=11, w=17)
         cfg = AugmentConfig(output_size=(5, 9))
         out = sample_view(frame, cfg, Rng(3))
-        assert out.pixels.shape == (1, 5, 9)
+        assert out.shape == (1, 5, 9)
 
     def test_values_stay_in_unit_interval(self):
         frame = toy_frame(4)
         cfg = AugmentConfig(brightness_delta=0.5, noise_sigma=0.3, output_size=(8, 8))
         for i in range(20):
             out = sample_view(frame, cfg, Rng(i))
-            assert out.pixels.min() >= 0.0 and out.pixels.max() <= 1.0
+            assert out.min() >= 0.0 and out.max() <= 1.0
 
 
 ORACLE_CONFIGS = {
@@ -111,7 +110,7 @@ class TestBatchedViews:
             views = build_views(Batch(frames, indices, epoch), cfg, root)
             for view_index, got in enumerate(views):
                 expected = np.stack([
-                    sample_view(Frame(f), cfg, view_stream(root, epoch, int(i), view_index)).pixels
+                    sample_view(f, cfg, view_stream(root, epoch, int(i), view_index))
                     for f, i in zip(frames, indices)
                 ])
                 assert got.shape == expected.shape
@@ -124,7 +123,7 @@ class TestBatchedViews:
         single = [Rng(s) for s in range(6)]
         sample_views(frames, cfg, batched)
         for i, r in enumerate(single):
-            sample_view(Frame(frames[i % 3]), cfg, r)
+            sample_view(frames[i % 3], cfg, r)
         assert [r.uniform() for r in batched] == [r.uniform() for r in single]
 
 
@@ -132,17 +131,17 @@ class TestCropResize:
     def test_full_frame_identity(self):
         frame = toy_frame(3)
         out = crop_resize(frame, (0, 0, 8, 8), (8, 8))
-        assert np.abs(out.pixels - frame.pixels).max() <= 1e-12
+        assert np.abs(out - frame).max() <= 1e-12
 
     def test_constant_image_stays_constant(self):
-        frame = Frame(np.full((2, 6, 6), 0.37))
+        frame = np.full((2, 6, 6), 0.37)
         out = crop_resize(frame, (1, 2, 4, 3), (5, 5))
-        assert np.abs(out.pixels - 0.37).max() <= 1e-12
+        assert np.abs(out - 0.37).max() <= 1e-12
 
     def test_bilinear_midpoint(self):
-        frame = Frame(np.array([[[0.0, 1.0], [0.0, 1.0]]]))
+        frame = np.array([[[0.0, 1.0], [0.0, 1.0]]])
         out = crop_resize(frame, (0, 0, 2, 2), (1, 1))
-        assert abs(out.pixels[0, 0, 0] - 0.5) <= 1e-12
+        assert abs(out[0, 0, 0] - 0.5) <= 1e-12
 
     def test_out_of_bounds_box_rejected(self):
         frame = toy_frame(0)
@@ -152,40 +151,40 @@ class TestCropResize:
 
     def test_resize_to_identity_when_sizes_match(self):
         frame = toy_frame(5)
-        assert np.abs(resize_to(frame, (8, 8)).pixels - frame.pixels).max() <= 1e-12
+        assert resize_to(frame, (8, 8)).tobytes() == frame.tobytes()
 
 
 class TestHorizontalFlip:
     def test_involution_bitwise(self):
         frame = toy_frame(6)
-        assert np.array_equal(horizontal_flip(horizontal_flip(frame)).pixels, frame.pixels)
+        assert np.array_equal(horizontal_flip(horizontal_flip(frame)), frame)
 
     def test_symmetric_image_unchanged(self):
         half = np.random.default_rng(0).uniform(size=(1, 4, 2))
-        frame = Frame(np.concatenate([half, half[:, :, ::-1]], axis=2))
-        assert np.array_equal(horizontal_flip(frame).pixels, frame.pixels)
+        frame = np.concatenate([half, half[:, :, ::-1]], axis=2)
+        assert np.array_equal(horizontal_flip(frame), frame)
 
     def test_enumeration(self):
-        out = horizontal_flip(Frame(np.array([[[1.0, 2.0, 3.0]]])))
-        assert np.array_equal(out.pixels, [[[3.0, 2.0, 1.0]]])
+        out = horizontal_flip(np.array([[[1.0, 2.0, 3.0]]]))
+        assert np.array_equal(out, [[[3.0, 2.0, 1.0]]])
 
 
 class TestPhotometricJitter:
     def test_neutral_parameters_identity(self):
         frame = toy_frame(7)
         out = photometric_jitter(frame, 0.0, 1.0)
-        assert np.abs(out.pixels - frame.pixels).max() <= 1e-12
+        assert np.abs(out - frame).max() <= 1e-12
 
     def test_brightness_clips_at_one(self):
-        frame = Frame(np.full((1, 3, 3), 0.8))
+        frame = np.full((1, 3, 3), 0.8)
         out = photometric_jitter(frame, 0.5, 1.0)
-        assert np.array_equal(out.pixels, np.ones((1, 3, 3)))
+        assert np.array_equal(out, np.ones((1, 3, 3)))
 
     def test_contrast_contracts_toward_channel_mean(self):
         frame = toy_frame(8)
-        mean = frame.pixels.mean(axis=(1, 2), keepdims=True)
+        mean = frame.mean(axis=(1, 2), keepdims=True)
         out = photometric_jitter(frame, 0.0, 1e-9)
-        assert np.abs(out.pixels - np.clip(mean, 0, 1)).max() <= 1e-6
+        assert np.abs(out - np.clip(mean, 0, 1)).max() <= 1e-6
 
     def test_nonpositive_contrast_rejected(self):
         with pytest.raises(ValueError):
@@ -196,17 +195,17 @@ class TestGaussianNoise:
     def test_zero_sigma_identity_bitwise(self):
         frame = toy_frame(9)
         out = gaussian_noise(frame, 0.0, Rng(1))
-        assert np.array_equal(out.pixels, frame.pixels)
+        assert np.array_equal(out, frame)
 
     def test_sample_mean_preserved(self):
-        frame = Frame(np.full((1, 320, 320), 0.5))
+        frame = np.full((1, 320, 320), 0.5)
         out = gaussian_noise(frame, 0.05, Rng(123))
-        assert abs(out.pixels.mean() - 0.5) <= 0.002
+        assert abs(out.mean() - 0.5) <= 0.002
 
     def test_clipping_contract(self):
         frame = toy_frame(10)
         out = gaussian_noise(frame, 5.0, Rng(2))
-        assert out.pixels.min() >= 0.0 and out.pixels.max() <= 1.0
+        assert out.min() >= 0.0 and out.max() <= 1.0
 
 
 class TestViewStreams:
@@ -217,8 +216,8 @@ class TestViewStreams:
         vq_alone = sample_view(frame, cfg, view_stream(root, 0, 3, 0))
         vk = sample_view(frame, cfg, view_stream(root, 0, 3, 1))
         vq_after_k = sample_view(frame, cfg, view_stream(root, 0, 3, 0))
-        assert np.array_equal(vq_alone.pixels, vq_after_k.pixels)
-        assert not np.array_equal(vq_alone.pixels, vk.pixels)
+        assert np.array_equal(vq_alone, vq_after_k)
+        assert not np.array_equal(vq_alone, vk)
 
     def test_views_differ_between_epochs_and_samples(self):
         frame = toy_frame(12)
@@ -227,8 +226,8 @@ class TestViewStreams:
         a = sample_view(frame, cfg, view_stream(root, 0, 1, 0))
         b = sample_view(frame, cfg, view_stream(root, 1, 1, 0))
         c = sample_view(frame, cfg, view_stream(root, 0, 2, 0))
-        assert not np.array_equal(a.pixels, b.pixels)
-        assert not np.array_equal(a.pixels, c.pixels)
+        assert not np.array_equal(a, b)
+        assert not np.array_equal(a, c)
 
 
 class TestAugmentConfigValidation:

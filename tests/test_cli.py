@@ -10,7 +10,17 @@ import numpy as np
 import pytest
 
 import distill_ssl
-from distill_ssl.cli import build_parser, resolve_config, run
+from distill_ssl.cli import (
+    build_parser,
+    encoder_config,
+    probe_config,
+    resolve_config,
+    run,
+    train_config,
+)
+from distill_ssl.contrastive import EncoderConfig, TrainConfig
+from distill_ssl.data import generic_spec, target_spec
+from distill_ssl.eval import ProbeConfig
 
 SMALL = {
     "steps": 12,
@@ -121,6 +131,56 @@ class TestConfigPrecedence:
         cfg = resolve_config(build_parser().parse_args(["gen-data"]))
         assert cfg["seed"] == 7 and cfg["tau"] == 0.07 and cfg["lambda"] == 5.0
 
+    def test_defaults_build_the_dataclass_defaults(self, monkeypatch):
+        monkeypatch.delenv("DISTILL_SSL_SEED", raising=False)
+        cfg = resolve_config(build_parser().parse_args(["gen-data"]))
+        assert train_config(cfg) == TrainConfig()
+        assert encoder_config(cfg) == EncoderConfig()
+        assert probe_config(cfg, 1.0, 0) == ProbeConfig()
+        size = (cfg["image_size"], cfg["image_size"])
+        target = target_spec(cfg["target_phases"], cfg["target_frames_per_phase"], size)
+        generic = generic_spec(cfg["generic_classes"], cfg["generic_frames_per_phase"], size)
+        assert target == target_spec() and generic == generic_spec()
+
+    @pytest.mark.parametrize("key,value", [
+        ("steps", 3.7),
+        ("batch_size", True),
+        ("conv_channels", [8, 16]),
+        ("seed", "7"),
+        ("tau", "0.07"),
+        ("lambda", False),
+        ("probe_seeds", 0),
+        ("mode", {"name": "student"}),
+        ("distill", 1),
+    ])
+    def test_file_value_of_wrong_json_type_rejected(self, key, value, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({key: value}))
+        out = tmp_path / "o"
+        assert run(["gen-data", "--config", str(bad), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert repr(key) in err and "usage:" in err
+        assert not out.exists()
+
+    def test_float_key_accepts_json_integer(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"tau": 1, "lambda": 0, "distill_tau": None}))
+        cfg = resolve_config(build_parser().parse_args(["gen-data", "--config", str(path)]))
+        assert type(cfg["tau"]) is float and cfg["tau"] == 1.0
+        assert type(cfg["lambda"]) is float and cfg["lambda"] == 0.0
+        assert cfg["distill_tau"] is None
+
+    def test_unreadable_env_seed_rejected(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setenv("DISTILL_SSL_SEED", "seven")
+        assert run(["gen-data", "--out", str(tmp_path / "o")]) == 2
+        assert "DISTILL_SSL_SEED" in capsys.readouterr().err
+
+    def test_removed_generic_data_key_rejected(self, tmp_path, capsys):
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps({"generic_data": None}))
+        assert run(["gen-data", "--config", str(old), "--out", str(tmp_path / "o")]) == 2
+        assert "unknown config key 'generic_data'" in capsys.readouterr().err
+
 
 class TestProvenance:
     def test_config_json_written_with_command(self, data_dir):
@@ -128,6 +188,13 @@ class TestProvenance:
         assert record["command"] == "gen-data"
         assert record["steps"] == 12
         assert "seed" in record and "tau" in record
+
+    def test_checkpoint_records_encoder_config_as_json(self, generic_ckpt):
+        manifest = json.loads((generic_ckpt.parent / "checkpoint.json").read_text())
+        assert manifest["config"]["encoder"] == {
+            "in_channels": 1, "input_size": [32, 32], "conv_channels": [8, 16], "kernel_size": 3,
+            "stride": 2, "pad": 1, "d_backbone": 64, "d": 32,
+        }
 
     def test_training_outputs_complete(self, generic_ckpt):
         out = generic_ckpt.parent

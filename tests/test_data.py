@@ -177,13 +177,13 @@ class TestNetpbm:
         frames, labels = D.load_image_directory(tmp_path, (2, 2))
         assert labels is None
         expected = np.array([[[0.0, 1.0], [128 / 255, 64 / 255]]])
-        assert np.array_equal(frames[0].pixels, expected)
+        assert np.array_equal(frames[0], expected)
 
     def test_p6_color(self, tmp_path):
         write_pgm(tmp_path / "c.ppm", 1, 1, [255, 0, 128], magic=b"P6")
         frames, _ = D.load_image_directory(tmp_path, (1, 1))
-        assert frames[0].pixels.shape == (3, 1, 1)
-        assert np.array_equal(frames[0].pixels[:, 0, 0], [1.0, 0.0, 128 / 255])
+        assert frames[0].shape == (3, 1, 1)
+        assert np.array_equal(frames[0][:, 0, 0], [1.0, 0.0, 128 / 255])
 
     def test_unsupported_magic(self, tmp_path):
         write_pgm(tmp_path / "bad.pgm", 2, 2, [0, 0, 0, 0], magic=b"P4")
@@ -213,7 +213,7 @@ class TestNetpbm:
         data = b"P5\n# a comment\n2 2\n# another\n255\n" + bytes([10, 20, 30, 40])
         (tmp_path / "c.pgm").write_bytes(data)
         frames, _ = D.load_image_directory(tmp_path, (2, 2))
-        assert np.allclose(frames[0].pixels * 255, [[[10, 20], [30, 40]]])
+        assert np.allclose(frames[0] * 255, [[[10, 20], [30, 40]]])
 
     def test_labels_from_subdirectories(self, tmp_path):
         for cls, name in enumerate(["phase_a", "phase_b"]):
@@ -229,12 +229,12 @@ class TestNetpbm:
         for name, value in (("b.pgm", 2), ("a.pgm", 1), ("c.pgm", 3)):
             write_pgm(tmp_path / name, 1, 1, [value])
         frames, _ = D.load_image_directory(tmp_path, (1, 1))
-        assert [round(f.pixels[0, 0, 0] * 255) for f in frames] == [1, 2, 3]
+        assert [round(f[0, 0, 0] * 255) for f in frames] == [1, 2, 3]
 
     def test_resize_to_expected_size(self, tmp_path):
         write_pgm(tmp_path / "big.pgm", 4, 4, list(range(16)))
         frames, _ = D.load_image_directory(tmp_path, (2, 2))
-        assert frames[0].pixels.shape == (1, 2, 2)
+        assert frames[0].shape == (1, 2, 2)
 
 
 def readme_real_frames_recipe() -> str:
@@ -254,7 +254,7 @@ class TestRealFramesRecipe:
         exec(readme_real_frames_recipe(), {})
         loaded, _ = D.load_dataset("runs/data/real")
         frames, _ = D.load_image_directory("frames", (32, 32))
-        assert np.array_equal(loaded.frames, np.stack([f.pixels for f in frames]))
+        assert np.array_equal(loaded.frames, np.stack(frames))
         assert loaded.frames.shape == (6, 1, 32, 32)
         assert loaded.labels.tolist() == [0, 0, 0, 1, 1, 1]
         assert run([

@@ -9,7 +9,7 @@ from distill_ssl import contrastive as C
 from distill_ssl import eval as E
 from distill_ssl import pipeline as P
 from distill_ssl import tensor as T
-from distill_ssl.augment import AugmentConfig, Frame, resize_to
+from distill_ssl.augment import AugmentConfig, resize_to
 from distill_ssl.data import generate_synthetic_dataset, target_spec
 from distill_ssl.rng import Rng
 
@@ -34,7 +34,7 @@ def toy_dataset(seed=3, per_phase=16):
 
 def per_frame_resize_features(enc, frames):
     """Every frame through resize_to, then one backbone pass: the unconditional path."""
-    stacked = np.stack([resize_to(Frame(f), enc.cfg.input_size).pixels for f in frames])
+    stacked = np.stack([resize_to(f, enc.cfg.input_size) for f in frames])
     with T.no_grad():
         return C.forward_backbone(enc, T.constant(C.center_input(stacked))).data
 
@@ -108,16 +108,33 @@ class TestExtractFeatures:
 
 class TestResize:
     @pytest.mark.parametrize("channels", [1, 3])
-    def test_other_size_frames_equal_per_frame_resize(self, channels):
+    def test_other_size_frames_equal_per_frame_resize(self, channels, monkeypatch):
         enc_cfg = C.EncoderConfig(in_channels=channels, conv_channels=(4, 6), d_backbone=12, d=8,
                                   input_size=(12, 12))
         enc = C.init_encoder(enc_cfg, Rng(channels))
         spec = target_spec(4, 3, (16, 20))
         data = generate_synthetic_dataset(replace(spec, channels=channels), 5)
+        calls = []
+
+        def counted_resize(px, size):
+            calls.append(px.shape)
+            return resize_to(px, size)
+
+        monkeypatch.setattr(E, "resize_to", counted_resize)
         fs = E.extract_features(enc, None, data, "student")
+        assert calls == [data.frames.shape]  # one call resizes the whole stack
         assert fs.features.shape == (12, enc_cfg.d_backbone)
         assert np.array_equal(fs.features, per_frame_resize_features(enc, data.frames))
         assert np.array_equal(fs.labels, data.labels)
+
+    @pytest.mark.parametrize("size", [(12, 12), (23, 29)], ids=["down", "up"])
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_stack_resize_equals_per_frame_calls_bitwise(self, channels, size):
+        frames = np.random.default_rng(channels).uniform(size=(3, channels, 16, 20))
+        got = resize_to(frames, size)
+        expected = np.stack([resize_to(f, size) for f in frames])
+        assert got.shape == (3, channels, *size)
+        assert got.tobytes() == expected.tobytes()
 
     def test_equal_size_frames_skip_resize_bitwise(self, ckpts, monkeypatch):
         a = query_encoder(ckpts[0], TOY_ENC)
