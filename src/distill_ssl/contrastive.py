@@ -298,12 +298,9 @@ def info_nce_loss(q: Tensor, k_plus: np.ndarray, queue: KeyQueue, tau: float) ->
 
 
 def _nce_from_logits(logits: Tensor, tau: float) -> Tensor:
-    u = logits.data / tau
-    umax = u.max(axis=1, keepdims=True)
-    lse = umax[:, 0] + np.log(np.exp(u - umax).sum(axis=1))
-    n = u.shape[0]
-    out = Tensor(np.float64((lse - u[:, 0]).mean()))
-    p = T.stable_softmax(u)
+    p, log_p = T.softmax_and_log(logits.data / tau)
+    n = p.shape[0]
+    out = Tensor(np.float64(-log_p[:, 0].mean()))
 
     def backward(g: np.ndarray) -> None:
         d = p.copy()
@@ -344,6 +341,12 @@ class TrainConfig:
             raise ParameterError(f"lambda must be >= 0, got {self.lam}")
         if self.steps < 0:
             raise ParameterError(f"steps must be >= 0, got {self.steps}")
+        if self.batch_size < 1:
+            raise ParameterError(f"batch_size must be >= 1, got {self.batch_size}")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ParameterError(f"momentum must be in [0, 1), got {self.momentum}")
+        if self.weight_decay < 0:
+            raise ParameterError(f"weight_decay must be >= 0, got {self.weight_decay}")
         if self.queue_size % self.batch_size != 0:
             raise ParameterError(
                 f"queue size {self.queue_size} must be a multiple of batch size {self.batch_size}"

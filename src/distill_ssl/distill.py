@@ -11,8 +11,6 @@ refers to the same key sample.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import tensor as T
@@ -31,22 +29,6 @@ from .rng import Rng
 from .tensor import ParameterError, Tensor
 
 
-@dataclass
-class SimilarityDistribution:
-    """Probabilities over {positive key, M queue keys}; index 0 is the positive."""
-
-    probs: Tensor
-
-    def __post_init__(self):
-        total = self.probs.data.sum(axis=-1)
-        if np.any(np.abs(total - 1.0) > 1e-12) or np.any(self.probs.data < 0.0):
-            raise ContractError("similarity distribution rows must be probabilities")
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.probs.data
-
-
 def teacher_adapt_step(teacher: MoCoState, batch: Batch, rng: Rng) -> float:
     """One head-adaptation step; identical to a plain contrastive step
     except that frozen backbones receive neither gradients nor updates."""
@@ -58,8 +40,8 @@ def teacher_adapt_step(teacher: MoCoState, batch: Batch, rng: Rng) -> float:
 
 def soft_targets(
     q_t: np.ndarray, k_t_plus: np.ndarray, teacher_queue: KeyQueue, tau: float
-) -> SimilarityDistribution:
-    """Tempered softmax over the teacher's key similarities; no gradients."""
+) -> np.ndarray:
+    """Log of the tempered softmax over the teacher's key similarities; no gradients."""
     if tau <= 0:
         raise ParameterError(f"temperature must be positive, got {tau}")
     q_t = np.atleast_2d(np.asarray(q_t, dtype=np.float64))
@@ -67,38 +49,38 @@ def soft_targets(
     sims = np.concatenate(
         [(q_t * k_t_plus).sum(axis=1, keepdims=True), q_t @ teacher_queue.rows.T], axis=1
     )
-    return SimilarityDistribution(Tensor(T.stable_softmax(sims / tau)))
+    return T.softmax_and_log(sims / tau)[1]
 
 
 def student_similarity_distribution(
     q: Tensor, k_plus: np.ndarray, queue: KeyQueue, tau: float
-) -> SimilarityDistribution:
-    """As soft_targets, but differentiable through the student query."""
+) -> Tensor:
+    """As soft_targets, but a recorded op, differentiable through the student query."""
+    if tau <= 0:
+        raise ParameterError(f"temperature must be positive, got {tau}")
     logits = key_similarity_logits(q, k_plus, queue)
-    return SimilarityDistribution(T.softmax_with_temperature(logits, tau))
-
-
-def kl_distillation_loss(p_t: SimilarityDistribution, p_s: SimilarityDistribution) -> Tensor:
-    """Batch-averaged KL(p_t || p_s), differentiable through p_s.
-
-    Convention 0 * ln(0/x) = 0, for the loss and its gradient alike; p_s
-    entries must be positive where p_t is (softmax output of bounded
-    similarities guarantees it).
-    """
-    pt = p_t.values
-    ps_tensor = p_s.probs
-    ps = ps_tensor.data
-    if pt.shape != ps.shape:
-        raise ContractError(f"distribution shapes differ: {pt.shape} vs {ps.shape}")
-    n = pt.shape[0] if pt.ndim == 2 else 1
-    mask = pt > 0.0
-    terms = np.zeros_like(pt)
-    np.log(np.divide(pt, ps, out=np.ones_like(pt), where=mask), out=terms, where=mask)
-    out = Tensor(np.float64((pt * terms).sum() / n))
+    p, log_p = T.softmax_and_log(logits.data / tau)
+    out = Tensor(log_p)
 
     def backward(g: np.ndarray) -> None:
-        grad = np.divide(-pt, ps, out=np.zeros_like(pt), where=mask)
-        T.accumulate(ps_tensor, grad * (float(g) / n))
+        T.accumulate(logits, (g - p * g.sum(axis=1, keepdims=True)) / tau)
+
+    T.record(out, backward)
+    return out
+
+
+def kl_distillation_loss(log_p_t: np.ndarray, log_p_s: Tensor) -> Tensor:
+    """Batch-averaged KL(p_t || p_s) from log-probabilities, differentiable
+    through log p_s.  Finite for finite inputs: an entry whose teacher
+    probability underflows to 0 adds 0 to the loss and to the gradient."""
+    if log_p_t.shape != log_p_s.data.shape:
+        raise ContractError(f"distribution shapes differ: {log_p_t.shape} vs {log_p_s.data.shape}")
+    n = log_p_t.shape[0] if log_p_t.ndim == 2 else 1
+    p_t = np.exp(log_p_t)
+    out = Tensor(np.float64((p_t * (log_p_t - log_p_s.data)).sum() / n))
+
+    def backward(g: np.ndarray) -> None:
+        T.accumulate(log_p_s, -p_t * (float(g) / n))
 
     T.record(out, backward)
     return out
@@ -126,15 +108,15 @@ def distilled_train_step(
         nonlocal teacher_keys
         q_t = encode(teacher.query, views_q)
         teacher_keys = encode(teacher.key, views_k).data
-        p_t = soft_targets(q_t.data, teacher_keys, teacher.queue, tau)
+        log_p_t = soft_targets(q_t.data, teacher_keys, teacher.queue, tau)
         if lam == 0.0:
             # Keep the recorded graph identical to plain training so a
             # zero weight reproduces it bitwise; report the value only.
             with T.no_grad():
-                p_s = student_similarity_distribution(Tensor(q.data), k_plus, student.queue, tau)
-                return None, float(kl_distillation_loss(p_t, p_s).data)
-        p_s = student_similarity_distribution(q, k_plus, student.queue, tau)
-        l_dis = kl_distillation_loss(p_t, p_s)
+                log_p_s = student_similarity_distribution(Tensor(q.data), k_plus, student.queue, tau)
+                return None, float(kl_distillation_loss(log_p_t, log_p_s).data)
+        log_p_s = student_similarity_distribution(q, k_plus, student.queue, tau)
+        l_dis = kl_distillation_loss(log_p_t, log_p_s)
         return T.scale(l_dis, lam), float(l_dis.data)
 
     result = _train_step(student, batch, rng, distill_term)

@@ -23,7 +23,6 @@ from .augment import resize_to
 from .contrastive import ContractError, EncoderParams, center_input, forward_backbone
 from .data import Dataset
 from .rng import STREAM_PROBE, Rng
-from .tensor import stable_softmax
 
 MODES = ("student", "teacher", "addition", "concatenation")
 
@@ -159,8 +158,8 @@ def fit_linear_probe(fs: FeatureSet, cfg: ProbeConfig, num_classes: int | None =
     b = np.zeros(k)
     curve = []
     for _ in range(cfg.steps):
-        p = stable_softmax(x @ w + b)
-        ce = float(-np.log(np.maximum(p[np.arange(n), y], 1e-300)).mean())
+        p, log_p = T.softmax_and_log(x @ w + b)
+        ce = float(-log_p[np.arange(n), y].mean())
         curve.append(ce + 0.5 * cfg.weight_decay * float((w * w).sum()))
         d = (p - onehot) / n
         w -= cfg.lr * (x.T @ d + cfg.weight_decay * w)

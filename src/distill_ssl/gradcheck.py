@@ -127,17 +127,18 @@ def _info_nce(rng, i, seed):
 
 
 def _distillation(rng, i, seed, lam):
-    """KL distillation loss (lam None) or combined objective (lam set), w.r.t. q."""
-    tau = 0.07 if i % 2 == 0 else 1.0
+    """KL distillation loss (lam None) or combined objective (lam set), w.r.t. q;
+    tau = 1e-3 is where p_s underflows to 0 and only log p_s stays finite."""
+    tau = (0.07, 1.0, 1e-3)[i % 3]
     q = _unit_rows(rng, (4, 8))
     kp = _unit_rows(rng, (4, 8))
     queue = _make_queue(rng, 8, 8)
     qt_teacher = _unit_rows(rng, (4, 8))
     kt_teacher = _unit_rows(rng, (4, 8))
-    p_t = soft_targets(qt_teacher, kt_teacher, _make_queue(rng, 8, 8), tau)
+    log_p_t = soft_targets(qt_teacher, kt_teacher, _make_queue(rng, 8, 8), tau)
 
     def objective(q):
-        l_dis = kl_distillation_loss(p_t, student_similarity_distribution(q, kp, queue, tau))
+        l_dis = kl_distillation_loss(log_p_t, student_similarity_distribution(q, kp, queue, tau))
         if lam is None:
             return l_dis
         return T.add(info_nce_loss(q, kp, queue, tau), T.scale(l_dis, lam))

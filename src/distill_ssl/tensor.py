@@ -295,7 +295,7 @@ def softmax_with_temperature(z: Tensor, tau: float) -> Tensor:
         raise ParameterError(f"temperature must be positive, got {tau}")
     if z.data.ndim not in (1, 2):
         raise ShapeError(f"softmax expects a vector or row batch, got {z.data.shape}")
-    p = stable_softmax(z.data / tau)
+    p = softmax_and_log(z.data / tau)[0]
     out = Tensor(p)
 
     def backward(g: np.ndarray) -> None:
@@ -306,11 +306,16 @@ def softmax_with_temperature(z: Tensor, tau: float) -> Tensor:
     return out
 
 
-def stable_softmax(u: np.ndarray) -> np.ndarray:
-    """exp(u - max) / sum, the shared numerically safe softmax kernel."""
-    shifted = u - u.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+def softmax_and_log(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rowwise softmax of u and its log, both from one exp(u - max).
+
+    The log is u - logsumexp(u), finite wherever u is, even where the
+    probability underflows to 0: the package's one softmax kernel.
+    """
+    umax = u.max(axis=-1, keepdims=True)
+    e = np.exp(u - umax)
+    s = e.sum(axis=-1, keepdims=True)
+    return e / s, u - (umax + np.log(s))
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:

@@ -354,3 +354,11 @@ class TestTrainConfigValidation:
             toy_cfg(distill_tau=0.0)
         with pytest.raises(T.ParameterError, match="steps"):
             toy_cfg(steps=-1)
+        for bad in (0, -32):
+            with pytest.raises(T.ParameterError, match="batch_size"):
+                toy_cfg(batch_size=bad)
+        for bad in (-0.1, 1.0, 1.5):
+            with pytest.raises(T.ParameterError, match="momentum"):
+                toy_cfg(momentum=bad)
+        with pytest.raises(T.ParameterError, match="weight_decay"):
+            toy_cfg(weight_decay=-1e-4)

@@ -181,16 +181,16 @@ class TestSoftTargets:
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(0)
         queue = self.make_queue(unit_rows(rng, (8, 5)))
-        p = K.soft_targets(unit_rows(rng, (4, 5)), unit_rows(rng, (4, 5)), queue, 0.07)
-        assert np.abs(p.values.sum(axis=1) - 1.0).max() <= 1e-12
+        log_p = K.soft_targets(unit_rows(rng, (4, 5)), unit_rows(rng, (4, 5)), queue, 0.07)
+        assert np.abs(np.exp(log_p).sum(axis=1) - 1.0).max() <= 1e-12
 
     def test_equal_similarities_uniform(self):
         d = 5
         v = np.zeros((1, d))
         v[0, 0] = 1.0
         queue = self.make_queue(np.tile(v, (4, 1)))
-        p = K.soft_targets(v, v, queue, 0.07)
-        assert np.abs(p.values - 1.0 / 5.0).max() <= 1e-12
+        log_p = K.soft_targets(v, v, queue, 0.07)
+        assert np.abs(np.exp(log_p) - 1.0 / 5.0).max() <= 1e-12
 
     def test_closed_form_three_way(self):
         # sims [1, 0, 0] at tau=1: [e, 1, 1] / (e + 2)
@@ -198,9 +198,9 @@ class TestSoftTargets:
         q = np.array([[1.0, 0.0, 0.0]])
         rows = np.eye(3)[1:]
         queue = self.make_queue(rows)
-        p = K.soft_targets(q, q, queue, 1.0)
+        log_p = K.soft_targets(q, q, queue, 1.0)
         e = math.e
-        assert np.allclose(p.values[0], [e / (e + 2), 1 / (e + 2), 1 / (e + 2)], atol=1e-12)
+        assert np.allclose(np.exp(log_p[0]), [e / (e + 2), 1 / (e + 2), 1 / (e + 2)], atol=1e-12)
 
     def test_bad_tau(self):
         queue = self.make_queue(np.eye(2))
@@ -208,17 +208,55 @@ class TestSoftTargets:
             K.soft_targets(np.eye(2)[:1], np.eye(2)[:1], queue, -1.0)
 
 
+def log_dist(probs):
+    """Log-probabilities of a probability row batch, as the KL takes them."""
+    return np.log(np.asarray(probs, dtype=np.float64))
+
+
+def kl(log_p_t, log_p_s):
+    return float(K.kl_distillation_loss(log_p_t, T.Tensor(log_p_s)).data)
+
+
+def kl_gradient_error(seed, n, d, m, tau):
+    """KL of random unit rows at tau and its gradient's error against
+    finite differences, relative to the larger gradient."""
+    rng = np.random.default_rng(seed)
+    q0 = unit_rows(rng, (n, d))
+    kp = unit_rows(rng, (n, d))
+    queue = C.KeyQueue(m, d)
+    queue.push(unit_rows(rng, (m, d)))
+    tq = C.KeyQueue(m, d)
+    tq.push(unit_rows(rng, (m, d)))
+    log_p_t = K.soft_targets(unit_rows(rng, (n, d)), unit_rows(rng, (n, d)), tq, tau)
+
+    qt = T.parameter(q0.copy())
+    graph = T.Graph()
+    with graph:
+        log_p_s = K.student_similarity_distribution(qt, kp, queue, tau)
+        loss = K.kl_distillation_loss(log_p_t, log_p_s)
+    graph.backward(loss)
+
+    def f(x):
+        with T.no_grad():
+            log_p = K.student_similarity_distribution(T.Tensor(x), kp, queue, tau)
+            return float(K.kl_distillation_loss(log_p_t, log_p).data)
+
+    fd = T.finite_diff_gradient(f, q0.copy())
+    scale = max(np.abs(qt.grad).max(), np.abs(fd).max(), 1e-12)
+    return float(loss.data), np.abs(qt.grad - fd).max() / scale
+
+
 class TestKlDistillationLoss:
     def test_identical_distributions_zero(self):
-        p = K.SimilarityDistribution(T.Tensor(np.array([[0.2, 0.3, 0.5]])))
-        q = K.SimilarityDistribution(T.Tensor(np.array([[0.2, 0.3, 0.5]])))
-        assert abs(float(K.kl_distillation_loss(p, q).data)) <= 1e-12
+        p = log_dist([[0.2, 0.3, 0.5]])
+        q = log_dist([[0.2, 0.3, 0.5]])
+        assert abs(kl(p, q)) <= 1e-12
 
     def test_hand_case(self):
-        p = K.SimilarityDistribution(T.Tensor(np.array([[0.5, 0.5]])))
-        q = K.SimilarityDistribution(T.Tensor(np.array([[0.25, 0.75]])))
+        p = log_dist([[0.5, 0.5]])
+        q = log_dist([[0.25, 0.75]])
         expected = 0.5 * math.log(2.0) + 0.5 * math.log(2.0 / 3.0)
-        assert abs(float(K.kl_distillation_loss(p, q).data) - expected) <= 1e-12
+        assert abs(kl(p, q) - expected) <= 1e-12
         assert abs(expected - 0.14384) <= 1e-5
 
     def test_nonnegativity_random_pairs(self):
@@ -226,9 +264,7 @@ class TestKlDistillationLoss:
         for _ in range(1000):
             a = rng.uniform(0.01, 1.0, size=7)
             b = rng.uniform(0.01, 1.0, size=7)
-            p = K.SimilarityDistribution(T.Tensor((a / a.sum())[None]))
-            q = K.SimilarityDistribution(T.Tensor((b / b.sum())[None]))
-            assert float(K.kl_distillation_loss(p, q).data) >= -1e-15
+            assert kl(log_dist((a / a.sum())[None]), log_dist((b / b.sum())[None])) >= -1e-15
 
     def test_zero_iff_equal(self):
         rng = np.random.default_rng(2)
@@ -237,59 +273,52 @@ class TestKlDistillationLoss:
         b = a.copy()
         b[0] += 0.05
         b[1] -= 0.05
-        p = K.SimilarityDistribution(T.Tensor(a[None]))
-        q = K.SimilarityDistribution(T.Tensor(b[None]))
-        assert float(K.kl_distillation_loss(p, q).data) > 1e-12
-        assert float(K.kl_distillation_loss(p, p).data) <= 1e-12
+        p = log_dist(a[None])
+        q = log_dist(b[None])
+        assert kl(p, q) > 1e-12
+        assert kl(p, p) <= 1e-12
 
     def test_zero_teacher_mass_convention(self):
-        p = K.SimilarityDistribution(T.Tensor(np.array([[0.0, 1.0]])))
-        q = K.SimilarityDistribution(T.Tensor(np.array([[0.5, 0.5]])))
-        assert abs(float(K.kl_distillation_loss(p, q).data) - math.log(2.0)) <= 1e-12
+        # a teacher log-probability of -1e4 is a probability of exactly 0
+        p = np.array([[-1e4, 0.0]])
+        assert np.exp(p)[0, 0] == 0.0
+        q = log_dist([[0.5, 0.5]])
+        assert abs(kl(p, q) - math.log(2.0)) <= 1e-12
 
     def test_zero_mass_in_both_gives_zero_gradient(self):
-        # 0 * ln(0/0) is 0 in the loss, so its gradient entry is 0 too, not -0/0
-        p_t = K.SimilarityDistribution(T.Tensor(np.array([[1.0, 0.0]])))
-        ps = T.parameter(np.array([[1.0, 0.0]]))
+        # 0 * (log 0 - log 0) is 0 in the loss, and its gradient entry is 0 too
+        log_p_t = np.array([[0.0, -1e4]])
+        log_ps = T.parameter(np.array([[0.0, -1e4]]))
         graph = T.Graph()
         with graph:
-            loss = K.kl_distillation_loss(p_t, K.SimilarityDistribution(ps))
+            loss = K.kl_distillation_loss(log_p_t, log_ps)
         graph.backward(loss)
         assert float(loss.data) == 0.0
-        np.testing.assert_array_equal(ps.grad, [[-1.0, 0.0]])
+        np.testing.assert_array_equal(log_ps.grad, [[-1.0, 0.0]])
 
     def test_length_mismatch_rejected(self):
-        p = K.SimilarityDistribution(T.Tensor(np.array([[0.5, 0.5]])))
-        q = K.SimilarityDistribution(T.Tensor(np.array([[0.2, 0.3, 0.5]])))
+        p = log_dist([[0.5, 0.5]])
+        q = log_dist([[0.2, 0.3, 0.5]])
         with pytest.raises(C.ContractError):
-            K.kl_distillation_loss(p, q)
+            kl(p, q)
 
     def test_gradient_matches_finite_differences(self):
-        rng = np.random.default_rng(3)
-        n, d, m = 3, 6, 4
-        q0 = unit_rows(rng, (n, d))
-        kp = unit_rows(rng, (n, d))
-        queue = C.KeyQueue(m, d)
-        queue.push(unit_rows(rng, (m, d)))
-        tq = C.KeyQueue(m, d)
-        tq.push(unit_rows(rng, (m, d)))
-        p_t = K.soft_targets(unit_rows(rng, (n, d)), unit_rows(rng, (n, d)), tq, 0.07)
+        _, err = kl_gradient_error(3, n=3, d=6, m=4, tau=0.07)
+        assert err <= 1e-5
 
-        qt = T.parameter(q0.copy())
-        graph = T.Graph()
-        with graph:
-            p_s = K.student_similarity_distribution(qt, kp, queue, 0.07)
-            loss = K.kl_distillation_loss(p_t, p_s)
-        graph.backward(loss)
+    def test_finite_where_student_probabilities_underflow(self):
+        # At tau = 1e-3, p_s of random unit queue keys underflows to exactly
+        # 0 where p_t is not 0; the KL taken from log-probabilities, and its
+        # gradient, stay finite and match finite differences.
+        loss, err = kl_gradient_error(5, n=4, d=8, m=16, tau=1e-3)
+        assert math.isfinite(loss) and loss > 0.0
+        assert err <= 1e-5
 
-        def f(x):
-            with T.no_grad():
-                p = K.student_similarity_distribution(T.Tensor(x), kp, queue, 0.07)
-                return float(K.kl_distillation_loss(p_t, p).data)
-
-        fd = T.finite_diff_gradient(f, q0.copy())
-        scale = max(np.abs(qt.grad).max(), np.abs(fd).max(), 1e-12)
-        assert np.abs(qt.grad - fd).max() / scale <= 1e-5
+    def test_student_rejects_bad_tau(self):
+        queue = C.KeyQueue(2, 2)
+        queue.push(np.eye(2))
+        with pytest.raises(T.ParameterError):
+            K.student_similarity_distribution(T.Tensor(np.eye(2)[:1]), np.eye(2)[:1], queue, 0.0)
 
     def test_one_hot_teacher_recovers_cross_entropy(self):
         # With a one-hot target at the positive, the KL equals the InfoNCE
@@ -300,34 +329,41 @@ class TestKlDistillationLoss:
         kp = unit_rows(rng, (n, d))
         queue = C.KeyQueue(m, d)
         queue.push(unit_rows(rng, (m, d)))
-        onehot = np.zeros((n, m + 1))
-        onehot[:, 0] = 1.0
-        p_t = K.SimilarityDistribution(T.Tensor(onehot))
+        log_onehot = np.full((n, m + 1), -1e4)  # exp(-1e4) is exactly 0
+        log_onehot[:, 0] = 0.0
         with T.no_grad():
-            p_s = K.student_similarity_distribution(T.Tensor(q), kp, queue, 0.07)
-            kl = float(K.kl_distillation_loss(p_t, p_s).data)
+            log_p_s = K.student_similarity_distribution(T.Tensor(q), kp, queue, 0.07)
+            kl_value = float(K.kl_distillation_loss(log_onehot, log_p_s).data)
             nce = float(C.info_nce_loss(T.Tensor(q), kp, queue, 0.07).data)
-        assert abs(kl - nce) <= 1e-10
+        assert abs(kl_value - nce) <= 1e-10
 
 
-def build_pair(tmp_path, seed=7, lam=5.0, distill_tau=None):
-    """Student state plus an adapted toy teacher, queues synchronized."""
-    cfg = toy_cfg(seed=seed, lam=lam, steps=5, distill_tau=distill_tau)
-    frames = toy_dataset().frames
+def train_teacher(tmp_path, cfg):
+    """Checkpoint path of a toy teacher adapted from a toy generic model."""
     run_g = P.pretrain(toy_dataset(11), TOY_ENC, cfg)
     gpath = tmp_path / "gen"
     P.save_model(run_g.state, gpath)
     run_t = P.adapt_teacher(toy_dataset(), gpath, TOY_ENC, cfg)
     tpath = tmp_path / "teach"
     P.save_model(run_t.state, tpath)
+    return tpath
 
-    stream = BatchStream(frames, cfg.batch_size, cfg.seed)
+
+def pair_from(tpath, cfg):
+    """Fresh student plus the teacher at tpath, queues warmed in sync."""
+    stream = BatchStream(toy_dataset().frames, cfg.batch_size, cfg.seed)
     rng = Rng(cfg.seed)
     student = C.init_moco_state(TOY_ENC, cfg, rng)
     encoders = C.load_encoders(tpath, TOY_ENC, freeze_backbone=True)
     teacher = C.MoCoState(*encoders, C.KeyQueue(cfg.queue_size, TOY_ENC.d), cfg)
     C.warm_up_queue(student, stream, rng, teacher)
     return student, teacher, stream, rng
+
+
+def build_pair(tmp_path, seed=7, lam=5.0, distill_tau=None):
+    """Student state plus an adapted toy teacher, queues synchronized."""
+    cfg = toy_cfg(seed=seed, lam=lam, steps=5, distill_tau=distill_tau)
+    return pair_from(train_teacher(tmp_path, cfg), cfg)
 
 
 class TestDistilledTrainStep:
@@ -408,19 +444,47 @@ def state_snapshot(state):
     return params, state.queue.rows.copy(), state.queue.ptr, state.step_count
 
 
+@pytest.fixture(scope="module")
+def shared_teacher(tmp_path_factory):
+    return train_teacher(tmp_path_factory.mktemp("teacher"), toy_cfg(steps=5))
+
+
+@pytest.mark.parametrize("m", [0.0, 0.999])
+@pytest.mark.parametrize("lam", [0.0, 100.0])
+@pytest.mark.parametrize("distill_tau", [1e-4, 1e-3, 10.0])
+@pytest.mark.parametrize("tau", [1e-4, 1e-3, 10.0])
+def test_losses_and_parameters_finite_across_accepted_range(shared_teacher, tau, distill_tau, lam, m):
+    cfg = toy_cfg(tau=tau, distill_tau=distill_tau, lam=lam, m=m, steps=4)
+    student, teacher, stream, rng = pair_from(shared_teacher, cfg)
+    for _ in range(4):
+        res = K.distilled_train_step(student, teacher, stream.next_batch(), rng)
+        assert all(math.isfinite(v) for v in (res.l_con, res.l_dis, res.total))
+    for enc in (student.query, student.key):
+        for ps in (enc.backbone, enc.head):
+            for name, t in ps.items():
+                assert np.isfinite(t.data).all(), name
+    assert np.isfinite(student.queue.rows).all()
+
+
+def state_snapshot(state):
+    params = [
+        t.data.copy()
+        for enc in (state.query, state.key)
+        for ps in (enc.backbone, enc.head)
+        for _, t in ps.items()
+    ]
+    return params, state.queue.rows.copy(), state.queue.ptr, state.step_count
+
+
 class TestNonFiniteLoss:
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the KL divides by p_s == 0
-    def test_infinite_kl_raises_before_any_update(self, tmp_path):
-        student, teacher, stream, rng = build_pair(tmp_path, distill_tau=1e-3)
+    def test_non_finite_kl_raises_before_any_update(self, tmp_path):
+        student, teacher, stream, rng = build_pair(tmp_path)
         K.distilled_train_step(student, teacher, stream.next_batch(), rng)
-        # The KL underflow: at distill_tau=1e-3 and random unit queue keys,
-        # p_s is exactly 0 where p_t is not, so KL(p_t || p_s) is inf.
-        keys = np.random.default_rng(0)
-        student.queue.rows[:] = unit_rows(keys, student.queue.rows.shape)
-        teacher.queue.rows[:] = unit_rows(keys, teacher.queue.rows.shape)
+        # One NaN teacher key makes every teacher log-probability NaN.
+        teacher.queue.rows[0] = np.nan
         before = state_snapshot(student)
         teacher_queue = teacher.queue.rows.copy()
-        with pytest.raises(C.NonFiniteLossError, match=r"^l_dis is inf at step 1$"):
+        with pytest.raises(C.NonFiniteLossError, match=r"^l_dis is nan at step 1$"):
             K.distilled_train_step(student, teacher, stream.next_batch(), rng)
         after = state_snapshot(student)
         for a, b in zip(before[0], after[0]):
@@ -428,5 +492,5 @@ class TestNonFiniteLoss:
         assert np.array_equal(before[1], after[1])
         assert after[2:] == before[2:]
         assert student.step_count == 1
-        assert np.array_equal(teacher.queue.rows, teacher_queue)
+        assert np.array_equal(teacher.queue.rows, teacher_queue, equal_nan=True)
         assert teacher.queue.ptr == student.queue.ptr
