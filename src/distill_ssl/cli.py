@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .augment import AugmentConfig
@@ -160,16 +161,19 @@ def resolve_config(args: argparse.Namespace) -> dict:
     return config
 
 
-def _int_list(raw: str) -> list[int]:
-    return [int(tok) for tok in str(raw).split(",") if tok.strip() != ""]
-
-
-def _float_list(raw: str) -> list[float]:
-    return [float(tok) for tok in str(raw).split(",") if tok.strip() != ""]
+def _list(cfg: dict, key: str, kind) -> list:
+    """A comma-separated config value as a non-empty list of ``kind``."""
+    try:
+        values = [kind(tok) for tok in str(cfg[key]).split(",") if tok.strip() != ""]
+    except ValueError:
+        values = []
+    if not values:
+        raise CliError(f"{key} must be a comma-separated list of {kind.__name__}s, got {cfg[key]!r}")
+    return values
 
 
 def encoder_config(cfg: dict) -> EncoderConfig:
-    channels = tuple(_int_list(cfg["conv_channels"]))
+    channels = tuple(_list(cfg, "conv_channels", int))
     if len(channels) != 2:
         raise CliError(f"conv_channels must name two layers, got {cfg['conv_channels']!r}")
     return EncoderConfig(
@@ -243,8 +247,8 @@ def _write_provenance(out: Path, command: str, cfg: dict) -> None:
 
 def _write_train_metrics(out: Path, run: pipeline.TrainRun) -> None:
     lines = ["step,loss,l_con,l_dis"]
-    for i, (total, lc, ld) in enumerate(zip(run.losses, run.l_con, run.l_dis)):
-        lines.append(f"{i},{total!r},{lc!r},{ld!r}")
+    for i, r in enumerate(run.steps):
+        lines.append(f"{i},{r.total!r},{r.l_con!r},{r.l_dis!r}")
     (out / "metrics.csv").write_text("\n".join(lines) + "\n")
 
 
@@ -281,8 +285,8 @@ def _run_training(cfg: dict, command: str, run_fn) -> int:
     pipeline.save_model(run.state, out / "checkpoint",
                         config={"encoder": encoder_config(cfg).to_dict(), "seed": cfg["seed"]})
     _write_provenance(out, command, cfg)
-    losses = f", loss {run.losses[0]:.4f} -> {run.losses[-1]:.4f}" if run.losses else ""
-    _progress(f"{command}: {len(run.losses)} steps{losses}")
+    losses = f", loss {run.steps[0].total:.4f} -> {run.steps[-1].total:.4f}" if run.steps else ""
+    _progress(f"{command}: {len(run.steps)} steps{losses}")
     return 0
 
 
@@ -331,6 +335,7 @@ def cmd_linear_probe(cfg: dict) -> int:
         _require(cfg, "linear-probe", "ckpt")
     if mode in ("teacher", "addition", "concatenation"):
         _require(cfg, "linear-probe", "teacher")
+    probe_seeds = _list(cfg, "probe_seeds", int)
     out = _out_dir(cfg, "linear-probe")
     enc_cfg = encoder_config(cfg)
     dataset, _ = load_dataset(cfg["data"])
@@ -341,15 +346,11 @@ def cmd_linear_probe(cfg: dict) -> int:
     ftr = extract_features(student, teacher, train_set, mode)
     fte = extract_features(student, teacher, test_set, mode)
     rows = []
-    for seed in _int_list(cfg["probe_seeds"]):
+    for seed in probe_seeds:
         probe = fit_linear_probe(ftr, probe_config(cfg, cfg["label_fraction"], seed), num_classes)
         metrics = compute_phase_metrics(probe.predict(fte.features), fte.labels, num_classes)
-        rows.append({
-            "encoder": mode, "mode": mode,
-            "fraction": cfg["label_fraction"], "seed": seed,
-            "accuracy": metrics.accuracy, "precision": metrics.precision,
-            "recall": metrics.recall, "jaccard": metrics.jaccard,
-        })
+        rows.append({"encoder": mode, "mode": mode, "fraction": cfg["label_fraction"],
+                     "seed": seed, **asdict(metrics)})
         _progress(f"linear-probe: seed {seed} accuracy {metrics.accuracy:.4f}")
     write_results_csv(rows, out / "metrics.csv")
     _write_provenance(out, "linear-probe", cfg)
@@ -358,6 +359,7 @@ def cmd_linear_probe(cfg: dict) -> int:
 
 def cmd_sweep_labels(cfg: dict) -> int:
     _require(cfg, "sweep-labels", "data", "out")
+    fractions, probe_seeds = _list(cfg, "fractions", float), _list(cfg, "probe_seeds", int)
     out = _out_dir(cfg, "sweep-labels")
     enc_cfg = encoder_config(cfg)
     dataset, _ = load_dataset(cfg["data"])
@@ -387,12 +389,7 @@ def cmd_sweep_labels(cfg: dict) -> int:
                        "(--teacher/--plain/--distilled/--init-student)")
     train_set, test_set = split_dataset(dataset, cfg["holdout_fraction"], seed=cfg["seed"])
     rows, summary = label_efficiency_sweep(
-        encoders,
-        _float_list(cfg["fractions"]),
-        _int_list(cfg["probe_seeds"]),
-        train_set,
-        test_set,
-        num_classes,
+        encoders, fractions, probe_seeds, train_set, test_set, num_classes,
         probe=probe_config(cfg, 1.0, 0),
     )
     write_results_csv(rows, out / "metrics.csv")

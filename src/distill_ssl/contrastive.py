@@ -84,10 +84,6 @@ class EncoderParams:
         self.backbone.copy_from(other.backbone)
         self.head.copy_from(other.head)
 
-    def zero_grad(self) -> None:
-        self.backbone.zero_grad()
-        self.head.zero_grad()
-
 
 def load_encoders(
     path, enc_cfg: EncoderConfig, sides=("query", "key"), freeze_backbone: bool = False
@@ -413,9 +409,9 @@ def _assert_zero_grads(ps: ParamSet, what: str) -> None:
             raise ContractError(f"{what} parameter {name!r} received gradient")
 
 
-def moco_train_step(state: MoCoState, batch: Batch, rng: Rng) -> float:
-    """One contrastive step; returns the InfoNCE loss value."""
-    return _train_step(state, batch, rng).l_con
+def moco_train_step(state: MoCoState, batch: Batch, rng: Rng) -> StepResult:
+    """One contrastive step; ``l_dis`` is 0 and ``total`` is the InfoNCE loss."""
+    return _train_step(state, batch, rng)
 
 
 def _train_step(state: MoCoState, batch: Batch, rng: Rng, extra_loss=None) -> StepResult:

@@ -29,13 +29,13 @@ from .rng import Rng
 from .tensor import ParameterError, Tensor
 
 
-def teacher_adapt_step(teacher: MoCoState, batch: Batch, rng: Rng) -> float:
+def teacher_adapt_step(teacher: MoCoState, batch: Batch, rng: Rng) -> StepResult:
     """One head-adaptation step; identical to a plain contrastive step
     except that frozen backbones receive neither gradients nor updates."""
     result = _train_step(teacher, batch, rng)
     if teacher.query.backbone.frozen:
         _assert_zero_grads(teacher.query.backbone, "teacher backbone")
-    return result.l_con
+    return result
 
 
 def soft_targets(

@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -62,7 +62,6 @@ class Metrics:
     precision: float
     recall: float
     jaccard: float
-    per_class: list[dict]
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +175,7 @@ def compute_phase_metrics(preds, labels, num_classes: int) -> Metrics:
 
     A class with neither instances nor predictions is excluded from the
     means.  A class with instances but no predictions has undefined
-    precision; it is scored 0 and flagged in the per-class breakdown.
+    precision; it is scored 0.
     """
     preds = np.asarray(preds, dtype=np.int64)
     labels = np.asarray(labels, dtype=np.int64)
@@ -187,37 +186,16 @@ def compute_phase_metrics(preds, labels, num_classes: int) -> Metrics:
     if preds.min() < 0 or preds.max() >= num_classes or labels.min() < 0 or labels.max() >= num_classes:
         raise ContractError(f"class values outside [0, {num_classes})")
     accuracy = float((preds == labels).mean())
-    per_class = []
     precisions, recalls, jaccards = [], [], []
     for cls in range(num_classes):
         tp = int(((preds == cls) & (labels == cls)).sum())
         fp = int(((preds == cls) & (labels != cls)).sum())
         fn = int(((preds != cls) & (labels == cls)).sum())
         if tp + fp + fn == 0:
-            per_class.append({"class": cls, "tp": 0, "fp": 0, "fn": 0, "excluded": True})
             continue
-        precision_defined = (tp + fp) > 0
-        recall_defined = (tp + fn) > 0
-        precision = tp / (tp + fp) if precision_defined else 0.0
-        recall = tp / (tp + fn) if recall_defined else 0.0
-        jaccard = tp / (tp + fp + fn)
-        per_class.append(
-            {
-                "class": cls,
-                "tp": tp,
-                "fp": fp,
-                "fn": fn,
-                "precision": precision,
-                "recall": recall,
-                "jaccard": jaccard,
-                "precision_defined": precision_defined,
-                "recall_defined": recall_defined,
-                "excluded": False,
-            }
-        )
-        precisions.append(precision)
-        recalls.append(recall)
-        jaccards.append(jaccard)
+        precisions.append(tp / (tp + fp) if tp + fp > 0 else 0.0)
+        recalls.append(tp / (tp + fn) if tp + fn > 0 else 0.0)
+        jaccards.append(tp / (tp + fp + fn))
     if not precisions:
         raise ContractError("no class had instances or predictions")
     return Metrics(
@@ -225,7 +203,6 @@ def compute_phase_metrics(preds, labels, num_classes: int) -> Metrics:
         precision=float(np.mean(precisions)),
         recall=float(np.mean(recalls)),
         jaccard=float(np.mean(jaccards)),
-        per_class=per_class,
     )
 
 
@@ -247,6 +224,8 @@ def split_dataset(
     dataset: Dataset, holdout_fraction: float = 0.5, seed: int = 0
 ) -> tuple[Dataset, Dataset]:
     """Stratified train/holdout split, deterministic in the seed."""
+    if not 0.0 < holdout_fraction < 1.0:
+        raise ValueError(f"holdout_fraction must be in (0, 1), got {holdout_fraction}")
     labels = dataset.labels
     rng = Rng(seed).derive(STREAM_PROBE, 0xFACE)
     train_idx, test_idx = [], []
@@ -289,16 +268,8 @@ def label_efficiency_sweep(
                 model = fit_linear_probe(fs_train, cfg, num_classes)
                 m = compute_phase_metrics(model.predict(fs_test.features), fs_test.labels, num_classes)
                 rows.append(
-                    {
-                        "encoder": enc.name,
-                        "mode": enc.mode,
-                        "fraction": fraction,
-                        "seed": seed,
-                        "accuracy": m.accuracy,
-                        "precision": m.precision,
-                        "recall": m.recall,
-                        "jaccard": m.jaccard,
-                    }
+                    {"encoder": enc.name, "mode": enc.mode, "fraction": fraction, "seed": seed,
+                     **asdict(m)}
                 )
                 accs.append(m.accuracy)
             summary[enc.name][str(fraction)] = {
@@ -313,7 +284,7 @@ def label_efficiency_sweep(
 # result emission
 
 
-RESULT_FIELDS = ("encoder", "mode", "fraction", "seed", "accuracy", "precision", "recall", "jaccard")
+RESULT_FIELDS = ("encoder", "mode", "fraction", "seed", *(f.name for f in fields(Metrics)))
 
 
 def write_results_csv(rows: list[dict], path) -> None:

@@ -1,9 +1,10 @@
 """Stage orchestration: pretraining runs, teacher adaptation, probing.
 
-Each stage is a pure function of (inputs, config, seed) and returns its
-loss history plus the trained state; the CLI persists checkpoints and
-metrics.  Distilled and plain student training share the same batch and
-augmentation streams, so they are bitwise comparable.
+Each stage is a pure function of (inputs, config, seed) and returns one
+``StepResult`` per step plus the trained state; the CLI persists
+checkpoints and metrics.  Every stage runs through ``_run``, one
+warm-up-and-step loop, so distilled and plain student training share the
+same batch and augmentation streams and are bitwise comparable.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from .contrastive import (
     EncoderConfig,
     KeyQueue,
     MoCoState,
+    StepResult,
     TrainConfig,
     init_moco_state,
     load_encoders,
@@ -27,14 +29,28 @@ from .rng import Rng
 
 @dataclass
 class TrainRun:
-    losses: list[float]  # per-step total loss
-    l_con: list[float]
-    l_dis: list[float]
+    steps: list[StepResult]
     state: MoCoState
 
 
-def _stream_and_rng(dataset: Dataset, cfg: TrainConfig):
-    return BatchStream(dataset.frames, cfg.batch_size, cfg.seed), Rng(cfg.seed)
+def _run(dataset: Dataset, state: MoCoState, step, teacher: MoCoState | None = None) -> TrainRun:
+    """Warm the queue(s), then ``cfg.steps`` calls of ``step(state, batch, rng)``.
+
+    The stages pass the step functions they read from this module's
+    globals when they run, never bound at import time, so a replaced
+    module attribute (the benchmark's stage hooks) takes effect.
+    """
+    cfg = state.cfg
+    stream, rng = BatchStream(dataset.frames, cfg.batch_size, cfg.seed), Rng(cfg.seed)
+    warm_up_queue(state, stream, rng, teacher)
+    return TrainRun([step(state, stream.next_batch(), rng) for _ in range(cfg.steps)], state)
+
+
+def _loaded_state(
+    path, enc_cfg: EncoderConfig, cfg: TrainConfig, sides=("query", "key"), freeze_backbone=False
+) -> MoCoState:
+    encoders = load_encoders(path, enc_cfg, sides, freeze_backbone)
+    return MoCoState(*encoders, KeyQueue(cfg.queue_size, enc_cfg.d), cfg)
 
 
 def pretrain(
@@ -45,17 +61,11 @@ def pretrain(
 ) -> TrainRun:
     """Plain momentum-contrastive pretraining; optionally initialized from
     a checkpoint (the teacher-initialization transfer arm)."""
-    stream, rng = _stream_and_rng(dataset, cfg)
     if init_from is not None:
-        encoders = load_encoders(init_from, enc_cfg)
-        state = MoCoState(*encoders, KeyQueue(cfg.queue_size, enc_cfg.d), cfg)
+        state = _loaded_state(init_from, enc_cfg, cfg)
     else:
-        state = init_moco_state(enc_cfg, cfg, rng)
-    warm_up_queue(state, stream, rng)
-    losses = []
-    for _ in range(cfg.steps):
-        losses.append(moco_train_step(state, stream.next_batch(), rng))
-    return TrainRun(losses, losses, [0.0] * len(losses), state)
+        state = init_moco_state(enc_cfg, cfg, Rng(cfg.seed))
+    return _run(dataset, state, moco_train_step)
 
 
 def adapt_teacher(
@@ -69,14 +79,8 @@ def adapt_teacher(
 
     Query and key both start as the checkpoint's query encoder.
     """
-    stream, rng = _stream_and_rng(dataset, cfg)
-    encoders = load_encoders(generic_ckpt, enc_cfg, ("query", "query"), freeze_backbone)
-    teacher = MoCoState(*encoders, KeyQueue(cfg.queue_size, enc_cfg.d), cfg)
-    warm_up_queue(teacher, stream, rng)
-    losses = []
-    for _ in range(cfg.steps):
-        losses.append(teacher_adapt_step(teacher, stream.next_batch(), rng))
-    return TrainRun(losses, losses, [0.0] * len(losses), teacher)
+    teacher = _loaded_state(generic_ckpt, enc_cfg, cfg, ("query", "query"), freeze_backbone)
+    return _run(dataset, teacher, teacher_adapt_step)
 
 
 def pretrain_distilled(
@@ -87,18 +91,9 @@ def pretrain_distilled(
 ) -> TrainRun:
     """Distilled student training: both queues warm on the same sample
     stream, then every step pushes paired keys."""
-    stream, rng = _stream_and_rng(dataset, cfg)
-    student = init_moco_state(enc_cfg, cfg, rng)
-    encoders = load_encoders(teacher_ckpt, enc_cfg, freeze_backbone=True)
-    teacher = MoCoState(*encoders, KeyQueue(cfg.queue_size, enc_cfg.d), cfg)
-    warm_up_queue(student, stream, rng, teacher)
-    losses, cons, diss = [], [], []
-    for _ in range(cfg.steps):
-        res = distilled_train_step(student, teacher, stream.next_batch(), rng)
-        losses.append(res.total)
-        cons.append(res.l_con)
-        diss.append(res.l_dis)
-    return TrainRun(losses, cons, diss, student)
+    student = init_moco_state(enc_cfg, cfg, Rng(cfg.seed))
+    teacher = _loaded_state(teacher_ckpt, enc_cfg, cfg, freeze_backbone=True)
+    return _run(dataset, student, lambda s, b, r: distilled_train_step(s, teacher, b, r), teacher)
 
 
 def save_model(state: MoCoState, path, config: dict | None = None) -> None:

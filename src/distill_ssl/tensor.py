@@ -389,9 +389,6 @@ class ParamSet:
             if t.grad is None:
                 t.grad = np.zeros_like(t.data)
 
-    def names(self) -> list[str]:
-        return list(self._params)
-
     def items(self):
         return self._params.items()
 
@@ -403,10 +400,6 @@ class ParamSet:
 
     def __len__(self) -> int:
         return len(self._params)
-
-    def zero_grad(self) -> None:
-        for t in self._params.values():
-            t.zero_grad()
 
     def shapes(self) -> dict[str, tuple[int, ...]]:
         return {name: t.data.shape for name, t in self._params.items()}

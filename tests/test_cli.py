@@ -361,6 +361,62 @@ class TestStages:
         rows = outputs[0].decode().splitlines()[1:]
         assert {row.split(",")[0] for row in rows} == {"addition"}
 
+    @pytest.mark.parametrize(
+        "args, named",
+        (
+            (["--mode", "nonsense"], "mode must be one of"),
+            (["--mode", "student"], "--ckpt"),
+            (["--mode", "teacher"], "--teacher"),
+            (["--mode", "addition", "--ckpt", "ckpt"], "--teacher"),
+        ),
+    )
+    def test_linear_probe_mode_rules(self, args, named, data_dir, tmp_path, capsys):
+        code = run(["linear-probe", "--data", str(data_dir / "target"),
+                    "--out", str(tmp_path / "probe"), *args])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "usage:" in err and named in err
+
+    def test_linear_probe_rejects_holdout_fraction_above_one(
+        self, small_config, data_dir, teacher_ckpt, tmp_path, capsys
+    ):
+        out = tmp_path / "probe"
+        code = run([
+            "linear-probe", "--config", small_config, "--data", str(data_dir / "target"),
+            "--ckpt", str(teacher_ckpt), "--holdout-fraction", "1.5", "--out", str(out),
+        ])
+        assert code != 0
+        assert "holdout_fraction" in capsys.readouterr().err
+        assert not (out / "metrics.csv").exists()
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        (
+            ("linear-probe", "--probe-seeds", ""),
+            ("linear-probe", "--probe-seeds", "0,x"),
+            ("sweep-labels", "--probe-seeds", ""),
+            ("sweep-labels", "--fractions", "0.5,x"),
+            ("sweep-labels", "--fractions", ","),
+            ("pretrain-generic", "--conv-channels", "8,x"),
+        ),
+    )
+    def test_list_values_parse_or_exit_2_naming_the_key(
+        self, command, flag, value, data_dir, tmp_path, capsys
+    ):
+        # The checkpoints do not exist: list values are read before any is loaded.
+        missing = str(tmp_path / "missing")
+        args = {
+            "linear-probe": ["--data", str(data_dir / "target"), "--ckpt", missing],
+            "sweep-labels": ["--data", str(data_dir / "target"), "--teacher", missing],
+            "pretrain-generic": ["--data", str(data_dir / "generic"), "--steps", "1"],
+        }[command]
+        out = tmp_path / "out"
+        code = run([command, *args, flag, value, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "usage:" in err and flag[2:].replace("-", "_") in err
+        assert not (out / "metrics.csv").exists()
+
     def test_gradcheck_writes_report(self, tmp_path):
         from distill_ssl.gradcheck import run_gradcheck
 

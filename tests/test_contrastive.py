@@ -308,7 +308,7 @@ class TestMocoTrainStep:
         state = C.init_moco_state(TOY_ENC, cfg, rng)
         stream = BatchStream(frames, cfg.batch_size, cfg.seed)
         C.warm_up_queue(state, stream, rng)
-        losses = [C.moco_train_step(state, stream.next_batch(), rng) for _ in range(50)]
+        losses = [C.moco_train_step(state, stream.next_batch(), rng).l_con for _ in range(50)]
         assert np.mean(losses[-5:]) < losses[0]
 
     def test_wrong_batch_size_rejected(self):

@@ -221,11 +221,8 @@ class TestPhaseMetrics:
         assert m.accuracy == 0.5
         assert m.recall == 0.5
         assert m.jaccard == 0.25
-        # class 1 has no predictions: undefined precision scored 0, flagged
+        # class 1 has no predictions: undefined precision scored 0
         assert m.precision == 0.25
-        flags = {pc["class"]: pc for pc in m.per_class}
-        assert flags[1]["precision_defined"] is False
-        assert flags[0]["precision_defined"] is True
 
     def test_three_class_confusion_hand_case(self):
         # rows true, cols predicted: [[2,1,0],[0,2,0],[1,0,2]]
@@ -241,22 +238,19 @@ class TestPhaseMetrics:
         labels = np.array([0, 0, 1, 1])
         preds = np.array([0, 0, 1, 1])
         m = E.compute_phase_metrics(preds, labels, 3)
-        assert m.precision == 1.0  # class 2 never appears, excluded
-        assert any(pc.get("excluded") for pc in m.per_class)
+        # class 2 never appears: excluded, so the means stay 1 (scored, they would be 2/3)
+        assert m.precision == m.recall == m.jaccard == 1.0
 
     def test_jaccard_bounded_by_precision_and_recall_per_class(self):
+        # tp/(tp+fp+fn) <= tp/(tp+fp) and <= tp/(tp+fn) for every included
+        # class (an undefined precision or recall means tp = 0), so for the means too
         rng = np.random.default_rng(0)
         for _ in range(50):
             labels = rng.integers(0, 4, size=40)
             preds = rng.integers(0, 4, size=40)
             m = E.compute_phase_metrics(preds, labels, 4)
-            for pc in m.per_class:
-                if pc.get("excluded"):
-                    continue
-                if pc["precision_defined"]:
-                    assert pc["jaccard"] <= pc["precision"] + 1e-12
-                if pc["recall_defined"]:
-                    assert pc["jaccard"] <= pc["recall"] + 1e-12
+            assert m.jaccard <= m.precision + 1e-12
+            assert m.jaccard <= m.recall + 1e-12
 
     def test_accuracy_invariant_under_consistent_relabeling(self):
         rng = np.random.default_rng(1)
@@ -300,6 +294,11 @@ class TestSweep:
         assert np.array_equal(a1.labels, a2.labels) and np.array_equal(a1.frames, a2.frames)
         assert all((a1.labels == c).sum() == 6 for c in range(4))
         assert len(a1) + len(b1) == len(dataset)
+
+    @pytest.mark.parametrize("holdout", (0.0, 1.0, 1.5, -0.5))
+    def test_split_rejects_holdout_outside_open_unit_interval(self, holdout):
+        with pytest.raises(ValueError, match="holdout_fraction"):
+            E.split_dataset(toy_dataset(per_phase=4), holdout)
 
     def test_empty_arguments_rejected(self, ckpts):
         a = query_encoder(ckpts[0], TOY_ENC)

@@ -1,5 +1,7 @@
 """Stage orchestration surface: runs, teacher persistence, model saving."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -40,9 +42,9 @@ def stage_artifacts(tmp_path_factory):
 
 def test_pretrain_run_shape(stage_artifacts):
     _, run_g, _ = stage_artifacts
-    assert len(run_g.losses) == 6
-    assert run_g.l_con == run_g.losses
-    assert all(v == 0.0 for v in run_g.l_dis)
+    assert len(run_g.steps) == 6
+    assert all(r.total == r.l_con for r in run_g.steps)
+    assert all(r.l_dis == 0.0 for r in run_g.steps)
     assert run_g.state.step_count == 6
 
 
@@ -76,10 +78,10 @@ def test_load_teacher_round_trip(stage_artifacts):
 def test_pretrain_distilled_reports_all_three_losses(stage_artifacts):
     root, _, _ = stage_artifacts
     run_s = P.pretrain_distilled(toy_dataset(), root / "teacher", TOY_ENC, toy_cfg())
-    assert len(run_s.losses) == len(run_s.l_con) == len(run_s.l_dis) == 6
-    for total, lc, ld in zip(run_s.losses, run_s.l_con, run_s.l_dis):
-        assert abs(total - (lc + 5.0 * ld)) <= 1e-12
-        assert ld > 0.0
+    assert len(run_s.steps) == 6
+    for r in run_s.steps:
+        assert abs(r.total - (r.l_con + 5.0 * r.l_dis)) <= 1e-12
+        assert r.l_dis > 0.0
 
 
 def test_pretrain_init_from_checkpoint(stage_artifacts):
@@ -87,3 +89,31 @@ def test_pretrain_init_from_checkpoint(stage_artifacts):
     run = P.pretrain(toy_dataset(), TOY_ENC, toy_cfg(steps=0), init_from=root / "teacher")
     for name, t in run.state.query.head.items():
         assert np.array_equal(t.data, run_t.state.query.head[name].data)
+
+
+def test_stages_look_up_step_functions_when_they_run(stage_artifacts, monkeypatch):
+    # The benchmark replaces these module attributes before a run; a stage
+    # that bound its step at import time would bypass the replacement.
+    root, _, _ = stage_artifacts
+    calls = Counter()
+    for name in ("moco_train_step", "teacher_adapt_step", "distilled_train_step"):
+
+        def counting(*args, _name=name, _step=getattr(P, name)):
+            calls[_name] += 1
+            return _step(*args)
+
+        monkeypatch.setattr(P, name, counting)
+    cfg = toy_cfg()
+    stages = (
+        ("moco_train_step", lambda: P.pretrain(toy_dataset(9), TOY_ENC, cfg)),
+        ("moco_train_step",
+         lambda: P.pretrain(toy_dataset(), TOY_ENC, cfg, init_from=root / "teacher")),
+        ("teacher_adapt_step",
+         lambda: P.adapt_teacher(toy_dataset(), root / "generic", TOY_ENC, cfg)),
+        ("distilled_train_step",
+         lambda: P.pretrain_distilled(toy_dataset(), root / "teacher", TOY_ENC, cfg)),
+    )
+    for name, stage in stages:
+        calls.clear()
+        stage()
+        assert calls == {name: cfg.steps}
