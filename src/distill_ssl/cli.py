@@ -2,9 +2,11 @@
 
 Configuration is a flat JSON schema; command-line flags override file
 values, which override built-in defaults (flag > file > env > default
-for the seed).  Every command writes its resolved config.json plus its
-metrics and checkpoints under --out.  Progress goes to stderr; files
-carry the machine-readable results.
+for the seed).  Every command checks its keys, builds its configs, loads
+--data (and splits it, for probing), loads checkpoints and runs, and only
+then creates --out to write its resolved config.json plus its metrics and
+checkpoints there, so bad input fails before any load and leaves nothing
+behind.  Progress goes to stderr; files carry the machine-readable results.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from .augment import AugmentConfig
@@ -216,14 +218,9 @@ def train_config(cfg: dict) -> TrainConfig:
     )
 
 
-def probe_config(cfg: dict, fraction: float, seed: int) -> ProbeConfig:
-    return ProbeConfig(
-        lr=cfg["probe_lr"],
-        steps=cfg["probe_steps"],
-        weight_decay=cfg["probe_weight_decay"],
-        label_fraction=fraction,
-        seed=seed,
-    )
+def probe_config(cfg: dict) -> ProbeConfig:
+    return ProbeConfig(lr=cfg["probe_lr"], steps=cfg["probe_steps"],
+                       weight_decay=cfg["probe_weight_decay"])
 
 
 def _require(cfg: dict, command: str, *keys: str) -> None:
@@ -232,8 +229,7 @@ def _require(cfg: dict, command: str, *keys: str) -> None:
         raise CliError(f"{command} requires --{' --'.join(m.replace('_', '-') for m in missing)}")
 
 
-def _out_dir(cfg: dict, command: str) -> Path:
-    _require(cfg, command, "out")
+def _out_dir(cfg: dict) -> Path:
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -262,11 +258,11 @@ def _query_encoder(path, enc_cfg: EncoderConfig):
 
 
 def cmd_gen_data(cfg: dict) -> int:
-    out = _out_dir(cfg, "gen-data")
-    tspec = target_spec(cfg["target_phases"], cfg["target_frames_per_phase"],
-                        (cfg["image_size"], cfg["image_size"]))
-    gspec = generic_spec(cfg["generic_classes"], cfg["generic_frames_per_phase"],
-                         (cfg["image_size"], cfg["image_size"]))
+    _require(cfg, "gen-data", "out")
+    size = (cfg["image_size"], cfg["image_size"])
+    tspec = target_spec(cfg["target_phases"], cfg["target_frames_per_phase"], size)
+    gspec = generic_spec(cfg["generic_classes"], cfg["generic_frames_per_phase"], size)
+    out = _out_dir(cfg)
     rows = ["dataset,frames,classes"]
     for name, spec, seed in (("target", tspec, cfg["seed"]), ("generic", gspec, cfg["seed"] + 1)):
         dataset = generate_synthetic_dataset(spec, seed)
@@ -278,12 +274,17 @@ def cmd_gen_data(cfg: dict) -> int:
     return 0
 
 
-def _run_training(cfg: dict, command: str, run_fn) -> int:
-    out = _out_dir(cfg, command)
-    run = run_fn()
+def _train(cfg: dict, command: str, stage, *checkpoints: str, **options) -> int:
+    """Run ``stage(dataset, *checkpoint paths, enc_cfg, train_cfg, **options)``
+    and write its metrics, checkpoint and provenance."""
+    _require(cfg, command, "data", "out", *checkpoints)
+    enc_cfg, train_cfg = encoder_config(cfg), train_config(cfg)
+    dataset, _ = load_dataset(cfg["data"])
+    run = stage(dataset, *(cfg[key] for key in checkpoints), enc_cfg, train_cfg, **options)
+    out = _out_dir(cfg)
     _write_train_metrics(out, run)
     pipeline.save_model(run.state, out / "checkpoint",
-                        config={"encoder": encoder_config(cfg).to_dict(), "seed": cfg["seed"]})
+                        config={"encoder": enc_cfg.to_dict(), "seed": cfg["seed"]})
     _write_provenance(out, command, cfg)
     losses = f", loss {run.steps[0].total:.4f} -> {run.steps[-1].total:.4f}" if run.steps else ""
     _progress(f"{command}: {len(run.steps)} steps{losses}")
@@ -291,107 +292,87 @@ def _run_training(cfg: dict, command: str, run_fn) -> int:
 
 
 def cmd_pretrain_generic(cfg: dict) -> int:
-    _require(cfg, "pretrain-generic", "data")
-    dataset, _ = load_dataset(cfg["data"])
-    return _run_training(
-        cfg, "pretrain-generic",
-        lambda: pipeline.pretrain(dataset, encoder_config(cfg), train_config(cfg)),
-    )
+    return _train(cfg, "pretrain-generic", pipeline.pretrain)
 
 
 def cmd_adapt_teacher(cfg: dict) -> int:
-    _require(cfg, "adapt-teacher", "data", "generic")
-    dataset, _ = load_dataset(cfg["data"])
-    return _run_training(
-        cfg, "adapt-teacher",
-        lambda: pipeline.adapt_teacher(
-            dataset, cfg["generic"], encoder_config(cfg), train_config(cfg),
-            freeze_backbone=cfg["freeze_backbone"],
-        ),
-    )
+    return _train(cfg, "adapt-teacher", pipeline.adapt_teacher, "generic",
+                  freeze_backbone=cfg["freeze_backbone"])
 
 
 def cmd_pretrain_student(cfg: dict) -> int:
-    _require(cfg, "pretrain-student", "data")
-    dataset, _ = load_dataset(cfg["data"])
     if cfg["distill"]:
         _require(cfg, "pretrain-student --distill", "teacher")
-        run_fn = lambda: pipeline.pretrain_distilled(
-            dataset, cfg["teacher"], encoder_config(cfg), train_config(cfg)
-        )
-    else:
-        run_fn = lambda: pipeline.pretrain(
-            dataset, encoder_config(cfg), train_config(cfg), init_from=cfg["init_from"]
-        )
-    return _run_training(cfg, "pretrain-student", run_fn)
+        return _train(cfg, "pretrain-student", pipeline.pretrain_distilled, "teacher")
+    return _train(cfg, "pretrain-student", pipeline.pretrain, init_from=cfg["init_from"])
+
+
+def _probe_inputs(cfg: dict, **probe_fields):
+    """Encoder and probe configs, probe seeds, class count, and the
+    train/holdout split of --data; every value is checked before any
+    checkpoint is read."""
+    enc_cfg = encoder_config(cfg)
+    probe = replace(probe_config(cfg), **probe_fields)
+    seeds = _list(cfg, "probe_seeds", int)
+    dataset, _ = load_dataset(cfg["data"])
+    train_set, test_set = split_dataset(dataset, cfg["holdout_fraction"], seed=cfg["seed"])
+    return enc_cfg, probe, seeds, int(dataset.labels.max()) + 1, train_set, test_set
 
 
 def cmd_linear_probe(cfg: dict) -> int:
-    _require(cfg, "linear-probe", "data", "out")
     mode = cfg["mode"]
     if mode not in MODES:
         raise CliError(f"mode must be one of {MODES}, got {mode!r}")
-    if mode in ("student", "addition", "concatenation"):
-        _require(cfg, "linear-probe", "ckpt")
-    if mode in ("teacher", "addition", "concatenation"):
-        _require(cfg, "linear-probe", "teacher")
-    probe_seeds = _list(cfg, "probe_seeds", int)
-    out = _out_dir(cfg, "linear-probe")
-    enc_cfg = encoder_config(cfg)
-    dataset, _ = load_dataset(cfg["data"])
-    num_classes = int(dataset.labels.max()) + 1
+    keys = {"student": ("ckpt",), "teacher": ("teacher",)}.get(mode, ("ckpt", "teacher"))
+    _require(cfg, "linear-probe", "data", "out", *keys)
+    enc_cfg, probe, seeds, num_classes, train_set, test_set = _probe_inputs(
+        cfg, label_fraction=cfg["label_fraction"]
+    )
     student = _query_encoder(cfg["ckpt"], enc_cfg)
     teacher = _query_encoder(cfg["teacher"], enc_cfg)
-    train_set, test_set = split_dataset(dataset, cfg["holdout_fraction"], seed=cfg["seed"])
     ftr = extract_features(student, teacher, train_set, mode)
     fte = extract_features(student, teacher, test_set, mode)
     rows = []
-    for seed in probe_seeds:
-        probe = fit_linear_probe(ftr, probe_config(cfg, cfg["label_fraction"], seed), num_classes)
-        metrics = compute_phase_metrics(probe.predict(fte.features), fte.labels, num_classes)
-        rows.append({"encoder": mode, "mode": mode, "fraction": cfg["label_fraction"],
+    for seed in seeds:
+        model = fit_linear_probe(ftr, replace(probe, seed=seed), num_classes)
+        metrics = compute_phase_metrics(model.predict(fte.features), fte.labels, num_classes)
+        rows.append({"encoder": mode, "mode": mode, "fraction": probe.label_fraction,
                      "seed": seed, **asdict(metrics)})
         _progress(f"linear-probe: seed {seed} accuracy {metrics.accuracy:.4f}")
+    out = _out_dir(cfg)
     write_results_csv(rows, out / "metrics.csv")
     _write_provenance(out, "linear-probe", cfg)
     return 0
 
 
+# Sweep arms as (name, mode, student key, teacher key); an arm runs when
+# every checkpoint it names is given.
+_SWEEP_ARMS = (
+    ("teacher", "teacher", None, "teacher"),
+    ("plain", "student", "plain", None),
+    ("addition", "addition", "plain", "teacher"),
+    ("concatenation", "concatenation", "plain", "teacher"),
+    ("initialization", "student", "init_student", None),
+    ("distillation", "student", "distilled", None),
+)
+
+
 def cmd_sweep_labels(cfg: dict) -> int:
     _require(cfg, "sweep-labels", "data", "out")
-    fractions, probe_seeds = _list(cfg, "fractions", float), _list(cfg, "probe_seeds", int)
-    out = _out_dir(cfg, "sweep-labels")
-    enc_cfg = encoder_config(cfg)
-    dataset, _ = load_dataset(cfg["data"])
-    num_classes = int(dataset.labels.max()) + 1
-    encoders: list[SweepEncoder] = []
-    teacher = _query_encoder(cfg["teacher"], enc_cfg)
-    plain = _query_encoder(cfg["plain"], enc_cfg)
-    if teacher is not None:
-        encoders.append(SweepEncoder("teacher", "teacher", teacher=teacher))
-    if plain is not None:
-        encoders.append(SweepEncoder("plain", "student", student=plain))
-    if teacher is not None and plain is not None:
-        encoders.append(SweepEncoder("addition", "addition", student=plain, teacher=teacher))
-        encoders.append(
-            SweepEncoder("concatenation", "concatenation", student=plain, teacher=teacher)
-        )
-    if cfg["init_student"]:
-        encoders.append(
-            SweepEncoder("initialization", "student", student=_query_encoder(cfg["init_student"], enc_cfg))
-        )
-    if cfg["distilled"]:
-        encoders.append(
-            SweepEncoder("distillation", "student", student=_query_encoder(cfg["distilled"], enc_cfg))
-        )
-    if not encoders:
+    arms = [arm for arm in _SWEEP_ARMS if all(cfg[key] for key in arm[2:] if key)]
+    if not arms:
         raise CliError("sweep-labels needs at least one checkpoint "
                        "(--teacher/--plain/--distilled/--init-student)")
-    train_set, test_set = split_dataset(dataset, cfg["holdout_fraction"], seed=cfg["seed"])
+    fractions = _list(cfg, "fractions", float)
+    enc_cfg, probe, seeds, num_classes, train_set, test_set = _probe_inputs(cfg)
+    # Each checkpoint key has an arm of its own, so every given one is used.
+    loaded = {key: _query_encoder(cfg[key], enc_cfg)
+              for key in ("teacher", "plain", "init_student", "distilled")}
+    encoders = [SweepEncoder(name, mode, loaded.get(s), loaded.get(t)) for name, mode, s, t in arms]
     rows, summary = label_efficiency_sweep(
-        encoders, fractions, probe_seeds, train_set, test_set, num_classes,
-        probe=probe_config(cfg, 1.0, 0),
+        encoders, fractions, seeds, train_set, test_set, num_classes, probe=probe
     )
+    out = _out_dir(cfg)
     write_results_csv(rows, out / "metrics.csv")
     write_summary_json(summary, out / "summary.json")
     write_accuracy_svg(summary, out / "accuracy.svg")
@@ -401,13 +382,14 @@ def cmd_sweep_labels(cfg: dict) -> int:
 
 
 def cmd_gradcheck(cfg: dict) -> int:
-    out = _out_dir(cfg, "gradcheck")
+    _require(cfg, "gradcheck", "out")
     ok, report, text, elapsed = main_check(instances=cfg["gradcheck_instances"])
     _progress(text)
     _progress(f"gradcheck: {'all ok' if ok else 'FAILED'} in {elapsed:.1f}s")
     lines = ["op,max_rel_err,instances"]
     for op, entry in report.items():
         lines.append(f"{op},{entry['max_rel_err']:.3e},{entry['instances']}")
+    out = _out_dir(cfg)
     (out / "metrics.csv").write_text("\n".join(lines) + "\n")
     _write_provenance(out, "gradcheck", cfg)
     return 0 if ok else 1

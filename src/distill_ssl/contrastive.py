@@ -345,7 +345,7 @@ class TrainConfig:
             raise ParameterError(f"weight_decay must be >= 0, got {self.weight_decay}")
         if self.queue_size % self.batch_size != 0:
             raise ParameterError(
-                f"queue size {self.queue_size} must be a multiple of batch size {self.batch_size}"
+                f"queue_size {self.queue_size} must be a multiple of batch_size {self.batch_size}"
             )
 
     @property

@@ -44,12 +44,11 @@ def soft_targets(
     """Log of the tempered softmax over the teacher's key similarities; no gradients."""
     if tau <= 0:
         raise ParameterError(f"temperature must be positive, got {tau}")
-    q_t = np.atleast_2d(np.asarray(q_t, dtype=np.float64))
-    k_t_plus = np.atleast_2d(np.asarray(k_t_plus, dtype=np.float64))
-    sims = np.concatenate(
-        [(q_t * k_t_plus).sum(axis=1, keepdims=True), q_t @ teacher_queue.rows.T], axis=1
-    )
-    return T.softmax_and_log(sims / tau)[1]
+    with T.no_grad():
+        logits = key_similarity_logits(
+            T.constant(np.atleast_2d(q_t)), np.atleast_2d(k_t_plus), teacher_queue
+        )
+    return T.softmax_and_log(logits.data / tau)[1]
 
 
 def student_similarity_distribution(

@@ -52,6 +52,10 @@ class ProbeConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.steps < 0:
+            raise ValueError(f"steps must be >= 0, got {self.steps}")
+        if self.weight_decay < 0:
+            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
         if not 0.0 < self.label_fraction <= 1.0:
             raise ValueError(f"label_fraction must be in (0, 1], got {self.label_fraction}")
 
@@ -122,8 +126,6 @@ def stratified_indices(labels: np.ndarray, fraction: float, seed: int) -> np.nda
     chosen = []
     for cls in np.unique(labels):
         pool = np.flatnonzero(labels == cls)
-        if pool.size == 0:
-            raise SamplingError(f"class {cls} has no samples")
         take = math.ceil(fraction * pool.size)
         perm = rng.derive(int(cls)).permutation(pool.size)
         chosen.append(pool[perm[:take]])

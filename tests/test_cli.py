@@ -136,7 +136,7 @@ class TestConfigPrecedence:
         cfg = resolve_config(build_parser().parse_args(["gen-data"]))
         assert train_config(cfg) == TrainConfig()
         assert encoder_config(cfg) == EncoderConfig()
-        assert probe_config(cfg, 1.0, 0) == ProbeConfig()
+        assert probe_config(cfg) == ProbeConfig()
         size = (cfg["image_size"], cfg["image_size"])
         target = target_spec(cfg["target_phases"], cfg["target_frames_per_phase"], size)
         generic = generic_spec(cfg["generic_classes"], cfg["generic_frames_per_phase"], size)
@@ -416,6 +416,62 @@ class TestStages:
         assert code == 2
         assert "usage:" in err and flag[2:].replace("-", "_") in err
         assert not (out / "metrics.csv").exists()
+
+    @pytest.mark.parametrize(
+        "command, args, named",
+        (
+            ("linear-probe", ["--holdout-fraction", "1.5"], "holdout_fraction"),
+            ("linear-probe", ["--label-fraction", "1.5"], "label_fraction"),
+            ("linear-probe", ["--probe-steps", "-3"], "steps"),
+            ("sweep-labels", ["--holdout-fraction", "0"], "holdout_fraction"),
+            ("sweep-labels", ["--probe-steps", "-1"], "steps"),
+            ("sweep-labels", ["--probe-weight-decay", "-1"], "weight_decay"),
+            ("pretrain-student", ["--batch-size", "0"], "batch_size"),
+            ("pretrain-student", ["--tau", "0"], "tau"),
+            ("pretrain-student", ["--queue-size", "30"], "queue_size"),
+            ("pretrain-student", ["--conv-channels", "8"], "conv_channels"),
+        ),
+    )
+    def test_bad_value_fails_before_any_load_and_leaves_no_out(
+        self, command, args, named, data_dir, tmp_path, capsys
+    ):
+        # The checkpoints do not exist, so the value must be checked before
+        # any is read; the training runs would fail only after loading --data.
+        missing = str(tmp_path / "missing")
+        inputs = {
+            "linear-probe": ["--data", str(data_dir / "target"), "--ckpt", missing],
+            "sweep-labels": ["--data", str(data_dir / "target"), "--plain", missing],
+            "pretrain-student": ["--data", str(data_dir / "target"), "--steps", "1"],
+        }[command]
+        out = tmp_path / "out"
+        code = run([command, *inputs, *args, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code != 0
+        assert named in err and "missing manifest" not in err
+        assert not out.exists()
+
+    def test_commands_call_the_benchmark_main_hooks(
+        self, monkeypatch, small_config, data_dir, generic_ckpt, tmp_path
+    ):
+        from distill_ssl import cli
+
+        calls = {}
+        for name in ("generate_synthetic_dataset", "fit_linear_probe", "label_efficiency_sweep"):
+            original = getattr(cli, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(cli, name, counted)
+        assert run(["gen-data", "--config", small_config, "--out", str(tmp_path / "data")]) == 0
+        common = ["--config", small_config, "--data", str(data_dir / "target")]
+        assert run(["linear-probe", *common, "--ckpt", str(generic_ckpt),
+                    "--out", str(tmp_path / "probe")]) == 0
+        assert run(["sweep-labels", *common, "--plain", str(generic_ckpt), "--fractions", "1.0",
+                    "--probe-seeds", "0", "--out", str(tmp_path / "sweep")]) == 0
+        assert calls == {"generate_synthetic_dataset": 2, "fit_linear_probe": 2,
+                         "label_efficiency_sweep": 1}
 
     def test_gradcheck_writes_report(self, tmp_path):
         from distill_ssl.gradcheck import run_gradcheck

@@ -207,6 +207,12 @@ class TestLinearProbe:
         with pytest.raises(ValueError):
             E.ProbeConfig(label_fraction=0.0)
 
+    @pytest.mark.parametrize("field, value", (("steps", -1), ("weight_decay", -1e-4)))
+    def test_negative_steps_or_weight_decay_rejected_naming_the_field(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            E.ProbeConfig(**{field: value})
+        E.ProbeConfig(**{field: 0})  # the boundary itself is accepted
+
 
 class TestPhaseMetrics:
     def test_perfect_predictions(self):
