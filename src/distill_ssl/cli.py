@@ -364,6 +364,8 @@ def cmd_sweep_labels(cfg: dict) -> int:
         raise CliError("sweep-labels needs at least one checkpoint "
                        "(--teacher/--plain/--distilled/--init-student)")
     fractions = _list(cfg, "fractions", float)
+    for fraction in fractions:  # ProbeConfig holds the range check
+        replace(probe_config(cfg), label_fraction=fraction)
     enc_cfg, probe, seeds, num_classes, train_set, test_set = _probe_inputs(cfg)
     # Each checkpoint key has an arm of its own, so every given one is used.
     loaded = {key: _query_encoder(cfg[key], enc_cfg)

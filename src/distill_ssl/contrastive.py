@@ -12,6 +12,7 @@ a zero distillation weight reproduces plain training bit for bit.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import asdict, dataclass, field
 
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import tensor as T
 from .augment import AugmentConfig, sample_views, view_stream
-from .data import Batch, load_checkpoint
+from .data import Batch, load_checkpoint, save_checkpoint
 from .rng import STREAM_INIT, Rng
 from .tensor import GraphError, ParamSet, ParameterError, Tensor
 
@@ -100,11 +101,22 @@ def load_encoders(
     named, _ = load_checkpoint(path, expected_shapes=expected)
     encoders = []
     for side in sides:
-        enc = EncoderParams(named[f"{side}.backbone"].clone(), named[f"{side}.head"].clone(), enc_cfg)
+        enc = EncoderParams(**{part: named[f"{side}.{part}"].clone() for part in shapes}, cfg=enc_cfg)
         if freeze_backbone:
             enc.backbone.set_frozen(True)
         encoders.append(enc)
     return encoders
+
+
+def save_model(state: MoCoState, path, config: dict | None = None) -> None:
+    """Write the query and key encoders as the sets ``load_encoders`` reads."""
+    encoders = {"query": state.query, "key": state.key}
+    named = {
+        f"{side}.{part}": getattr(enc, part)
+        for side, enc in encoders.items()
+        for part in enc.cfg.param_shapes()
+    }
+    save_checkpoint(named, path, config)
 
 
 def _uniform_init(rng: Rng, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
@@ -115,29 +127,20 @@ def _uniform_init(rng: Rng, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
 def init_encoder(cfg: EncoderConfig, rng: Rng) -> EncoderParams:
     """Fresh parameters, uniform in [-1/sqrt(fan_in), 1/sqrt(fan_in)].
 
-    Draw order is fixed (layer by layer, weights before biases) so a seed
-    pins every parameter.
+    Parameters are drawn in ``param_shapes`` order, so a seed pins every
+    one.  A conv kernel's fan-in is its input channels times its window,
+    an fc weight's its input width, and a bias takes its weight's fan-in.
     """
-    c1, c2 = cfg.conv_channels
-    k = cfg.kernel_size
     stream = rng.derive(STREAM_INIT)
-    backbone = ParamSet(
-        {
-            "conv1.kernels": _uniform_init(stream, (c1, cfg.in_channels, k, k), cfg.in_channels * k * k),
-            "conv2.kernels": _uniform_init(stream, (c2, c1, k, k), c1 * k * k),
-            "fc.weight": _uniform_init(stream, (c2, cfg.d_backbone), c2),
-            "fc.bias": _uniform_init(stream, (cfg.d_backbone,), c2),
-        }
-    )
-    head = ParamSet(
-        {
-            "fc1.weight": _uniform_init(stream, (cfg.d_backbone, cfg.d_backbone), cfg.d_backbone),
-            "fc1.bias": _uniform_init(stream, (cfg.d_backbone,), cfg.d_backbone),
-            "fc2.weight": _uniform_init(stream, (cfg.d_backbone, cfg.d), cfg.d_backbone),
-            "fc2.bias": _uniform_init(stream, (cfg.d,), cfg.d_backbone),
-        }
-    )
-    return EncoderParams(backbone, head, cfg)
+    sets, fan_in = {}, None
+    for part, shapes in cfg.param_shapes().items():
+        values = {}
+        for name, shape in shapes.items():
+            if len(shape) > 1:
+                fan_in = math.prod(shape[1:]) if len(shape) > 2 else shape[0]
+            values[name] = _uniform_init(stream, shape, fan_in)
+        sets[part] = ParamSet(values)
+    return EncoderParams(**sets, cfg=cfg)
 
 
 def center_input(frames: np.ndarray) -> np.ndarray:
@@ -162,38 +165,29 @@ def forward_head(enc: EncoderParams, features: Tensor) -> Tensor:
     return T.affine(h, hd["fc2.weight"], hd["fc2.bias"])
 
 
-def encode(
-    enc: EncoderParams,
-    frames: np.ndarray,
-    record_grads: bool = False,
-    record_backbone: bool = True,
-) -> Tensor:
+def encode(enc: EncoderParams, frames: np.ndarray, record_grads: bool = False) -> Tensor:
     """Unit-norm embeddings for a stacked B x C x H x W batch.
 
-    ``record_grads`` records the forward on the open graph;
-    ``record_backbone=False`` then records only the head, for a frozen backbone.
+    ``record_grads`` records the forward on the open graph.  A frozen
+    backbone is never recorded, so it receives no gradients.
     """
     frames = np.asarray(frames, dtype=np.float64)
     if frames.ndim != 4 or frames.shape[1] != enc.cfg.in_channels:
         raise T.ShapeError(
             f"encode expects B x {enc.cfg.in_channels} x H x W frames, got {frames.shape}"
         )
-    if record_grads:
-        if not T.recording():
-            raise GraphError("record_grads=True requires an open Graph")
-        return _encode_forward(enc, frames, record_backbone)
-    with T.no_grad():
-        return _encode_forward(enc, frames)
-
-
-def _encode_forward(enc: EncoderParams, frames: np.ndarray, record_backbone=True) -> Tensor:
-    x = T.constant(center_input(frames))
-    if record_backbone:
-        features = forward_backbone(enc, x)
-    else:
-        with T.no_grad():
+    if record_grads and not T.recording():
+        raise GraphError("record_grads=True requires an open Graph")
+    with _recorded(record_grads):
+        x = T.constant(center_input(frames))
+        with _recorded(not enc.backbone.frozen):
             features = forward_backbone(enc, x)
-    return T.l2_normalize(forward_head(enc, features))
+        return T.l2_normalize(forward_head(enc, features))
+
+
+def _recorded(flag: bool):
+    """The open graph keeps recording inside the block only if ``flag``."""
+    return contextlib.nullcontext() if flag else T.no_grad()
 
 
 # ---------------------------------------------------------------------------
@@ -242,26 +236,27 @@ class KeyQueue:
 
 
 def momentum_update(key: EncoderParams, query: EncoderParams, m: float) -> None:
-    """theta_k <- m*theta_k + (1-m)*theta_q over backbone and head."""
+    """theta_k <- m*theta_k + (1-m)*theta_q over backbone and head.
+
+    A frozen query set is not averaged: it was loaded with its key set
+    and neither trains, so the average would be the identity, and
+    skipping it keeps the key set bitwise.
+    """
     if not 0.0 <= m <= 1.0:
         raise ParameterError(f"momentum coefficient must be in [0, 1], got {m}")
     for key_set, query_set in ((key.backbone, query.backbone), (key.head, query.head)):
-        _momentum_update_set(key_set, query_set, m)
-
-
-def _momentum_update_set(key_set: ParamSet, query_set: ParamSet, m: float) -> None:
-    if key_set.shapes() != query_set.shapes():
-        raise ContractError(
-            f"momentum update shape mismatch: {key_set.shapes()} vs {query_set.shapes()}"
-        )
-    if m == 1.0:  # exact endpoints stay bitwise
-        return
-    if m == 0.0:
-        key_set.copy_from(query_set)
-        return
-    for name, kt in key_set.items():
-        kt.data *= m
-        kt.data += (1.0 - m) * query_set[name].data
+        if key_set.shapes() != query_set.shapes():
+            raise ContractError(
+                f"momentum update shape mismatch: {key_set.shapes()} vs {query_set.shapes()}"
+            )
+        if query_set.frozen or m == 1.0:  # exact endpoints stay bitwise
+            continue
+        if m == 0.0:
+            key_set.copy_from(query_set)
+            continue
+        for name, kt in key_set.items():
+            kt.data *= m
+            kt.data += (1.0 - m) * query_set[name].data
 
 
 # ---------------------------------------------------------------------------
@@ -417,8 +412,9 @@ def moco_train_step(state: MoCoState, batch: Batch, rng: Rng) -> StepResult:
 def _train_step(state: MoCoState, batch: Batch, rng: Rng, extra_loss=None) -> StepResult:
     """Shared step core.
 
-    Order: views, query/key embeddings, losses, backprop + SGD on the
-    query encoder, momentum update of the key encoder, queue push.
+    Order: views, query/key embeddings, losses, backprop + SGD on each
+    query set that is not frozen, momentum update of the key encoder,
+    queue push.
     ``extra_loss(views_q, views_k, q, k_plus)``, when given, runs inside
     the recorded graph before the queue moves and returns (term, value):
     ``term`` is added to the InfoNCE loss unless it is None, and ``value``
@@ -435,10 +431,9 @@ def _train_step(state: MoCoState, batch: Batch, rng: Rng, extra_loss=None) -> St
         raise ContractError("queue must be warmed before training steps")
 
     views_q, views_k = build_views(batch, cfg.augment, rng)
-    frozen_backbone = state.query.backbone.frozen
     graph = T.Graph()
     with graph:
-        q = encode(state.query, views_q, record_grads=True, record_backbone=not frozen_backbone)
+        q = encode(state.query, views_q, record_grads=True)
         k_plus = encode(state.key, views_k).data
         l_con = info_nce_loss(q, k_plus, state.queue, cfg.tau)
         term, l_dis_value = None, 0.0
@@ -451,20 +446,14 @@ def _train_step(state: MoCoState, batch: Batch, rng: Rng, extra_loss=None) -> St
             raise NonFiniteLossError(f"{name} is {value} at step {state.step_count}")
     graph.backward(total)
 
-    if not frozen_backbone:
-        T.sgd_step(state.query.backbone, cfg.lr, cfg.momentum, cfg.weight_decay)
-    T.sgd_step(state.query.head, cfg.lr, cfg.momentum, cfg.weight_decay)
+    for query_set in (state.query.backbone, state.query.head):
+        if not query_set.frozen:
+            T.sgd_step(query_set, cfg.lr, cfg.momentum, cfg.weight_decay)
 
     # the key encoder must never see raw gradients, only the moving average
     _assert_zero_grads(state.key.backbone, "key")
     _assert_zero_grads(state.key.head, "key")
-
-    if frozen_backbone:
-        # The frozen query backbone equals the frozen key backbone, so the
-        # moving average is the identity there; skipping keeps it bitwise.
-        _momentum_update_set(state.key.head, state.query.head, cfg.m)
-    else:
-        momentum_update(state.key, state.query, cfg.m)
+    momentum_update(state.key, state.query, cfg.m)
 
     state.queue.push(k_plus)
     state.step_count += 1

@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -136,7 +136,6 @@ def stratified_indices(labels: np.ndarray, fraction: float, seed: int) -> np.nda
 class LinearProbe:
     weight: np.ndarray  # D x classes
     bias: np.ndarray  # classes
-    loss_curve: list[float] = field(default_factory=list)
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         return np.argmax(features @ self.weight + self.bias, axis=1)
@@ -157,15 +156,12 @@ def fit_linear_probe(fs: FeatureSet, cfg: ProbeConfig, num_classes: int | None =
     onehot[np.arange(n), y] = 1.0
     w = np.zeros((x.shape[1], k))
     b = np.zeros(k)
-    curve = []
     for _ in range(cfg.steps):
-        p, log_p = T.softmax_and_log(x @ w + b)
-        ce = float(-log_p[np.arange(n), y].mean())
-        curve.append(ce + 0.5 * cfg.weight_decay * float((w * w).sum()))
+        p, _ = T.softmax_and_log(x @ w + b)
         d = (p - onehot) / n
         w -= cfg.lr * (x.T @ d + cfg.weight_decay * w)
         b -= cfg.lr * d.sum(axis=0)
-    return LinearProbe(w, b, curve)
+    return LinearProbe(w, b)
 
 
 # ---------------------------------------------------------------------------
@@ -251,12 +247,12 @@ def label_efficiency_sweep(
     num_classes: int,
     probe: ProbeConfig = ProbeConfig(),
 ) -> tuple[list[dict], dict]:
-    """One probe per (encoder, fraction, seed); rows plus mean/std summary."""
+    """One probe per (encoder, fraction, seed); rows plus mean/std summary.
+
+    ``ProbeConfig`` range-checks each fraction as its first probe is built.
+    """
     if not encoders or not fractions or not seeds:
         raise ValueError("encoders, fractions and seeds must be non-empty")
-    for f in fractions:
-        if not 0.0 < f <= 1.0:
-            raise ValueError(f"fraction {f} outside (0, 1]")
     rows = []
     summary: dict[str, dict] = {}
     for enc in encoders:

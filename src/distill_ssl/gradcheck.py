@@ -146,6 +146,10 @@ def _distillation(rng, i, seed, lam):
     return [(objective, {"q": q}, 1.0)]
 
 
+class _TrainableSet(dict):
+    frozen = False
+
+
 def _encoder_chain(rng, i, seed):
     """InfoNCE through the whole encoder, w.r.t. every encoder parameter;
     instance i draws from its own generator, seeded ``seed + i``."""
@@ -157,7 +161,8 @@ def _encoder_chain(rng, i, seed):
     queue = _make_queue(rng, 4, 4)
 
     def loss(**params):
-        # backbone and head names are disjoint, so one dict serves as both
+        # backbone and head names are disjoint, so one unfrozen dict serves as both
+        params = _TrainableSet(params)
         q = encode(EncoderParams(params, params, cfg), frames, record_grads=T.recording())
         return info_nce_loss(q, kp, queue, 0.07)
 

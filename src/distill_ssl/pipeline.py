@@ -20,9 +20,10 @@ from .contrastive import (
     init_moco_state,
     load_encoders,
     moco_train_step,
+    save_model,  # cli and the tests call it as pipeline.save_model
     warm_up_queue,
 )
-from .data import BatchStream, Dataset, save_checkpoint
+from .data import BatchStream, Dataset
 from .distill import distilled_train_step, teacher_adapt_step
 from .rng import Rng
 
@@ -94,16 +95,3 @@ def pretrain_distilled(
     student = init_moco_state(enc_cfg, cfg, Rng(cfg.seed))
     teacher = _loaded_state(teacher_ckpt, enc_cfg, cfg, freeze_backbone=True)
     return _run(dataset, student, lambda s, b, r: distilled_train_step(s, teacher, b, r), teacher)
-
-
-def save_model(state: MoCoState, path, config: dict | None = None) -> None:
-    save_checkpoint(
-        {
-            "query.backbone": state.query.backbone,
-            "query.head": state.query.head,
-            "key.backbone": state.key.backbone,
-            "key.head": state.key.head,
-        },
-        path,
-        config,
-    )

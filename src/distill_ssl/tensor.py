@@ -49,12 +49,6 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    def zero_grad(self) -> None:
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        else:
-            self.grad.fill(0.0)
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
@@ -369,7 +363,7 @@ def tensor_sum(x: Tensor) -> Tensor:
 
 
 class ParamSet:
-    """Named parameters with aligned gradient slots and SGD velocity."""
+    """Named parameters with gradient slots and SGD velocity; a frozen set takes no gradients."""
 
     def __init__(self, params: dict[str, np.ndarray], frozen: bool = False):
         self._params: dict[str, Tensor] = {}
@@ -386,8 +380,6 @@ class ParamSet:
         self.frozen = flag
         for t in self._params.values():
             t.requires_grad = not flag
-            if t.grad is None:
-                t.grad = np.zeros_like(t.data)
 
     def items(self):
         return self._params.items()
@@ -435,16 +427,15 @@ def sgd_step(
     if weight_decay < 0.0:
         raise ParameterError(f"weight_decay must be >= 0, got {weight_decay}")
     for name, t in params.items():
-        grad = t.grad if t.grad is not None else np.zeros_like(t.data)
         buf = params._velocity.get(name)
         if buf is None:
             buf = np.zeros_like(t.data)
             params._velocity[name] = buf
         buf *= momentum
-        buf += grad
+        buf += t.grad
         buf += weight_decay * t.data
         t.data -= lr * buf
-        t.zero_grad()
+        t.grad.fill(0.0)
 
 
 def finite_diff_gradient(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:

@@ -426,6 +426,7 @@ class TestStages:
             ("sweep-labels", ["--holdout-fraction", "0"], "holdout_fraction"),
             ("sweep-labels", ["--probe-steps", "-1"], "steps"),
             ("sweep-labels", ["--probe-weight-decay", "-1"], "weight_decay"),
+            ("sweep-labels", ["--fractions", "1.5"], "label_fraction"),
             ("pretrain-student", ["--batch-size", "0"], "batch_size"),
             ("pretrain-student", ["--tau", "0"], "tau"),
             ("pretrain-student", ["--queue-size", "30"], "queue_size"),

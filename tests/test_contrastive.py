@@ -1,5 +1,6 @@
 """Momentum-contrastive machinery: encoders, queue, InfoNCE, train steps."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -83,6 +84,30 @@ class TestEncode:
         with pytest.raises(T.ShapeError):
             C.encode(enc, np.zeros((1, 3, 12, 12)))
 
+    def test_frozen_backbone_records_no_conv_and_head_gets_gradients(self, monkeypatch):
+        enc = C.init_encoder(TOY_ENC, Rng(0))
+        enc.backbone.set_frozen(True)
+        recorded = []
+        conv2d = T.conv2d
+
+        def spy(*args, **kwargs):
+            recorded.append(T.recording())
+            return conv2d(*args, **kwargs)
+
+        monkeypatch.setattr(T, "conv2d", spy)
+        x = np.random.default_rng(1).uniform(size=(3, 1, 12, 12))
+        graph = T.Graph()
+        with graph:
+            out = C.encode(enc, x, record_grads=True)
+            weights = T.constant(np.random.default_rng(2).normal(size=out.data.shape))
+            loss = T.tensor_sum(T.multiply(out, weights))
+        graph.backward(loss)
+        assert recorded == [False, False]
+        for _, t in enc.backbone.items():
+            assert not np.any(t.grad)
+        for name, t in enc.head.items():
+            assert np.any(t.grad), name
+
 
 class TestInitEncoder:
     def test_seeded_and_deterministic(self):
@@ -98,6 +123,26 @@ class TestInitEncoder:
         assert np.abs(k).max() <= 1.0 / math.sqrt(1 * 3 * 3)
         w = enc.head["fc1.weight"].data
         assert np.abs(w).max() <= 1.0 / math.sqrt(TOY_ENC.d_backbone)
+
+    # sha256 of every parameter's bytes in param_shapes order at Rng(0):
+    # any change to the draw order or a fan-in changes it
+    @pytest.mark.parametrize(
+        "cfg, digest",
+        (
+            (C.EncoderConfig(), "f75e5d47eb5ed12fa725ce6a1f9cf0b8a6ab377f049c103225dbfb13d0d43044"),
+            (
+                C.EncoderConfig(in_channels=3, conv_channels=(2, 3), kernel_size=5, d_backbone=6, d=4),
+                "ec67771c5590939d133820d0342449502b6efe6140bfa5d3c2dc2b4d0969ded7",
+            ),
+        ),
+    )
+    def test_parameter_bytes_pinned(self, cfg, digest):
+        enc = C.init_encoder(cfg, Rng(0))
+        h = hashlib.sha256()
+        for part in cfg.param_shapes():
+            for _, t in getattr(enc, part).items():
+                h.update(t.data.tobytes())
+        assert h.hexdigest() == digest
 
     def test_param_shapes_match_declaration(self):
         enc = C.init_encoder(TOY_ENC, Rng(1))
@@ -132,6 +177,19 @@ class TestMomentumUpdate:
         )
         C.momentum_update(key, query, 0.999)
         assert np.allclose(key.backbone["w"].data, [0.999], atol=1e-15)
+
+    def test_frozen_query_backbone_not_averaged(self):
+        key = C.init_encoder(TOY_ENC, Rng(1))
+        query = C.init_encoder(TOY_ENC, Rng(2))
+        query.backbone.set_frozen(True)
+        backbone = {n: t.data.copy() for n, t in key.backbone.items()}
+        head = {n: t.data.copy() for n, t in key.head.items()}
+        C.momentum_update(key, query, 0.9)
+        for n, t in key.backbone.items():
+            assert np.array_equal(t.data, backbone[n])
+        for n, t in key.head.items():
+            assert np.array_equal(t.data, 0.9 * head[n] + (1.0 - 0.9) * query.head[n].data)
+            assert not np.array_equal(t.data, head[n])
 
     def test_shape_mismatch_rejected(self):
         a = C.EncoderParams(T.ParamSet({"w": np.zeros(2)}), T.ParamSet({}), TOY_ENC)

@@ -56,3 +56,23 @@ def test_every_stage_hook_resolves(bench, tmp_path):
 def test_eval_sweep_inputs_count_every_frame(bench, tmp_path):
     run, _ = bench
     assert run.build_inputs("eval_sweep", 1, tmp_path) == 1200
+
+
+def test_eval_sweep_checkpoints_match_the_package_layout(bench, tmp_path):
+    # run.py names the checkpoint sets itself; they must stay the ones
+    # load_encoders reads and save_model writes
+    run, _ = bench
+    from distill_ssl import cli, contrastive, data
+
+    run.build_inputs("eval_sweep", 1, tmp_path / "inputs")
+    enc_cfg = cli.encoder_config({key: spec[1] for key, spec in cli.CONFIG_SCHEMA.items()})
+    for name in run.CHECKPOINT_INPUTS["eval_sweep"]:
+        written = tmp_path / "inputs" / name
+        query, key = contrastive.load_encoders(written, enc_cfg)
+        state = contrastive.MoCoState(query, key, contrastive.KeyQueue(32, enc_cfg.d),
+                                      contrastive.TrainConfig())
+        _, config = data.load_checkpoint(written)
+        contrastive.save_model(state, tmp_path / "saved" / name, config)
+        for suffix in (".bin", ".json"):
+            saved = (tmp_path / "saved" / name).with_suffix(suffix)
+            assert saved.read_bytes() == written.with_suffix(suffix).read_bytes(), name + suffix
