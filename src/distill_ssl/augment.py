@@ -6,12 +6,17 @@ batch gets its own derived random stream keyed by
 (run seed, epoch, sample index, view index), so per-sample work can be
 reordered or parallelized without changing a single draw.
 
-``sample_views`` makes every view of a batch in one pass: it draws each
-view's parameters from its own stream, resamples all crops with one
-gather per bilinear corner (a flipped view samples its columns right to
-left), then applies jitter and noise over the stacked views.
-``sample_view`` is the one-view reference it is tested against: for the
-same streams both give the same bytes.
+``sample_views`` makes every view of a batch in one array pass over the
+views' stream seeds, which ``view_seeds`` derives as one uint64 array.
+It takes one block of ``_PARAM_DRAWS`` uniforms per stream, keeps each
+view's first valid crop candidate and the flip, brightness and contrast
+draws that follow it, resamples all crops with one gather per bilinear
+corner (a flipped view samples its columns right to left), then applies
+jitter and noise over the stacked views, each view's noise drawn from the
+counter where its parameter draws end.  No ``Rng`` object is built and
+no Python code runs per view.  ``sample_view`` draws one view from an
+``Rng`` and is the reference the batch is tested against: for the same
+streams both give the same bytes.
 """
 
 from __future__ import annotations
@@ -21,11 +26,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import STREAM_VIEW, Rng, normals
+from .rng import STREAM_VIEW, Rng, derive_seed, derive_seeds, normals, uniforms
 
 _LOG_ASPECT_LO = math.log(3.0 / 4.0)
 _LOG_ASPECT_HI = math.log(4.0 / 3.0)
 _CROP_ATTEMPTS = 10
+# The most uniforms _sample_params takes: two per crop candidate, then top,
+# left, flip, brightness and contrast after the last candidate.
+_PARAM_DRAWS = 2 * _CROP_ATTEMPTS + 5
 
 
 @dataclass(frozen=True)
@@ -137,22 +145,56 @@ def sample_view(px: np.ndarray, cfg: AugmentConfig, rng: Rng) -> np.ndarray:
     return gaussian_noise(out, cfg.noise_sigma, rng)
 
 
-def sample_views(frames: np.ndarray, cfg: AugmentConfig, rngs: list[Rng]) -> np.ndarray:
-    """Views of stacked N x C x H x W frames, one per stream, in one pass.
+def _draw_params(height: int, width: int, cfg: AugmentConfig, seeds: np.ndarray):
+    """``_sample_params`` of a fresh stream per seed, as arrays, from one block each.
 
-    View i augments ``frames[i % N]`` with ``rngs[i]``; the result is
-    ``np.stack([sample_view(frames[i % N], cfg, rngs[i])])``
-    bit for bit, and every stream advances as that call advances it.
+    Returns tops, lefts, hs, ws, flip, b, c and counts; ``counts[i]`` is
+    the ``_count`` that stream i stands at after ``_sample_params``, the
+    counter its noise starts from.
+    """
+    u = uniforms(seeds, np.zeros(len(seeds), dtype=np.uint64), _PARAM_DRAWS)
+    lo, hi = cfg.crop_scale_range
+    frac = lo + (hi - lo) * u[:, 0 : 2 * _CROP_ATTEMPTS : 2]
+    log_aspect = _LOG_ASPECT_LO + (_LOG_ASPECT_HI - _LOG_ASPECT_LO) * u[:, 1 : 2 * _CROP_ATTEMPTS : 2]
+    # math.exp, as _sample_crop_box: np.exp is not guaranteed to round alike
+    aspect = np.array(list(map(math.exp, log_aspect.ravel().tolist()))).reshape(log_aspect.shape)
+    scaled = frac * float(height * width)
+    cand_w = np.rint(np.sqrt(scaled * aspect))  # rint rounds half to even, as round() does
+    cand_h = np.rint(np.sqrt(scaled / aspect))
+    valid = (cand_w >= 1) & (cand_w <= width) & (cand_h >= 1) & (cand_h <= height)
+    found = valid.any(axis=1)
+    first = valid.argmax(axis=1)
+    views = np.arange(len(seeds))
+    # index of the flip draw: after the accepted candidate's top and left,
+    # or after all candidates when none fits and the box is the full frame
+    k = np.where(found, 2 * first + 4, 2 * _CROP_ATTEMPTS)
+    hs = np.where(found, cand_h[views, first], height).astype(np.int64)
+    ws = np.where(found, cand_w[views, first], width).astype(np.int64)
+    # Rng.integer(bound) is floor(u * bound); a full-frame box has bound 1, so 0
+    tops = np.floor(u[views, k - 2] * (height - hs + 1)).astype(np.int64)
+    lefts = np.floor(u[views, k - 1] * (width - ws + 1)).astype(np.int64)
+    flip = u[views, k] < cfg.flip_prob
+    b = -cfg.brightness_delta + 2.0 * cfg.brightness_delta * u[views, k + 1]
+    clo, chi = cfg.contrast_range
+    c = clo + (chi - clo) * u[views, k + 2]
+    return tops, lefts, hs, ws, flip, b, c, k + 3
+
+
+def sample_views(frames: np.ndarray, cfg: AugmentConfig, seeds: np.ndarray) -> np.ndarray:
+    """Views of stacked N x C x H x W frames, one per stream seed, in one pass.
+
+    View i augments ``frames[i % N]`` from a fresh stream seeded
+    ``seeds[i]`` (uint64); the result is
+    ``np.stack([sample_view(frames[i % N], cfg, Rng(seeds[i]))])``
+    bit for bit.  The streams are read as arrays, one block of parameter
+    draws and one block of noise per seed, and no ``Rng`` is built.
     """
     frames = np.ascontiguousarray(frames, dtype=np.float64)
     n, ch, height, width = frames.shape
-    nv = len(rngs)
+    nv = len(seeds)
     oh, ow = cfg.output_size
-    params = [_sample_params(height, width, cfg, r) for r in rngs]
-    tops, lefts, hs, ws = (np.array(col)[:, None] for col in zip(*(p[0] for p in params)))
-    flip = np.array([p[1] for p in params])
-    b = np.array([p[2] for p in params])
-    c = np.array([p[3] for p in params])
+    tops, lefts, hs, ws, flip, b, c, counts = _draw_params(height, width, cfg, seeds)
+    tops, lefts, hs, ws = (col[:, None] for col in (tops, lefts, hs, ws))
 
     rows = _source_grid(tops.astype(np.float64), hs, oh)
     cols = _source_grid(lefts.astype(np.float64), ws, ow)
@@ -201,7 +243,7 @@ def sample_views(frames: np.ndarray, cfg: AugmentConfig, rngs: list[Rng]) -> np.
     out = np.ascontiguousarray(out.transpose(0, 3, 1, 2))
     if cfg.noise_sigma == 0.0:
         return out
-    noise = normals(rngs, ch * oh * ow).reshape(out.shape)
+    noise = normals(seeds, counts, ch * oh * ow).reshape(out.shape)
     noise *= cfg.noise_sigma
     out += noise
     return np.clip(out, 0.0, 1.0, out=out)
@@ -210,6 +252,15 @@ def sample_views(frames: np.ndarray, cfg: AugmentConfig, rngs: list[Rng]) -> np.
 def view_stream(root: Rng, epoch: int, sample_index: int, view_index: int) -> Rng:
     """The derived stream feeding one view of one sample in one epoch."""
     return root.derive(STREAM_VIEW, epoch, sample_index, view_index)
+
+
+def view_seeds(root: Rng, epoch: int, indices: np.ndarray) -> np.ndarray:
+    """Seeds of ``view_stream(root, epoch, i, v)`` for v in (0, 1) for i in indices.
+
+    One uint64 array of 2 * len(indices) seeds, all views 0 first.
+    """
+    per_epoch = derive_seed(root.seed, STREAM_VIEW, epoch)
+    return derive_seeds(per_epoch, np.asarray(indices)[None, :], np.arange(2)[:, None]).ravel()
 
 
 def resize_to(px: np.ndarray, size: tuple[int, int]) -> np.ndarray:

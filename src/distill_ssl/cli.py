@@ -6,12 +6,15 @@ for the seed).  Every command checks its keys, builds its configs, loads
 --data (and splits it, for probing), loads checkpoints and runs, and only
 then creates --out to write its resolved config.json plus its metrics and
 checkpoints there, so bad input fails before any load and leaves nothing
-behind.  Progress goes to stderr; files carry the machine-readable results.
+behind.  A value that cannot be parsed and one that a config rejects are
+both usage errors: the command exits 2 and prints its usage.  Progress
+goes to stderr; files carry the machine-readable results.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -174,6 +177,21 @@ def _list(cfg: dict, key: str, kind) -> list:
     return values
 
 
+def _usage_error(build):
+    """``build`` with a ValueError (a value the config it builds rejects)
+    raised as a CliError, so the command exits 2 with usage."""
+
+    @functools.wraps(build)
+    def checked(*args, **kwargs):
+        try:
+            return build(*args, **kwargs)
+        except ValueError as exc:
+            raise CliError(str(exc)) from exc
+
+    return checked
+
+
+@_usage_error
 def encoder_config(cfg: dict) -> EncoderConfig:
     channels = tuple(_list(cfg, "conv_channels", int))
     if len(channels) != 2:
@@ -201,6 +219,7 @@ def augment_config(cfg: dict) -> AugmentConfig:
     )
 
 
+@_usage_error
 def train_config(cfg: dict) -> TrainConfig:
     return TrainConfig(
         tau=cfg["tau"],
@@ -218,9 +237,10 @@ def train_config(cfg: dict) -> TrainConfig:
     )
 
 
-def probe_config(cfg: dict) -> ProbeConfig:
+@_usage_error
+def probe_config(cfg: dict, **fields) -> ProbeConfig:
     return ProbeConfig(lr=cfg["probe_lr"], steps=cfg["probe_steps"],
-                       weight_decay=cfg["probe_weight_decay"])
+                       weight_decay=cfg["probe_weight_decay"], **fields)
 
 
 def _require(cfg: dict, command: str, *keys: str) -> None:
@@ -312,10 +332,11 @@ def _probe_inputs(cfg: dict, **probe_fields):
     train/holdout split of --data; every value is checked before any
     checkpoint is read."""
     enc_cfg = encoder_config(cfg)
-    probe = replace(probe_config(cfg), **probe_fields)
+    probe = probe_config(cfg, **probe_fields)
     seeds = _list(cfg, "probe_seeds", int)
     dataset, _ = load_dataset(cfg["data"])
-    train_set, test_set = split_dataset(dataset, cfg["holdout_fraction"], seed=cfg["seed"])
+    train_set, test_set = _usage_error(split_dataset)(dataset, cfg["holdout_fraction"],
+                                                      seed=cfg["seed"])
     return enc_cfg, probe, seeds, int(dataset.labels.max()) + 1, train_set, test_set
 
 
@@ -365,7 +386,7 @@ def cmd_sweep_labels(cfg: dict) -> int:
                        "(--teacher/--plain/--distilled/--init-student)")
     fractions = _list(cfg, "fractions", float)
     for fraction in fractions:  # ProbeConfig holds the range check
-        replace(probe_config(cfg), label_fraction=fraction)
+        probe_config(cfg, label_fraction=fraction)
     enc_cfg, probe, seeds, num_classes, train_set, test_set = _probe_inputs(cfg)
     # Each checkpoint key has an arm of its own, so every given one is used.
     loaded = {key: _query_encoder(cfg[key], enc_cfg)

@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .augment import AugmentConfig, sample_views, view_stream
+from .augment import AugmentConfig, sample_views, view_seeds
 from .data import Batch, load_checkpoint, save_checkpoint
 from .rng import STREAM_INIT, Rng
 from .tensor import GraphError, ParamSet, ParameterError, Tensor
@@ -375,12 +375,12 @@ def build_views(batch: Batch, aug: AugmentConfig, rng: Rng) -> tuple[np.ndarray,
 
     Sample i's query view comes from ``view_stream(rng, epoch, index, 0)``
     and its key view from ``view_stream(rng, epoch, index, 1)``.  All 2B
-    views are made in one batched pass (``augment.sample_views``), which
-    is bitwise equal to ``augment.sample_view`` on each stream.
+    seeds are derived as one array (``augment.view_seeds``) and all 2B
+    views made in one array pass (``augment.sample_views``), which is
+    bitwise equal to ``augment.sample_view`` on each stream.
     """
     n = batch.frames.shape[0]
-    streams = [view_stream(rng, batch.epoch, int(i), v) for v in (0, 1) for i in batch.indices]
-    views = sample_views(batch.frames, aug, streams)
+    views = sample_views(batch.frames, aug, view_seeds(rng, batch.epoch, batch.indices))
     return views[:n], views[n:]
 
 

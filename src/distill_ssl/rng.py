@@ -6,6 +6,11 @@ only on (seed, counter), blocks of draws vectorize with numpy and a
 stream can be split into independent child streams without consuming any
 of the parent's draws.  Identical seeds give identical sequences on every
 platform (all integer arithmetic is exact modulo 2**64).
+
+The same holds across streams: ``derive_seeds`` derives many child seeds
+as one uint64 array, and ``uniforms`` and ``normals`` draw from many
+(seed, counter) pairs in one block, so a batch of streams needs no ``Rng``
+objects.  The ``Rng`` methods are the one-stream form of the same draws.
 """
 
 from __future__ import annotations
@@ -70,6 +75,22 @@ def derive_seed(base: int, *keys: int) -> int:
     return s
 
 
+def derive_seeds(base: int, *keys) -> np.ndarray:
+    """``derive_seed`` over integer keys or key arrays, broadcast together.
+
+    Element ``[idx]`` of the uint64 result is
+    ``derive_seed(base, *(k[idx] for k in keys))``; uint64 arrays wrap
+    modulo 2**64 as the Python-int path masks.
+    """
+    shape = np.broadcast_shapes(*(np.shape(k) for k in keys))
+    s = np.full(shape, base & _MASK, dtype=np.uint64)
+    for k in keys:
+        s += _U_GOLDEN
+        s ^= _mix_array(np.broadcast_to(np.asarray(k).astype(np.uint64), shape).copy())
+        _mix_array(s)
+    return s
+
+
 class Rng:
     """Seeded deterministic generator with vectorized draws."""
 
@@ -83,21 +104,24 @@ class Rng:
         """Child stream keyed off this stream's seed; parent state untouched."""
         return Rng(derive_seed(self.seed, *keys))
 
-    def _next_block(self, n: int) -> np.ndarray:
-        idx = np.arange(self._count + 1, self._count + n + 1, dtype=np.uint64)
-        self._count += n
-        return _mix_array(np.uint64(self.seed) + idx * _U_GOLDEN)
+    def _at(self):
+        """This stream as the (seeds, counts) arrays of ``uniforms``/``normals``."""
+        return np.array([self.seed], dtype=np.uint64), np.array([self._count], dtype=np.uint64)
 
     def uniform(self, n: int | None = None):
         """Draws in [0, 1): a float for n=None, else an ndarray of length n."""
         if n is None:
             self._count += 1
             return float(_mix_int(self.seed + self._count * _GOLDEN) >> 11) * _TWO53_INV
-        return (self._next_block(n) >> _U11).astype(np.float64) * _TWO53_INV
+        u = uniforms(*self._at(), n)[0]
+        self._count += n
+        return u
 
     def normal(self, n: int | None = None):
-        """Standard normal draws via the Box-Muller transform."""
-        z = normals([self], 1 if n is None else n)[0]
+        """Standard normal draws via the Box-Muller transform (see ``normals``)."""
+        m = 1 if n is None else n
+        z = normals(*self._at(), m)[0]
+        self._count += 2 * ((m + 1) // 2)
         return float(z[0]) if n is None else z
 
     def integer(self, bound: int) -> int:
@@ -115,21 +139,34 @@ class Rng:
         return perm
 
 
-def normals(streams: list[Rng], n: int) -> np.ndarray:
-    """n standard normals from each stream, row i from ``streams[i]``.
+def _block(seeds: np.ndarray, counts: np.ndarray, n: int) -> np.ndarray:
+    """Outputs ``counts[i] + 1 .. counts[i] + n`` of stream ``seeds[i]``, as row i."""
+    # output c of a stream is mix64(seed + c * GOLDEN); uint64 arrays wrap modulo 2**64
+    starts = seeds + np.asarray(counts, dtype=np.uint64) * _U_GOLDEN
+    return _mix_array(starts[:, None] + np.arange(1, n + 1, dtype=np.uint64) * _U_GOLDEN)
 
-    Each stream draws at its own counter and advances exactly as it would
-    by ``streams[i].normal(n)``, so row i equals that call bit for bit.
+
+def uniforms(seeds: np.ndarray, counts: np.ndarray, n: int) -> np.ndarray:
+    """n draws in [0, 1) from each stream, row i from stream ``seeds[i]``.
+
+    Row i equals ``uniform(n)`` on an ``Rng(seeds[i])`` whose ``_count``
+    is ``counts[i]``, and its column j that stream's (j + 1)-th scalar
+    ``uniform()`` from there.
+    """
+    return (_block(seeds, counts, n) >> _U11).astype(np.float64) * _TWO53_INV
+
+
+def normals(seeds: np.ndarray, counts: np.ndarray, n: int) -> np.ndarray:
+    """n standard normals from each stream, row i from stream ``seeds[i]``.
+
+    Row i equals ``normal(n)`` on an ``Rng(seeds[i])`` whose ``_count`` is
+    ``counts[i]``, a call that takes ``2 * ((n + 1) // 2)`` draws.
     Box-Muller over one SplitMix64 block per stream: the first half of a
     block gives u1 in (0, 1], which keeps the log finite, the second half
     u2 in [0, 1).
     """
     pairs = (n + 1) // 2
-    # output j of a stream at count c is mix64(seed + c * GOLDEN + j * GOLDEN)
-    starts = np.array([(s.seed + s._count * _GOLDEN) & _MASK for s in streams], dtype=np.uint64)
-    for s in streams:
-        s._count += 2 * pairs
-    u = _mix_array(starts[:, None] + np.arange(1, 2 * pairs + 1, dtype=np.uint64) * _U_GOLDEN)
+    u = _block(seeds, counts, 2 * pairs)
     u >>= _U11
     u1 = (u[:, :pairs] + 1.0) * _TWO53_INV  # 53-bit integers convert to float64 exactly
     u2 = u[:, pairs:] * _TWO53_INV
@@ -137,7 +174,7 @@ def normals(streams: list[Rng], n: int) -> np.ndarray:
     r *= -2.0
     np.sqrt(r, out=r)
     theta = np.multiply(2.0 * math.pi, u2, out=u2)
-    z = np.empty((len(streams), 2 * pairs))
+    z = np.empty((len(seeds), 2 * pairs))
     cos, sin = np.cos(theta, out=z[:, :pairs]), np.sin(theta, out=z[:, pairs:])
     cos *= r
     sin *= r

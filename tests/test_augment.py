@@ -1,10 +1,14 @@
 """Two-view augmentation: determinism, identity cases, statistics."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from distill_ssl.augment import (
     AugmentConfig,
+    _draw_params,
+    _sample_params,
     crop_resize,
     gaussian_noise,
     horizontal_flip,
@@ -12,6 +16,7 @@ from distill_ssl.augment import (
     resize_to,
     sample_view,
     sample_views,
+    view_seeds,
     view_stream,
 )
 from distill_ssl.contrastive import build_views
@@ -117,14 +122,88 @@ class TestBatchedViews:
                 assert got.tobytes() == expected.tobytes()
 
     def test_streams_advance_as_in_sample_view(self):
+        # sample_views keeps no Rng: it must derive the oracle's seeds and
+        # start each view's noise at the counter _sample_params leaves
         frames = np.random.default_rng(1).uniform(size=(3, 2, 10, 14))
         cfg = AugmentConfig(output_size=(5, 6))
-        batched = [Rng(s) for s in range(6)]
-        single = [Rng(s) for s in range(6)]
-        sample_views(frames, cfg, batched)
-        for i, r in enumerate(single):
-            sample_view(frames[i % 3], cfg, r)
-        assert [r.uniform() for r in batched] == [r.uniform() for r in single]
+        root, indices = Rng(31), np.array([4, 0, 9])
+        seeds = view_seeds(root, 2, indices)
+        oracle = [view_stream(root, 2, int(i), v) for v in (0, 1) for i in indices]
+        assert seeds.dtype == np.uint64
+        assert seeds.tolist() == [r.seed for r in oracle]
+        counts = _draw_params(10, 14, cfg, seeds)[-1]
+        for r in oracle:
+            _sample_params(10, 14, cfg, r)
+        assert counts.tolist() == [r._count for r in oracle]
+        expected = [sample_view(frames[i % 3], cfg, Rng(s)) for i, s in enumerate(seeds.tolist())]
+        assert sample_views(frames, cfg, seeds).tobytes() == np.stack(expected).tobytes()
+
+    def test_block_draw_equals_sample_params(self):
+        # The test records which crop candidate the oracle accepted (its
+        # first Rng.integer call), so no branch of the block draw goes unseen.
+        seeds = np.arange(2000, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+        seen = set()
+        for height, width in ((32, 32), (19, 27)):
+            for scale in ((0.9, 1.0), (1.0, 1.0)):
+                cfg = AugmentConfig(crop_scale_range=scale)
+                tops, lefts, hs, ws, flip, b, c, counts = _draw_params(height, width, cfg, seeds)
+                for i, seed in enumerate(seeds.tolist()):
+                    r = _AcceptanceRecorder(seed)
+                    box, f, bi, ci = _sample_params(height, width, cfg, r)
+                    seen.add(r.accepted)
+                    assert box == (tops[i], lefts[i], hs[i], ws[i])
+                    assert (f, bi, ci, r._count) == (flip[i], b[i], c[i], counts[i])
+        assert seen == {*range(10), "fallback"}
+
+    def test_build_views_draws_through_no_rng_method(self, monkeypatch):
+        frames = np.random.default_rng(2).uniform(size=(4, 1, 32, 32))
+        indices = np.array([3, 1, 2, 0])
+        root = Rng(8)
+        expected = [
+            np.stack([sample_view(f, AugmentConfig(), view_stream(root, 1, int(i), v))
+                      for f, i in zip(frames, indices)])
+            for v in (0, 1)
+        ]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("per-view Rng draw on the batched path")
+
+        for name in ("uniform", "integer", "normal", "derive"):
+            monkeypatch.setattr(Rng, name, forbidden)
+        views = build_views(Batch(frames, indices, 1), AugmentConfig(), root)
+        assert [v.tobytes() for v in views] == [e.tobytes() for e in expected]
+
+    # sha256 of query + key view bytes, taken before the views were drawn as arrays
+    PINNED = {
+        ("default", 1): "e092f2bce607e58db85071a3a4d6e8dfa64818946a63f64ce861fc9d8a01e5c5",
+        ("default", 2): "cca757581ca8d461a8c69c8a3318a83e17f87730b1eeb0a171f44a712aa38af4",
+        ("default", 7): "42b9ff9ad330c57a11fbf5013f4b49e1349ad4798a4b7adcb62f72035b6b374f",
+        ("full_frame_crop", 1): "86207ddb17d8e6e29777ad98cf6f6c737c13ace9c949bb2bc95c4e7e1222919b",
+        ("full_frame_crop", 2): "5fe02dfc5d95f13e81cce13898827b50769db250c3c8fc9d80bb621809b46257",
+        ("full_frame_crop", 7): "3f6e380f24fc59254ada66af3b5b0deee60d4aad89cd176ddd233193dc23d5a1",
+    }
+
+    @pytest.mark.parametrize("config, seed", PINNED.keys())
+    def test_build_views_bytes_pinned(self, config, seed):
+        frames = Rng(0).uniform(8 * 32 * 32).reshape(8, 1, 32, 32)
+        batch = Batch(frames, np.array([5, 0, 11, 3, 7, 2, 9, 1]), 3)
+        q, k = build_views(batch, ORACLE_CONFIGS[config], Rng(seed))
+        assert hashlib.sha256(q.tobytes() + k.tobytes()).hexdigest() == self.PINNED[config, seed]
+
+
+class _AcceptanceRecorder(Rng):
+    """An oracle stream that notes which crop candidate _sample_crop_box accepted."""
+
+    __slots__ = ("accepted",)
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.accepted = "fallback"
+
+    def integer(self, bound):
+        if self.accepted == "fallback":  # the top draw follows candidate j's 2j + 2 draws
+            self.accepted = (self._count - 2) // 2
+        return super().integer(bound)
 
 
 class TestCropResize:

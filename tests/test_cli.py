@@ -447,7 +447,8 @@ class TestStages:
         out = tmp_path / "out"
         code = run([command, *inputs, *args, "--out", str(out)])
         err = capsys.readouterr().err
-        assert code != 0
+        assert code == 2
+        assert "usage:" in err
         assert named in err and "missing manifest" not in err
         assert not out.exists()
 

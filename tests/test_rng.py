@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from distill_ssl.rng import Rng, derive_seed, normals
+from distill_ssl.rng import Rng, derive_seed, derive_seeds, normals, uniforms
 
 
 def test_same_seed_same_sequence():
@@ -81,17 +81,42 @@ def test_normal_pinned_at_wrapping_seed():
     ]
 
 
-@pytest.mark.parametrize("n", [1, 7, 64])
-def test_normals_rows_equal_per_stream_draws(n):
+def _streams_at_counts():
+    """Streams at their own counters, with the (seeds, counts) arrays naming them."""
     streams = [Rng(s) for s in (0, 9, 2**64 - 1)]
     for s, k in zip(streams, (0, 3, 5)):
-        s.uniform(k)  # each stream at its own counter
-    ref = [Rng(s.seed) for s in streams]
-    for r, k in zip(ref, (0, 3, 5)):
-        r.uniform(k)
-    rows = normals(streams, n)
+        s.uniform(k)
+    seeds = np.array([s.seed for s in streams], dtype=np.uint64)
+    return streams, seeds, np.array([s._count for s in streams])
+
+
+@pytest.mark.parametrize("n", [1, 7, 64])
+def test_normals_rows_equal_per_stream_draws(n):
+    streams, seeds, counts = _streams_at_counts()
+    rows = normals(seeds, counts, n)
     assert rows.shape == (3, n)
-    for row, r in zip(rows, ref):
+    for row, r in zip(rows, streams):
         assert row.tolist() == r.normal(n).tolist()
-    # both advanced alike: the next draws agree
-    assert [s.uniform() for s in streams] == [r.uniform() for r in ref]
+    # normal(n) advanced each stream past the block the row used
+    after = [Rng(int(s)) for s in seeds]
+    for r, c in zip(after, counts + 2 * ((n + 1) // 2)):
+        r.uniform(int(c))
+    assert [s.uniform() for s in streams] == [r.uniform() for r in after]
+
+
+@pytest.mark.parametrize("n", [1, 25])
+def test_uniforms_rows_equal_per_stream_draws(n):
+    streams, seeds, counts = _streams_at_counts()
+    rows = uniforms(seeds, counts, n)
+    assert rows.shape == (3, n)
+    for row, r in zip(rows, streams):
+        assert row.tolist() == [r.uniform() for _ in range(n)]
+
+
+def test_derive_seeds_equals_derive_seed():
+    # keys broadcast together; the base 2**64 - 1 wraps on the first add
+    for base in (0, 42, 2**64 - 1):
+        got = derive_seeds(base, 0x22, np.array([[0], [5]]), np.array([7, 0, 2**40]))
+        assert got.dtype == np.uint64 and got.shape == (2, 3)
+        for (a, b), seed in np.ndenumerate(got):
+            assert int(seed) == derive_seed(base, 0x22, (0, 5)[a], (7, 0, 2**40)[b])
