@@ -34,6 +34,7 @@ from .eval import (
     MODES,
     ProbeConfig,
     SweepEncoder,
+    check_holdout_fraction,
     compute_phase_metrics,
     extract_features,
     fit_linear_probe,
@@ -329,14 +330,14 @@ def cmd_pretrain_student(cfg: dict) -> int:
 
 def _probe_inputs(cfg: dict, **probe_fields):
     """Encoder and probe configs, probe seeds, class count, and the
-    train/holdout split of --data; every value is checked before any
-    checkpoint is read."""
+    train/holdout split of --data; every value is checked before --data or
+    any checkpoint is read."""
     enc_cfg = encoder_config(cfg)
     probe = probe_config(cfg, **probe_fields)
     seeds = _list(cfg, "probe_seeds", int)
+    _usage_error(check_holdout_fraction)(cfg["holdout_fraction"])
     dataset, _ = load_dataset(cfg["data"])
-    train_set, test_set = _usage_error(split_dataset)(dataset, cfg["holdout_fraction"],
-                                                      seed=cfg["seed"])
+    train_set, test_set = split_dataset(dataset, cfg["holdout_fraction"], seed=cfg["seed"])
     return enc_cfg, probe, seeds, int(dataset.labels.max()) + 1, train_set, test_set
 
 

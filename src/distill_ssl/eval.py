@@ -5,8 +5,10 @@ backbone in batches (resized first only when they differ from the
 encoder's input size), and its labels travel with the features.
 Features are backbone outputs (pre projection head).  Transfer modes
 combine teacher and student features by addition or concatenation, or
-evaluate either alone.  The probe is multinomial logistic regression fit
-by full-batch gradient descent on a per-class stratified label subset.
+evaluate either alone.  A sweep runs each distinct encoder's backbone once
+per split and combines those features for every arm that uses it.  The
+probe is multinomial logistic regression fit by full-batch gradient
+descent on a per-class stratified label subset.
 """
 
 from __future__ import annotations
@@ -89,10 +91,12 @@ def extract_features(
     teacher: EncoderParams | None,
     dataset: Dataset,
     mode: str,
+    backbone=_backbone_features,
 ) -> FeatureSet:
     """Deterministic frozen features of a dataset for one transfer mode.
 
     student/teacher may be None when the mode does not use them.
+    ``backbone(enc, frames)`` gives one encoder's features.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
@@ -102,12 +106,12 @@ def extract_features(
         raise ContractError(f"mode {mode!r} needs teacher parameters")
     frames = dataset.frames
     if mode == "student":
-        feats = _backbone_features(student, frames)
+        feats = backbone(student, frames)
     elif mode == "teacher":
-        feats = _backbone_features(teacher, frames)
+        feats = backbone(teacher, frames)
     else:
-        f_t = _backbone_features(teacher, frames)
-        f_s = _backbone_features(student, frames)
+        f_t = backbone(teacher, frames)
+        f_s = backbone(student, frames)
         if f_t.shape[1] != f_s.shape[1] and mode == "addition":
             raise ContractError(
                 f"addition needs matching feature dims, got {f_t.shape[1]} and {f_s.shape[1]}"
@@ -218,12 +222,16 @@ class SweepEncoder:
     teacher: EncoderParams | None = None
 
 
+def check_holdout_fraction(holdout_fraction: float) -> None:
+    if not 0.0 < holdout_fraction < 1.0:
+        raise ValueError(f"holdout_fraction must be in (0, 1), got {holdout_fraction}")
+
+
 def split_dataset(
     dataset: Dataset, holdout_fraction: float = 0.5, seed: int = 0
 ) -> tuple[Dataset, Dataset]:
     """Stratified train/holdout split, deterministic in the seed."""
-    if not 0.0 < holdout_fraction < 1.0:
-        raise ValueError(f"holdout_fraction must be in (0, 1), got {holdout_fraction}")
+    check_holdout_fraction(holdout_fraction)
     labels = dataset.labels
     rng = Rng(seed).derive(STREAM_PROBE, 0xFACE)
     train_idx, test_idx = [], []
@@ -249,15 +257,26 @@ def label_efficiency_sweep(
 ) -> tuple[list[dict], dict]:
     """One probe per (encoder, fraction, seed); rows plus mean/std summary.
 
+    Each distinct encoder object's backbone runs once per split, however
+    many arms share it; the features live only as long as the call.
     ``ProbeConfig`` range-checks each fraction as its first probe is built.
     """
     if not encoders or not fractions or not seeds:
         raise ValueError("encoders, fractions and seeds must be non-empty")
     rows = []
     summary: dict[str, dict] = {}
+    # keyed by identity: ``encoders`` and the two splits keep every key alive
+    features: dict[tuple[int, int], np.ndarray] = {}
+
+    def backbone(enc: EncoderParams, frames: np.ndarray) -> np.ndarray:
+        key = (id(enc), id(frames))
+        if key not in features:
+            features[key] = _backbone_features(enc, frames)
+        return features[key]
+
     for enc in encoders:
-        fs_train = extract_features(enc.student, enc.teacher, train_set, enc.mode)
-        fs_test = extract_features(enc.student, enc.teacher, test_set, enc.mode)
+        fs_train = extract_features(enc.student, enc.teacher, train_set, enc.mode, backbone)
+        fs_test = extract_features(enc.student, enc.teacher, test_set, enc.mode, backbone)
         summary[enc.name] = {}
         for fraction in fractions:
             accs = []

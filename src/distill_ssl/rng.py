@@ -131,12 +131,15 @@ class Rng:
         return int(self.uniform() * bound)
 
     def permutation(self, n: int) -> np.ndarray:
-        """Fisher-Yates shuffle of range(n)."""
-        perm = np.arange(n, dtype=np.int64)
-        for i in range(n - 1, 0, -1):
-            j = self.integer(i + 1)
-            perm[i], perm[j] = perm[j], perm[i]
-        return perm
+        """Fisher-Yates shuffle of range(n): for i = n-1 .. 1, swap i with
+        ``integer(i + 1)``, the n - 1 draws taken as one block."""
+        perm = list(range(n))
+        if n > 1:
+            # trunc(u * (i + 1)) as in ``integer``; i + 1 < 2**53 is exact in float64
+            js = (self.uniform(n - 1) * np.arange(n, 1, -1, dtype=np.float64)).astype(np.int64)
+            for i, j in zip(range(n - 1, 0, -1), js.tolist()):
+                perm[i], perm[j] = perm[j], perm[i]
+        return np.array(perm, dtype=np.int64)
 
 
 def _block(seeds: np.ndarray, counts: np.ndarray, n: int) -> np.ndarray:

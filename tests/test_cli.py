@@ -431,6 +431,11 @@ class TestStages:
             ("pretrain-student", ["--tau", "0"], "tau"),
             ("pretrain-student", ["--queue-size", "30"], "queue_size"),
             ("pretrain-student", ["--conv-channels", "8"], "conv_channels"),
+            # --data does not exist either: the split fraction is checked before it is read
+            ("linear-probe", ["--data", "{missing}", "--holdout-fraction", "1.5"],
+             "holdout_fraction"),
+            ("sweep-labels", ["--data", "{missing}", "--holdout-fraction", "0"],
+             "holdout_fraction"),
         ),
     )
     def test_bad_value_fails_before_any_load_and_leaves_no_out(
@@ -439,6 +444,7 @@ class TestStages:
         # The checkpoints do not exist, so the value must be checked before
         # any is read; the training runs would fail only after loading --data.
         missing = str(tmp_path / "missing")
+        args = [a.replace("{missing}", missing) for a in args]
         inputs = {
             "linear-probe": ["--data", str(data_dir / "target"), "--ckpt", missing],
             "sweep-labels": ["--data", str(data_dir / "target"), "--plain", missing],
@@ -456,24 +462,32 @@ class TestStages:
         self, monkeypatch, small_config, data_dir, generic_ckpt, tmp_path
     ):
         from distill_ssl import cli
+        from distill_ssl import eval as E
 
         calls = {}
-        for name in ("generate_synthetic_dataset", "fit_linear_probe", "label_efficiency_sweep"):
-            original = getattr(cli, name)
+        for module, name in ((cli, "generate_synthetic_dataset"), (cli, "fit_linear_probe"),
+                             (cli, "label_efficiency_sweep"), (E, "fit_linear_probe")):
+            original = getattr(module, name)
+            key = f"{module.__name__.rpartition('.')[2]}.{name}"
 
-            def counted(*args, _name=name, _original=original, **kwargs):
-                calls[_name] = calls.get(_name, 0) + 1
+            def counted(*args, _key=key, _original=original, **kwargs):
+                calls[_key] = calls.get(_key, 0) + 1
                 return _original(*args, **kwargs)
 
-            monkeypatch.setattr(cli, name, counted)
+            monkeypatch.setattr(module, name, counted)
         assert run(["gen-data", "--config", small_config, "--out", str(tmp_path / "data")]) == 0
         common = ["--config", small_config, "--data", str(data_dir / "target")]
         assert run(["linear-probe", *common, "--ckpt", str(generic_ckpt),
                     "--out", str(tmp_path / "probe")]) == 0
-        assert run(["sweep-labels", *common, "--plain", str(generic_ckpt), "--fractions", "1.0",
-                    "--probe-seeds", "0", "--out", str(tmp_path / "sweep")]) == 0
-        assert calls == {"generate_synthetic_dataset": 2, "fit_linear_probe": 2,
-                         "label_efficiency_sweep": 1}
+        # four arms share two encoders; the benchmark takes each hooked
+        # eval.fit_linear_probe call as one sweep step and needs one per row
+        assert run(["sweep-labels", *common, "--plain", str(generic_ckpt), "--teacher",
+                    str(generic_ckpt), "--fractions", "0.5,1.0", "--probe-seeds", "0,1",
+                    "--out", str(tmp_path / "sweep")]) == 0
+        rows = (tmp_path / "sweep" / "metrics.csv").read_text().splitlines()[1:]
+        assert len(rows) == 4 * 2 * 2
+        assert calls == {"cli.generate_synthetic_dataset": 2, "cli.fit_linear_probe": 2,
+                         "cli.label_efficiency_sweep": 1, "eval.fit_linear_probe": len(rows)}
 
     def test_gradcheck_writes_report(self, tmp_path):
         from distill_ssl.gradcheck import run_gradcheck

@@ -310,6 +310,40 @@ class TestSweep:
         direct = E.compute_phase_metrics(model.predict(fte.features), fte.labels, 4)
         assert single_rows[0]["accuracy"] == direct.accuracy
 
+    def test_shared_encoders_run_once_per_split_with_per_arm_rows(self, ckpts, monkeypatch):
+        a, b = query_encoder(ckpts[0], TOY_ENC), query_encoder(ckpts[1], TOY_ENC)
+        a_again = query_encoder(ckpts[0], TOY_ENC)  # equal weights, another object
+        arms = [("teacher", "teacher", None, b), ("plain", "student", a, None),
+                ("addition", "addition", a, b), ("concatenation", "concatenation", a, b),
+                ("initialization", "student", a_again, None)]
+        encoders = [E.SweepEncoder(*arm) for arm in arms]
+        train_set, test_set = E.split_dataset(toy_dataset(per_phase=12), 0.5, seed=0)
+        probe = E.ProbeConfig(lr=0.5, steps=40)
+        fractions, seeds = [0.5, 1.0], [0, 1]
+
+        oracle = []
+        for name, mode, student, teacher in arms:
+            ftr = E.extract_features(student, teacher, train_set, mode)
+            fte = E.extract_features(student, teacher, test_set, mode)
+            for fraction in fractions:
+                for seed in seeds:
+                    cfg = replace(probe, label_fraction=fraction, seed=seed)
+                    model = E.fit_linear_probe(ftr, cfg, 4)
+                    m = E.compute_phase_metrics(model.predict(fte.features), fte.labels, 4)
+                    oracle.append({"encoder": name, "mode": mode, "fraction": fraction,
+                                   "seed": seed, **vars(m)})
+
+        passes = []
+        original = E.forward_backbone
+        monkeypatch.setattr(E, "forward_backbone",
+                            lambda enc, x: passes.append((id(enc), x.data.shape[0])) or original(enc, x))
+        rows, _ = E.label_efficiency_sweep(encoders, fractions, seeds, train_set, test_set, 4, probe)
+        assert rows == oracle
+        # one batch per split here: a, b and a_again each run once on train and once on test
+        assert len(train_set) <= 128 and len(test_set) <= 128
+        assert sorted(passes) == sorted((id(e), len(s)) for e in (a, b, a_again)
+                                        for s in (train_set, test_set))
+
     def test_split_is_stratified_and_deterministic(self):
         dataset = toy_dataset(per_phase=12)
         a1, b1 = E.split_dataset(dataset, 0.5, seed=4)

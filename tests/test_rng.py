@@ -68,6 +68,26 @@ def test_permutation_is_a_permutation():
     assert np.array_equal(perm, Rng(3).permutation(50))
 
 
+def scalar_fisher_yates(r, n):
+    """The shuffle one scalar ``integer`` draw at a time: the oracle of ``permutation``."""
+    perm = np.arange(n, dtype=np.int64)
+    for i in range(n - 1, 0, -1):
+        j = r.integer(i + 1)
+        perm[i], perm[j] = perm[j], perm[i]
+    return perm
+
+
+@pytest.mark.parametrize("seed", [0, 1, 42, 2**64 - 1])
+def test_permutation_equals_scalar_fisher_yates(seed):
+    for n in (0, 1, 2, 3, 150, 1200):
+        block, scalar = Rng(seed), Rng(seed)
+        perm = block.permutation(n)
+        assert perm.dtype == np.int64
+        assert perm.tolist() == scalar_fisher_yates(scalar, n).tolist()
+        # both took the same draws
+        assert block._count == scalar._count == max(n - 1, 0)
+
+
 def test_permutation_pinned():
     # regression anchor: the scalar draw path fixes every shuffle
     assert Rng(42).permutation(10).tolist() == [8, 3, 6, 5, 4, 0, 9, 2, 1, 7]

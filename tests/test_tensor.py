@@ -328,6 +328,67 @@ class TestSoftmaxWithTemperature:
             assert rel_err(grad_of(op, {"z": z}, "z", weights), fd_of(op, {"z": z}, "z", weights)) <= 1e-5
 
 
+def softmax_by_reduction(u):
+    """``softmax_and_log`` through numpy's axis reductions, as wide inputs take it."""
+    umax = u.max(axis=-1, keepdims=True)
+    e = np.exp(u - umax)
+    s = e.sum(axis=-1, keepdims=True)
+    return e / s, u - (umax + np.log(s))
+
+
+def logit_cases(k, seed):
+    rng = np.random.default_rng(seed)
+    for shape in ((k,), (1, k), (3, k), (32, k), (600, k), (1200, k)):
+        for scale in (0.1, 1.0, 30.0, 300.0):
+            yield rng.normal(size=shape) * scale
+
+
+def count_column_folds(monkeypatch):
+    folds = []
+    original = T._fold_columns
+    monkeypatch.setattr(T, "_fold_columns", lambda *a: folds.append(1) or original(*a))
+    return folds
+
+
+class TestSoftmaxAndLog:
+    @pytest.mark.parametrize("k", range(1, T.COLUMN_SOFTMAX_MAX_COLS + 1))
+    def test_column_path_equals_reduction_bitwise(self, k, monkeypatch):
+        monkeypatch.setattr(T, "COLUMN_SOFTMAX_ROWS_PER_COL", 0)  # columns at any row count
+        folds = count_column_folds(monkeypatch)
+        for u in logit_cases(k, seed=k):
+            p, log_p = T.softmax_and_log(u)
+            ref_p, ref_log_p = softmax_by_reduction(u)
+            assert p.shape == ref_p.shape and log_p.shape == ref_log_p.shape
+            assert np.array_equal(p, ref_p) and np.array_equal(log_p, ref_log_p)
+        assert len(folds) == 2 * 24
+
+    def test_one_column_past_the_bound_takes_the_reduction(self, monkeypatch):
+        k = T.COLUMN_SOFTMAX_MAX_COLS + 1
+        monkeypatch.setattr(T, "COLUMN_SOFTMAX_ROWS_PER_COL", 0)
+        folds = count_column_folds(monkeypatch)
+        cases = list(logit_cases(k, seed=k))
+        for u in cases:
+            p, log_p = T.softmax_and_log(u)
+            ref_p, ref_log_p = softmax_by_reduction(u)
+            assert np.array_equal(p, ref_p) and np.array_equal(log_p, ref_log_p)
+        assert folds == []
+        # and must: k columns summed one by one differ from numpy's sum, so
+        # a numpy that moves the bound fails one of these two tests
+        monkeypatch.setattr(T, "COLUMN_SOFTMAX_MAX_COLS", k)
+        assert any(not np.array_equal(T.softmax_and_log(u)[0], softmax_by_reduction(u)[0])
+                   for u in cases)
+
+    @pytest.mark.parametrize("shape, folds", (((600, 4), 2), ((63, 4), 0), ((64, 4), 2),
+                                              ((4,), 0), ((600, 257), 0)))
+    def test_rows_and_columns_pick_the_path(self, shape, folds, monkeypatch):
+        seen = count_column_folds(monkeypatch)
+        u = np.random.default_rng(5).normal(size=shape)
+        p, log_p = T.softmax_and_log(u)
+        assert len(seen) == folds
+        ref_p, ref_log_p = softmax_by_reduction(u)
+        assert np.array_equal(p, ref_p) and np.array_equal(log_p, ref_log_p)
+
+
 class TestBackward:
     def test_sum_gradient_is_ones(self):
         x = T.parameter(np.arange(6, dtype=np.float64).reshape(2, 3))
