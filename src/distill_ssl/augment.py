@@ -4,7 +4,9 @@ A view is produced by a fixed transform order: random resized crop,
 horizontal flip, photometric jitter, gaussian noise.  Each sample in a
 batch gets its own derived random stream keyed by
 (run seed, epoch, sample index, view index), so per-sample work can be
-reordered or parallelized without changing a single draw.
+reordered or moved to another process without changing a single draw:
+the training loop (``pipeline._run``) has every batch's views built one
+batch ahead in a forked worker process.
 
 ``sample_views`` makes every view of a batch in one array pass over the
 views' stream seeds, which ``view_seeds`` derives as one uint64 array.

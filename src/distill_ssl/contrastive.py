@@ -378,21 +378,32 @@ def build_views(batch: Batch, aug: AugmentConfig, rng: Rng) -> tuple[np.ndarray,
     seeds are derived as one array (``augment.view_seeds``) and all 2B
     views made in one array pass (``augment.sample_views``), which is
     bitwise equal to ``augment.sample_view`` on each stream.
+
+    The views depend on the batch, ``aug`` and ``rng.seed`` alone, never
+    on draws taken from ``rng`` or on model state.  That is what lets
+    ``pipeline``'s view worker, a forked copy of the training process,
+    build every batch's views one batch ahead of the step that uses them.
     """
     n = batch.frames.shape[0]
     views = sample_views(batch.frames, aug, view_seeds(rng, batch.epoch, batch.indices))
     return views[:n], views[n:]
 
 
+def _views(batch: Batch, aug: AugmentConfig, rng: Rng) -> tuple[np.ndarray, np.ndarray]:
+    """The views built ahead for ``batch``, else ``build_views`` in process."""
+    return build_views(batch, aug, rng) if batch.views is None else batch.views
+
+
 def warm_up_queue(state: MoCoState, stream, rng: Rng, teacher: MoCoState | None = None) -> None:
     """Fill the queue with key-encoder embeddings before any loss is taken.
 
-    Consumes capacity/batch_size batches from the stream.  When a
-    ``teacher`` is given, its key encoder fills its queue from the same
-    views, so index i of both queues holds the same sample.
+    Consumes capacity/batch_size batches from the stream, using the
+    views a batch carries when it has them.  When a ``teacher`` is given,
+    its key encoder fills its queue from the same views, so index i of
+    both queues holds the same sample.
     """
     for _ in range(state.queue.capacity // state.cfg.batch_size):
-        _, views_k = build_views(stream.next_batch(), state.cfg.augment, rng)
+        _, views_k = _views(stream.next_batch(), state.cfg.augment, rng)
         state.queue.push(encode(state.key, views_k).data)
         if teacher is not None:
             teacher.queue.push(encode(teacher.key, views_k).data)
@@ -412,9 +423,10 @@ def moco_train_step(state: MoCoState, batch: Batch, rng: Rng) -> StepResult:
 def _train_step(state: MoCoState, batch: Batch, rng: Rng, extra_loss=None) -> StepResult:
     """Shared step core.
 
-    Order: views, query/key embeddings, losses, backprop + SGD on each
-    query set that is not frozen, momentum update of the key encoder,
-    queue push.
+    Order: views (the batch's own when it carries them, else
+    ``build_views``), query/key embeddings, losses, backprop + SGD on
+    each query set that is not frozen, momentum update of the key
+    encoder, queue push.
     ``extra_loss(views_q, views_k, q, k_plus)``, when given, runs inside
     the recorded graph before the queue moves and returns (term, value):
     ``term`` is added to the InfoNCE loss unless it is None, and ``value``
@@ -430,7 +442,7 @@ def _train_step(state: MoCoState, batch: Batch, rng: Rng, extra_loss=None) -> St
     if not state.queue.warmed:
         raise ContractError("queue must be warmed before training steps")
 
-    views_q, views_k = build_views(batch, cfg.augment, rng)
+    views_q, views_k = _views(batch, cfg.augment, rng)
     graph = T.Graph()
     with graph:
         q = encode(state.query, views_q, record_grads=True)

@@ -3,15 +3,20 @@
 In memory a dataset is a ``Dataset``: one N x C x H x W frames array and
 one array of N integer labels; every stage reads those two arrays.
 Checkpoints and dataset caches share one on-disk format: a JSON manifest
-(`name.json`) describing a named tensor table, next to a contiguous
-little-endian float64 blob (`name.bin`).  A dataset is stored as its
-``frames`` and ``labels`` tensors.  Round trips are bitwise exact.
+(`name.json`) describing a named tensor table and the blob's sha256, next
+to a contiguous little-endian float64 blob (`name.bin`).  A dataset is
+stored as its ``frames`` and ``labels`` tensors.  Round trips are bitwise
+exact, and an interrupted rewrite never loads: each file is written to a
+temporary sibling and renamed over the old one, blob first, so until the
+new manifest lands the old manifest's sha256 rejects the new blob.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -196,21 +201,34 @@ def _write_pair(tensors: dict[str, np.ndarray], path, config: dict | None) -> No
     base = _base_path(path)
     base.parent.mkdir(parents=True, exist_ok=True)
     table = []
-    chunks = []
+    arrays = []
+    digest = hashlib.sha256()
     offset = 0
     for name, arr in tensors.items():
         arr = np.ascontiguousarray(arr, dtype="<f8")
         if not np.all(np.isfinite(arr)):
             raise CheckpointError(f"tensor {name!r} contains non-finite values")
-        raw = arr.tobytes()
-        table.append(
-            {"name": name, "shape": list(arr.shape), "offset": offset, "length": len(raw)}
-        )
-        chunks.append(raw)
-        offset += len(raw)
-    manifest = {"version": FORMAT_VERSION, "config": config or {}, "tensors": table}
-    base.with_suffix(".json").write_text(json.dumps(manifest, indent=1, sort_keys=True))
-    base.with_suffix(".bin").write_bytes(b"".join(chunks))
+        table.append({"name": name, "shape": list(arr.shape), "offset": offset, "length": arr.nbytes})
+        arrays.append(arr)
+        digest.update(arr)
+        offset += arr.nbytes
+    manifest = {
+        "version": FORMAT_VERSION,
+        "config": config or {},
+        "tensors": table,
+        "sha256": digest.hexdigest(),
+    }
+    _replace(base.with_suffix(".bin"), arrays)
+    _replace(base.with_suffix(".json"), [json.dumps(manifest, indent=1, sort_keys=True).encode()])
+
+
+def _replace(path: Path, chunks) -> None:
+    """Write the buffers ``chunks`` to a temporary sibling, then rename it over ``path``."""
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "wb") as fh:
+        for chunk in chunks:
+            fh.write(chunk)
+    os.replace(tmp, path)
 
 
 def _read_pair(path) -> tuple[dict[str, np.ndarray], dict]:
@@ -248,10 +266,13 @@ def _read_pair(path) -> tuple[dict[str, np.ndarray], dict]:
         expected += entry["length"]
     if len(blob) != expected:
         raise TruncatedBlobError(f"blob {blob_path} holds {len(blob)} bytes, manifest says {expected}")
+    # Manifests written before the digest existed lack the key and load unchecked.
+    digest = manifest.get("sha256")
+    if digest is not None and hashlib.sha256(blob).hexdigest() != digest:
+        raise CorruptManifestError(f"blob {blob_path} does not match the sha256 in {manifest_path}")
     tensors = {}
     for entry in manifest["tensors"]:
-        start, length = entry["offset"], entry["length"]
-        arr = np.frombuffer(blob[start : start + length], dtype="<f8")
+        arr = np.frombuffer(blob, dtype="<f8", count=entry["length"] // 8, offset=entry["offset"])
         tensors[entry["name"]] = arr.reshape(tuple(entry["shape"])).astype(np.float64)
     return tensors, manifest.get("config", {})
 
@@ -398,6 +419,9 @@ class Batch:
     frames: np.ndarray  # B x C x H x W
     indices: np.ndarray  # dataset indices, length B
     epoch: int
+    # The query and key view stacks, when built ahead of the step
+    # (pipeline's view feed); None lets the step build them itself.
+    views: tuple[np.ndarray, np.ndarray] | None = None
 
 
 class BatchStream:

@@ -173,6 +173,20 @@ class TestBatchedViews:
         views = build_views(Batch(frames, indices, 1), AugmentConfig(), root)
         assert [v.tobytes() for v in views] == [e.tobytes() for e in expected]
 
+    def test_build_views_reads_only_the_root_seed(self):
+        # pipeline's view worker builds views from its forked copy of the
+        # root Rng; draws taken from the root must not change them
+        frames = np.random.default_rng(4).uniform(size=(5, 1, 16, 16))
+        batch = Batch(frames, np.array([4, 1, 0, 3, 2]), 2)
+        moved = Rng(19)
+        moved.uniform(37)
+        moved.integer(5)
+        assert moved._count == 38
+        cfg = AugmentConfig(output_size=(9, 11))
+        fresh, drawn = build_views(batch, cfg, Rng(19)), build_views(batch, cfg, moved)
+        assert [v.tobytes() for v in drawn] == [v.tobytes() for v in fresh]
+        assert moved._count == 38
+
     # sha256 of query + key view bytes, taken before the views were drawn as arrays
     PINNED = {
         ("default", 1): "e092f2bce607e58db85071a3a4d6e8dfa64818946a63f64ce861fc9d8a01e5c5",

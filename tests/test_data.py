@@ -1,5 +1,7 @@
 """Synthetic data, persistence round-trips, Netpbm parsing."""
 
+import hashlib
+import json
 from pathlib import Path
 
 import numpy as np
@@ -138,6 +140,65 @@ class TestCheckpointRoundTrip:
         bad = {"s": ParamSet({"w": np.array([1.0, np.nan])})}
         with pytest.raises(D.CheckpointError, match="non-finite"):
             D.save_checkpoint(bad, tmp_path / "bad")
+
+    def test_bytes_pinned_apart_from_the_digest(self, tmp_path):
+        # sha256 of both files as written before the manifest carried the
+        # blob's digest: the blob is unchanged, and so is the manifest
+        # once the new key is taken out again
+        D.save_checkpoint(self.make_sets(), tmp_path / "ckpt", config={"note": 1})
+        blob = (tmp_path / "ckpt.bin").read_bytes()
+        manifest = json.loads((tmp_path / "ckpt.json").read_text())
+        assert manifest.pop("sha256") == hashlib.sha256(blob).hexdigest()
+        old_manifest = json.dumps(manifest, indent=1, sort_keys=True).encode()
+        assert hashlib.sha256(blob).hexdigest() == (
+            "cb7f71010249a67b70cdea5b04f6666575cf56237b79ff0e0ea1b7d9a770a167"
+        )
+        assert hashlib.sha256(old_manifest).hexdigest() == (
+            "b228d780e475c8930d87ca06f1bd1bb17c52c2560b4b48e12724ce67692813cb"
+        )
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.bin", "ckpt.json"]
+
+    def test_blob_not_matching_its_digest_rejected(self, tmp_path):
+        D.save_checkpoint(self.make_sets(), tmp_path / "ckpt")
+        blob = bytearray((tmp_path / "ckpt.bin").read_bytes())
+        blob[3] ^= 1  # same length, still finite: only the digest can tell
+        (tmp_path / "ckpt.bin").write_bytes(bytes(blob))
+        with pytest.raises(D.CorruptManifestError, match="sha256"):
+            D.load_checkpoint(tmp_path / "ckpt")
+
+    def test_manifest_without_digest_still_loads(self, tmp_path):
+        D.save_checkpoint(self.make_sets(), tmp_path / "ckpt")
+        manifest = json.loads((tmp_path / "ckpt.json").read_text())
+        del manifest["sha256"]
+        (tmp_path / "ckpt.json").write_text(json.dumps(manifest))
+        loaded, _ = D.load_checkpoint(tmp_path / "ckpt")
+        assert np.array_equal(loaded["query.head"]["fc.b"].data, self.make_sets()["query.head"]["fc.b"].data)
+
+    @pytest.mark.parametrize("existing", [True, False], ids=["rewrite", "first_write"])
+    def test_write_interrupted_between_the_files_never_loads(self, tmp_path, monkeypatch, existing):
+        old = self.make_sets()
+        new = {name: ParamSet({k: t.data + 1.0 for k, t in ps.items()}) for name, ps in old.items()}
+        if existing:
+            D.save_checkpoint(old, tmp_path / "ckpt")
+        replaced = []
+        real_replace = D.os.replace
+
+        def replace_once(src, dst):
+            if replaced:
+                raise OSError("interrupted before the manifest was renamed")
+            replaced.append(dst)
+            real_replace(src, dst)
+
+        monkeypatch.setattr(D.os, "replace", replace_once)
+        with pytest.raises(OSError, match="interrupted"):
+            D.save_checkpoint(new, tmp_path / "ckpt")
+        monkeypatch.undo()
+        assert [Path(p).name for p in replaced] == ["ckpt.bin"]
+        assert (tmp_path / "ckpt.bin").read_bytes() == b"".join(
+            np.ascontiguousarray(t.data, "<f8").tobytes() for ps in new.values() for _, t in ps.items()
+        )
+        with pytest.raises(D.CorruptManifestError):
+            D.load_checkpoint(tmp_path / "ckpt")
 
 
 class TestDatasetPersistence:
