@@ -422,6 +422,11 @@ class Batch:
     # The query and key view stacks, when built ahead of the step
     # (pipeline's view feed); None lets the step build them itself.
     views: tuple[np.ndarray, np.ndarray] | None = None
+    # A frozen teacher's log soft targets for these views, B x (M+1), and
+    # its queue pointer before it pushed their keys, when the feed's
+    # worker ran the teacher; None lets the distilled step run it.
+    log_p_t: np.ndarray | None = None
+    teacher_ptr: int | None = None
 
 
 class BatchStream:

@@ -6,7 +6,9 @@ training it scores the same two views the student sees and its tempered
 key-similarity distribution supervises the student's through a KL
 divergence.  Teacher and student keep parallel queues pushed with the
 same raw samples each step, so index i of both distributions always
-refers to the same key sample.
+refers to the same key sample.  In a pipeline run the teacher queue and
+the soft targets live in the view worker (see ``pipeline._ViewFeed``),
+and each batch carries its targets to the step.
 """
 
 from __future__ import annotations
@@ -91,23 +93,30 @@ def distilled_train_step(
     """One combined-objective step: total = L_con + lambda * L_dis.
 
     Both models see the same two augmented views; the teacher runs without
-    gradients and both queues receive keys of the same samples.
+    gradients and both queues receive keys of the same samples.  A batch
+    that carries ``log_p_t`` brings the teacher's soft targets and queue
+    pointer from the worker that holds the teacher queue, so the step
+    neither runs nor pushes ``teacher``; otherwise the teacher runs here
+    on ``teacher.queue``.
     """
-    if teacher.queue.ptr != student.queue.ptr:
+    carried = batch.log_p_t is not None
+    teacher_ptr = batch.teacher_ptr if carried else teacher.queue.ptr
+    if teacher_ptr != student.queue.ptr:
         raise ContractError(
-            f"queues desynchronized: student ptr {student.queue.ptr}, "
-            f"teacher ptr {teacher.queue.ptr}"
+            f"queues desynchronized: student ptr {student.queue.ptr}, teacher ptr {teacher_ptr}"
         )
-    if not teacher.queue.warmed:
+    if not carried and not teacher.queue.warmed:
         raise ContractError("teacher queue must be warmed before distilled steps")
     lam, tau = student.cfg.lam, student.cfg.effective_distill_tau
     teacher_keys = None
 
     def distill_term(views_q, views_k, q: Tensor, k_plus: np.ndarray):
         nonlocal teacher_keys
-        q_t = encode(teacher.query, views_q)
-        teacher_keys = encode(teacher.key, views_k).data
-        log_p_t = soft_targets(q_t.data, teacher_keys, teacher.queue, tau)
+        log_p_t = batch.log_p_t
+        if not carried:
+            q_t = encode(teacher.query, views_q)
+            teacher_keys = encode(teacher.key, views_k).data
+            log_p_t = soft_targets(q_t.data, teacher_keys, teacher.queue, tau)
         if lam == 0.0:
             # Keep the recorded graph identical to plain training so a
             # zero weight reproduces it bitwise; report the value only.
@@ -119,9 +128,10 @@ def distilled_train_step(
         return T.scale(l_dis, lam), float(l_dis.data)
 
     result = _train_step(student, batch, rng, distill_term)
-    teacher.queue.push(teacher_keys)
-    if teacher.queue.ptr != student.queue.ptr:
-        raise ContractError("queues desynchronized after push")
+    if not carried:
+        teacher.queue.push(teacher_keys)
+        if teacher.queue.ptr != student.queue.ptr:
+            raise ContractError("queues desynchronized after push")
     _assert_zero_grads(teacher.query.backbone, "teacher backbone")
     _assert_zero_grads(teacher.query.head, "teacher head")
     return result

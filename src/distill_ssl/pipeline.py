@@ -10,8 +10,11 @@ same batch and augmentation streams and are bitwise comparable.
 the warm-up, one batch ahead of the step that uses them.  Views depend on
 the batch, the augmentation config and the run seed alone, never on
 model state, so the worker's copy of the batch stream and root ``Rng``
-makes exactly the views the step would make itself.  The worker and the
-training loop run on two cores at once, and no result changes by a bit.
+makes exactly the views the step would make itself.  A distilled run's
+frozen teacher is a function of the views and its checkpoint alone, so
+the same worker also warms the teacher queue and builds each step's soft
+targets.  The worker and the training loop run on two cores at once, and
+no result changes by a bit.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .augment import AugmentConfig
 from .contrastive import (
     EncoderConfig,
     KeyQueue,
@@ -34,6 +36,7 @@ from .contrastive import (
     StepResult,
     TrainConfig,
     build_views,
+    encode,
     init_moco_state,
     load_encoders,
     moco_train_step,
@@ -41,16 +44,21 @@ from .contrastive import (
     warm_up_queue,
 )
 from .data import Batch, BatchStream, Dataset
-from .distill import distilled_train_step, teacher_adapt_step
+from .distill import distilled_train_step, soft_targets, teacher_adapt_step
 from .rng import Rng
 
-_RING = 2  # view slots the worker may fill ahead of the loop
+_RING = 2  # slots the worker may fill ahead of the loop
 _READY, _FAILED = b"r", b"!"
 _ERROR_CHARS = 4000  # of a failed worker's traceback, sent to the loop
 
 
 class ViewWorkerError(RuntimeError):
     """The process building views ahead of the training loop failed."""
+
+
+def _shared(shape, dtype=np.float64) -> np.ndarray:
+    """A zeroed array in an anonymous mmap that a fork shares, not copies."""
+    return np.ndarray(shape, dtype, mmap.mmap(-1, math.prod(shape) * np.dtype(dtype).itemsize))
 
 
 class _ViewFeed:
@@ -66,16 +74,31 @@ class _ViewFeed:
     that is still running (EOF on the free pipe, EPIPE on the ready pipe),
     and reaps it.
 
+    Given a frozen ``teacher``, the worker also runs it on the views: the
+    first ``queue_size // batch_size`` batches warm the worker's copy of
+    the teacher queue with key embeddings, and every later batch gets
+    ``soft_targets`` of the teacher's query and key embeddings before its
+    keys are pushed.  Those targets and the teacher queue's pointer before
+    the push go into a second ring with the same slots, and the loop
+    hands them to the step as ``Batch.log_p_t`` and ``Batch.teacher_ptr``.
+    The loop's own ``teacher`` is never run or pushed.
+
     A fork, not a fresh interpreter: the worker starts from the loop's
-    frames and stream without a copy or a second start-up.  The training
-    process runs no threads of its own, and the worker calls no BLAS.
+    frames, stream and teacher without a copy or a second start-up.  The
+    training process runs no threads of its own; the worker's teacher
+    encodes call BLAS, whose results do not depend on its thread count.
     """
 
-    def __init__(self, frames: np.ndarray, cfg: TrainConfig, rng: Rng, count: int):
+    def __init__(self, frames: np.ndarray, cfg: TrainConfig, rng: Rng, count: int,
+                 teacher: MoCoState | None = None):
         self._stream = BatchStream(frames, cfg.batch_size, cfg.seed)
         self._count, self._taken = count, 0
-        shape = (_RING, 2, cfg.batch_size, frames.shape[1], *cfg.augment.output_size)
-        self._ring = np.ndarray(shape, np.float64, mmap.mmap(-1, math.prod(shape) * 8))
+        self._warm = cfg.queue_size // cfg.batch_size  # warm_up_queue's batches
+        self._teacher = teacher
+        self._views = _shared((_RING, 2, cfg.batch_size, frames.shape[1], *cfg.augment.output_size))
+        if teacher is not None:
+            self._targets = _shared((_RING, cfg.batch_size, teacher.queue.capacity + 1))
+            self._ptrs = _shared((_RING,), np.int64)
         ready_r, ready_w = os.pipe()
         free_r, free_w = os.pipe()
         try:
@@ -85,8 +108,7 @@ class _ViewFeed:
                 os.close(fd)
             raise
         if self._pid == 0:
-            _build_ahead(self._stream, cfg.augment, rng, self._ring, count,
-                         ready=ready_w, free=free_r, parent_ends=(ready_r, free_w))
+            self._build_ahead(cfg, rng, ready=ready_w, free=free_r, parent_ends=(ready_r, free_w))
         os.close(ready_w)
         os.close(free_r)
         self._ready, self._free = ready_r, free_w
@@ -105,8 +127,11 @@ class _ViewFeed:
         status = os.read(self._ready, 1)
         if status != _READY:
             raise ViewWorkerError(self._failure(status))
-        slot = self._ring[self._taken % _RING]
-        batch.views = (slot[0].copy(), slot[1].copy())
+        slot = self._taken % _RING
+        batch.views = (self._views[slot, 0].copy(), self._views[slot, 1].copy())
+        if self._teacher is not None and self._taken >= self._warm:
+            batch.log_p_t = self._targets[slot].copy()
+            batch.teacher_ptr = int(self._ptrs[slot])
         self._taken += 1
         if self._taken + _RING <= self._count:  # the worker fills this slot again
             os.write(self._free, _READY)
@@ -118,32 +143,43 @@ class _ViewFeed:
             return "view worker failed:\n" + text.decode(errors="replace")
         return f"view worker ended before batch {self._taken + 1} of {self._count}"
 
+    def _build_ahead(self, cfg: TrainConfig, rng: Rng, ready: int, free: int, parent_ends) -> None:
+        """The worker's whole life: fill the ring ``count`` times, then exit.
 
-def _build_ahead(stream, aug: AugmentConfig, rng: Rng, ring, count: int, ready: int, free: int,
-                 parent_ends) -> None:
-    """The worker's whole life: fill the ring ``count`` times, then exit.
+        It never returns, so no atexit handler, stdio buffer or other state
+        inherited from the training process runs a second time.
+        """
+        code = 0
+        try:
+            for fd in parent_ends:  # the loop's exit must show here as EOF and EPIPE
+                os.close(fd)
+            for i in range(self._count):
+                if i >= _RING and not os.read(free, 1):
+                    break  # the loop is gone: it stopped early or was killed
+                slot = i % _RING
+                views = self._views[slot]
+                views[0], views[1] = build_views(self._stream.next_batch(), cfg.augment, rng)
+                if self._teacher is not None:
+                    self._teach(slot, views, i < self._warm, cfg.effective_distill_tau)
+                os.write(ready, _READY)
+        except BrokenPipeError:
+            pass  # the loop stopped reading
+        except BaseException:
+            code = 1
+            with contextlib.suppress(OSError):
+                os.write(ready, _FAILED + traceback.format_exc()[-_ERROR_CHARS:].encode())
+        finally:
+            os._exit(code)
 
-    It never returns, so no atexit handler, stdio buffer or other state
-    inherited from the training process runs a second time.
-    """
-    code = 0
-    try:
-        for fd in parent_ends:  # the loop's exit must show here as EOF and EPIPE
-            os.close(fd)
-        for i in range(count):
-            if i >= _RING and not os.read(free, 1):
-                break  # the loop is gone: it stopped early or was killed
-            slot = ring[i % _RING]
-            slot[0], slot[1] = build_views(stream.next_batch(), aug, rng)
-            os.write(ready, _READY)
-    except BrokenPipeError:
-        pass  # the loop stopped reading
-    except BaseException:
-        code = 1
-        with contextlib.suppress(OSError):
-            os.write(ready, _FAILED + traceback.format_exc()[-_ERROR_CHARS:].encode())
-    finally:
-        os._exit(code)
+    def _teach(self, slot: int, views: np.ndarray, warming: bool, tau: float) -> None:
+        """The teacher's side of ``warm_up_queue`` or ``distilled_train_step``."""
+        teacher = self._teacher
+        keys = encode(teacher.key, views[1]).data
+        if not warming:
+            q_t = encode(teacher.query, views[0]).data
+            self._targets[slot] = soft_targets(q_t, keys, teacher.queue, tau)
+            self._ptrs[slot] = teacher.queue.ptr
+        teacher.queue.push(keys)
 
 
 @dataclass
@@ -153,12 +189,14 @@ class TrainRun:
 
 
 def _run(dataset: Dataset, state: MoCoState, step, teacher: MoCoState | None = None) -> TrainRun:
-    """Warm the queue(s), then ``cfg.steps`` calls of ``step(state, batch, rng)``.
+    """Warm the queue, then ``cfg.steps`` calls of ``step(state, batch, rng)``.
 
     Every batch, the warm-up's and the steps', comes from a ``_ViewFeed``
     that forks its view worker before the warm-up, so each one carries
-    the views ``build_views`` made for it in the worker.  The worker is
-    reaped before ``_run`` returns or raises; a worker that fails raises
+    the views ``build_views`` made for it in the worker.  A ``teacher``
+    goes to the feed, whose worker warms its queue and gives every step
+    batch the teacher's soft targets.  The worker is reaped before
+    ``_run`` returns or raises; a worker that fails raises
     ``ViewWorkerError`` with its traceback.
 
     The stages pass the step functions they read from this module's
@@ -168,8 +206,8 @@ def _run(dataset: Dataset, state: MoCoState, step, teacher: MoCoState | None = N
     cfg = state.cfg
     rng = Rng(cfg.seed)
     batches = cfg.queue_size // cfg.batch_size + cfg.steps
-    with _ViewFeed(dataset.frames, cfg, rng, batches) as feed:
-        warm_up_queue(state, feed, rng, teacher)
+    with _ViewFeed(dataset.frames, cfg, rng, batches, teacher) as feed:
+        warm_up_queue(state, feed, rng)
         return TrainRun([step(state, feed.next_batch(), rng) for _ in range(cfg.steps)], state)
 
 
@@ -217,7 +255,8 @@ def pretrain_distilled(
     cfg: TrainConfig,
 ) -> TrainRun:
     """Distilled student training: both queues warm on the same sample
-    stream, then every step pushes paired keys."""
+    stream, then every step pushes paired keys; the teacher's side runs in
+    the view worker."""
     student = init_moco_state(enc_cfg, cfg, Rng(cfg.seed))
     teacher = _loaded_state(teacher_ckpt, enc_cfg, cfg, freeze_backbone=True)
     return _run(dataset, student, lambda s, b, r: distilled_train_step(s, teacher, b, r), teacher)

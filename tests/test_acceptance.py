@@ -267,15 +267,19 @@ def test_criterion_5_semantic_preserving_freeze(tmp_path):
                 assert np.array_equal(t.data, ps_b[name].data)
 
 
-def _paired_student(tmp_path, lam, steps=50):
-    cfg = toy_cfg(lam=lam, steps=steps)
+def _teacher_checkpoint(tmp_path):
     run_gen = P.pretrain(toy_dataset(11), TOY_ENC, toy_cfg(steps=5))
     gpath = tmp_path / "gen"
     P.save_model(run_gen.state, gpath)
     run_teach = P.adapt_teacher(toy_dataset(), gpath, TOY_ENC, toy_cfg(steps=5))
     tpath = tmp_path / "teach"
     P.save_model(run_teach.state, tpath)
+    return tpath
 
+
+def _paired_student(tmp_path, lam, steps=50):
+    cfg = toy_cfg(lam=lam, steps=steps)
+    tpath = _teacher_checkpoint(tmp_path)
     frames = toy_dataset().frames
     stream = BatchStream(frames, cfg.batch_size, cfg.seed)
     rng = Rng(cfg.seed)
@@ -311,6 +315,26 @@ def test_criterion_6_degenerate_weight_equivalence(tmp_path):
                 assert np.array_equal(t.data, ps_b[name].data)
         assert np.array_equal(student_a.queue.rows, student_b.queue.rows)
         assert student_a.queue.ptr == student_b.queue.ptr
+
+
+def test_criterion_6_through_the_view_worker(tmp_path):
+    # pretrain_distilled runs the teacher in the view worker; the student
+    # must still follow plain pretraining bit for bit at lambda = 0
+    with criterion(6, "lambda=0 pretrain_distilled bitwise equals pretrain over 20 steps"):
+        cfg = toy_cfg(lam=0.0, steps=20)
+        distilled = P.pretrain_distilled(toy_dataset(), _teacher_checkpoint(tmp_path), TOY_ENC, cfg)
+        plain = P.pretrain(toy_dataset(), TOY_ENC, cfg)
+        assert [(r.l_con, r.total) for r in distilled.steps] == [
+            (r.l_con, r.total) for r in plain.steps
+        ]
+        assert all(r.l_dis > 0.0 for r in distilled.steps)  # reported, not trained on
+        a, b = distilled.state, plain.state
+        for enc_a, enc_b in ((a.query, b.query), (a.key, b.key)):
+            for ps_a, ps_b in ((enc_a.backbone, enc_b.backbone), (enc_a.head, enc_b.head)):
+                for name, t in ps_a.items():
+                    assert np.array_equal(t.data, ps_b[name].data), name
+        assert np.array_equal(a.queue.rows, b.queue.rows)
+        assert (a.queue.ptr, a.step_count) == (b.queue.ptr, b.step_count)
 
 
 def test_criterion_7_self_teacher_zero_distillation(tmp_path):

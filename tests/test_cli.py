@@ -237,21 +237,23 @@ class TestDeterminism:
         assert (outs[0] / "target.bin").read_bytes() == (outs[1] / "target.bin").read_bytes()
         assert (outs[0] / "generic.bin").read_bytes() == (outs[1] / "generic.bin").read_bytes()
 
-    def test_blas_thread_count_does_not_change_bits(self, data_dir, tmp_path):
-        # default batch and queue, so the conv GEMMs are large enough to split over threads
+    def test_blas_thread_count_does_not_change_bits(self, data_dir, teacher_ckpt, tmp_path):
+        # default batch and queue, so the conv GEMMs are large enough to split over threads;
+        # the distilled run's teacher encodes run in the forked view worker
         src = os.path.dirname(os.path.dirname(distill_ssl.__file__))
-        outs = []
-        for threads in ("1", "2"):
-            out = tmp_path / f"threads{threads}"
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
-            subprocess.run(
-                [sys.executable, "-m", "distill_ssl", "pretrain-student", "--steps", "3",
-                 "--seed", "7", "--data", str(data_dir / "target"), "--out", str(out)],
-                env=env, check=True, capture_output=True,
-            )
-            outs.append(out)
-        assert (outs[0] / "checkpoint.bin").read_bytes() == (outs[1] / "checkpoint.bin").read_bytes()
-        assert (outs[0] / "metrics.csv").read_text() == (outs[1] / "metrics.csv").read_text()
+        for arm, extra in (("plain", []), ("distilled", ["--distill", "--teacher", str(teacher_ckpt)])):
+            outs = []
+            for threads in ("1", "2"):
+                out = tmp_path / f"{arm}{threads}"
+                env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+                subprocess.run(
+                    [sys.executable, "-m", "distill_ssl", "pretrain-student", "--steps", "3",
+                     "--seed", "7", "--data", str(data_dir / "target"), "--out", str(out), *extra],
+                    env=env, check=True, capture_output=True,
+                )
+                outs.append(out)
+            for name in ("checkpoint.bin", "metrics.csv"):
+                assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), (arm, name)
 
     def test_artifact_reproducible_from_its_config_json(self, small_config, data_dir, tmp_path):
         first = tmp_path / "first"

@@ -366,7 +366,51 @@ def build_pair(tmp_path, seed=7, lam=5.0, distill_tau=None):
     return pair_from(train_teacher(tmp_path, cfg), cfg)
 
 
+def carrying_targets(batch, student, teacher, rng):
+    """``batch`` with its views and the teacher's soft targets and queue
+    pointer on it, built and pushed as pipeline's view worker does."""
+    batch.views = C.build_views(batch, student.cfg.augment, rng)
+    q_t = C.encode(teacher.query, batch.views[0]).data
+    keys = C.encode(teacher.key, batch.views[1]).data
+    batch.log_p_t = K.soft_targets(q_t, keys, teacher.queue, student.cfg.effective_distill_tau)
+    batch.teacher_ptr = teacher.queue.ptr
+    teacher.queue.push(keys)
+    return batch
+
+
+def idle_teacher(tpath, cfg):
+    """The training process's teacher when a worker holds the warmed queue."""
+    encoders = C.load_encoders(tpath, TOY_ENC, freeze_backbone=True)
+    return C.MoCoState(*encoders, C.KeyQueue(cfg.queue_size, TOY_ENC.d), cfg)
+
+
 class TestDistilledTrainStep:
+    def test_carried_targets_equal_the_in_process_teacher(self, shared_teacher):
+        cfg = toy_cfg(steps=4)
+        student_a, teacher_a, stream_a, rng_a = pair_from(shared_teacher, cfg)
+        student_b, worker_teacher, stream_b, rng_b = pair_from(shared_teacher, cfg)
+        idle = idle_teacher(shared_teacher, cfg)
+        for _ in range(4):
+            expected = K.distilled_train_step(student_a, teacher_a, stream_a.next_batch(), rng_a)
+            batch = carrying_targets(stream_b.next_batch(), student_b, worker_teacher, rng_b)
+            assert K.distilled_train_step(student_b, idle, batch, rng_b) == expected
+        a, b = state_snapshot(student_a), state_snapshot(student_b)
+        assert all(np.array_equal(x, y) for x, y in zip(a[0], b[0]))
+        assert np.array_equal(a[1], b[1]) and a[2:] == b[2:]
+        assert idle.queue.filled == 0  # a step with carried targets never pushes the teacher
+
+    def test_carried_pointer_mismatch_rejected_before_any_update(self, shared_teacher):
+        cfg = toy_cfg(steps=2)
+        student, worker_teacher, stream, rng = pair_from(shared_teacher, cfg)
+        batch = carrying_targets(stream.next_batch(), student, worker_teacher, rng)
+        batch.teacher_ptr = (batch.teacher_ptr + cfg.batch_size) % cfg.queue_size
+        before = state_snapshot(student)
+        with pytest.raises(C.ContractError, match="queues desynchronized"):
+            K.distilled_train_step(student, idle_teacher(shared_teacher, cfg), batch, rng)
+        after = state_snapshot(student)
+        assert all(np.array_equal(a, b) for a, b in zip(before[0], after[0]))
+        assert np.array_equal(before[1], after[1]) and after[2:] == before[2:]
+
     def test_lambda_zero_bitwise_equals_plain(self, tmp_path):
         student_a, teacher, stream_a, rng_a = build_pair(tmp_path, lam=0.0)
         for _ in range(5):
@@ -432,16 +476,6 @@ class TestDistilledTrainStep:
                 assert np.array_equal(t.data, before[n])
                 assert t.grad is None or np.all(t.grad == 0.0)
 
-
-
-def state_snapshot(state):
-    params = [
-        t.data.copy()
-        for enc in (state.query, state.key)
-        for ps in (enc.backbone, enc.head)
-        for _, t in ps.items()
-    ]
-    return params, state.queue.rows.copy(), state.queue.ptr, state.step_count
 
 
 @pytest.fixture(scope="module")

@@ -316,3 +316,65 @@ def test_feed_batches_carry_the_views_build_views_makes():
         with pytest.raises(P.ViewWorkerError, match="ended before batch 8 of 7"):
             f.next_batch()
     assert_no_child()
+
+
+# ---------------------------------------------------------------------------
+# the frozen teacher run in the same worker
+
+
+def test_feed_batches_carry_the_teacher_soft_targets(stage_artifacts):
+    root, _, _ = stage_artifacts
+    cfg, data = toy_cfg(), toy_dataset()
+    teacher = P._loaded_state(root / "teacher", TOY_ENC, cfg, freeze_backbone=True)
+    hand = P._loaded_state(root / "teacher", TOY_ENC, cfg, freeze_backbone=True)
+    stream, rng = BatchStream(data.frames, cfg.batch_size, cfg.seed), Rng(cfg.seed)
+    warm = cfg.queue_size // cfg.batch_size
+    with deadline(10), P._ViewFeed(data.frames, cfg, Rng(cfg.seed), warm + 5, teacher) as f:
+        for i in range(warm + 5):
+            got = f.next_batch()
+            views_q, views_k = C.build_views(stream.next_batch(), cfg.augment, rng)
+            keys = C.encode(hand.key, views_k).data
+            if i < warm:
+                assert got.log_p_t is None and got.teacher_ptr is None
+            else:
+                q_t = C.encode(hand.query, views_q).data
+                log_p_t = distill.soft_targets(q_t, keys, hand.queue, cfg.effective_distill_tau)
+                assert got.log_p_t.tobytes() == log_p_t.tobytes()
+                assert got.teacher_ptr == hand.queue.ptr
+            hand.queue.push(keys)
+    assert teacher.queue.filled == 0  # only the worker's copy was pushed
+    assert_no_child()
+
+
+def test_feed_batches_carry_no_targets_without_a_teacher():
+    with deadline(10), feed(4) as f:
+        for _ in range(4):
+            batch = f.next_batch()
+            assert batch.log_p_t is None and batch.teacher_ptr is None
+
+
+def test_training_loop_runs_no_teacher_itself(stage_artifacts, monkeypatch):
+    # the step finds the soft targets on the batch; only the worker, which
+    # calls pipeline.encode and pipeline.soft_targets, may run the teacher
+    root, _, _ = stage_artifacts
+
+    def forbidden(*args):
+        raise AssertionError("teacher run in the training process")
+
+    monkeypatch.setattr(distill, "encode", forbidden)
+    monkeypatch.setattr(distill, "soft_targets", forbidden)
+    run = P.pretrain_distilled(toy_dataset(), root / "teacher", TOY_ENC, toy_cfg(steps=3))
+    assert run.state.step_count == 3
+
+
+def test_failing_teacher_raises_in_the_loop_and_is_reaped(stage_artifacts, monkeypatch):
+    root, _, _ = stage_artifacts
+
+    def broken(*args):
+        raise ValueError("no soft targets today")
+
+    monkeypatch.setattr(P, "soft_targets", broken)  # before the fork: the worker inherits it
+    with deadline(5), pytest.raises(P.ViewWorkerError, match="view worker") as info:
+        P.pretrain_distilled(toy_dataset(), root / "teacher", TOY_ENC, toy_cfg(steps=4))
+    assert "ValueError: no soft targets today" in str(info.value)
+    assert_no_child()
