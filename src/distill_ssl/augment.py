@@ -60,6 +60,8 @@ class AugmentConfig:
             raise ValueError(f"contrast_range must satisfy 0 < lo <= hi, got {self.contrast_range}")
         if self.noise_sigma < 0.0:
             raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        if min(self.output_size) < 1:
+            raise ValueError(f"output_size must be >= 1, got {self.output_size}")
 
 
 def _source_grid(start, extent, out: int) -> np.ndarray:

@@ -6,15 +6,16 @@ Every training state is a ``MoCoState``: the student, the teacher being
 adapted and the teacher that supervises a distilled student.
 ``moco_train_step``, teacher adaptation and the distilled step share one
 step core, ``_train_step``; the distilled step passes it one extra loss
-term, computed from the views and embeddings the core already holds, and
-a zero distillation weight reproduces plain training bit for bit.
+term, computed from the embeddings the core already holds, and a zero
+distillation weight reproduces plain training bit for bit.  Each batch
+brings its views (``pipeline.PreparedBatches``); no step builds them.
 """
 
 from __future__ import annotations
 
 import contextlib
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -49,6 +50,12 @@ class EncoderConfig:
     pad: int = 1
     d_backbone: int = 64
     d: int = 32
+
+    def __post_init__(self):
+        for f in fields(self):  # every size is >= 1, the padding >= 0
+            value, low = getattr(self, f.name), 0 if f.name == "pad" else 1
+            if min(np.atleast_1d(value)) < low:
+                raise ParameterError(f"{f.name} must be >= {low}, got {value}")
 
     def param_shapes(self) -> dict[str, dict[str, tuple[int, ...]]]:
         c1, c2 = self.conv_channels
@@ -338,10 +345,9 @@ class TrainConfig:
             raise ParameterError(f"momentum must be in [0, 1), got {self.momentum}")
         if self.weight_decay < 0:
             raise ParameterError(f"weight_decay must be >= 0, got {self.weight_decay}")
-        if self.queue_size % self.batch_size != 0:
-            raise ParameterError(
-                f"queue_size {self.queue_size} must be a multiple of batch_size {self.batch_size}"
-            )
+        if self.queue_size < 1 or self.queue_size % self.batch_size != 0:
+            raise ParameterError(f"queue_size {self.queue_size} must be a positive multiple "
+                                 f"of batch_size {self.batch_size}")
 
     @property
     def effective_distill_tau(self) -> float:
@@ -389,24 +395,18 @@ def build_views(batch: Batch, aug: AugmentConfig, rng: Rng) -> tuple[np.ndarray,
     return views[:n], views[n:]
 
 
-def _views(batch: Batch, aug: AugmentConfig, rng: Rng) -> tuple[np.ndarray, np.ndarray]:
-    """The views built ahead for ``batch``, else ``build_views`` in process."""
-    return build_views(batch, aug, rng) if batch.views is None else batch.views
-
-
-def warm_up_queue(state: MoCoState, stream, rng: Rng, teacher: MoCoState | None = None) -> None:
+def warm_up_queue(state: MoCoState, stream) -> None:
     """Fill the queue with key-encoder embeddings before any loss is taken.
 
-    Consumes capacity/batch_size batches from the stream, using the
-    views a batch carries when it has them.  When a ``teacher`` is given,
-    its key encoder fills its queue from the same views, so index i of
-    both queues holds the same sample.
+    Consumes capacity/batch_size batches from the stream, each carrying
+    its views (``pipeline.PreparedBatches``); a batch without them raises
+    ``ContractError`` before it touches the queue.
     """
     for _ in range(state.queue.capacity // state.cfg.batch_size):
-        _, views_k = _views(stream.next_batch(), state.cfg.augment, rng)
-        state.queue.push(encode(state.key, views_k).data)
-        if teacher is not None:
-            teacher.queue.push(encode(teacher.key, views_k).data)
+        batch = stream.next_batch()
+        if batch.views is None:
+            raise ContractError("batch carries no views; pipeline.PreparedBatches builds them")
+        state.queue.push(encode(state.key, batch.views[1]).data)
 
 
 def _assert_zero_grads(ps: ParamSet, what: str) -> None:
@@ -415,19 +415,19 @@ def _assert_zero_grads(ps: ParamSet, what: str) -> None:
             raise ContractError(f"{what} parameter {name!r} received gradient")
 
 
-def moco_train_step(state: MoCoState, batch: Batch, rng: Rng) -> StepResult:
+def moco_train_step(state: MoCoState, batch: Batch) -> StepResult:
     """One contrastive step; ``l_dis`` is 0 and ``total`` is the InfoNCE loss."""
-    return _train_step(state, batch, rng)
+    return _train_step(state, batch)
 
 
-def _train_step(state: MoCoState, batch: Batch, rng: Rng, extra_loss=None) -> StepResult:
+def _train_step(state: MoCoState, batch: Batch, extra_loss=None) -> StepResult:
     """Shared step core.
 
-    Order: views (the batch's own when it carries them, else
-    ``build_views``), query/key embeddings, losses, backprop + SGD on
-    each query set that is not frozen, momentum update of the key
-    encoder, queue push.
-    ``extra_loss(views_q, views_k, q, k_plus)``, when given, runs inside
+    Order: query/key embeddings of the views the batch carries, losses,
+    backprop + SGD on each query set that is not frozen, momentum update
+    of the key encoder, queue push.  A batch without views raises
+    ``ContractError`` before any of it.
+    ``extra_loss(q, k_plus)``, when given, runs inside
     the recorded graph before the queue moves and returns (term, value):
     ``term`` is added to the InfoNCE loss unless it is None, and ``value``
     is reported as ``l_dis`` (see distill.distilled_train_step).  A
@@ -441,8 +441,10 @@ def _train_step(state: MoCoState, batch: Batch, rng: Rng, extra_loss=None) -> St
         raise ContractError(f"batch of {batch.frames.shape[0]}, config says {cfg.batch_size}")
     if not state.queue.warmed:
         raise ContractError("queue must be warmed before training steps")
+    if batch.views is None:
+        raise ContractError("batch carries no views; pipeline.PreparedBatches builds them")
 
-    views_q, views_k = _views(batch, cfg.augment, rng)
+    views_q, views_k = batch.views
     graph = T.Graph()
     with graph:
         q = encode(state.query, views_q, record_grads=True)
@@ -450,7 +452,7 @@ def _train_step(state: MoCoState, batch: Batch, rng: Rng, extra_loss=None) -> St
         l_con = info_nce_loss(q, k_plus, state.queue, cfg.tau)
         term, l_dis_value = None, 0.0
         if extra_loss is not None:
-            term, l_dis_value = extra_loss(views_q, views_k, q, k_plus)
+            term, l_dis_value = extra_loss(q, k_plus)
         total = l_con if term is None else T.add(l_con, term)
     losses = {"l_con": float(l_con.data), "l_dis": l_dis_value, "total": float(total.data)}
     for name, value in losses.items():

@@ -231,6 +231,14 @@ def _replace(path: Path, chunks) -> None:
     os.replace(tmp, path)
 
 
+def _well_formed(entry) -> bool:
+    """A tensor entry: a string name, non-negative int dims, int offset and length."""
+    return (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+            and isinstance(entry.get("shape"), list)
+            and all(type(n) is int and n >= 0 for n in entry["shape"])
+            and type(entry.get("offset")) is int and type(entry.get("length")) is int)
+
+
 def _read_pair(path) -> tuple[dict[str, np.ndarray], dict]:
     base = _base_path(path)
     manifest_path = base.with_suffix(".json")
@@ -241,7 +249,7 @@ def _read_pair(path) -> tuple[dict[str, np.ndarray], dict]:
         raise CorruptManifestError(f"missing manifest {manifest_path}")
     except json.JSONDecodeError as exc:
         raise CorruptManifestError(f"unparseable manifest {manifest_path}: {exc}")
-    if not isinstance(manifest, dict) or "tensors" not in manifest:
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("tensors"), list):
         raise CorruptManifestError(f"manifest {manifest_path} lacks a tensor table")
     if manifest.get("version") != FORMAT_VERSION:
         raise CorruptManifestError(
@@ -253,9 +261,10 @@ def _read_pair(path) -> tuple[dict[str, np.ndarray], dict]:
         raise TruncatedBlobError(f"missing blob {blob_path}")
     expected = 0
     for entry in manifest["tensors"]:
+        if not _well_formed(entry):
+            raise CorruptManifestError(f"manifest {manifest_path}: bad tensor entry {entry!r:.200}")
         shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        if entry["length"] != count * 8:
+        if entry["length"] != math.prod(shape) * 8:
             raise CorruptManifestError(
                 f"tensor {entry['name']!r}: length {entry['length']} != 8 * prod{shape}"
             )
@@ -419,12 +428,12 @@ class Batch:
     frames: np.ndarray  # B x C x H x W
     indices: np.ndarray  # dataset indices, length B
     epoch: int
-    # The query and key view stacks, when built ahead of the step
-    # (pipeline's view feed); None lets the step build them itself.
+    # The query and key view stacks (pipeline.PreparedBatches); a step
+    # raises ContractError on a batch without them.
     views: tuple[np.ndarray, np.ndarray] | None = None
     # A frozen teacher's log soft targets for these views, B x (M+1), and
-    # its queue pointer before it pushed their keys, when the feed's
-    # worker ran the teacher; None lets the distilled step run it.
+    # its queue pointer before it pushed their keys (distill.teach); None
+    # while the teacher queue warms or without a teacher.
     log_p_t: np.ndarray | None = None
     teacher_ptr: int | None = None
 

@@ -5,10 +5,10 @@ whose projection head was adapted on the target data.  During student
 training it scores the same two views the student sees and its tempered
 key-similarity distribution supervises the student's through a KL
 divergence.  Teacher and student keep parallel queues pushed with the
-same raw samples each step, so index i of both distributions always
-refers to the same key sample.  In a pipeline run the teacher queue and
-the soft targets live in the view worker (see ``pipeline._ViewFeed``),
-and each batch carries its targets to the step.
+same raw samples each batch, so index i of both distributions always
+refers to the same key sample.  ``teach`` runs the teacher where a
+batch's views are built (``pipeline.PreparedBatches``) and puts its soft
+targets on the batch, for ``distilled_train_step`` to read.
 """
 
 from __future__ import annotations
@@ -27,14 +27,13 @@ from .contrastive import (
     key_similarity_logits,
 )
 from .data import Batch
-from .rng import Rng
 from .tensor import ParameterError, Tensor
 
 
-def teacher_adapt_step(teacher: MoCoState, batch: Batch, rng: Rng) -> StepResult:
+def teacher_adapt_step(teacher: MoCoState, batch: Batch) -> StepResult:
     """One head-adaptation step; identical to a plain contrastive step
     except that frozen backbones receive neither gradients nor updates."""
-    result = _train_step(teacher, batch, rng)
+    result = _train_step(teacher, batch)
     if teacher.query.backbone.frozen:
         _assert_zero_grads(teacher.query.backbone, "teacher backbone")
     return result
@@ -87,51 +86,44 @@ def kl_distillation_loss(log_p_t: np.ndarray, log_p_s: Tensor) -> Tensor:
     return out
 
 
-def distilled_train_step(
-    student: MoCoState, teacher: MoCoState, batch: Batch, rng: Rng
-) -> StepResult:
-    """One combined-objective step: total = L_con + lambda * L_dis.
-
-    Both models see the same two augmented views; the teacher runs without
-    gradients and both queues receive keys of the same samples.  A batch
-    that carries ``log_p_t`` brings the teacher's soft targets and queue
-    pointer from the worker that holds the teacher queue, so the step
-    neither runs nor pushes ``teacher``; otherwise the teacher runs here
-    on ``teacher.queue``.
+def teach(teacher: MoCoState, batch: Batch, tau: float) -> None:
+    """The frozen teacher's side of a batch: push its key embeddings, and
+    once the queue is warm first put on ``batch`` the ``soft_targets``
+    (``log_p_t``) and the queue pointer before the push (``teacher_ptr``).
     """
-    carried = batch.log_p_t is not None
-    teacher_ptr = batch.teacher_ptr if carried else teacher.queue.ptr
-    if teacher_ptr != student.queue.ptr:
-        raise ContractError(
-            f"queues desynchronized: student ptr {student.queue.ptr}, teacher ptr {teacher_ptr}"
-        )
-    if not carried and not teacher.queue.warmed:
-        raise ContractError("teacher queue must be warmed before distilled steps")
-    lam, tau = student.cfg.lam, student.cfg.effective_distill_tau
-    teacher_keys = None
+    views_q, views_k = batch.views
+    keys = encode(teacher.key, views_k).data
+    if teacher.queue.warmed:
+        q_t = encode(teacher.query, views_q).data
+        batch.log_p_t = soft_targets(q_t, keys, teacher.queue, tau)
+        batch.teacher_ptr = teacher.queue.ptr
+    teacher.queue.push(keys)
+    _assert_zero_grads(teacher.query.backbone, "teacher backbone")
+    _assert_zero_grads(teacher.query.head, "teacher head")
 
-    def distill_term(views_q, views_k, q: Tensor, k_plus: np.ndarray):
-        nonlocal teacher_keys
-        log_p_t = batch.log_p_t
-        if not carried:
-            q_t = encode(teacher.query, views_q)
-            teacher_keys = encode(teacher.key, views_k).data
-            log_p_t = soft_targets(q_t.data, teacher_keys, teacher.queue, tau)
+
+def distilled_train_step(student: MoCoState, batch: Batch) -> StepResult:
+    """One combined-objective step: total = L_con + lambda * L_dis, with the
+    teacher's targets and pointer from the batch (``teach``).  A batch
+    without them, or whose pointer is not the student queue's, raises
+    ``ContractError`` before any update."""
+    if batch.log_p_t is None:
+        raise ContractError("batch carries no teacher soft targets; distill.teach puts them on")
+    if batch.teacher_ptr != student.queue.ptr:
+        raise ContractError(
+            f"queues desynchronized: student ptr {student.queue.ptr}, teacher ptr {batch.teacher_ptr}"
+        )
+    lam, tau = student.cfg.lam, student.cfg.effective_distill_tau
+
+    def distill_term(q: Tensor, k_plus: np.ndarray):
         if lam == 0.0:
             # Keep the recorded graph identical to plain training so a
             # zero weight reproduces it bitwise; report the value only.
             with T.no_grad():
                 log_p_s = student_similarity_distribution(Tensor(q.data), k_plus, student.queue, tau)
-                return None, float(kl_distillation_loss(log_p_t, log_p_s).data)
+                return None, float(kl_distillation_loss(batch.log_p_t, log_p_s).data)
         log_p_s = student_similarity_distribution(q, k_plus, student.queue, tau)
-        l_dis = kl_distillation_loss(log_p_t, log_p_s)
+        l_dis = kl_distillation_loss(batch.log_p_t, log_p_s)
         return T.scale(l_dis, lam), float(l_dis.data)
 
-    result = _train_step(student, batch, rng, distill_term)
-    if not carried:
-        teacher.queue.push(teacher_keys)
-        if teacher.queue.ptr != student.queue.ptr:
-            raise ContractError("queues desynchronized after push")
-    _assert_zero_grads(teacher.query.backbone, "teacher backbone")
-    _assert_zero_grads(teacher.query.head, "teacher head")
-    return result
+    return _train_step(student, batch, distill_term)

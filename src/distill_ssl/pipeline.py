@@ -6,15 +6,14 @@ checkpoints and metrics.  Every stage runs through ``_run``, one
 warm-up-and-step loop, so distilled and plain student training share the
 same batch and augmentation streams and are bitwise comparable.
 
-``_run`` builds every batch's views in a worker process, forked before
-the warm-up, one batch ahead of the step that uses them.  Views depend on
-the batch, the augmentation config and the run seed alone, never on
-model state, so the worker's copy of the batch stream and root ``Rng``
-makes exactly the views the step would make itself.  A distilled run's
-frozen teacher is a function of the views and its checkpoint alone, so
-the same worker also warms the teacher queue and builds each step's soft
-targets.  The worker and the training loop run on two cores at once, and
-no result changes by a bit.
+``_run`` prepares every batch in a worker process, forked before the
+warm-up, one batch ahead of the step that uses it.  ``PreparedBatches``
+is the one producer of a prepared batch: the stream's next batch, its
+views and, in a distilled run, the frozen teacher's soft targets
+(``distill.teach``).  None of them depends on the state a step trains,
+so the worker's copy of the producer makes the batches an in-process one
+would, and the steps only read them.  The worker and the training loop
+run on two cores at once, and no result changes by a bit.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ from .contrastive import (
     StepResult,
     TrainConfig,
     build_views,
-    encode,
     init_moco_state,
     load_encoders,
     moco_train_step,
@@ -44,7 +42,7 @@ from .contrastive import (
     warm_up_queue,
 )
 from .data import Batch, BatchStream, Dataset
-from .distill import distilled_train_step, soft_targets, teacher_adapt_step
+from .distill import distilled_train_step, teach, teacher_adapt_step
 from .rng import Rng
 
 _RING = 2  # slots the worker may fill ahead of the loop
@@ -61,27 +59,36 @@ def _shared(shape, dtype=np.float64) -> np.ndarray:
     return np.ndarray(shape, dtype, mmap.mmap(-1, math.prod(shape) * np.dtype(dtype).itemsize))
 
 
+class PreparedBatches:
+    """A ``BatchStream``'s batches, each carrying the views ``build_views``
+    makes for it and, given a frozen ``teacher``, what ``distill.teach``
+    puts on it.  None of it depends on the state a step trains, so
+    ``_ViewFeed`` runs this producer in a forked worker and the tests run
+    it in process, for the same bits."""
+
+    def __init__(self, frames: np.ndarray, cfg: TrainConfig, teacher: MoCoState | None = None):
+        self.stream, self._rng = BatchStream(frames, cfg.batch_size, cfg.seed), Rng(cfg.seed)
+        self.cfg, self.teacher = cfg, teacher
+
+    def next_batch(self) -> Batch:
+        batch = self.stream.next_batch()
+        batch.views = build_views(batch, self.cfg.augment, self._rng)
+        if self.teacher is not None:
+            teach(self.teacher, batch, self.cfg.effective_distill_tau)
+        return batch
+
+
 class _ViewFeed:
-    """Batches of one ``BatchStream`` carrying views a forked worker built.
+    """The batches of ``PreparedBatches``, prepared in a forked worker.
 
-    The worker holds the copy of the stream and root ``rng`` that the fork
-    gives it and calls ``build_views`` on each of ``count`` batches,
-    writing the two view stacks into a ring of ``_RING`` slots in one
-    shared anonymous mmap.  A byte on the ready pipe tells the loop that
-    the next slot is full; a byte on the free pipe hands a slot back.  The
-    loop advances its own stream and copies each batch's views out.
-    Leaving the ``with`` block closes both pipe ends, which ends a worker
-    that is still running (EOF on the free pipe, EPIPE on the ready pipe),
-    and reaps it.
-
-    Given a frozen ``teacher``, the worker also runs it on the views: the
-    first ``queue_size // batch_size`` batches warm the worker's copy of
-    the teacher queue with key embeddings, and every later batch gets
-    ``soft_targets`` of the teacher's query and key embeddings before its
-    keys are pushed.  Those targets and the teacher queue's pointer before
-    the push go into a second ring with the same slots, and the loop
-    hands them to the step as ``Batch.log_p_t`` and ``Batch.teacher_ptr``.
-    The loop's own ``teacher`` is never run or pushed.
+    The worker runs its copy of the producer ``count`` times and writes
+    each batch's views, and any teacher targets and pointer, into rings of
+    ``_RING`` slots in shared anonymous mmaps; the loop advances its own
+    copy of the stream and copies each slot out.  A byte on the ready pipe
+    tells the loop that the next slot is full; a byte on the free pipe
+    hands a slot back.  Leaving the ``with`` block closes both pipe ends,
+    which ends a worker that is still running (EOF on the free pipe,
+    EPIPE on the ready pipe), and reaps it.
 
     A fork, not a fresh interpreter: the worker starts from the loop's
     frames, stream and teacher without a copy or a second start-up.  The
@@ -89,16 +96,16 @@ class _ViewFeed:
     encodes call BLAS, whose results do not depend on its thread count.
     """
 
-    def __init__(self, frames: np.ndarray, cfg: TrainConfig, rng: Rng, count: int,
+    def __init__(self, frames: np.ndarray, cfg: TrainConfig, count: int,
                  teacher: MoCoState | None = None):
-        self._stream = BatchStream(frames, cfg.batch_size, cfg.seed)
+        self._source = PreparedBatches(frames, cfg, teacher)
         self._count, self._taken = count, 0
-        self._warm = cfg.queue_size // cfg.batch_size  # warm_up_queue's batches
-        self._teacher = teacher
         self._views = _shared((_RING, 2, cfg.batch_size, frames.shape[1], *cfg.augment.output_size))
+        self._targets = None
         if teacher is not None:
             self._targets = _shared((_RING, cfg.batch_size, teacher.queue.capacity + 1))
             self._ptrs = _shared((_RING,), np.int64)
+            self._ptrs[:] = -1  # no targets in a slot until the teacher queue is warm
         ready_r, ready_w = os.pipe()
         free_r, free_w = os.pipe()
         try:
@@ -108,7 +115,7 @@ class _ViewFeed:
                 os.close(fd)
             raise
         if self._pid == 0:
-            self._build_ahead(cfg, rng, ready=ready_w, free=free_r, parent_ends=(ready_r, free_w))
+            self._build_ahead(ready=ready_w, free=free_r, parent_ends=(ready_r, free_w))
         os.close(ready_w)
         os.close(free_r)
         self._ready, self._free = ready_r, free_w
@@ -123,13 +130,13 @@ class _ViewFeed:
         os.waitpid(self._pid, 0)
 
     def next_batch(self) -> Batch:
-        batch = self._stream.next_batch()
+        batch = self._source.stream.next_batch()
         status = os.read(self._ready, 1)
         if status != _READY:
             raise ViewWorkerError(self._failure(status))
         slot = self._taken % _RING
         batch.views = (self._views[slot, 0].copy(), self._views[slot, 1].copy())
-        if self._teacher is not None and self._taken >= self._warm:
+        if self._targets is not None and self._ptrs[slot] >= 0:
             batch.log_p_t = self._targets[slot].copy()
             batch.teacher_ptr = int(self._ptrs[slot])
         self._taken += 1
@@ -143,7 +150,7 @@ class _ViewFeed:
             return "view worker failed:\n" + text.decode(errors="replace")
         return f"view worker ended before batch {self._taken + 1} of {self._count}"
 
-    def _build_ahead(self, cfg: TrainConfig, rng: Rng, ready: int, free: int, parent_ends) -> None:
+    def _build_ahead(self, ready: int, free: int, parent_ends) -> None:
         """The worker's whole life: fill the ring ``count`` times, then exit.
 
         It never returns, so no atexit handler, stdio buffer or other state
@@ -157,10 +164,11 @@ class _ViewFeed:
                 if i >= _RING and not os.read(free, 1):
                     break  # the loop is gone: it stopped early or was killed
                 slot = i % _RING
+                batch = self._source.next_batch()
                 views = self._views[slot]
-                views[0], views[1] = build_views(self._stream.next_batch(), cfg.augment, rng)
-                if self._teacher is not None:
-                    self._teach(slot, views, i < self._warm, cfg.effective_distill_tau)
+                views[0], views[1] = batch.views
+                if batch.log_p_t is not None:
+                    self._targets[slot], self._ptrs[slot] = batch.log_p_t, batch.teacher_ptr
                 os.write(ready, _READY)
         except BrokenPipeError:
             pass  # the loop stopped reading
@@ -171,16 +179,6 @@ class _ViewFeed:
         finally:
             os._exit(code)
 
-    def _teach(self, slot: int, views: np.ndarray, warming: bool, tau: float) -> None:
-        """The teacher's side of ``warm_up_queue`` or ``distilled_train_step``."""
-        teacher = self._teacher
-        keys = encode(teacher.key, views[1]).data
-        if not warming:
-            q_t = encode(teacher.query, views[0]).data
-            self._targets[slot] = soft_targets(q_t, keys, teacher.queue, tau)
-            self._ptrs[slot] = teacher.queue.ptr
-        teacher.queue.push(keys)
-
 
 @dataclass
 class TrainRun:
@@ -189,26 +187,22 @@ class TrainRun:
 
 
 def _run(dataset: Dataset, state: MoCoState, step, teacher: MoCoState | None = None) -> TrainRun:
-    """Warm the queue, then ``cfg.steps`` calls of ``step(state, batch, rng)``.
+    """Warm the queue, then ``cfg.steps`` calls of ``step(state, batch)``.
 
-    Every batch, the warm-up's and the steps', comes from a ``_ViewFeed``
-    that forks its view worker before the warm-up, so each one carries
-    the views ``build_views`` made for it in the worker.  A ``teacher``
-    goes to the feed, whose worker warms its queue and gives every step
-    batch the teacher's soft targets.  The worker is reaped before
-    ``_run`` returns or raises; a worker that fails raises
-    ``ViewWorkerError`` with its traceback.
+    Every batch, the warm-up's and the steps', comes prepared from a
+    ``_ViewFeed`` forked before the warm-up, with the ``teacher``'s soft
+    targets once its queue is warm.  The worker is reaped before ``_run``
+    returns or raises; a worker that fails raises ``ViewWorkerError``.
 
     The stages pass the step functions they read from this module's
     globals when they run, never bound at import time, so a replaced
     module attribute (the benchmark's stage hooks) takes effect.
     """
     cfg = state.cfg
-    rng = Rng(cfg.seed)
     batches = cfg.queue_size // cfg.batch_size + cfg.steps
-    with _ViewFeed(dataset.frames, cfg, rng, batches, teacher) as feed:
-        warm_up_queue(state, feed, rng)
-        return TrainRun([step(state, feed.next_batch(), rng) for _ in range(cfg.steps)], state)
+    with _ViewFeed(dataset.frames, cfg, batches, teacher) as feed:
+        warm_up_queue(state, feed)
+        return TrainRun([step(state, feed.next_batch()) for _ in range(cfg.steps)], state)
 
 
 def _loaded_state(
@@ -259,4 +253,4 @@ def pretrain_distilled(
     the view worker."""
     student = init_moco_state(enc_cfg, cfg, Rng(cfg.seed))
     teacher = _loaded_state(teacher_ckpt, enc_cfg, cfg, freeze_backbone=True)
-    return _run(dataset, student, lambda s, b, r: distilled_train_step(s, teacher, b, r), teacher)
+    return _run(dataset, student, distilled_train_step, teacher)

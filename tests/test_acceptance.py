@@ -21,7 +21,6 @@ from distill_ssl import pipeline as P
 from distill_ssl.augment import AugmentConfig
 from distill_ssl.cli import run as cli_run
 from distill_ssl.data import (
-    BatchStream,
     generate_synthetic_dataset,
     load_checkpoint,
     load_dataset,
@@ -229,11 +228,10 @@ def test_criterion_5_semantic_preserving_freeze(tmp_path):
         backbone_before = {n: t.data.copy() for n, t in teacher.query.backbone.items()}
         head_before = {n: t.data.copy() for n, t in teacher.query.head.items()}
         frames = toy_dataset().frames
-        stream = BatchStream(frames, cfg.batch_size, cfg.seed)
-        rng = Rng(cfg.seed)
-        C.warm_up_queue(teacher, stream, rng)
+        batches = P.PreparedBatches(frames, cfg)
+        C.warm_up_queue(teacher, batches)
         for _ in range(100):
-            K.teacher_adapt_step(teacher, stream.next_batch(), rng)
+            K.teacher_adapt_step(teacher, batches.next_batch())
         for n, t in teacher.query.backbone.items():
             assert np.array_equal(t.data, backbone_before[n])
         for n, t in teacher.key.backbone.items():
@@ -244,19 +242,17 @@ def test_criterion_5_semantic_preserving_freeze(tmp_path):
 
         # freeze disabled: bitwise identical to plain training from the same state
         unfrozen = _fresh_teacher(gpath, cfg, freeze_backbone=False)
-        stream_a = BatchStream(frames, cfg.batch_size, cfg.seed)
-        rng_a = Rng(cfg.seed)
-        C.warm_up_queue(unfrozen, stream_a, rng_a)
+        batches_a = P.PreparedBatches(frames, cfg)
+        C.warm_up_queue(unfrozen, batches_a)
         for _ in range(10):
-            K.teacher_adapt_step(unfrozen, stream_a.next_batch(), rng_a)
+            K.teacher_adapt_step(unfrozen, batches_a.next_batch())
 
         plain = _fresh_teacher(gpath, cfg, freeze_backbone=False)
         moco = C.MoCoState(plain.query, plain.key, C.KeyQueue(cfg.queue_size, TOY_ENC.d), cfg)
-        stream_b = BatchStream(frames, cfg.batch_size, cfg.seed)
-        rng_b = Rng(cfg.seed)
-        C.warm_up_queue(moco, stream_b, rng_b)
+        batches_b = P.PreparedBatches(frames, cfg)
+        C.warm_up_queue(moco, batches_b)
         for _ in range(10):
-            C.moco_train_step(moco, stream_b.next_batch(), rng_b)
+            C.moco_train_step(moco, batches_b.next_batch())
         for ps_a, ps_b in (
             (unfrozen.query.backbone, moco.query.backbone),
             (unfrozen.query.head, moco.query.head),
@@ -280,30 +276,26 @@ def _teacher_checkpoint(tmp_path):
 def _paired_student(tmp_path, lam, steps=50):
     cfg = toy_cfg(lam=lam, steps=steps)
     tpath = _teacher_checkpoint(tmp_path)
-    frames = toy_dataset().frames
-    stream = BatchStream(frames, cfg.batch_size, cfg.seed)
-    rng = Rng(cfg.seed)
-    student = C.init_moco_state(TOY_ENC, cfg, rng)
+    student = C.init_moco_state(TOY_ENC, cfg, Rng(cfg.seed))
     encoders = C.load_encoders(tpath, TOY_ENC, freeze_backbone=True)
     teacher = C.MoCoState(*encoders, C.KeyQueue(cfg.queue_size, TOY_ENC.d), cfg)
-    C.warm_up_queue(student, stream, rng, teacher)
-    return student, teacher, stream, rng
+    batches = P.PreparedBatches(toy_dataset().frames, cfg, teacher)
+    C.warm_up_queue(student, batches)
+    return student, teacher, batches
 
 
 def test_criterion_6_degenerate_weight_equivalence(tmp_path):
     with criterion(6, "lambda=0 distilled training bitwise equals plain over 50 steps"):
-        student_a, teacher, stream_a, rng_a = _paired_student(tmp_path, lam=0.0)
+        student_a, _, batches_a = _paired_student(tmp_path, lam=0.0)
         for _ in range(50):
-            K.distilled_train_step(student_a, teacher, stream_a.next_batch(), rng_a)
+            K.distilled_train_step(student_a, batches_a.next_batch())
 
         cfg = toy_cfg(lam=0.0, steps=50)
-        frames = toy_dataset().frames
-        stream_b = BatchStream(frames, cfg.batch_size, cfg.seed)
-        rng_b = Rng(cfg.seed)
-        student_b = C.init_moco_state(TOY_ENC, cfg, rng_b)
-        C.warm_up_queue(student_b, stream_b, rng_b)
+        student_b = C.init_moco_state(TOY_ENC, cfg, Rng(cfg.seed))
+        batches_b = P.PreparedBatches(toy_dataset().frames, cfg)
+        C.warm_up_queue(student_b, batches_b)
         for _ in range(50):
-            C.moco_train_step(student_b, stream_b.next_batch(), rng_b)
+            C.moco_train_step(student_b, batches_b.next_batch())
 
         for ps_a, ps_b in (
             (student_a.query.backbone, student_b.query.backbone),
@@ -339,13 +331,13 @@ def test_criterion_6_through_the_view_worker(tmp_path):
 
 def test_criterion_7_self_teacher_zero_distillation(tmp_path):
     with criterion(7, "self-teacher keeps L_dis < 1e-10 at every step for 20 steps"):
-        student, teacher, stream, rng = _paired_student(tmp_path, lam=5.0, steps=20)
+        student, teacher, batches = _paired_student(tmp_path, lam=5.0, steps=20)
         for _ in range(20):
             teacher.query.copy_from(student.query)
             teacher.key.copy_from(student.key)
             np.copyto(teacher.queue.rows, student.queue.rows)
             teacher.queue.ptr = student.queue.ptr
-            res = K.distilled_train_step(student, teacher, stream.next_batch(), rng)
+            res = K.distilled_train_step(student, batches.next_batch())
             assert res.l_dis < 1e-10
 
 

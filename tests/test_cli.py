@@ -433,6 +433,13 @@ class TestStages:
             ("pretrain-student", ["--tau", "0"], "tau"),
             ("pretrain-student", ["--queue-size", "30"], "queue_size"),
             ("pretrain-student", ["--conv-channels", "8"], "conv_channels"),
+            ("pretrain-student", ["--queue-size", "0"], "queue_size 0 must be"),
+            ("pretrain-student", ["--queue-size", "-32"], "queue_size -32 must be"),
+            ("pretrain-student", ["--embed-dim", "0"], "d must be >= 1"),
+            ("pretrain-student", ["--kernel-size", "0"], "kernel_size must be >= 1"),
+            ("pretrain-student", ["--d-backbone", "0"], "d_backbone must be >= 1"),
+            ("pretrain-student", ["--conv-stride", "0"], "stride must be >= 1"),
+            ("pretrain-student", ["--view-size", "0"], "output_size must be >= 1"),
             # --data does not exist either: the split fraction is checked before it is read
             ("linear-probe", ["--data", "{missing}", "--holdout-fraction", "1.5"],
              "holdout_fraction"),

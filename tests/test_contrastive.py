@@ -8,8 +8,9 @@ import pytest
 
 import distill_ssl.tensor as T
 from distill_ssl import contrastive as C
+from distill_ssl import pipeline as P
 from distill_ssl.augment import AugmentConfig
-from distill_ssl.data import BatchStream, generate_synthetic_dataset, target_spec
+from distill_ssl.data import generate_synthetic_dataset, target_spec
 from distill_ssl.rng import Rng
 
 TOY_ENC = C.EncoderConfig(conv_channels=(4, 6), d_backbone=12, d=8, input_size=(12, 12))
@@ -34,12 +35,10 @@ def toy_dataset(seed=3, phases=4, per_phase=16):
 
 def warmed_state(cfg=None, seed=7):
     cfg = cfg or toy_cfg()
-    frames = toy_dataset().frames
-    rng = Rng(cfg.seed)
-    state = C.init_moco_state(TOY_ENC, cfg, rng)
-    stream = BatchStream(frames, cfg.batch_size, cfg.seed)
-    C.warm_up_queue(state, stream, rng)
-    return state, stream, rng
+    state = C.init_moco_state(TOY_ENC, cfg, Rng(cfg.seed))
+    batches = P.PreparedBatches(toy_dataset().frames, cfg)
+    C.warm_up_queue(state, batches)
+    return state, batches
 
 
 def unit_rows(rng: np.random.Generator, shape):
@@ -327,9 +326,9 @@ class TestInfoNce:
 
 class TestMocoTrainStep:
     def test_key_params_follow_momentum_formula_exactly(self):
-        state, stream, rng = warmed_state()
+        state, batches = warmed_state()
         old_key = {n: t.data.copy() for n, t in state.key.head.items()}
-        C.moco_train_step(state, stream.next_batch(), rng)
+        C.moco_train_step(state, batches.next_batch())
         m = state.cfg.m
         for n, t in state.key.head.items():
             expected = old_key[n] * m
@@ -337,23 +336,23 @@ class TestMocoTrainStep:
             assert np.array_equal(t.data, expected)
 
     def test_queue_pointer_advances_by_batch(self):
-        state, stream, rng = warmed_state()
+        state, batches = warmed_state()
         ptr = state.queue.ptr
-        C.moco_train_step(state, stream.next_batch(), rng)
+        C.moco_train_step(state, batches.next_batch())
         assert state.queue.ptr == (ptr + state.cfg.batch_size) % state.cfg.queue_size
         assert state.step_count == 1
 
     def test_key_gradients_identically_zero_after_step(self):
-        state, stream, rng = warmed_state()
-        C.moco_train_step(state, stream.next_batch(), rng)
+        state, batches = warmed_state()
+        C.moco_train_step(state, batches.next_batch())
         for ps in (state.key.backbone, state.key.head):
             for _, t in ps.items():
                 assert t.grad is None or np.all(t.grad == 0.0)
 
     def test_queue_rows_stay_unit_norm(self):
-        state, stream, rng = warmed_state()
+        state, batches = warmed_state()
         for _ in range(12):
-            C.moco_train_step(state, stream.next_batch(), rng)
+            C.moco_train_step(state, batches.next_batch())
         norms = np.sqrt((state.queue.rows**2).sum(axis=1))
         assert np.abs(norms - 1.0).max() < 1e-6
 
@@ -362,34 +361,31 @@ class TestMocoTrainStep:
         spec = target_spec(4, 16, (12, 12))
         frames = generate_synthetic_dataset(spec, 7).frames
         cfg = toy_cfg(batch_size=16, queue_size=32, lr=0.06)
-        rng = Rng(7)
-        state = C.init_moco_state(TOY_ENC, cfg, rng)
-        stream = BatchStream(frames, cfg.batch_size, cfg.seed)
-        C.warm_up_queue(state, stream, rng)
-        losses = [C.moco_train_step(state, stream.next_batch(), rng).l_con for _ in range(50)]
+        state = C.init_moco_state(TOY_ENC, cfg, Rng(7))
+        batches = P.PreparedBatches(frames, cfg)
+        C.warm_up_queue(state, batches)
+        losses = [C.moco_train_step(state, batches.next_batch()).l_con for _ in range(50)]
         assert np.mean(losses[-5:]) < losses[0]
 
     def test_wrong_batch_size_rejected(self):
-        state, stream, rng = warmed_state()
-        batch = stream.next_batch()
+        state, batches = warmed_state()
+        batch = batches.next_batch()
         batch.frames = batch.frames[:4]
         with pytest.raises(C.ContractError):
-            C.moco_train_step(state, batch, rng)
+            C.moco_train_step(state, batch)
 
     def test_unwarmed_queue_rejected(self):
         cfg = toy_cfg()
-        frames = toy_dataset().frames
-        rng = Rng(cfg.seed)
-        state = C.init_moco_state(TOY_ENC, cfg, rng)
-        stream = BatchStream(frames, cfg.batch_size, cfg.seed)
+        state = C.init_moco_state(TOY_ENC, cfg, Rng(cfg.seed))
+        batches = P.PreparedBatches(toy_dataset().frames, cfg)
         with pytest.raises(C.ContractError, match="warmed"):
-            C.moco_train_step(state, stream.next_batch(), rng)
+            C.moco_train_step(state, batches.next_batch())
 
     def test_two_runs_identical_bitwise(self):
         results = []
         for _ in range(2):
-            state, stream, rng = warmed_state()
-            losses = [C.moco_train_step(state, stream.next_batch(), rng) for _ in range(5)]
+            state, batches = warmed_state()
+            losses = [C.moco_train_step(state, batches.next_batch()) for _ in range(5)]
             results.append((losses, {n: t.data.copy() for n, t in state.query.head.items()}))
         assert results[0][0] == results[1][0]
         for n in results[0][1]:

@@ -117,6 +117,35 @@ class TestCheckpointRoundTrip:
         with pytest.raises(D.CorruptManifestError):
             D.load_checkpoint(tmp_path / "ckpt")
 
+    @pytest.mark.parametrize(
+        "edit",
+        (
+            lambda m: m.update(tensors={"query.head/fc.w": m["tensors"][0]}),
+            lambda m: m.update(tensors=None),
+            lambda m: m["tensors"].__setitem__(0, ["query.head/fc.w", [5, 3], 0, 120]),
+            lambda m: m["tensors"][0].pop("shape"),
+            lambda m: m["tensors"][0].pop("name"),
+            lambda m: m["tensors"][0].update(name=7),
+            lambda m: m["tensors"][0].update(shape="5x3"),
+            lambda m: m["tensors"][0].update(shape=[5, -3]),
+            lambda m: m["tensors"][0].update(shape=[5.0, 3]),
+            lambda m: m["tensors"][0].update(shape=[True, 3]),
+            lambda m: m["tensors"][0].update(offset="0"),
+            lambda m: m["tensors"][0].pop("length"),
+            lambda m: m["tensors"][0].update(length=120.0),
+        ),
+        ids=["tensors_object", "tensors_null", "entry_list", "no_shape", "no_name", "int_name",
+             "str_shape", "negative_dim", "float_dim", "bool_dim", "str_offset", "no_length",
+             "float_length"],
+    )
+    def test_malformed_tensor_table_rejected_naming_the_manifest(self, tmp_path, edit):
+        D.save_checkpoint(self.make_sets(), tmp_path / "ckpt")
+        manifest = json.loads((tmp_path / "ckpt.json").read_text())
+        edit(manifest)
+        (tmp_path / "ckpt.json").write_text(json.dumps(manifest))
+        with pytest.raises(D.CorruptManifestError, match="ckpt.json"):
+            D.load_checkpoint(tmp_path / "ckpt")
+
     def test_missing_files(self, tmp_path):
         with pytest.raises(D.CorruptManifestError):
             D.load_checkpoint(tmp_path / "absent")

@@ -10,7 +10,7 @@ from distill_ssl import contrastive as C
 from distill_ssl import distill as K
 from distill_ssl import pipeline as P
 from distill_ssl.augment import AugmentConfig
-from distill_ssl.data import BatchStream, generate_synthetic_dataset, target_spec
+from distill_ssl.data import generate_synthetic_dataset, target_spec
 from distill_ssl.rng import Rng
 
 TOY_ENC = C.EncoderConfig(conv_channels=(4, 6), d_backbone=12, d=8, input_size=(12, 12))
@@ -96,12 +96,10 @@ class TestInitTeacher:
 class TestTeacherAdaptStep:
     def run_steps(self, generic_ckpt, steps, freeze=True, seed=7):
         cfg = toy_cfg(seed=seed)
-        frames = toy_dataset().frames
-        rng = Rng(cfg.seed)
         teacher = fresh_teacher(generic_ckpt, cfg, freeze_backbone=freeze)
-        stream = BatchStream(frames, cfg.batch_size, cfg.seed)
-        C.warm_up_queue(teacher, stream, rng)
-        losses = [K.teacher_adapt_step(teacher, stream.next_batch(), rng) for _ in range(steps)]
+        batches = P.PreparedBatches(toy_dataset().frames, cfg)
+        C.warm_up_queue(teacher, batches)
+        losses = [K.teacher_adapt_step(teacher, batches.next_batch()) for _ in range(steps)]
         return teacher, losses
 
     def test_backbone_bitwise_frozen_over_100_steps(self, generic_ckpt):
@@ -144,22 +142,20 @@ class TestTeacherAdaptStep:
         frames = toy_dataset().frames
 
         teacher = fresh_teacher(generic_ckpt, cfg, freeze_backbone=False)
-        rng_a = Rng(cfg.seed)
-        stream_a = BatchStream(frames, cfg.batch_size, cfg.seed)
-        C.warm_up_queue(teacher, stream_a, rng_a)
+        batches_a = P.PreparedBatches(frames, cfg)
+        C.warm_up_queue(teacher, batches_a)
         for _ in range(3):
-            K.teacher_adapt_step(teacher, stream_a.next_batch(), rng_a)
+            K.teacher_adapt_step(teacher, batches_a.next_batch())
 
         # identical starting state, stepped with moco_train_step instead
         fresh = fresh_teacher(generic_ckpt, cfg, freeze_backbone=False)
         moco = C.MoCoState(
             fresh.query, fresh.key, C.KeyQueue(cfg.queue_size, TOY_ENC.d), cfg
         )
-        rng_b = Rng(cfg.seed)
-        stream_b = BatchStream(frames, cfg.batch_size, cfg.seed)
-        C.warm_up_queue(moco, stream_b, rng_b)
+        batches_b = P.PreparedBatches(frames, cfg)
+        C.warm_up_queue(moco, batches_b)
         for _ in range(3):
-            C.moco_train_step(moco, stream_b.next_batch(), rng_b)
+            C.moco_train_step(moco, batches_b.next_batch())
 
         for ps_t, ps_m in (
             (teacher.query.backbone, moco.query.backbone),
@@ -350,14 +346,14 @@ def train_teacher(tmp_path, cfg):
 
 
 def pair_from(tpath, cfg):
-    """Fresh student plus the teacher at tpath, queues warmed in sync."""
-    stream = BatchStream(toy_dataset().frames, cfg.batch_size, cfg.seed)
-    rng = Rng(cfg.seed)
-    student = C.init_moco_state(TOY_ENC, cfg, rng)
+    """Fresh student plus the teacher at tpath, queues warmed in sync, and
+    the batches that carry the teacher's soft targets."""
+    student = C.init_moco_state(TOY_ENC, cfg, Rng(cfg.seed))
     encoders = C.load_encoders(tpath, TOY_ENC, freeze_backbone=True)
     teacher = C.MoCoState(*encoders, C.KeyQueue(cfg.queue_size, TOY_ENC.d), cfg)
-    C.warm_up_queue(student, stream, rng, teacher)
-    return student, teacher, stream, rng
+    batches = P.PreparedBatches(toy_dataset().frames, cfg, teacher)
+    C.warm_up_queue(student, batches)
+    return student, teacher, batches
 
 
 def build_pair(tmp_path, seed=7, lam=5.0, distill_tau=None):
@@ -366,64 +362,30 @@ def build_pair(tmp_path, seed=7, lam=5.0, distill_tau=None):
     return pair_from(train_teacher(tmp_path, cfg), cfg)
 
 
-def carrying_targets(batch, student, teacher, rng):
-    """``batch`` with its views and the teacher's soft targets and queue
-    pointer on it, built and pushed as pipeline's view worker does."""
-    batch.views = C.build_views(batch, student.cfg.augment, rng)
-    q_t = C.encode(teacher.query, batch.views[0]).data
-    keys = C.encode(teacher.key, batch.views[1]).data
-    batch.log_p_t = K.soft_targets(q_t, keys, teacher.queue, student.cfg.effective_distill_tau)
-    batch.teacher_ptr = teacher.queue.ptr
-    teacher.queue.push(keys)
-    return batch
-
-
-def idle_teacher(tpath, cfg):
-    """The training process's teacher when a worker holds the warmed queue."""
-    encoders = C.load_encoders(tpath, TOY_ENC, freeze_backbone=True)
-    return C.MoCoState(*encoders, C.KeyQueue(cfg.queue_size, TOY_ENC.d), cfg)
-
-
 class TestDistilledTrainStep:
-    def test_carried_targets_equal_the_in_process_teacher(self, shared_teacher):
-        cfg = toy_cfg(steps=4)
-        student_a, teacher_a, stream_a, rng_a = pair_from(shared_teacher, cfg)
-        student_b, worker_teacher, stream_b, rng_b = pair_from(shared_teacher, cfg)
-        idle = idle_teacher(shared_teacher, cfg)
-        for _ in range(4):
-            expected = K.distilled_train_step(student_a, teacher_a, stream_a.next_batch(), rng_a)
-            batch = carrying_targets(stream_b.next_batch(), student_b, worker_teacher, rng_b)
-            assert K.distilled_train_step(student_b, idle, batch, rng_b) == expected
-        a, b = state_snapshot(student_a), state_snapshot(student_b)
-        assert all(np.array_equal(x, y) for x, y in zip(a[0], b[0]))
-        assert np.array_equal(a[1], b[1]) and a[2:] == b[2:]
-        assert idle.queue.filled == 0  # a step with carried targets never pushes the teacher
-
     def test_carried_pointer_mismatch_rejected_before_any_update(self, shared_teacher):
         cfg = toy_cfg(steps=2)
-        student, worker_teacher, stream, rng = pair_from(shared_teacher, cfg)
-        batch = carrying_targets(stream.next_batch(), student, worker_teacher, rng)
+        student, _, batches = pair_from(shared_teacher, cfg)
+        batch = batches.next_batch()
         batch.teacher_ptr = (batch.teacher_ptr + cfg.batch_size) % cfg.queue_size
         before = state_snapshot(student)
         with pytest.raises(C.ContractError, match="queues desynchronized"):
-            K.distilled_train_step(student, idle_teacher(shared_teacher, cfg), batch, rng)
+            K.distilled_train_step(student, batch)
         after = state_snapshot(student)
         assert all(np.array_equal(a, b) for a, b in zip(before[0], after[0]))
         assert np.array_equal(before[1], after[1]) and after[2:] == before[2:]
 
     def test_lambda_zero_bitwise_equals_plain(self, tmp_path):
-        student_a, teacher, stream_a, rng_a = build_pair(tmp_path, lam=0.0)
+        student_a, _, batches_a = build_pair(tmp_path, lam=0.0)
         for _ in range(5):
-            K.distilled_train_step(student_a, teacher, stream_a.next_batch(), rng_a)
+            K.distilled_train_step(student_a, batches_a.next_batch())
 
         cfg = toy_cfg(lam=0.0, steps=5)
-        frames = toy_dataset().frames
-        stream_b = BatchStream(frames, cfg.batch_size, cfg.seed)
-        rng_b = Rng(cfg.seed)
-        student_b = C.init_moco_state(TOY_ENC, cfg, rng_b)
-        C.warm_up_queue(student_b, stream_b, rng_b)
+        student_b = C.init_moco_state(TOY_ENC, cfg, Rng(cfg.seed))
+        batches_b = P.PreparedBatches(toy_dataset().frames, cfg)
+        C.warm_up_queue(student_b, batches_b)
         for _ in range(5):
-            C.moco_train_step(student_b, stream_b.next_batch(), rng_b)
+            C.moco_train_step(student_b, batches_b.next_batch())
 
         for ps_a, ps_b in (
             (student_a.query.backbone, student_b.query.backbone),
@@ -436,46 +398,45 @@ class TestDistilledTrainStep:
         assert np.array_equal(student_a.queue.rows, student_b.queue.rows)
 
     def test_self_teacher_gives_zero_distillation(self, tmp_path):
-        student, teacher, stream, rng = build_pair(tmp_path)
+        student, teacher, batches = build_pair(tmp_path)
         for _ in range(5):
             teacher.query.copy_from(student.query)
             teacher.key.copy_from(student.key)
             np.copyto(teacher.queue.rows, student.queue.rows)
             teacher.queue.ptr = student.queue.ptr
-            res = K.distilled_train_step(student, teacher, stream.next_batch(), rng)
+            res = K.distilled_train_step(student, batches.next_batch())
             assert res.l_dis < 1e-10
 
     def test_total_is_weighted_sum(self, tmp_path):
-        student, teacher, stream, rng = build_pair(tmp_path, lam=5.0)
-        res = K.distilled_train_step(student, teacher, stream.next_batch(), rng)
+        student, teacher, batches = build_pair(tmp_path, lam=5.0)
+        res = K.distilled_train_step(student, batches.next_batch())
         assert abs(res.total - (res.l_con + 5.0 * res.l_dis)) <= 1e-12
 
     def test_queue_pointers_stay_synchronized(self, tmp_path):
-        student, teacher, stream, rng = build_pair(tmp_path)
+        student, teacher, batches = build_pair(tmp_path)
         for _ in range(4):
-            K.distilled_train_step(student, teacher, stream.next_batch(), rng)
+            K.distilled_train_step(student, batches.next_batch())
             assert student.queue.ptr == teacher.queue.ptr
 
     def test_desynchronized_queues_rejected(self, tmp_path):
-        student, teacher, stream, rng = build_pair(tmp_path)
+        student, teacher, batches = build_pair(tmp_path)
         teacher.queue.push(teacher.queue.rows[: student.cfg.batch_size].copy())
         with pytest.raises(C.ContractError, match="desynchronized"):
-            K.distilled_train_step(student, teacher, stream.next_batch(), rng)
+            K.distilled_train_step(student, batches.next_batch())
 
     def test_teacher_receives_no_gradient(self, tmp_path):
-        student, teacher, stream, rng = build_pair(tmp_path)
+        student, teacher, batches = build_pair(tmp_path)
         before = {
             n: t.data.copy()
             for ps in (teacher.query.backbone, teacher.query.head)
             for n, t in ps.items()
         }
         for _ in range(3):
-            K.distilled_train_step(student, teacher, stream.next_batch(), rng)
+            K.distilled_train_step(student, batches.next_batch())
         for ps in (teacher.query.backbone, teacher.query.head):
             for n, t in ps.items():
                 assert np.array_equal(t.data, before[n])
                 assert t.grad is None or np.all(t.grad == 0.0)
-
 
 
 @pytest.fixture(scope="module")
@@ -489,9 +450,9 @@ def shared_teacher(tmp_path_factory):
 @pytest.mark.parametrize("tau", [1e-4, 1e-3, 10.0])
 def test_losses_and_parameters_finite_across_accepted_range(shared_teacher, tau, distill_tau, lam, m):
     cfg = toy_cfg(tau=tau, distill_tau=distill_tau, lam=lam, m=m, steps=4)
-    student, teacher, stream, rng = pair_from(shared_teacher, cfg)
+    student, teacher, batches = pair_from(shared_teacher, cfg)
     for _ in range(4):
-        res = K.distilled_train_step(student, teacher, stream.next_batch(), rng)
+        res = K.distilled_train_step(student, batches.next_batch())
         assert all(math.isfinite(v) for v in (res.l_con, res.l_dis, res.total))
     for enc in (student.query, student.key):
         for ps in (enc.backbone, enc.head):
@@ -512,19 +473,16 @@ def state_snapshot(state):
 
 class TestNonFiniteLoss:
     def test_non_finite_kl_raises_before_any_update(self, tmp_path):
-        student, teacher, stream, rng = build_pair(tmp_path)
-        K.distilled_train_step(student, teacher, stream.next_batch(), rng)
+        student, teacher, batches = build_pair(tmp_path)
+        K.distilled_train_step(student, batches.next_batch())
         # One NaN teacher key makes every teacher log-probability NaN.
         teacher.queue.rows[0] = np.nan
         before = state_snapshot(student)
-        teacher_queue = teacher.queue.rows.copy()
         with pytest.raises(C.NonFiniteLossError, match=r"^l_dis is nan at step 1$"):
-            K.distilled_train_step(student, teacher, stream.next_batch(), rng)
+            K.distilled_train_step(student, batches.next_batch())
         after = state_snapshot(student)
         for a, b in zip(before[0], after[0]):
             assert np.array_equal(a, b)
         assert np.array_equal(before[1], after[1])
         assert after[2:] == before[2:]
         assert student.step_count == 1
-        assert np.array_equal(teacher.queue.rows, teacher_queue, equal_nan=True)
-        assert teacher.queue.ptr == student.queue.ptr

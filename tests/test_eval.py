@@ -389,15 +389,14 @@ class TestInitTransfer:
         assert np.array_equal(a, b)
 
     def test_one_step_changes_parameters(self, ckpts):
-        from distill_ssl.data import BatchStream
+        from distill_ssl.pipeline import PreparedBatches
 
         cfg = toy_cfg()
         state = transfer_state(ckpts[0], cfg)
         before = {n: t.data.copy() for n, t in state.query.head.items()}
-        stream = BatchStream(toy_dataset().frames, cfg.batch_size, cfg.seed)
-        rng = Rng(cfg.seed)
-        C.warm_up_queue(state, stream, rng)
-        C.moco_train_step(state, stream.next_batch(), rng)
+        batches = PreparedBatches(toy_dataset().frames, cfg)
+        C.warm_up_queue(state, batches)
+        C.moco_train_step(state, batches.next_batch())
         assert any(not np.array_equal(t.data, before[n]) for n, t in state.query.head.items())
 
 

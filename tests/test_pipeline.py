@@ -132,11 +132,10 @@ def test_stages_look_up_step_functions_when_they_run(stage_artifacts, monkeypatc
 
 
 def hand_run(state, dataset, step, teacher=None):
-    """The loop ``_run`` replaces: plain batches, views built in process."""
-    cfg = state.cfg
-    stream, rng = BatchStream(dataset.frames, cfg.batch_size, cfg.seed), Rng(cfg.seed)
-    C.warm_up_queue(state, stream, rng, teacher)
-    return [step(state, stream.next_batch(), rng) for _ in range(cfg.steps)]
+    """``_run`` without the worker: the same batches, prepared in process."""
+    batches = P.PreparedBatches(dataset.frames, state.cfg, teacher)
+    C.warm_up_queue(state, batches)
+    return [step(state, batches.next_batch()) for _ in range(state.cfg.steps)]
 
 
 def assert_states_equal(a, b):
@@ -168,7 +167,7 @@ def test_stages_equal_a_hand_loop_with_in_process_views(stage_artifacts, stage):
         run = P.pretrain_distilled(data, root / "teacher", TOY_ENC, cfg)
         state = C.init_moco_state(TOY_ENC, cfg, Rng(cfg.seed))
         teacher = P._loaded_state(root / "teacher", TOY_ENC, cfg, freeze_backbone=True)
-        step = lambda s, b, r: distill.distilled_train_step(s, teacher, b, r)
+        step = distill.distilled_train_step
     assert run.steps == hand_run(state, data, step, teacher)
     assert_states_equal(run.state, state)
 
@@ -209,15 +208,51 @@ def test_stage_outputs_pinned(stage_artifacts, stage):
     assert run_digest(run) == PINNED_STAGE_DIGESTS[stage]
 
 
-def test_training_loop_builds_no_views_itself(monkeypatch):
-    # the step finds its views on the batch; only the worker, which calls
-    # pipeline.build_views, may build them
-    def forbidden(*args):
-        raise AssertionError("views built in the training process")
+def snapshot(state):
+    params = [t.data.copy() for enc in (state.query, state.key)
+              for ps in (enc.backbone, enc.head) for _, t in ps.items()]
+    queue = state.queue
+    return params, queue.rows.copy(), (queue.ptr, queue.filled, state.step_count)
 
-    monkeypatch.setattr(C, "build_views", forbidden)
-    run = P.pretrain(toy_dataset(), TOY_ENC, toy_cfg(steps=3))
-    assert run.state.step_count == 3
+
+def assert_unchanged(state, before):
+    params, rows, counts = snapshot(state)
+    assert all(np.array_equal(x, y) for x, y in zip(params, before[0]))
+    assert np.array_equal(rows, before[1]) and counts == before[2]
+
+
+@pytest.mark.parametrize("stage", ["pretrain", "adapt_teacher"])
+def test_steps_and_warm_up_refuse_a_batch_without_views(stage_artifacts, stage):
+    # a step reads the views its batch carries and never builds them
+    root, _, _ = stage_artifacts
+    cfg, data = toy_cfg(), toy_dataset()
+    if stage == "pretrain":
+        state, step = C.init_moco_state(TOY_ENC, cfg, Rng(cfg.seed)), C.moco_train_step
+    else:
+        state = P._loaded_state(root / "generic", TOY_ENC, cfg, ("query", "query"), True)
+        step = distill.teacher_adapt_step
+    bare = BatchStream(data.frames, cfg.batch_size, cfg.seed)
+    before = snapshot(state)
+    with pytest.raises(C.ContractError, match="no views"):
+        C.warm_up_queue(state, bare)
+    assert_unchanged(state, before)
+    C.warm_up_queue(state, P.PreparedBatches(data.frames, cfg))
+    before = snapshot(state)
+    with pytest.raises(C.ContractError, match="no views"):
+        step(state, bare.next_batch())
+    assert_unchanged(state, before)
+
+
+def test_distilled_step_refuses_a_batch_without_soft_targets():
+    # the step reads the teacher's targets from its batch and never runs a teacher
+    cfg = toy_cfg()
+    state = C.init_moco_state(TOY_ENC, cfg, Rng(cfg.seed))
+    batches = P.PreparedBatches(toy_dataset().frames, cfg)
+    C.warm_up_queue(state, batches)
+    before = snapshot(state)
+    with pytest.raises(C.ContractError, match="no teacher soft targets"):
+        distill.distilled_train_step(state, batches.next_batch())
+    assert_unchanged(state, before)
 
 
 @contextlib.contextmanager
@@ -249,11 +284,11 @@ def test_worker_reaped_after_a_stage():
 def test_worker_reaped_after_a_step_raises(monkeypatch):
     real, calls = P.moco_train_step, []
 
-    def fails_at_step_2(state, batch, rng):
+    def fails_at_step_2(state, batch):
         if len(calls) == 2:
             raise C.NonFiniteLossError(f"l_con is nan at step {state.step_count}")
         calls.append(1)
-        return real(state, batch, rng)
+        return real(state, batch)
 
     monkeypatch.setattr(P, "moco_train_step", fails_at_step_2)
     with deadline(10), pytest.raises(C.NonFiniteLossError, match="at step 2"):
@@ -287,7 +322,7 @@ def wait_for_exit(pid, seconds=5.0):
 
 def feed(count=50):
     cfg = toy_cfg()
-    return P._ViewFeed(toy_dataset().frames, cfg, Rng(cfg.seed), count)
+    return P._ViewFeed(toy_dataset().frames, cfg, count)
 
 
 def test_worker_ends_when_the_loop_closes_its_pipes_unread():
@@ -344,7 +379,7 @@ def test_feed_batches_carry_the_views_build_views_makes():
     cfg = toy_cfg()
     data = toy_dataset()
     stream, rng = BatchStream(data.frames, cfg.batch_size, cfg.seed), Rng(cfg.seed)
-    with deadline(10), P._ViewFeed(data.frames, cfg, Rng(cfg.seed), 7) as f:
+    with deadline(10), P._ViewFeed(data.frames, cfg, 7) as f:
         for _ in range(7):
             got, expected = f.next_batch(), stream.next_batch()
             assert np.array_equal(got.indices, expected.indices) and got.epoch == expected.epoch
@@ -366,7 +401,7 @@ def test_feed_batches_carry_the_teacher_soft_targets(stage_artifacts):
     hand = P._loaded_state(root / "teacher", TOY_ENC, cfg, freeze_backbone=True)
     stream, rng = BatchStream(data.frames, cfg.batch_size, cfg.seed), Rng(cfg.seed)
     warm = cfg.queue_size // cfg.batch_size
-    with deadline(10), P._ViewFeed(data.frames, cfg, Rng(cfg.seed), warm + 5, teacher) as f:
+    with deadline(10), P._ViewFeed(data.frames, cfg, warm + 5, teacher) as f:
         for i in range(warm + 5):
             got = f.next_batch()
             views_q, views_k = C.build_views(stream.next_batch(), cfg.augment, rng)
@@ -390,27 +425,13 @@ def test_feed_batches_carry_no_targets_without_a_teacher():
             assert batch.log_p_t is None and batch.teacher_ptr is None
 
 
-def test_training_loop_runs_no_teacher_itself(stage_artifacts, monkeypatch):
-    # the step finds the soft targets on the batch; only the worker, which
-    # calls pipeline.encode and pipeline.soft_targets, may run the teacher
-    root, _, _ = stage_artifacts
-
-    def forbidden(*args):
-        raise AssertionError("teacher run in the training process")
-
-    monkeypatch.setattr(distill, "encode", forbidden)
-    monkeypatch.setattr(distill, "soft_targets", forbidden)
-    run = P.pretrain_distilled(toy_dataset(), root / "teacher", TOY_ENC, toy_cfg(steps=3))
-    assert run.state.step_count == 3
-
-
 def test_failing_teacher_raises_in_the_loop_and_is_reaped(stage_artifacts, monkeypatch):
     root, _, _ = stage_artifacts
 
     def broken(*args):
         raise ValueError("no soft targets today")
 
-    monkeypatch.setattr(P, "soft_targets", broken)  # before the fork: the worker inherits it
+    monkeypatch.setattr(distill, "soft_targets", broken)  # before the fork: the worker inherits it
     with deadline(5), pytest.raises(P.ViewWorkerError, match="view worker") as info:
         P.pretrain_distilled(toy_dataset(), root / "teacher", TOY_ENC, toy_cfg(steps=4))
     assert "ValueError: no soft targets today" in str(info.value)
