@@ -395,15 +395,15 @@ def build_views(batch: Batch, aug: AugmentConfig, rng: Rng) -> tuple[np.ndarray,
     return views[:n], views[n:]
 
 
-def warm_up_queue(state: MoCoState, stream) -> None:
+def warm_up_queue(state: MoCoState, batches) -> None:
     """Fill the queue with key-encoder embeddings before any loss is taken.
 
-    Consumes capacity/batch_size batches from the stream, each carrying
-    its views (``pipeline.PreparedBatches``); a batch without them raises
+    Consumes capacity/batch_size batches, each carrying its views
+    (``pipeline.PreparedBatches``); a batch without them raises
     ``ContractError`` before it touches the queue.
     """
     for _ in range(state.queue.capacity // state.cfg.batch_size):
-        batch = stream.next_batch()
+        batch = batches.next_batch()
         if batch.views is None:
             raise ContractError("batch carries no views; pipeline.PreparedBatches builds them")
         state.queue.push(encode(state.key, batch.views[1]).data)

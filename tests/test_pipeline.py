@@ -2,6 +2,7 @@
 and the forked worker that builds every batch's views."""
 
 import contextlib
+import copy
 import hashlib
 import os
 import signal
@@ -208,19 +209,6 @@ def test_stage_outputs_pinned(stage_artifacts, stage):
     assert run_digest(run) == PINNED_STAGE_DIGESTS[stage]
 
 
-def snapshot(state):
-    params = [t.data.copy() for enc in (state.query, state.key)
-              for ps in (enc.backbone, enc.head) for _, t in ps.items()]
-    queue = state.queue
-    return params, queue.rows.copy(), (queue.ptr, queue.filled, state.step_count)
-
-
-def assert_unchanged(state, before):
-    params, rows, counts = snapshot(state)
-    assert all(np.array_equal(x, y) for x, y in zip(params, before[0]))
-    assert np.array_equal(rows, before[1]) and counts == before[2]
-
-
 @pytest.mark.parametrize("stage", ["pretrain", "adapt_teacher"])
 def test_steps_and_warm_up_refuse_a_batch_without_views(stage_artifacts, stage):
     # a step reads the views its batch carries and never builds them
@@ -232,15 +220,15 @@ def test_steps_and_warm_up_refuse_a_batch_without_views(stage_artifacts, stage):
         state = P._loaded_state(root / "generic", TOY_ENC, cfg, ("query", "query"), True)
         step = distill.teacher_adapt_step
     bare = BatchStream(data.frames, cfg.batch_size, cfg.seed)
-    before = snapshot(state)
+    before = copy.deepcopy(state)
     with pytest.raises(C.ContractError, match="no views"):
         C.warm_up_queue(state, bare)
-    assert_unchanged(state, before)
+    assert_states_equal(state, before)
     C.warm_up_queue(state, P.PreparedBatches(data.frames, cfg))
-    before = snapshot(state)
+    before = copy.deepcopy(state)
     with pytest.raises(C.ContractError, match="no views"):
         step(state, bare.next_batch())
-    assert_unchanged(state, before)
+    assert_states_equal(state, before)
 
 
 def test_distilled_step_refuses_a_batch_without_soft_targets():
@@ -249,10 +237,10 @@ def test_distilled_step_refuses_a_batch_without_soft_targets():
     state = C.init_moco_state(TOY_ENC, cfg, Rng(cfg.seed))
     batches = P.PreparedBatches(toy_dataset().frames, cfg)
     C.warm_up_queue(state, batches)
-    before = snapshot(state)
+    before = copy.deepcopy(state)
     with pytest.raises(C.ContractError, match="no teacher soft targets"):
         distill.distilled_train_step(state, batches.next_batch())
-    assert_unchanged(state, before)
+    assert_states_equal(state, before)
 
 
 @contextlib.contextmanager
