@@ -1,5 +1,6 @@
 """Feature extraction modes, linear probe, metrics, sweeps."""
 
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -229,6 +230,66 @@ class TestLinearProbe:
         with pytest.raises(ValueError, match=field):
             E.ProbeConfig(**{field: value})
         E.ProbeConfig(**{field: 0})  # the boundary itself is accepted
+
+
+@pytest.fixture(scope="module")
+def pinned_features(ckpts):
+    """Student and concatenation features of a toy 4-class set."""
+    a, b = (query_encoder(p, TOY_ENC) for p in ckpts)
+    data = toy_dataset(per_phase=32)
+    return {"student": E.extract_features(a, None, data, "student"),
+            "concatenation": E.extract_features(a, b, data, "concatenation")}
+
+
+def probe_digest(probes):
+    h = hashlib.sha256()
+    for probe in probes:
+        h.update(probe.weight.tobytes() + probe.bias.tobytes())
+    return h.hexdigest()
+
+
+# sha256 of the weight and bias bytes of the default probe's fits at seeds 0,
+# 1 and 2, taken with numpy 2.4.6 on x86-64; a change that keeps every bit
+# keeps these, as it keeps the sweep's rows below.
+PINNED_PROBES = {
+    ("student", 0.05):
+        "7f078c29fa0c1c94f2307a025bbb5ada59c855e4f391fd1c5fb8a229a33fe741",
+    ("student", 0.1):
+        "d22dd1fbdddaa38d225b3ec7733d8fa2871073279d4a67c1e330d643ff1ea949",
+    ("student", 0.5):
+        "8b4fc115a958090c44af388ec691b55a47cc574961fedc47fd5951c3aae06a20",
+    ("student", 1.0):
+        "5274d2712eef0bcbfef1a96ef178fb2233eb0f8058c8253521328a21c5bc54e4",
+    ("concatenation", 0.05):
+        "5791e3fa2be659c185b181ab2c89946cf6dc24a0a03fc9065a5b48b79ee1785c",
+    ("concatenation", 0.1):
+        "3e7f413d6b9ecd6b1152fdf796fa5a34867012a93cf25b27e28c151547cb3ece",
+    ("concatenation", 0.5):
+        "81f6ca4cce76f6591d52394311dabea070bdfbedae03f7c18f5e7cf61753b8ff",
+    ("concatenation", 1.0):
+        "14a70097395264f4b556268fb680cc63a8331e3448d723bc3680f8925e4424a1",
+}
+PINNED_SWEEP_ROWS = "d879e3bf1beb3eb483d8b88d3dec3c65e01d7f5d6017b1d6233e7cda51440959"
+
+
+class TestProbeOutputsPinned:
+    @pytest.mark.parametrize("mode, fraction", sorted(PINNED_PROBES))
+    def test_fits_pinned(self, pinned_features, mode, fraction):
+        fits = [E.fit_linear_probe(pinned_features[mode], E.ProbeConfig(label_fraction=fraction,
+                                                                        seed=seed), 4)
+                for seed in (0, 1, 2)]
+        assert probe_digest(fits) == PINNED_PROBES[mode, fraction]
+
+    def test_sweep_rows_pinned(self, ckpts, tmp_path):
+        a, b = (query_encoder(p, TOY_ENC) for p in ckpts)
+        train_set, test_set = E.split_dataset(toy_dataset(per_phase=32), 0.5, seed=0)
+        encoders = [E.SweepEncoder("plain", "student", a),
+                    E.SweepEncoder("concatenation", "concatenation", a, b)]
+        rows, _ = E.label_efficiency_sweep(encoders, [0.05, 0.1, 0.5, 1.0], [0, 1, 2],
+                                           train_set, test_set, 4)
+        E.write_results_csv(rows, tmp_path / "metrics.csv")
+        written = (tmp_path / "metrics.csv").read_bytes()
+        assert hashlib.sha256(written).hexdigest() == PINNED_SWEEP_ROWS
 
 
 class TestPhaseMetrics:
