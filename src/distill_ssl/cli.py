@@ -193,11 +193,13 @@ def _usage_error(build):
 
 
 @_usage_error
-def encoder_config(cfg: dict) -> EncoderConfig:
+def encoder_config(cfg: dict, size_key: str = "input_size") -> EncoderConfig:
+    """The encoder, checked to fit inputs of side ``cfg[size_key]``: the
+    views for training, the resized frames for probing."""
     channels = tuple(_list(cfg, "conv_channels", int))
     if len(channels) != 2:
         raise CliError(f"conv_channels must name two layers, got {cfg['conv_channels']!r}")
-    return EncoderConfig(
+    enc_cfg = EncoderConfig(
         in_channels=cfg["in_channels"],
         input_size=(cfg["input_size"], cfg["input_size"]),
         conv_channels=channels,
@@ -207,6 +209,8 @@ def encoder_config(cfg: dict) -> EncoderConfig:
         d_backbone=cfg["d_backbone"],
         d=cfg["embed_dim"],
     )
+    enc_cfg.check_input_size((cfg[size_key], cfg[size_key]))
+    return enc_cfg
 
 
 def augment_config(cfg: dict) -> AugmentConfig:
@@ -299,7 +303,8 @@ def _train(cfg: dict, command: str, stage, *checkpoints: str, **options) -> int:
     """Run ``stage(dataset, *checkpoint paths, enc_cfg, train_cfg, **options)``
     and write its metrics, checkpoint and provenance."""
     _require(cfg, command, "data", "out", *checkpoints)
-    enc_cfg, train_cfg = encoder_config(cfg), train_config(cfg)
+    train_cfg = train_config(cfg)  # the view size is checked before the encoder is fitted to it
+    enc_cfg = encoder_config(cfg, "view_size")
     dataset, _ = load_dataset(cfg["data"])
     run = stage(dataset, *(cfg[key] for key in checkpoints), enc_cfg, train_cfg, **options)
     out = _out_dir(cfg)

@@ -75,6 +75,16 @@ class EncoderConfig:
             },
         }
 
+    def check_input_size(self, size: tuple[int, int]) -> None:
+        """Raise ParameterError unless each conv kernel fits its padded input at ``size``."""
+        k, side = self.kernel_size, size
+        for layer in ("conv1", "conv2"):
+            padded = [n + 2 * self.pad for n in side]
+            if min(padded) < k:
+                raise ParameterError(f"kernel_size {k} larger than {layer}'s padded input "
+                                     f"{padded[0]}x{padded[1]} at input size {size[0]}x{size[1]}")
+            side = [(n - k) // self.stride + 1 for n in padded]
+
     def to_dict(self) -> dict:
         return asdict(self)
 
@@ -425,8 +435,9 @@ def _train_step(state: MoCoState, batch: Batch, extra_loss=None) -> StepResult:
 
     Order: query/key embeddings of the views the batch carries, losses,
     backprop + SGD on each query set that is not frozen, momentum update
-    of the key encoder, queue push.  A batch without views raises
-    ``ContractError`` before any of it.
+    of the key encoder, queue push.  A batch without views, or with views
+    of other than ``batch_size`` frames, raises ``ContractError`` before
+    any of it.
     ``extra_loss(q, k_plus)``, when given, runs inside
     the recorded graph before the queue moves and returns (term, value):
     ``term`` is added to the InfoNCE loss unless it is None, and ``value``
@@ -437,12 +448,13 @@ def _train_step(state: MoCoState, batch: Batch, extra_loss=None) -> StepResult:
     they were.
     """
     cfg = state.cfg
-    if batch.frames.shape[0] != cfg.batch_size:
-        raise ContractError(f"batch of {batch.frames.shape[0]}, config says {cfg.batch_size}")
-    if not state.queue.warmed:
-        raise ContractError("queue must be warmed before training steps")
     if batch.views is None:
         raise ContractError("batch carries no views; pipeline.PreparedBatches builds them")
+    sizes = [len(v) for v in batch.views]
+    if sizes != [cfg.batch_size] * 2:
+        raise ContractError(f"views of {sizes} frames, config says {cfg.batch_size}")
+    if not state.queue.warmed:
+        raise ContractError("queue must be warmed before training steps")
 
     views_q, views_k = batch.views
     graph = T.Graph()

@@ -425,7 +425,9 @@ def load_image_directory(
 class Batch:
     """One training batch plus the provenance needed for seeded augmentation."""
 
-    frames: np.ndarray  # B x C x H x W
+    # B x C x H x W; None on the training loop's batches, whose views come
+    # from the worker (pipeline._ViewFeed)
+    frames: np.ndarray | None
     indices: np.ndarray  # dataset indices, length B
     epoch: int
     # The query and key view stacks (pipeline.PreparedBatches); a step
@@ -461,11 +463,16 @@ class BatchStream:
     def _shuffle(self, epoch: int) -> np.ndarray:
         return Rng(self._seed).derive(STREAM_BATCH, epoch).permutation(self._frames.shape[0])
 
-    def next_batch(self) -> Batch:
+    def next_indices(self) -> tuple[np.ndarray, int]:
+        """The next batch's dataset indices and epoch, without its frames."""
         if self._cursor + self._batch > self._order.size:
             self._epoch += 1
             self._order = self._shuffle(self._epoch)
             self._cursor = 0
-        idx = self._order[self._cursor : self._cursor + self._batch]
+        idx = self._order[self._cursor : self._cursor + self._batch].copy()
         self._cursor += self._batch
-        return Batch(frames=self._frames[idx], indices=idx.copy(), epoch=self._epoch)
+        return idx, self._epoch
+
+    def next_batch(self) -> Batch:
+        idx, epoch = self.next_indices()
+        return Batch(frames=self._frames[idx], indices=idx, epoch=epoch)

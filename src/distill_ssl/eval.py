@@ -8,7 +8,8 @@ combine teacher and student features by addition or concatenation, or
 evaluate either alone.  A sweep runs each distinct encoder's backbone once
 per split and combines those features for every arm that uses it.  The
 probe is multinomial logistic regression fit by full-batch gradient
-descent on a per-class stratified label subset.
+descent on a per-class stratified label subset, its logits held
+class-major (classes x samples) so that its softmax folds a few long rows.
 """
 
 from __future__ import annotations
@@ -145,8 +146,21 @@ class LinearProbe:
         return np.argmax(features @ self.weight + self.bias, axis=1)
 
 
+def _softmax_class_major(z: np.ndarray) -> np.ndarray:
+    """In place, the softmax down each column of classes x samples logits.
+
+    The max and sum fold the class rows in order, each over all samples at
+    once: up to 7 classes bitwise the rowwise softmax of samples x classes.
+    """
+    z -= z.max(axis=0)
+    np.exp(z, out=z)
+    z /= z.sum(axis=0)
+    return z
+
+
 def fit_linear_probe(fs: FeatureSet, cfg: ProbeConfig, num_classes: int | None = None) -> LinearProbe:
-    """Full-batch gradient descent on softmax cross-entropy + L2 penalty."""
+    """Full-batch gradient descent on softmax cross-entropy + L2 penalty;
+    the logits and residual are held class-major, the gradients' operands not."""
     k = int(num_classes if num_classes is not None else fs.labels.max() + 1)
     subset = stratified_indices(fs.labels, cfg.label_fraction, cfg.seed)
     x = fs.features[subset]
@@ -156,13 +170,18 @@ def fit_linear_probe(fs: FeatureSet, cfg: ProbeConfig, num_classes: int | None =
         missing = sorted(set(range(k)) - set(int(c) for c in present))
         raise SamplingError(f"classes {missing} absent from probe subset; change seed or fraction")
     n = x.shape[0]
-    onehot = np.zeros((n, k))
-    onehot[np.arange(n), y] = 1.0
+    onehot = np.zeros((k, n))
+    onehot[y, np.arange(n)] = 1.0
     w = np.zeros((x.shape[1], k))
     b = np.zeros(k)
+    z, d = np.empty((k, n)), np.empty((n, k))
     for _ in range(cfg.steps):
-        p, _ = T.softmax_and_log(x @ w + b)
-        d = (p - onehot) / n
+        np.copyto(z, (x @ w).T)
+        z += b[:, None]
+        _softmax_class_major(z)
+        z -= onehot
+        z /= n
+        np.copyto(d, z.T)
         w -= cfg.lr * (x.T @ d + cfg.weight_decay * w)
         b -= cfg.lr * d.sum(axis=0)
     return LinearProbe(w, b)

@@ -84,7 +84,8 @@ class _ViewFeed:
     The worker runs its copy of the producer ``count`` times and writes
     each batch's views, and any teacher targets and pointer, into rings of
     ``_RING`` slots in shared anonymous mmaps; the loop advances its own
-    copy of the stream and copies each slot out.  A byte on the ready pipe
+    copy of the stream, taking each batch's indices and epoch but not its
+    frames, and copies each slot out.  A byte on the ready pipe
     tells the loop that the next slot is full; a byte on the free pipe
     hands a slot back.  Leaving the ``with`` block closes both pipe ends,
     which ends a worker that is still running (EOF on the free pipe,
@@ -130,7 +131,7 @@ class _ViewFeed:
         os.waitpid(self._pid, 0)
 
     def next_batch(self) -> Batch:
-        batch = self._source.stream.next_batch()
+        batch = Batch(None, *self._source.stream.next_indices())  # the worker has the frames
         status = os.read(self._ready, 1)
         if status != _READY:
             raise ViewWorkerError(self._failure(status))

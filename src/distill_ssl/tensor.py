@@ -2,8 +2,9 @@
 
 The op set is deliberately small: the layers of the stand-in encoder
 (affine, conv2d, relu, global_avg_pool), the similarity machinery
-(l2_normalize, softmax_with_temperature) and a handful of scalar glue ops
-for composing losses.  Ops record themselves onto the active
+(l2_normalize, softmax_with_temperature, and softmax_and_log for the
+rowwise NCE and KL logits) and a handful of scalar glue ops for
+composing losses.  Ops record themselves onto the active
 :class:`Graph` when one is open; with no graph open they are plain
 forward computations.  ``finite_diff_gradient`` is the independent oracle
 used to verify every analytic backward rule.
@@ -300,41 +301,17 @@ def softmax_with_temperature(z: Tensor, tau: float) -> Tensor:
     return out
 
 
-# Up to this many columns, a running np.maximum and + over the columns in
-# order are bitwise numpy's max and sum along the last axis (numpy 2.4: from
-# 8 columns on its pairwise sum unrolls by 8 and adds in another order).
-COLUMN_SOFTMAX_MAX_COLS = 7
-# From this many rows per column the columns are the faster way (timed at
-# 2, 4 and 7 columns: break-even at 16-32, near 64 and at 64-128 rows).
-COLUMN_SOFTMAX_ROWS_PER_COL = 16
-
-
-def _fold_columns(ufunc, a: np.ndarray) -> np.ndarray:
-    """``ufunc`` folded over the columns of a, in order; keeps the last axis."""
-    out = a[..., 0].copy()
-    for c in range(1, a.shape[-1]):
-        ufunc(out, a[..., c], out=out)
-    return out[..., None]
-
-
 def softmax_and_log(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rowwise softmax of u and its log, both from one exp(u - max).
 
     The log is u - logsumexp(u), finite wherever u is, even where the
-    probability underflows to 0: the package's one softmax kernel.  With
-    at most ``COLUMN_SOFTMAX_MAX_COLS`` columns and enough rows (a probe's
-    logits) the max and the sum run column by column, bitwise equal to the
-    axis reductions every wider input (the NCE and KL logits) takes.
+    probability underflows to 0: the softmax kernel of the NCE and KL
+    logits.  The linear probe, which needs no log, keeps its own
+    class-major softmax (``eval._softmax_class_major``).
     """
-    k = u.shape[-1]
-    if 0 < k <= COLUMN_SOFTMAX_MAX_COLS and u.size >= COLUMN_SOFTMAX_ROWS_PER_COL * k * k:
-        umax = _fold_columns(np.maximum, u)
-        e = np.exp(u - umax)
-        s = _fold_columns(np.add, e)
-    else:
-        umax = u.max(axis=-1, keepdims=True)
-        e = np.exp(u - umax)
-        s = e.sum(axis=-1, keepdims=True)
+    umax = u.max(axis=-1, keepdims=True)
+    e = np.exp(u - umax)
+    s = e.sum(axis=-1, keepdims=True)
     return e / s, u - (umax + np.log(s))
 
 

@@ -440,7 +440,19 @@ class TestStages:
             ("pretrain-student", ["--d-backbone", "0"], "d_backbone must be >= 1"),
             ("pretrain-student", ["--conv-stride", "0"], "stride must be >= 1"),
             ("pretrain-student", ["--view-size", "0"], "output_size must be >= 1"),
-            # --data does not exist either: the split fraction is checked before it is read
+            # a kernel must fit every conv layer's padded input: the views for training
+            ("pretrain-student", ["--kernel-size", "40"], "larger than conv1's padded input 34x34"),
+            ("pretrain-student", ["--kernel-size", "20"], "larger than conv2's padded input 10x10"),
+            ("pretrain-student", ["--view-size", "16", "--kernel-size", "12"], "conv2's"),
+            # and the resized frames for probing
+            ("linear-probe", ["--kernel-size", "40"], "larger than conv1's padded input 34x34"),
+            ("linear-probe", ["--input-size", "16", "--kernel-size", "12"], "conv2's"),
+            ("sweep-labels", ["--kernel-size", "20"], "larger than conv2's padded input 10x10"),
+            # --data does not exist either: the kernel and the split fraction are
+            # checked before it is read
+            ("pretrain-student", ["--data", "{missing}", "--kernel-size", "40"], "conv1's"),
+            ("sweep-labels", ["--data", "{missing}", "--input-size", "8", "--kernel-size", "9"],
+             "conv2's"),
             ("linear-probe", ["--data", "{missing}", "--holdout-fraction", "1.5"],
              "holdout_fraction"),
             ("sweep-labels", ["--data", "{missing}", "--holdout-fraction", "0"],

@@ -1,6 +1,5 @@
 """Momentum-contrastive machinery: encoders, queue, InfoNCE, train steps."""
 
-import hashlib
 import math
 
 import numpy as np
@@ -12,6 +11,8 @@ from distill_ssl import pipeline as P
 from distill_ssl.augment import AugmentConfig
 from distill_ssl.data import generate_synthetic_dataset, target_spec
 from distill_ssl.rng import Rng
+
+from digests import sha256_of
 
 TOY_ENC = C.EncoderConfig(conv_channels=(4, 6), d_backbone=12, d=8, input_size=(12, 12))
 
@@ -137,11 +138,8 @@ class TestInitEncoder:
     )
     def test_parameter_bytes_pinned(self, cfg, digest):
         enc = C.init_encoder(cfg, Rng(0))
-        h = hashlib.sha256()
-        for part in cfg.param_shapes():
-            for _, t in getattr(enc, part).items():
-                h.update(t.data.tobytes())
-        assert h.hexdigest() == digest
+        params = [t.data for part in cfg.param_shapes() for _, t in getattr(enc, part).items()]
+        assert sha256_of(*params) == digest
 
     def test_param_shapes_match_declaration(self):
         enc = C.init_encoder(TOY_ENC, Rng(1))
@@ -367,11 +365,14 @@ class TestMocoTrainStep:
         losses = [C.moco_train_step(state, batches.next_batch()).l_con for _ in range(50)]
         assert np.mean(losses[-5:]) < losses[0]
 
-    def test_wrong_batch_size_rejected(self):
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_wrong_batch_size_rejected(self, side):
         state, batches = warmed_state()
         batch = batches.next_batch()
-        batch.frames = batch.frames[:4]
-        with pytest.raises(C.ContractError):
+        views = list(batch.views)
+        views[side] = views[side][:4]
+        batch.views = tuple(views)
+        with pytest.raises(C.ContractError, match="config says 8"):
             C.moco_train_step(state, batch)
 
     def test_unwarmed_queue_rejected(self):

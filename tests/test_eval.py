@@ -1,6 +1,5 @@
 """Feature extraction modes, linear probe, metrics, sweeps."""
 
-import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -13,6 +12,8 @@ from distill_ssl import tensor as T
 from distill_ssl.augment import AugmentConfig, resize_to
 from distill_ssl.data import generate_synthetic_dataset, target_spec
 from distill_ssl.rng import Rng
+
+from digests import sha256_of
 
 TOY_ENC = C.EncoderConfig(conv_channels=(4, 6), d_backbone=12, d=8, input_size=(12, 12))
 
@@ -241,13 +242,6 @@ def pinned_features(ckpts):
             "concatenation": E.extract_features(a, b, data, "concatenation")}
 
 
-def probe_digest(probes):
-    h = hashlib.sha256()
-    for probe in probes:
-        h.update(probe.weight.tobytes() + probe.bias.tobytes())
-    return h.hexdigest()
-
-
 # sha256 of the weight and bias bytes of the default probe's fits at seeds 0,
 # 1 and 2, taken with numpy 2.4.6 on x86-64; a change that keeps every bit
 # keeps these, as it keeps the sweep's rows below.
@@ -278,7 +272,8 @@ class TestProbeOutputsPinned:
         fits = [E.fit_linear_probe(pinned_features[mode], E.ProbeConfig(label_fraction=fraction,
                                                                         seed=seed), 4)
                 for seed in (0, 1, 2)]
-        assert probe_digest(fits) == PINNED_PROBES[mode, fraction]
+        assert sha256_of(*(a for fit in fits for a in (fit.weight, fit.bias))) == \
+            PINNED_PROBES[mode, fraction]
 
     def test_sweep_rows_pinned(self, ckpts, tmp_path):
         a, b = (query_encoder(p, TOY_ENC) for p in ckpts)
@@ -288,8 +283,7 @@ class TestProbeOutputsPinned:
         rows, _ = E.label_efficiency_sweep(encoders, [0.05, 0.1, 0.5, 1.0], [0, 1, 2],
                                            train_set, test_set, 4)
         E.write_results_csv(rows, tmp_path / "metrics.csv")
-        written = (tmp_path / "metrics.csv").read_bytes()
-        assert hashlib.sha256(written).hexdigest() == PINNED_SWEEP_ROWS
+        assert sha256_of((tmp_path / "metrics.csv").read_bytes()) == PINNED_SWEEP_ROWS
 
 
 class TestPhaseMetrics:

@@ -3,7 +3,6 @@ and the forked worker that builds every batch's views."""
 
 import contextlib
 import copy
-import hashlib
 import os
 import signal
 import time
@@ -18,6 +17,8 @@ from distill_ssl import pipeline as P
 from distill_ssl.augment import AugmentConfig
 from distill_ssl.data import BatchStream, generate_synthetic_dataset, load_checkpoint, target_spec
 from distill_ssl.rng import Rng
+
+from digests import sha256_of
 
 TOY_ENC = C.EncoderConfig(conv_channels=(4, 6), d_backbone=12, d=8, input_size=(12, 12))
 
@@ -175,16 +176,12 @@ def test_stages_equal_a_hand_loop_with_in_process_views(stage_artifacts, stage):
 
 def run_digest(run):
     """sha256 over every parameter, queue row, pointer, step count and StepResult."""
-    h, state = hashlib.sha256(), run.state
-    for enc in (state.query, state.key):
-        for ps in (enc.backbone, enc.head):
-            for name, t in ps.items():
-                h.update(name.encode() + t.data.tobytes())
-    h.update(state.queue.rows.tobytes())
-    counts = (state.queue.ptr, state.queue.filled, state.step_count)
-    h.update(np.array(counts, np.int64).tobytes())
-    h.update(np.array([(r.l_con, r.l_dis, r.total) for r in run.steps]).tobytes())
-    return h.hexdigest()
+    state = run.state
+    params = [part for enc in (state.query, state.key) for ps in (enc.backbone, enc.head)
+              for name, t in ps.items() for part in (name, t.data)]
+    counts = np.array((state.queue.ptr, state.queue.filled, state.step_count), np.int64)
+    losses = np.array([(r.l_con, r.l_dis, r.total) for r in run.steps])
+    return sha256_of(*params, state.queue.rows, counts, losses)
 
 
 # Taken with numpy 2.4.6 on x86-64; a refactor that keeps every bit keeps these.
@@ -241,6 +238,18 @@ def test_distilled_step_refuses_a_batch_without_soft_targets():
     with pytest.raises(C.ContractError, match="no teacher soft targets"):
         distill.distilled_train_step(state, batches.next_batch())
     assert_states_equal(state, before)
+
+
+def test_loop_batches_carry_the_workers_views_but_no_frames():
+    # the loop takes each batch's indices and epoch; only the worker gathers frames
+    cfg, data = toy_cfg(), toy_dataset()
+    prepared = P.PreparedBatches(data.frames, cfg)
+    with P._ViewFeed(data.frames, cfg, 8) as f:  # 6 batches per epoch: crosses into epoch 1
+        for _ in range(8):
+            got, want = f.next_batch(), prepared.next_batch()
+            assert got.frames is None
+            assert np.array_equal(got.indices, want.indices) and got.epoch == want.epoch
+            assert all(np.array_equal(a, b) for a, b in zip(got.views, want.views))
 
 
 @contextlib.contextmanager

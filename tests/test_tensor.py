@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import distill_ssl.tensor as T
+from distill_ssl import eval as E
 
 
 def rel_err(analytic: np.ndarray, fd: np.ndarray) -> float:
@@ -329,7 +330,7 @@ class TestSoftmaxWithTemperature:
 
 
 def softmax_by_reduction(u):
-    """``softmax_and_log`` through numpy's axis reductions, as wide inputs take it."""
+    """``softmax_and_log`` spelled out: numpy's reductions along the last axis."""
     umax = u.max(axis=-1, keepdims=True)
     e = np.exp(u - umax)
     s = e.sum(axis=-1, keepdims=True)
@@ -343,48 +344,30 @@ def logit_cases(k, seed):
             yield rng.normal(size=shape) * scale
 
 
-def count_column_folds(monkeypatch):
-    folds = []
-    original = T._fold_columns
-    monkeypatch.setattr(T, "_fold_columns", lambda *a: folds.append(1) or original(*a))
-    return folds
+def class_major_softmax(u):
+    """The probe's softmax of u's rows, taken class-major and returned samples-major."""
+    k = u.shape[-1]
+    z = u.reshape(-1, k).T.copy()  # C order, and never a view of u
+    return E._softmax_class_major(z).T.reshape(u.shape)
 
 
 class TestSoftmaxAndLog:
-    @pytest.mark.parametrize("k", range(1, T.COLUMN_SOFTMAX_MAX_COLS + 1))
-    def test_column_path_equals_reduction_bitwise(self, k, monkeypatch):
-        monkeypatch.setattr(T, "COLUMN_SOFTMAX_ROWS_PER_COL", 0)  # columns at any row count
-        folds = count_column_folds(monkeypatch)
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_probe_class_major_equals_reduction_bitwise(self, k):
         for u in logit_cases(k, seed=k):
-            p, log_p = T.softmax_and_log(u)
-            ref_p, ref_log_p = softmax_by_reduction(u)
-            assert p.shape == ref_p.shape and log_p.shape == ref_log_p.shape
-            assert np.array_equal(p, ref_p) and np.array_equal(log_p, ref_log_p)
-        assert len(folds) == 2 * 24
+            p = class_major_softmax(u)
+            assert p.shape == u.shape
+            assert np.array_equal(p, softmax_by_reduction(u)[0])
 
-    def test_one_column_past_the_bound_takes_the_reduction(self, monkeypatch):
-        k = T.COLUMN_SOFTMAX_MAX_COLS + 1
-        monkeypatch.setattr(T, "COLUMN_SOFTMAX_ROWS_PER_COL", 0)
-        folds = count_column_folds(monkeypatch)
-        cases = list(logit_cases(k, seed=k))
-        for u in cases:
-            p, log_p = T.softmax_and_log(u)
-            ref_p, ref_log_p = softmax_by_reduction(u)
-            assert np.array_equal(p, ref_p) and np.array_equal(log_p, ref_log_p)
-        assert folds == []
-        # and must: k columns summed one by one differ from numpy's sum, so
-        # a numpy that moves the bound fails one of these two tests
-        monkeypatch.setattr(T, "COLUMN_SOFTMAX_MAX_COLS", k)
-        assert any(not np.array_equal(T.softmax_and_log(u)[0], softmax_by_reduction(u)[0])
-                   for u in cases)
+    def test_probe_class_major_at_eight_classes_within_1e15(self):
+        for u in logit_cases(8, seed=8):
+            ref = softmax_by_reduction(u)[0]
+            assert (np.abs(class_major_softmax(u) - ref) <= 1e-15 * ref).all()
 
-    @pytest.mark.parametrize("shape, folds", (((600, 4), 2), ((63, 4), 0), ((64, 4), 2),
-                                              ((4,), 0), ((600, 257), 0)))
-    def test_rows_and_columns_pick_the_path(self, shape, folds, monkeypatch):
-        seen = count_column_folds(monkeypatch)
+    @pytest.mark.parametrize("shape", ((600, 4), (4,), (600, 257)))
+    def test_softmax_and_log_is_the_reduction(self, shape):
         u = np.random.default_rng(5).normal(size=shape)
         p, log_p = T.softmax_and_log(u)
-        assert len(seen) == folds
         ref_p, ref_log_p = softmax_by_reduction(u)
         assert np.array_equal(p, ref_p) and np.array_equal(log_p, ref_log_p)
 
