@@ -285,8 +285,9 @@ def _query_encoder(path, enc_cfg: EncoderConfig):
 def cmd_gen_data(cfg: dict) -> int:
     _require(cfg, "gen-data", "out")
     size = (cfg["image_size"], cfg["image_size"])
-    tspec = target_spec(cfg["target_phases"], cfg["target_frames_per_phase"], size)
-    gspec = generic_spec(cfg["generic_classes"], cfg["generic_frames_per_phase"], size)
+    tspec = _usage_error(target_spec)(cfg["target_phases"], cfg["target_frames_per_phase"], size)
+    gspec = _usage_error(generic_spec)(cfg["generic_classes"], cfg["generic_frames_per_phase"],
+                                       size)
     out = _out_dir(cfg)
     rows = ["dataset,frames,classes"]
     for name, spec, seed in (("target", tspec, cfg["seed"]), ("generic", gspec, cfg["seed"] + 1)):
@@ -329,6 +330,8 @@ def cmd_adapt_teacher(cfg: dict) -> int:
 def cmd_pretrain_student(cfg: dict) -> int:
     if cfg["distill"]:
         _require(cfg, "pretrain-student --distill", "teacher")
+        if cfg["init_from"] is not None:
+            raise CliError("pretrain-student --distill takes no --init-from")
         return _train(cfg, "pretrain-student", pipeline.pretrain_distilled, "teacher")
     return _train(cfg, "pretrain-student", pipeline.pretrain, init_from=cfg["init_from"])
 
@@ -355,8 +358,8 @@ def cmd_linear_probe(cfg: dict) -> int:
     enc_cfg, probe, seeds, num_classes, train_set, test_set = _probe_inputs(
         cfg, label_fraction=cfg["label_fraction"]
     )
-    student = _query_encoder(cfg["ckpt"], enc_cfg)
-    teacher = _query_encoder(cfg["teacher"], enc_cfg)
+    student, teacher = (_query_encoder(cfg[key], enc_cfg) if key in keys else None
+                        for key in ("ckpt", "teacher"))
     ftr = extract_features(student, teacher, train_set, mode)
     fte = extract_features(student, teacher, test_set, mode)
     rows = []
@@ -412,6 +415,8 @@ def cmd_sweep_labels(cfg: dict) -> int:
 
 def cmd_gradcheck(cfg: dict) -> int:
     _require(cfg, "gradcheck", "out")
+    if cfg["gradcheck_instances"] < 1:
+        raise CliError(f"gradcheck_instances must be >= 1, got {cfg['gradcheck_instances']}")
     ok, report, text, elapsed = main_check(instances=cfg["gradcheck_instances"])
     _progress(text)
     _progress(f"gradcheck: {'all ok' if ok else 'FAILED'} in {elapsed:.1f}s")

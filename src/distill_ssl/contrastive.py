@@ -4,9 +4,10 @@ The query encoder learns by backpropagation; the key encoder tracks it as
 an exponential moving average and feeds a FIFO queue of negative keys.
 Every training state is a ``MoCoState``: the student, the teacher being
 adapted and the teacher that supervises a distilled student.
-``moco_train_step``, teacher adaptation and the distilled step share one
-step core, ``_train_step``; the distilled step passes it one extra loss
-term, computed from the embeddings the core already holds, and a zero
+``moco_train_step`` (which is also the teacher's head adaptation) and the
+distilled step share one step core, ``_train_step``, which alone decides
+what a step updates; the distilled step passes it one extra loss term,
+computed from the embeddings the core already holds, and a zero
 distillation weight reproduces plain training bit for bit.  Each batch
 brings its views (``pipeline.PreparedBatches``); no step builds them.
 """
@@ -431,21 +432,22 @@ def moco_train_step(state: MoCoState, batch: Batch) -> StepResult:
 
 
 def _train_step(state: MoCoState, batch: Batch, extra_loss=None) -> StepResult:
-    """Shared step core.
+    """Shared step core, and the one place that decides what a step updates.
 
     Order: query/key embeddings of the views the batch carries, losses,
-    backprop + SGD on each query set that is not frozen, momentum update
+    backprop, SGD on each query set that is not frozen, momentum update
     of the key encoder, queue push.  A batch without views, or with views
     of other than ``batch_size`` frames, raises ``ContractError`` before
-    any of it.
-    ``extra_loss(q, k_plus)``, when given, runs inside
-    the recorded graph before the queue moves and returns (term, value):
-    ``term`` is added to the InfoNCE loss unless it is None, and ``value``
-    is reported as ``l_dis`` (see distill.distilled_train_step).  A
-    non-finite l_con, l_dis or total raises ``NonFiniteLossError`` before
-    the backward pass, naming the term and the step index (the ``step``
-    column of metrics.csv), so parameters, queue and step count stay as
-    they were.
+    any of it.  So does a gradient in a frozen query set or in the key
+    encoder, which only the moving average moves: it is checked after
+    backprop and before the first update.
+    ``extra_loss(q, k_plus)``, when given, runs inside the recorded graph
+    before the queue moves and returns (term, value): ``term`` is added
+    to the InfoNCE loss and ``value`` is reported as ``l_dis`` (see
+    distill.distilled_train_step).  A non-finite l_con, l_dis or total
+    raises ``NonFiniteLossError`` before the backward pass, naming the
+    term and the step index (the ``step`` column of metrics.csv).  Every
+    error leaves parameters, velocities, queue and step count as they were.
     """
     cfg = state.cfg
     if batch.views is None:
@@ -462,23 +464,23 @@ def _train_step(state: MoCoState, batch: Batch, extra_loss=None) -> StepResult:
         q = encode(state.query, views_q, record_grads=True)
         k_plus = encode(state.key, views_k).data
         l_con = info_nce_loss(q, k_plus, state.queue, cfg.tau)
-        term, l_dis_value = None, 0.0
+        total, l_dis_value = l_con, 0.0
         if extra_loss is not None:
             term, l_dis_value = extra_loss(q, k_plus)
-        total = l_con if term is None else T.add(l_con, term)
+            total = T.add(l_con, term)
     losses = {"l_con": float(l_con.data), "l_dis": l_dis_value, "total": float(total.data)}
     for name, value in losses.items():
         if not math.isfinite(value):
             raise NonFiniteLossError(f"{name} is {value} at step {state.step_count}")
     graph.backward(total)
 
+    for side, enc in (("query", state.query), ("key", state.key)):
+        for part, ps in (("backbone", enc.backbone), ("head", enc.head)):
+            if side == "key" or ps.frozen:
+                _assert_zero_grads(ps, f"{side} {part}")
     for query_set in (state.query.backbone, state.query.head):
         if not query_set.frozen:
             T.sgd_step(query_set, cfg.lr, cfg.momentum, cfg.weight_decay)
-
-    # the key encoder must never see raw gradients, only the moving average
-    _assert_zero_grads(state.key.backbone, "key")
-    _assert_zero_grads(state.key.head, "key")
     momentum_update(state.key, state.query, cfg.m)
 
     state.queue.push(k_plus)

@@ -78,6 +78,9 @@ class SyntheticSpec:
     def __post_init__(self):
         if self.num_phases < 1 or self.frames_per_phase < 1:
             raise ValueError("num_phases and frames_per_phase must be positive")
+        if min(self.image_size) < 1 or self.channels < 1:
+            raise ValueError(f"image_size and channels must be >= 1, "
+                             f"got {self.image_size} and {self.channels}")
         if len(self.texture_freq_range) != self.num_phases:
             raise ValueError("one frequency band per phase required")
         if len(self.base_intensity) != self.num_phases:
@@ -151,6 +154,9 @@ def generic_spec(
         (11.6, 12.2),
         (13.3, 13.9),
     )
+    if num_phases > len(gap_bands):
+        raise ValueError(f"generic_spec has {len(gap_bands)} frequency bands, "
+                         f"got {num_phases} classes")
     bands = gap_bands[:num_phases]
     return SyntheticSpec(
         num_phases=num_phases,

@@ -1,14 +1,14 @@
 """Teacher adaptation and distilled contrastive training.
 
-The teacher is an ordinary ``MoCoState`` whose backbones are frozen and
-whose projection head was adapted on the target data.  During student
-training it scores the same two views the student sees and its tempered
-key-similarity distribution supervises the student's through a KL
-divergence.  Teacher and student keep parallel queues pushed with the
-same raw samples each batch, so index i of both distributions always
-refers to the same key sample.  ``teach`` runs the teacher where a
-batch's views are built (``pipeline.PreparedBatches``) and puts its soft
-targets on the batch, for ``distilled_train_step`` to read.
+The teacher is an ordinary ``MoCoState`` with frozen backbones whose
+projection head the plain contrastive step adapted on the target data.
+During student training it scores the same two views the student sees,
+and its tempered key-similarity distribution supervises the student's
+through a KL divergence.  Teacher and student keep parallel queues
+pushed with the same raw samples each batch, so index i of both
+distributions always refers to the same key sample.  ``teach`` runs the
+teacher where a batch's views are built (``pipeline.PreparedBatches``)
+and puts its soft targets on the batch for ``distilled_train_step``.
 """
 
 from __future__ import annotations
@@ -25,37 +25,29 @@ from .contrastive import (
     _train_step,
     encode,
     key_similarity_logits,
+    moco_train_step,
 )
 from .data import Batch
 from .tensor import ParameterError, Tensor
 
 
-def teacher_adapt_step(teacher: MoCoState, batch: Batch) -> StepResult:
-    """One head-adaptation step; identical to a plain contrastive step
-    except that frozen backbones receive neither gradients nor updates."""
-    result = _train_step(teacher, batch)
-    if teacher.query.backbone.frozen:
-        _assert_zero_grads(teacher.query.backbone, "teacher backbone")
-    return result
+# A step trains no frozen set, so head-only adaptation is the plain step.
+teacher_adapt_step = moco_train_step
 
 
 def soft_targets(
     q_t: np.ndarray, k_t_plus: np.ndarray, teacher_queue: KeyQueue, tau: float
 ) -> np.ndarray:
-    """Log of the tempered softmax over the teacher's key similarities; no gradients."""
-    if tau <= 0:
-        raise ParameterError(f"temperature must be positive, got {tau}")
+    """The teacher's ``student_similarity_distribution``, as an array; no gradients."""
     with T.no_grad():
-        logits = key_similarity_logits(
-            T.constant(np.atleast_2d(q_t)), np.atleast_2d(k_t_plus), teacher_queue
-        )
-    return T.softmax_and_log(logits.data / tau)[1]
+        q_t, k_t_plus = T.constant(np.atleast_2d(q_t)), np.atleast_2d(k_t_plus)
+        return student_similarity_distribution(q_t, k_t_plus, teacher_queue, tau).data
 
 
 def student_similarity_distribution(
     q: Tensor, k_plus: np.ndarray, queue: KeyQueue, tau: float
 ) -> Tensor:
-    """As soft_targets, but a recorded op, differentiable through the student query."""
+    """Log-softmax of q's key similarities over tau; recorded, differentiable through q."""
     if tau <= 0:
         raise ParameterError(f"temperature must be positive, got {tau}")
     logits = key_similarity_logits(q, k_plus, queue)
@@ -106,7 +98,8 @@ def distilled_train_step(student: MoCoState, batch: Batch) -> StepResult:
     """One combined-objective step: total = L_con + lambda * L_dis, with the
     teacher's targets and pointer from the batch (``teach``).  A batch
     without them, or whose pointer is not the student queue's, raises
-    ``ContractError`` before any update."""
+    ``ContractError`` before any update.  At lambda = 0 the weighted KL adds
+    +0.0 to every gradient, so the parameters are plain training's, bitwise."""
     if batch.log_p_t is None:
         raise ContractError("batch carries no teacher soft targets; distill.teach puts them on")
     if batch.teacher_ptr != student.queue.ptr:
@@ -116,12 +109,6 @@ def distilled_train_step(student: MoCoState, batch: Batch) -> StepResult:
     lam, tau = student.cfg.lam, student.cfg.effective_distill_tau
 
     def distill_term(q: Tensor, k_plus: np.ndarray):
-        if lam == 0.0:
-            # Keep the recorded graph identical to plain training so a
-            # zero weight reproduces it bitwise; report the value only.
-            with T.no_grad():
-                log_p_s = student_similarity_distribution(Tensor(q.data), k_plus, student.queue, tau)
-                return None, float(kl_distillation_loss(batch.log_p_t, log_p_s).data)
         log_p_s = student_similarity_distribution(q, k_plus, student.queue, tau)
         l_dis = kl_distillation_loss(batch.log_p_t, log_p_s)
         return T.scale(l_dis, lam), float(l_dis.data)

@@ -379,6 +379,19 @@ class TestStages:
         assert code == 2
         assert "usage:" in err and named in err
 
+    @pytest.mark.parametrize("mode, used, unused", (("student", "ckpt", "teacher"),
+                                                    ("teacher", "teacher", "ckpt")))
+    def test_linear_probe_reads_only_the_checkpoints_its_mode_uses(
+        self, mode, used, unused, small_config, data_dir, teacher_ckpt, tmp_path
+    ):
+        common = ["linear-probe", "--config", small_config, "--data", str(data_dir / "target"),
+                  "--mode", mode, f"--{used}", str(teacher_ckpt)]
+        assert run([*common, "--out", str(tmp_path / "alone")]) == 0
+        assert run([*common, f"--{unused}", str(tmp_path / "missing"),
+                    "--out", str(tmp_path / "extra")]) == 0
+        alone = (tmp_path / "alone" / "metrics.csv").read_bytes()
+        assert (tmp_path / "extra" / "metrics.csv").read_bytes() == alone
+
     def test_linear_probe_rejects_holdout_fraction_above_one(
         self, small_config, data_dir, teacher_ckpt, tmp_path, capsys
     ):
@@ -457,6 +470,17 @@ class TestStages:
              "holdout_fraction"),
             ("sweep-labels", ["--data", "{missing}", "--holdout-fraction", "0"],
              "holdout_fraction"),
+            # a distilled student starts from scratch: an initial checkpoint is not read
+            ("pretrain-student", ["--distill", "--teacher", "{missing}", "--init-from", "{missing}"],
+             "--init-from"),
+            # the dataset specs are built before --out is made
+            ("gen-data", ["--target-phases", "0"], "num_phases and frames_per_phase"),
+            ("gen-data", ["--target-frames-per-phase", "0"], "num_phases and frames_per_phase"),
+            ("gen-data", ["--generic-classes", "9"], "8 frequency bands, got 9 classes"),
+            ("gen-data", ["--image-size", "0"], "image_size and channels must be >= 1"),
+            ("gen-data", ["--image-size", "-2"], "image_size and channels must be >= 1"),
+            ("gradcheck", ["--gradcheck-instances", "0"], "gradcheck_instances must be >= 1"),
+            ("gradcheck", ["--gradcheck-instances", "-1"], "gradcheck_instances must be >= 1"),
         ),
     )
     def test_bad_value_fails_before_any_load_and_leaves_no_out(
@@ -470,6 +494,8 @@ class TestStages:
             "linear-probe": ["--data", str(data_dir / "target"), "--ckpt", missing],
             "sweep-labels": ["--data", str(data_dir / "target"), "--plain", missing],
             "pretrain-student": ["--data", str(data_dir / "target"), "--steps", "1"],
+            "gen-data": [],
+            "gradcheck": [],
         }[command]
         out = tmp_path / "out"
         code = run([command, *inputs, *args, "--out", str(out)])

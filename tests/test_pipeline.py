@@ -240,6 +240,31 @@ def test_distilled_step_refuses_a_batch_without_soft_targets():
     assert_states_equal(state, before)
 
 
+@pytest.mark.parametrize("where", ["frozen backbone", "key encoder"])
+def test_a_gradient_where_none_belongs_changes_no_state(stage_artifacts, where):
+    # a step checks every set that must hold no gradient before its first update
+    root, _, _ = stage_artifacts
+    cfg = toy_cfg()
+    if where == "frozen backbone":
+        state = P._loaded_state(root / "generic", TOY_ENC, cfg, ("query", "query"), True)
+        step, bad = distill.teacher_adapt_step, state.query.backbone["conv1.kernels"]
+    else:
+        state = C.init_moco_state(TOY_ENC, cfg, Rng(cfg.seed))
+        step, bad = C.moco_train_step, state.key.head["fc1.weight"]
+    batches = P.PreparedBatches(toy_dataset().frames, cfg)
+    C.warm_up_queue(state, batches)
+    step(state, batches.next_batch())  # every trained set now has a velocity to keep
+    bad.grad = np.full_like(bad.data, 0.5)
+    before = copy.deepcopy(state)
+    with pytest.raises(C.ContractError, match="received gradient"):
+        step(state, batches.next_batch())
+    assert_states_equal(state, before)
+    for enc_a, enc_b in ((state.query, before.query), (state.key, before.key)):
+        for ps_a, ps_b in ((enc_a.backbone, enc_b.backbone), (enc_a.head, enc_b.head)):
+            assert ps_a._velocity.keys() == ps_b._velocity.keys()
+            assert all(np.array_equal(v, ps_b._velocity[n]) for n, v in ps_a._velocity.items())
+
+
 def test_loop_batches_carry_the_workers_views_but_no_frames():
     # the loop takes each batch's indices and epoch; only the worker gathers frames
     cfg, data = toy_cfg(), toy_dataset()
