@@ -178,6 +178,14 @@ def _list(cfg: dict, key: str, kind) -> list:
     return values
 
 
+def _distinct(cfg: dict, key: str, kind) -> list:
+    """``_list``, refusing a value given twice (it would repeat or merge rows)."""
+    values = _list(cfg, key, kind)
+    if len(set(values)) < len(values):
+        raise CliError(f"{key} lists a value more than once, got {cfg[key]!r}")
+    return values
+
+
 def _usage_error(build):
     """``build`` with a ValueError (a value the config it builds rejects)
     raised as a CliError, so the command exits 2 with usage."""
@@ -254,6 +262,13 @@ def _require(cfg: dict, command: str, *keys: str) -> None:
         raise CliError(f"{command} requires --{' --'.join(m.replace('_', '-') for m in missing)}")
 
 
+def _refuse(cfg: dict, command: str, *keys: str) -> None:
+    """A usage error for each key given to a command that does not read it."""
+    given = [k for k in keys if cfg.get(k)]
+    if given:
+        raise CliError(f"{command} takes no --{' --'.join(k.replace('_', '-') for k in given)}")
+
+
 def _out_dir(cfg: dict) -> Path:
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
@@ -318,11 +333,17 @@ def _train(cfg: dict, command: str, stage, *checkpoints: str, **options) -> int:
     return 0
 
 
+# Student-only keys, which the other training commands would silently ignore.
+_STUDENT_KEYS = ("init_from", "distill", "teacher")
+
+
 def cmd_pretrain_generic(cfg: dict) -> int:
+    _refuse(cfg, "pretrain-generic", *_STUDENT_KEYS)
     return _train(cfg, "pretrain-generic", pipeline.pretrain)
 
 
 def cmd_adapt_teacher(cfg: dict) -> int:
+    _refuse(cfg, "adapt-teacher", *_STUDENT_KEYS)
     return _train(cfg, "adapt-teacher", pipeline.adapt_teacher, "generic",
                   freeze_backbone=cfg["freeze_backbone"])
 
@@ -330,8 +351,7 @@ def cmd_adapt_teacher(cfg: dict) -> int:
 def cmd_pretrain_student(cfg: dict) -> int:
     if cfg["distill"]:
         _require(cfg, "pretrain-student --distill", "teacher")
-        if cfg["init_from"] is not None:
-            raise CliError("pretrain-student --distill takes no --init-from")
+        _refuse(cfg, "pretrain-student --distill", "init_from")
         return _train(cfg, "pretrain-student", pipeline.pretrain_distilled, "teacher")
     return _train(cfg, "pretrain-student", pipeline.pretrain, init_from=cfg["init_from"])
 
@@ -342,7 +362,7 @@ def _probe_inputs(cfg: dict, **probe_fields):
     any checkpoint is read."""
     enc_cfg = encoder_config(cfg)
     probe = probe_config(cfg, **probe_fields)
-    seeds = _list(cfg, "probe_seeds", int)
+    seeds = _distinct(cfg, "probe_seeds", int)
     _usage_error(check_holdout_fraction)(cfg["holdout_fraction"])
     dataset, _ = load_dataset(cfg["data"])
     train_set, test_set = split_dataset(dataset, cfg["holdout_fraction"], seed=cfg["seed"])
@@ -393,7 +413,7 @@ def cmd_sweep_labels(cfg: dict) -> int:
     if not arms:
         raise CliError("sweep-labels needs at least one checkpoint "
                        "(--teacher/--plain/--distilled/--init-student)")
-    fractions = _list(cfg, "fractions", float)
+    fractions = _distinct(cfg, "fractions", float)
     for fraction in fractions:  # ProbeConfig holds the range check
         probe_config(cfg, label_fraction=fraction)
     enc_cfg, probe, seeds, num_classes, train_set, test_set = _probe_inputs(cfg)

@@ -6,10 +6,12 @@ encoder's input size), and its labels travel with the features.
 Features are backbone outputs (pre projection head).  Transfer modes
 combine teacher and student features by addition or concatenation, or
 evaluate either alone.  A sweep runs each distinct encoder's backbone once
-per split and combines those features for every arm that uses it.  The
-probe is multinomial logistic regression fit by full-batch gradient
-descent on a per-class stratified label subset, its logits held
-class-major (classes x samples) so that its softmax folds a few long rows.
+per split and combines those features for every arm that uses it; those
+backbone passes run in a worker forked as the sweep starts, ahead of the
+probe fits, which stay in the calling process.  The probe is multinomial
+logistic regression fit by full-batch gradient descent on a per-class
+stratified label subset, its logits held class-major (classes x samples)
+so that its softmax folds a few long rows.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .augment import resize_to
 from .contrastive import ContractError, EncoderParams, center_input, forward_backbone
 from .data import Dataset
 from .rng import STREAM_PROBE, Rng
+from .worker import Worker, shared
 
 MODES = ("student", "teacher", "addition", "concatenation")
 
@@ -75,6 +78,11 @@ class Metrics:
 # feature extraction
 
 
+def _mode_encoders(mode: str, student, teacher) -> tuple:
+    """The encoders ``mode`` reads, in the order ``extract_features`` runs them."""
+    return {"student": (student,), "teacher": (teacher,)}.get(mode, (teacher, student))
+
+
 def _backbone_features(enc: EncoderParams, frames: np.ndarray, batch: int = 128) -> np.ndarray:
     size = tuple(enc.cfg.input_size)
     if frames.shape[2:] != size:
@@ -105,20 +113,16 @@ def extract_features(
         raise ContractError(f"mode {mode!r} needs student parameters")
     if mode in ("teacher", "addition", "concatenation") and teacher is None:
         raise ContractError(f"mode {mode!r} needs teacher parameters")
-    frames = dataset.frames
-    if mode == "student":
-        feats = backbone(student, frames)
-    elif mode == "teacher":
-        feats = backbone(teacher, frames)
-    else:
-        f_t = backbone(teacher, frames)
-        f_s = backbone(student, frames)
-        if f_t.shape[1] != f_s.shape[1] and mode == "addition":
+    feats = [backbone(enc, dataset.frames) for enc in _mode_encoders(mode, student, teacher)]
+    if mode == "addition":
+        f_t, f_s = feats
+        if f_t.shape[1] != f_s.shape[1]:
             raise ContractError(
                 f"addition needs matching feature dims, got {f_t.shape[1]} and {f_s.shape[1]}"
             )
-        feats = f_t + f_s if mode == "addition" else np.concatenate([f_t, f_s], axis=1)
-    return FeatureSet(feats, dataset.labels)
+        return FeatureSet(f_t + f_s, dataset.labels)
+    return FeatureSet(np.concatenate(feats, axis=1) if mode == "concatenation" else feats[0],
+                      dataset.labels)
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +253,10 @@ def check_holdout_fraction(holdout_fraction: float) -> None:
 def split_dataset(
     dataset: Dataset, holdout_fraction: float = 0.5, seed: int = 0
 ) -> tuple[Dataset, Dataset]:
-    """Stratified train/holdout split, deterministic in the seed."""
+    """Stratified train/holdout split, deterministic in the seed.
+
+    Raises ``SamplingError`` when a class would have no frame on one side.
+    """
     check_holdout_fraction(holdout_fraction)
     labels = dataset.labels
     rng = Rng(seed).derive(STREAM_PROBE, 0xFACE)
@@ -258,11 +265,54 @@ def split_dataset(
         pool = np.flatnonzero(labels == cls)
         perm = rng.derive(int(cls)).permutation(pool.size)
         cut = int(round(pool.size * (1.0 - holdout_fraction)))
+        if not 0 < cut < pool.size:
+            raise SamplingError(
+                f"holdout_fraction {holdout_fraction} splits class {cls} into {cut} train and "
+                f"{pool.size - cut} held-out frames; each side needs at least one"
+            )
         train_idx.extend(pool[perm[:cut]])
         test_idx.extend(pool[perm[cut:]])
     train_idx.sort()
     test_idx.sort()
     return dataset.subset(train_idx), dataset.subset(test_idx)
+
+
+class _FeatureFeed(Worker):
+    """The sweep's backbone features, made ahead of its probe fits in a
+    forked ``Worker``.
+
+    One job per distinct (encoder object, split) pair, in the order the
+    arms first ask for them; the worker runs ``_backbone_features`` on
+    each in turn into a shared array, on the same arrays the calling
+    process holds, so every feature keeps its bits.  Called as the
+    ``backbone`` of ``extract_features``, the feed blocks only until that
+    job is done.
+    """
+
+    name, item = "feature worker", "feature job"
+
+    def __init__(self, arms: list[SweepEncoder], splits: tuple[Dataset, ...]):
+        jobs = {}  # keyed by identity: ``arms`` and ``splits`` keep every key alive
+        for arm in arms:
+            for split in splits:
+                for enc in _mode_encoders(arm.mode, arm.student, arm.teacher):
+                    if enc is not None:
+                        jobs.setdefault((id(enc), id(split.frames)), (enc, split.frames))
+        self._index = {key: i for i, key in enumerate(jobs)}
+        self._jobs = list(jobs.values())
+        self._features = [shared((len(frames), enc.cfg.d_backbone)) for enc, frames in self._jobs]
+        super().__init__(len(self._jobs))
+
+    def __call__(self, enc: EncoderParams, frames: np.ndarray) -> np.ndarray:
+        i = self._index[(id(enc), id(frames))]
+        while self._received <= i:
+            self._wait()
+        return self._features[i]
+
+    def _produce(self, free: int):
+        for (enc, frames), out in zip(self._jobs, self._features):
+            out[...] = _backbone_features(enc, frames)
+            yield
 
 
 def label_efficiency_sweep(
@@ -277,42 +327,41 @@ def label_efficiency_sweep(
     """One probe per (encoder, fraction, seed); rows plus mean/std summary.
 
     Each distinct encoder object's backbone runs once per split, however
-    many arms share it; the features live only as long as the call.
-    ``ProbeConfig`` range-checks each fraction as its first probe is built.
+    many arms share it, in a ``_FeatureFeed`` worker forked as the call
+    starts: while this process fits one arm's probes, the worker computes
+    the next arms' features on the other core.  Every fit, prediction and
+    metric runs here, in arm, fraction and seed order.  The worker is
+    reaped before the call returns or raises; one that fails raises
+    ``worker.WorkerError`` with its traceback.  The features live only as
+    long as the call.  ``ProbeConfig`` range-checks each fraction as its
+    first probe is built.
     """
     if not encoders or not fractions or not seeds:
         raise ValueError("encoders, fractions and seeds must be non-empty")
     rows = []
     summary: dict[str, dict] = {}
-    # keyed by identity: ``encoders`` and the two splits keep every key alive
-    features: dict[tuple[int, int], np.ndarray] = {}
-
-    def backbone(enc: EncoderParams, frames: np.ndarray) -> np.ndarray:
-        key = (id(enc), id(frames))
-        if key not in features:
-            features[key] = _backbone_features(enc, frames)
-        return features[key]
-
-    for enc in encoders:
-        fs_train = extract_features(enc.student, enc.teacher, train_set, enc.mode, backbone)
-        fs_test = extract_features(enc.student, enc.teacher, test_set, enc.mode, backbone)
-        summary[enc.name] = {}
-        for fraction in fractions:
-            accs = []
-            for seed in seeds:
-                cfg = replace(probe, label_fraction=fraction, seed=seed)
-                model = fit_linear_probe(fs_train, cfg, num_classes)
-                m = compute_phase_metrics(model.predict(fs_test.features), fs_test.labels, num_classes)
-                rows.append(
-                    {"encoder": enc.name, "mode": enc.mode, "fraction": fraction, "seed": seed,
-                     **asdict(m)}
-                )
-                accs.append(m.accuracy)
-            summary[enc.name][str(fraction)] = {
-                "mean_accuracy": float(np.mean(accs)),
-                "std_accuracy": float(np.std(accs)),
-                "seeds": len(accs),
-            }
+    with _FeatureFeed(encoders, (train_set, test_set)) as backbone:
+        for enc in encoders:
+            fs_train = extract_features(enc.student, enc.teacher, train_set, enc.mode, backbone)
+            fs_test = extract_features(enc.student, enc.teacher, test_set, enc.mode, backbone)
+            summary[enc.name] = {}
+            for fraction in fractions:
+                accs = []
+                for seed in seeds:
+                    cfg = replace(probe, label_fraction=fraction, seed=seed)
+                    model = fit_linear_probe(fs_train, cfg, num_classes)
+                    m = compute_phase_metrics(model.predict(fs_test.features), fs_test.labels,
+                                              num_classes)
+                    rows.append(
+                        {"encoder": enc.name, "mode": enc.mode, "fraction": fraction,
+                         "seed": seed, **asdict(m)}
+                    )
+                    accs.append(m.accuracy)
+                summary[enc.name][str(fraction)] = {
+                    "mean_accuracy": float(np.mean(accs)),
+                    "std_accuracy": float(np.std(accs)),
+                    "seeds": len(accs),
+                }
     return rows, summary
 
 

@@ -18,12 +18,7 @@ run on two cores at once, and no result changes by a bit.
 
 from __future__ import annotations
 
-import contextlib
-import math
-import mmap
 import os
-import signal
-import traceback
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,19 +39,9 @@ from .contrastive import (
 from .data import Batch, BatchStream, Dataset
 from .distill import distilled_train_step, teach, teacher_adapt_step
 from .rng import Rng
+from .worker import Worker, shared
 
 _RING = 2  # slots the worker may fill ahead of the loop
-_READY, _FAILED = b"r", b"!"
-_ERROR_CHARS = 4000  # of a failed worker's traceback, sent to the loop
-
-
-class ViewWorkerError(RuntimeError):
-    """The process building views ahead of the training loop failed."""
-
-
-def _shared(shape, dtype=np.float64) -> np.ndarray:
-    """A zeroed array in an anonymous mmap that a fork shares, not copies."""
-    return np.ndarray(shape, dtype, mmap.mmap(-1, math.prod(shape) * np.dtype(dtype).itemsize))
 
 
 class PreparedBatches:
@@ -78,107 +63,54 @@ class PreparedBatches:
         return batch
 
 
-class _ViewFeed:
-    """The batches of ``PreparedBatches``, prepared in a forked worker.
+class _ViewFeed(Worker):
+    """The batches of ``PreparedBatches``, prepared in a forked ``Worker``.
 
     The worker runs its copy of the producer ``count`` times and writes
     each batch's views, and any teacher targets and pointer, into rings of
-    ``_RING`` slots in shared anonymous mmaps; the loop advances its own
-    copy of the stream, taking each batch's indices and epoch but not its
-    frames, and copies each slot out.  A byte on the ready pipe
-    tells the loop that the next slot is full; a byte on the free pipe
-    hands a slot back.  Leaving the ``with`` block closes both pipe ends,
-    which ends a worker that is still running (EOF on the free pipe,
-    EPIPE on the ready pipe), and reaps it.
-
-    A fork, not a fresh interpreter: the worker starts from the loop's
-    frames, stream and teacher without a copy or a second start-up.  The
-    training process runs no threads of its own; the worker's teacher
-    encodes call BLAS, whose results do not depend on its thread count.
+    ``_RING`` slots in shared arrays; the loop advances its own copy of
+    the stream, taking each batch's indices and epoch but not its frames,
+    and copies each slot out.  The worker fills a slot a second time only
+    after the loop has released it.  The worker starts from the loop's
+    frames, stream and teacher; its teacher encodes call BLAS.
     """
+
+    name, item = "view worker", "batch"
 
     def __init__(self, frames: np.ndarray, cfg: TrainConfig, count: int,
                  teacher: MoCoState | None = None):
         self._source = PreparedBatches(frames, cfg, teacher)
-        self._count, self._taken = count, 0
-        self._views = _shared((_RING, 2, cfg.batch_size, frames.shape[1], *cfg.augment.output_size))
+        self._views = shared((_RING, 2, cfg.batch_size, frames.shape[1], *cfg.augment.output_size))
         self._targets = None
         if teacher is not None:
-            self._targets = _shared((_RING, cfg.batch_size, teacher.queue.capacity + 1))
-            self._ptrs = _shared((_RING,), np.int64)
+            self._targets = shared((_RING, cfg.batch_size, teacher.queue.capacity + 1))
+            self._ptrs = shared((_RING,), np.int64)
             self._ptrs[:] = -1  # no targets in a slot until the teacher queue is warm
-        ready_r, ready_w = os.pipe()
-        free_r, free_w = os.pipe()
-        try:
-            self._pid = os.fork()
-        except BaseException:
-            for fd in (ready_r, ready_w, free_r, free_w):
-                os.close(fd)
-            raise
-        if self._pid == 0:
-            self._build_ahead(ready=ready_w, free=free_r, parent_ends=(ready_r, free_w))
-        os.close(ready_w)
-        os.close(free_r)
-        self._ready, self._free = ready_r, free_w
-
-    def __enter__(self) -> "_ViewFeed":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        os.close(self._free)
-        os.close(self._ready)
-        os.kill(self._pid, signal.SIGKILL)  # not even a stuck worker may keep us waiting
-        os.waitpid(self._pid, 0)
+        super().__init__(count)
 
     def next_batch(self) -> Batch:
         batch = Batch(None, *self._source.stream.next_indices())  # the worker has the frames
-        status = os.read(self._ready, 1)
-        if status != _READY:
-            raise ViewWorkerError(self._failure(status))
-        slot = self._taken % _RING
+        self._wait()
+        slot = (self._received - 1) % _RING
         batch.views = (self._views[slot, 0].copy(), self._views[slot, 1].copy())
         if self._targets is not None and self._ptrs[slot] >= 0:
             batch.log_p_t = self._targets[slot].copy()
             batch.teacher_ptr = int(self._ptrs[slot])
-        self._taken += 1
-        if self._taken + _RING <= self._count:  # the worker fills this slot again
-            os.write(self._free, _READY)
+        if self._received + _RING <= self._count:  # the worker fills this slot again
+            self._release()
         return batch
 
-    def _failure(self, status: bytes) -> str:
-        if status == _FAILED:
-            text = b"".join(iter(lambda: os.read(self._ready, 65536), b""))
-            return "view worker failed:\n" + text.decode(errors="replace")
-        return f"view worker ended before batch {self._taken + 1} of {self._count}"
-
-    def _build_ahead(self, ready: int, free: int, parent_ends) -> None:
-        """The worker's whole life: fill the ring ``count`` times, then exit.
-
-        It never returns, so no atexit handler, stdio buffer or other state
-        inherited from the training process runs a second time.
-        """
-        code = 0
-        try:
-            for fd in parent_ends:  # the loop's exit must show here as EOF and EPIPE
-                os.close(fd)
-            for i in range(self._count):
-                if i >= _RING and not os.read(free, 1):
-                    break  # the loop is gone: it stopped early or was killed
-                slot = i % _RING
-                batch = self._source.next_batch()
-                views = self._views[slot]
-                views[0], views[1] = batch.views
-                if batch.log_p_t is not None:
-                    self._targets[slot], self._ptrs[slot] = batch.log_p_t, batch.teacher_ptr
-                os.write(ready, _READY)
-        except BrokenPipeError:
-            pass  # the loop stopped reading
-        except BaseException:
-            code = 1
-            with contextlib.suppress(OSError):
-                os.write(ready, _FAILED + traceback.format_exc()[-_ERROR_CHARS:].encode())
-        finally:
-            os._exit(code)
+    def _produce(self, free: int):
+        for i in range(self._count):
+            if i >= _RING and not os.read(free, 1):
+                return  # the loop is gone: it stopped early or was killed
+            slot = i % _RING
+            batch = self._source.next_batch()
+            views = self._views[slot]
+            views[0], views[1] = batch.views
+            if batch.log_p_t is not None:
+                self._targets[slot], self._ptrs[slot] = batch.log_p_t, batch.teacher_ptr
+            yield
 
 
 @dataclass
@@ -193,7 +125,7 @@ def _run(dataset: Dataset, state: MoCoState, step, teacher: MoCoState | None = N
     Every batch, the warm-up's and the steps', comes prepared from a
     ``_ViewFeed`` forked before the warm-up, with the ``teacher``'s soft
     targets once its queue is warm.  The worker is reaped before ``_run``
-    returns or raises; a worker that fails raises ``ViewWorkerError``.
+    returns or raises; a worker that fails raises ``worker.WorkerError``.
 
     The stages pass the step functions they read from this module's
     globals when they run, never bound at import time, so a replaced

@@ -392,6 +392,22 @@ class TestStages:
         alone = (tmp_path / "alone" / "metrics.csv").read_bytes()
         assert (tmp_path / "extra" / "metrics.csv").read_bytes() == alone
 
+    @pytest.mark.parametrize("command, ckpt_flag", (("linear-probe", "--ckpt"),
+                                                    ("sweep-labels", "--plain")))
+    def test_holdout_that_empties_a_class_names_it(
+        self, command, ckpt_flag, small_config, data_dir, teacher_ckpt, tmp_path, capsys
+    ):
+        out = tmp_path / "probe"
+        code = run([
+            command, "--config", small_config, "--data", str(data_dir / "target"),
+            ckpt_flag, str(teacher_ckpt), "--holdout-fraction", "0.99", "--out", str(out),
+        ])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert ("SamplingError: holdout_fraction 0.99 splits class 0 into 0 train and 12 "
+                "held-out frames") in err
+        assert not out.exists()
+
     def test_linear_probe_rejects_holdout_fraction_above_one(
         self, small_config, data_dir, teacher_ckpt, tmp_path, capsys
     ):
@@ -473,6 +489,24 @@ class TestStages:
             # a distilled student starts from scratch: an initial checkpoint is not read
             ("pretrain-student", ["--distill", "--teacher", "{missing}", "--init-from", "{missing}"],
              "--init-from"),
+            # the training commands other than pretrain-student read no student-only key
+            ("pretrain-generic", ["--init-from", "{missing}"], "pretrain-generic takes no --init-from"),
+            ("pretrain-generic", ["--distill"], "pretrain-generic takes no --distill"),
+            ("pretrain-generic", ["--teacher", "{missing}"], "pretrain-generic takes no --teacher"),
+            ("pretrain-generic", ["--data", "{missing}", "--init-from", "{missing}", "--distill",
+                                  "--teacher", "{missing}"],
+             "takes no --init-from --distill --teacher"),
+            ("adapt-teacher", ["--init-from", "{missing}"], "adapt-teacher takes no --init-from"),
+            ("adapt-teacher", ["--distill"], "adapt-teacher takes no --distill"),
+            ("adapt-teacher", ["--teacher", "{missing}"], "adapt-teacher takes no --teacher"),
+            # a repeated fraction or probe seed would repeat rows and merge summary entries
+            ("sweep-labels", ["--fractions", "0.05,0.05"], "fractions lists a value more than once"),
+            ("sweep-labels", ["--fractions", "0.5,1,0.50"], "fractions lists a value more than once"),
+            ("sweep-labels", ["--probe-seeds", "0,0"], "probe_seeds lists a value more than once"),
+            ("sweep-labels", ["--data", "{missing}", "--fractions", "0.05,0.05", "--probe-seeds",
+                              "0,0"], "lists a value more than once"),
+            ("linear-probe", ["--probe-seeds", "1,2,1"], "probe_seeds lists a value more than once"),
+            ("linear-probe", ["--data", "{missing}", "--probe-seeds", "3,3"], "probe_seeds lists"),
             # the dataset specs are built before --out is made
             ("gen-data", ["--target-phases", "0"], "num_phases and frames_per_phase"),
             ("gen-data", ["--target-frames-per-phase", "0"], "num_phases and frames_per_phase"),
@@ -494,6 +528,9 @@ class TestStages:
             "linear-probe": ["--data", str(data_dir / "target"), "--ckpt", missing],
             "sweep-labels": ["--data", str(data_dir / "target"), "--plain", missing],
             "pretrain-student": ["--data", str(data_dir / "target"), "--steps", "1"],
+            "pretrain-generic": ["--data", str(data_dir / "generic"), "--steps", "1"],
+            "adapt-teacher": ["--data", str(data_dir / "target"), "--generic", missing,
+                              "--steps", "1"],
             "gen-data": [],
             "gradcheck": [],
         }[command]

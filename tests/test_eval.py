@@ -1,5 +1,6 @@
 """Feature extraction modes, linear probe, metrics, sweeps."""
 
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -12,8 +13,10 @@ from distill_ssl import tensor as T
 from distill_ssl.augment import AugmentConfig, resize_to
 from distill_ssl.data import generate_synthetic_dataset, target_spec
 from distill_ssl.rng import Rng
+from distill_ssl.worker import WorkerError
 
 from digests import sha256_of
+from procs import assert_no_child, deadline
 
 TOY_ENC = C.EncoderConfig(conv_channels=(4, 6), d_backbone=12, d=8, input_size=(12, 12))
 
@@ -388,16 +391,61 @@ class TestSweep:
                     oracle.append({"encoder": name, "mode": mode, "fraction": fraction,
                                    "seed": seed, **vars(m)})
 
-        passes = []
+        # the passes run in the forked feature worker, which reports each on a pipe
+        report, reported = os.pipe()
         original = E.forward_backbone
-        monkeypatch.setattr(E, "forward_backbone",
-                            lambda enc, x: passes.append((id(enc), x.data.shape[0])) or original(enc, x))
-        rows, _ = E.label_efficiency_sweep(encoders, fractions, seeds, train_set, test_set, 4, probe)
+
+        def counted(enc, x):
+            os.write(reported, f"{os.getpid()} {id(enc)} {x.data.shape[0]}\n".encode())
+            return original(enc, x)
+
+        monkeypatch.setattr(E, "forward_backbone", counted)
+        try:
+            rows, _ = E.label_efficiency_sweep(encoders, fractions, seeds, train_set, test_set, 4,
+                                               probe)
+        finally:
+            os.close(reported)
+        with os.fdopen(report) as fh:  # EOF: the reaped worker held the only other write end
+            passes = [tuple(map(int, line.split())) for line in fh]
         assert rows == oracle
+        assert passes and all(pid != os.getpid() for pid, _, _ in passes)
         # one batch per split here: a, b and a_again each run once on train and once on test
         assert len(train_set) <= 128 and len(test_set) <= 128
-        assert sorted(passes) == sorted((id(e), len(s)) for e in (a, b, a_again)
-                                        for s in (train_set, test_set))
+        assert sorted(p[1:] for p in passes) == sorted((id(e), len(s)) for e in (a, b, a_again)
+                                                       for s in (train_set, test_set))
+
+    def test_failing_backbone_raises_the_workers_traceback_and_is_reaped(self, ckpts, monkeypatch):
+        a = query_encoder(ckpts[0], TOY_ENC)
+        train_set, test_set = E.split_dataset(toy_dataset(per_phase=12), 0.5, seed=0)
+
+        def broken(enc, x):
+            raise ValueError("no features today")
+
+        monkeypatch.setattr(E, "forward_backbone", broken)  # before the fork: the worker inherits it
+        with deadline(5), pytest.raises(WorkerError, match="feature worker failed") as info:
+            E.label_efficiency_sweep([E.SweepEncoder("a", "student", student=a)], [1.0], [0],
+                                     train_set, test_set, 4)
+        assert "Traceback" in str(info.value) and "ValueError: no features today" in str(info.value)
+        assert_no_child()
+
+    def test_probe_error_mid_sweep_propagates_and_reaps_the_worker(self, ckpts, monkeypatch):
+        a, b = query_encoder(ckpts[0], TOY_ENC), query_encoder(ckpts[1], TOY_ENC)
+        train_set, test_set = E.split_dataset(toy_dataset(per_phase=12), 0.5, seed=0)
+        real, fits = E.fit_linear_probe, []
+
+        def fails_at_fit_3(fs, cfg, num_classes=None):
+            fits.append(cfg)
+            if len(fits) == 3:
+                raise E.SamplingError("classes [3] absent from probe subset")
+            return real(fs, cfg, num_classes)
+
+        monkeypatch.setattr(E, "fit_linear_probe", fails_at_fit_3)
+        arms = [E.SweepEncoder("a", "student", student=a), E.SweepEncoder("b", "student", student=b)]
+        with deadline(5), pytest.raises(E.SamplingError, match="absent"):
+            E.label_efficiency_sweep(arms, [0.5, 1.0], [0], train_set, test_set, 4,
+                                     E.ProbeConfig(steps=5))
+        assert len(fits) == 3  # the second arm's first fit
+        assert_no_child()
 
     def test_split_is_stratified_and_deterministic(self):
         dataset = toy_dataset(per_phase=12)
@@ -406,6 +454,12 @@ class TestSweep:
         assert np.array_equal(a1.labels, a2.labels) and np.array_equal(a1.frames, a2.frames)
         assert all((a1.labels == c).sum() == 6 for c in range(4))
         assert len(a1) + len(b1) == len(dataset)
+
+    @pytest.mark.parametrize("holdout, counts", ((0.99, "0 train and 12 held-out"),
+                                                 (0.01, "12 train and 0 held-out")))
+    def test_split_that_empties_a_class_names_it(self, holdout, counts):
+        with pytest.raises(E.SamplingError, match=f"class 0 into {counts} frames"):
+            E.split_dataset(toy_dataset(per_phase=12), holdout)
 
     @pytest.mark.parametrize("holdout", (0.0, 1.0, 1.5, -0.5))
     def test_split_rejects_holdout_outside_open_unit_interval(self, holdout):

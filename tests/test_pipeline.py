@@ -1,7 +1,6 @@
 """Stage orchestration surface: runs, teacher persistence, model saving,
 and the forked worker that builds every batch's views."""
 
-import contextlib
 import copy
 import os
 import signal
@@ -17,8 +16,10 @@ from distill_ssl import pipeline as P
 from distill_ssl.augment import AugmentConfig
 from distill_ssl.data import BatchStream, generate_synthetic_dataset, load_checkpoint, target_spec
 from distill_ssl.rng import Rng
+from distill_ssl.worker import WorkerError
 
 from digests import sha256_of
+from procs import assert_no_child, deadline
 
 TOY_ENC = C.EncoderConfig(conv_channels=(4, 6), d_backbone=12, d=8, input_size=(12, 12))
 
@@ -277,27 +278,6 @@ def test_loop_batches_carry_the_workers_views_but_no_frames():
             assert all(np.array_equal(a, b) for a, b in zip(got.views, want.views))
 
 
-@contextlib.contextmanager
-def deadline(seconds):
-    """Raise TimeoutError in the block after ``seconds``: a hung feed fails, not stalls."""
-
-    def expire(*_):
-        raise TimeoutError(f"still waiting after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-
-
-def assert_no_child():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 def test_worker_reaped_after_a_stage():
     P.pretrain(toy_dataset(), TOY_ENC, toy_cfg(steps=2))
     assert_no_child()
@@ -323,7 +303,7 @@ def test_failing_worker_raises_in_the_loop_and_is_reaped(monkeypatch):
         raise ValueError("no views today")
 
     monkeypatch.setattr(P, "build_views", broken)  # before the fork: the worker inherits it
-    with deadline(5), pytest.raises(P.ViewWorkerError, match="view worker") as info:
+    with deadline(5), pytest.raises(WorkerError, match="view worker") as info:
         P.pretrain(toy_dataset(), TOY_ENC, toy_cfg(steps=4))
     assert "ValueError: no views today" in str(info.value)
     assert_no_child()
@@ -407,7 +387,7 @@ def test_feed_batches_carry_the_views_build_views_makes():
             assert np.array_equal(got.indices, expected.indices) and got.epoch == expected.epoch
             views = C.build_views(expected, cfg.augment, rng)
             assert [v.tobytes() for v in got.views] == [v.tobytes() for v in views]
-        with pytest.raises(P.ViewWorkerError, match="ended before batch 8 of 7"):
+        with pytest.raises(WorkerError, match="ended before batch 8 of 7"):
             f.next_batch()
     assert_no_child()
 
@@ -454,7 +434,7 @@ def test_failing_teacher_raises_in_the_loop_and_is_reaped(stage_artifacts, monke
         raise ValueError("no soft targets today")
 
     monkeypatch.setattr(distill, "soft_targets", broken)  # before the fork: the worker inherits it
-    with deadline(5), pytest.raises(P.ViewWorkerError, match="view worker") as info:
+    with deadline(5), pytest.raises(WorkerError, match="view worker") as info:
         P.pretrain_distilled(toy_dataset(), root / "teacher", TOY_ENC, toy_cfg(steps=4))
     assert "ValueError: no soft targets today" in str(info.value)
     assert_no_child()
