@@ -14,6 +14,7 @@ goes to stderr; files carry the machine-readable results.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import functools
 import json
 import os
@@ -112,6 +113,29 @@ CONFIG_SCHEMA: dict[str, tuple] = {
     "distill": (bool, False, "train the student with the distillation objective"),
     "freeze_backbone": (bool, True, "freeze the teacher backbone during adaptation"),
 }
+
+# glibc's allocator thresholds, fixed before anything loads: left alone,
+# glibc raises its mmap threshold when a large mapping is freed, so step
+# speed would hang on what the loader freed.  8 MiB is above every hot-loop
+# temporary at the defaults (the largest, a sweep feature batch's conv2
+# columns, is 2.4 MB) and below both datasets (9.8 and 19.7 MB), so each
+# dataset gets a mapping of its own that goes back to the OS when freed.
+# Trimming at 16 MiB (twice that, as in glibc's dynamic rule) keeps the heap
+# top mapped between steps; 32/64 MiB grew the sweep's peak RSS by 6 %.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc's mallopt parameter numbers
+_MMAP_THRESHOLD = 8 << 20
+_TRIM_THRESHOLD = 16 << 20
+
+
+def _fix_allocator() -> None:
+    """Apply the allocator policy above; a libc without ``mallopt`` keeps its own."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+
 
 class CliError(RuntimeError):
     pass
@@ -310,6 +334,7 @@ def cmd_gen_data(cfg: dict) -> int:
         save_dataset(dataset, out / name, config={"seed": seed, "domain": spec.domain_tag})
         rows.append(f"{name},{len(dataset)},{spec.num_phases}")
         _progress(f"gen-data: wrote {name} ({len(dataset)} frames)")
+        del dataset  # one dataset in memory at a time
     (out / "metrics.csv").write_text("\n".join(rows) + "\n")
     _write_provenance(out, "gen-data", cfg)
     return 0
@@ -485,6 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str]) -> int:
+    _fix_allocator()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

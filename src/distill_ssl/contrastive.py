@@ -212,6 +212,15 @@ def _recorded(flag: bool):
 # key queue
 
 
+# How far a key's norm may stray from 1, in the queue and in a step's keys.
+_UNIT_NORM_TOL = 1e-6
+
+
+def _norm_deviation(keys: np.ndarray) -> float:
+    """The largest |norm - 1| over the rows of ``keys`` (NaN when one is not finite)."""
+    return float(np.abs(np.sqrt((keys * keys).sum(axis=1)) - 1.0).max(initial=0.0))
+
+
 class KeyQueue:
     """Ring buffer of M unit-norm key embeddings with FIFO overwrite."""
 
@@ -233,11 +242,9 @@ class KeyQueue:
             raise ContractError(f"keys {keys.shape} do not fit queue {self.rows.shape}")
         if m % n != 0:
             raise ContractError(f"batch size {n} must divide queue capacity {m}")
-        norms = np.sqrt((keys * keys).sum(axis=1))
-        if np.any(np.abs(norms - 1.0) > 1e-6):
-            raise ContractError(
-                f"queue keys must be unit-norm, worst deviation {np.abs(norms - 1.0).max():.3e}"
-            )
+        worst = _norm_deviation(keys)
+        if not worst <= _UNIT_NORM_TOL:
+            raise ContractError(f"queue keys must be unit-norm, worst deviation {worst:.3e}")
         end = self.ptr + n
         if end <= m:
             self.rows[self.ptr : end] = keys
@@ -440,7 +447,9 @@ def _train_step(state: MoCoState, batch: Batch, extra_loss=None) -> StepResult:
     of other than ``batch_size`` frames, raises ``ContractError`` before
     any of it.  So does a gradient in a frozen query set or in the key
     encoder, which only the moving average moves: it is checked after
-    backprop and before the first update.
+    backprop and before the first update.  Key embeddings that are not
+    finite and unit-norm (the queue's own tolerance) raise it right after
+    the key forward pass, naming the step.
     ``extra_loss(q, k_plus)``, when given, runs inside the recorded graph
     before the queue moves and returns (term, value): ``term`` is added
     to the InfoNCE loss and ``value`` is reported as ``l_dis`` (see
@@ -463,6 +472,10 @@ def _train_step(state: MoCoState, batch: Batch, extra_loss=None) -> StepResult:
     with graph:
         q = encode(state.query, views_q, record_grads=True)
         k_plus = encode(state.key, views_k).data
+        worst = _norm_deviation(k_plus)
+        if not worst <= _UNIT_NORM_TOL:
+            raise ContractError(f"key embeddings not unit-norm at step {state.step_count} "
+                                f"(worst deviation {worst:.3e})")
         l_con = info_nce_loss(q, k_plus, state.queue, cfg.tau)
         total, l_dis_value = l_con, 0.0
         if extra_loss is not None:

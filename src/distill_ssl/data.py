@@ -261,10 +261,6 @@ def _read_pair(path) -> tuple[dict[str, np.ndarray], dict]:
         raise CorruptManifestError(
             f"manifest {manifest_path} has version {manifest.get('version')}, expected {FORMAT_VERSION}"
         )
-    try:
-        blob = blob_path.read_bytes()
-    except FileNotFoundError:
-        raise TruncatedBlobError(f"missing blob {blob_path}")
     expected = 0
     for entry in manifest["tensors"]:
         if not _well_formed(entry):
@@ -279,16 +275,28 @@ def _read_pair(path) -> tuple[dict[str, np.ndarray], dict]:
                 f"tensor {entry['name']!r}: offset {entry['offset']}, expected {expected}"
             )
         expected += entry["length"]
-    if len(blob) != expected:
-        raise TruncatedBlobError(f"blob {blob_path} holds {len(blob)} bytes, manifest says {expected}")
+    # The blob is read straight into the one array that its tensors view,
+    # so a load holds one copy of the data at every point.
+    try:
+        with open(blob_path, "rb") as fh:
+            held = os.fstat(fh.fileno()).st_size
+            if held == expected:
+                flat = np.empty(expected // 8, dtype="<f8")
+                held = fh.readinto(flat)
+    except FileNotFoundError:
+        raise TruncatedBlobError(f"missing blob {blob_path}")
+    if held != expected:
+        raise TruncatedBlobError(f"blob {blob_path} holds {held} bytes, manifest says {expected}")
     # Manifests written before the digest existed lack the key and load unchecked.
     digest = manifest.get("sha256")
-    if digest is not None and hashlib.sha256(blob).hexdigest() != digest:
+    if digest is not None and hashlib.sha256(flat).hexdigest() != digest:
         raise CorruptManifestError(f"blob {blob_path} does not match the sha256 in {manifest_path}")
+    if not flat.dtype.isnative:
+        flat = flat.astype(np.float64)
     tensors = {}
     for entry in manifest["tensors"]:
-        arr = np.frombuffer(blob, dtype="<f8", count=entry["length"] // 8, offset=entry["offset"])
-        tensors[entry["name"]] = arr.reshape(tuple(entry["shape"])).astype(np.float64)
+        start = entry["offset"] // 8
+        tensors[entry["name"]] = flat[start : start + entry["length"] // 8].reshape(entry["shape"])
     return tensors, manifest.get("config", {})
 
 

@@ -83,7 +83,8 @@ def _mode_encoders(mode: str, student, teacher) -> tuple:
     return {"student": (student,), "teacher": (teacher,)}.get(mode, (teacher, student))
 
 
-def _backbone_features(enc: EncoderParams, frames: np.ndarray, batch: int = 128) -> np.ndarray:
+def _backbone_features(enc: EncoderParams, frames: np.ndarray, batch: int = 64) -> np.ndarray:
+    # 64 frames keep conv2's column buffer at 2.4 MB; 128-frame batches ran slower
     size = tuple(enc.cfg.input_size)
     if frames.shape[2:] != size:
         frames = resize_to(frames, size)

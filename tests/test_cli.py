@@ -1,5 +1,6 @@
 """CLI dispatch, config precedence, provenance, determinism."""
 
+import ctypes
 import json
 import os
 import shutil
@@ -583,3 +584,33 @@ class TestStages:
         assert len(lines) > 5
         ops = [line.split(",")[0] for line in lines[1:]]
         assert ops == list(run_gradcheck(instances=1))
+
+
+def _has_mallopt():
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        return False
+
+
+@pytest.mark.skipif(not _has_mallopt(), reason="libc has no mallopt")
+def test_step_page_faults_do_not_hang_on_the_loader(tmp_path):
+    # an 80-frame dataset frees too small a file buffer to raise glibc's own
+    # mmap threshold; with the CLI's fixed policy its steps still reuse the heap
+    assert run(["gen-data", "--target-frames-per-phase", "20", "--generic-frames-per-phase", "1",
+                "--out", str(tmp_path / "data")]) == 0
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(distill_ssl.__file__)))
+    faults = {}
+    for steps in (10, 40):
+        with open(tmp_path / f"err{steps}", "wb") as err:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "distill_ssl", "pretrain-student", "--steps", str(steps),
+                 "--data", str(tmp_path / "data" / "target"), "--out", str(tmp_path / str(steps))],
+                env=env, stdout=subprocess.DEVNULL, stderr=err,
+            )
+            # the usage of the process and of the view worker it reaped
+            _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        assert proc.returncode == 0, (tmp_path / f"err{steps}").read_text()
+        faults[steps] = usage.ru_minflt
+    assert (faults[40] - faults[10]) / 30 < 100, faults

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -245,6 +246,35 @@ class TestDatasetPersistence:
         D._write_pair({"frames": ds.frames, "labels": np.zeros(len(ds) - 1)}, tmp_path / "d", None)
         with pytest.raises(D.CorruptManifestError, match="do not align"):
             D.load_dataset(tmp_path / "d")
+
+    def test_blob_longer_than_its_manifest_rejected(self, tmp_path):
+        D.save_dataset(D.generate_synthetic_dataset(small_spec(), 9), tmp_path / "d")
+        size = (tmp_path / "d.bin").stat().st_size
+        with open(tmp_path / "d.bin", "ab") as fh:
+            fh.write(bytes(8))
+        with pytest.raises(D.TruncatedBlobError, match=f"holds {size + 8} bytes, manifest says {size}$"):
+            D.load_dataset(tmp_path / "d")
+
+    def test_load_holds_one_copy_of_the_blob(self, tmp_path):
+        # the blob is read into the array the frames view: no second copy at any point
+        rng = np.random.default_rng(0)
+        D.save_dataset(D.Dataset(rng.random((1200, 1, 32, 32)), np.arange(1200) % 4), tmp_path / "d")
+        size = (tmp_path / "d.bin").stat().st_size
+        tracemalloc.start()
+        try:
+            D.load_dataset(tmp_path / "d")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * size, (peak, size)
+
+    def test_loaded_frames_are_writeable_contiguous_float64(self, tmp_path):
+        ds = D.generate_synthetic_dataset(small_spec(), 9)
+        D.save_dataset(ds, tmp_path / "d")
+        frames = D.load_dataset(tmp_path / "d")[0].frames
+        assert frames.dtype == np.float64 and frames.flags.c_contiguous and frames.flags.writeable
+        assert np.array_equal(frames, ds.frames)
+        frames[0] = 0.0  # a view of the loader's own buffer, not of the file
 
     def test_dataset_shape_contract(self):
         with pytest.raises(ValueError, match="do not align"):

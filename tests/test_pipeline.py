@@ -142,11 +142,14 @@ def hand_run(state, dataset, step, teacher=None):
 
 
 def assert_states_equal(a, b):
+    """Parameters, SGD velocities, queue rows and pointer, and step count."""
     for enc_a, enc_b in ((a.query, b.query), (a.key, b.key)):
         for ps_a, ps_b in ((enc_a.backbone, enc_b.backbone), (enc_a.head, enc_b.head)):
             assert ps_a.shapes() == ps_b.shapes()
             for name, t in ps_a.items():
                 assert np.array_equal(t.data, ps_b[name].data), name
+            assert ps_a._velocity.keys() == ps_b._velocity.keys()
+            assert all(np.array_equal(v, ps_b._velocity[n]) for n, v in ps_a._velocity.items())
     assert np.array_equal(a.queue.rows, b.queue.rows)
     assert (a.queue.ptr, a.step_count) == (b.queue.ptr, b.step_count)
 
@@ -260,10 +263,27 @@ def test_a_gradient_where_none_belongs_changes_no_state(stage_artifacts, where):
     with pytest.raises(C.ContractError, match="received gradient"):
         step(state, batches.next_batch())
     assert_states_equal(state, before)
-    for enc_a, enc_b in ((state.query, before.query), (state.key, before.key)):
-        for ps_a, ps_b in ((enc_a.backbone, enc_b.backbone), (enc_a.head, enc_b.head)):
-            assert ps_a._velocity.keys() == ps_b._velocity.keys()
-            assert all(np.array_equal(v, ps_b._velocity[n]) for n, v in ps_a._velocity.items())
+
+
+@pytest.mark.parametrize("distilled", [False, True], ids=["plain", "distilled"])
+def test_keys_off_the_unit_sphere_stop_the_step_before_any_update(stage_artifacts, distilled):
+    # the keys are checked right after the key forward pass, not first at the queue push
+    root, _, _ = stage_artifacts
+    cfg = toy_cfg()
+    state, teacher, step = C.init_moco_state(TOY_ENC, cfg, Rng(cfg.seed)), None, C.moco_train_step
+    if distilled:
+        teacher = P._loaded_state(root / "teacher", TOY_ENC, cfg, freeze_backbone=True)
+        step = distill.distilled_train_step
+    batches = P.PreparedBatches(toy_dataset().frames, cfg, teacher)
+    C.warm_up_queue(state, batches)
+    step(state, batches.next_batch())  # every trained set now has a velocity to keep
+    for _, t in state.key.head.items():
+        t.data[...] = 0.0  # every key embedding is now the zero vector
+    before = copy.deepcopy(state)
+    with pytest.raises(C.ContractError,
+                       match=r"^key embeddings not unit-norm at step 1 \(worst deviation 1\.000e\+00\)$"):
+        step(state, batches.next_batch())
+    assert_states_equal(state, before)
 
 
 def test_loop_batches_carry_the_workers_views_but_no_frames():
