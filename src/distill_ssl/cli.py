@@ -14,13 +14,14 @@ goes to stderr; files carry the machine-readable results.
 from __future__ import annotations
 
 import argparse
-import ctypes
 import functools
 import json
 import os
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
+
+import numpy as np
 
 from .augment import AugmentConfig
 from .contrastive import EncoderConfig, TrainConfig, load_encoders
@@ -40,7 +41,7 @@ from .eval import (
     extract_features,
     fit_linear_probe,
     label_efficiency_sweep,
-    split_dataset,
+    split_indices,
     write_accuracy_svg,
     write_results_csv,
     write_summary_json,
@@ -113,29 +114,6 @@ CONFIG_SCHEMA: dict[str, tuple] = {
     "distill": (bool, False, "train the student with the distillation objective"),
     "freeze_backbone": (bool, True, "freeze the teacher backbone during adaptation"),
 }
-
-# glibc's allocator thresholds, fixed before anything loads: left alone,
-# glibc raises its mmap threshold when a large mapping is freed, so step
-# speed would hang on what the loader freed.  8 MiB is above every hot-loop
-# temporary at the defaults (the largest, a sweep feature batch's conv2
-# columns, is 2.4 MB) and below both datasets (9.8 and 19.7 MB), so each
-# dataset gets a mapping of its own that goes back to the OS when freed.
-# Trimming at 16 MiB (twice that, as in glibc's dynamic rule) keeps the heap
-# top mapped between steps; 32/64 MiB grew the sweep's peak RSS by 6 %.
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc's mallopt parameter numbers
-_MMAP_THRESHOLD = 8 << 20
-_TRIM_THRESHOLD = 16 << 20
-
-
-def _fix_allocator() -> None:
-    """Apply the allocator policy above; a libc without ``mallopt`` keeps its own."""
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, TypeError):
-        return
-    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
-    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
-
 
 class CliError(RuntimeError):
     pass
@@ -390,7 +368,12 @@ def _probe_inputs(cfg: dict, **probe_fields):
     seeds = _distinct(cfg, "probe_seeds", int)
     _usage_error(check_holdout_fraction)(cfg["holdout_fraction"])
     dataset, _ = load_dataset(cfg["data"])
-    train_set, test_set = split_dataset(dataset, cfg["holdout_fraction"], seed=cfg["seed"])
+    # The split's rows are moved in place, train rows first, so both splits
+    # are views of the loaded frames: split_dataset's rows without its copies.
+    train_idx, test_idx = split_indices(dataset.labels, cfg["holdout_fraction"], cfg["seed"])
+    dataset.reorder(np.concatenate([train_idx, test_idx]))
+    cut = len(train_idx)
+    train_set, test_set = dataset.subset(slice(None, cut)), dataset.subset(slice(cut, None))
     return enc_cfg, probe, seeds, int(dataset.labels.max()) + 1, train_set, test_set
 
 
@@ -510,7 +493,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str]) -> int:
-    _fix_allocator()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

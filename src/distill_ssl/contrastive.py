@@ -31,7 +31,12 @@ class ContractError(RuntimeError):
     """A state invariant was violated by the caller."""
 
 
-class NonFiniteLossError(FloatingPointError):
+class DivergenceError(FloatingPointError):
+    """A step's arithmetic overflowed or went invalid, or a gradient is not
+    finite; the step changed no state."""
+
+
+class NonFiniteLossError(DivergenceError):
     """A loss term is NaN or infinite; the step changed no state."""
 
 
@@ -167,7 +172,9 @@ def center_input(frames: np.ndarray) -> np.ndarray:
     Uncentered inputs couple every gradient through the shared DC
     component and stall training at desk scale.
     """
-    return (np.asarray(frames, dtype=np.float64) - 0.5) * 2.0
+    centered = np.subtract(frames, 0.5, dtype=np.float64)
+    centered *= 2.0
+    return centered
 
 
 def forward_backbone(enc: EncoderParams, x: Tensor) -> Tensor:
@@ -433,6 +440,23 @@ def _assert_zero_grads(ps: ParamSet, what: str) -> None:
             raise ContractError(f"{what} parameter {name!r} received gradient")
 
 
+def _assert_finite_grads(ps: ParamSet, what: str, step: int) -> None:
+    for name, t in ps.items():
+        if not np.isfinite(t.grad).all():
+            kind = "nan" if np.isnan(t.grad).any() else "inf"
+            raise DivergenceError(f"{what} {name!r} gradient is {kind} at step {step}")
+
+
+@contextlib.contextmanager
+def _diverges_as_error(what: str, step: int):
+    """Raise an overflow or invalid operation in the block as ``DivergenceError``."""
+    with np.errstate(over="raise", invalid="raise"):
+        try:
+            yield
+        except FloatingPointError as exc:
+            raise DivergenceError(f"{exc} in the {what} at step {step}") from exc
+
+
 def moco_train_step(state: MoCoState, batch: Batch) -> StepResult:
     """One contrastive step; ``l_dis`` is 0 and ``total`` is the InfoNCE loss."""
     return _train_step(state, batch)
@@ -441,24 +465,31 @@ def moco_train_step(state: MoCoState, batch: Batch) -> StepResult:
 def _train_step(state: MoCoState, batch: Batch, extra_loss=None) -> StepResult:
     """Shared step core, and the one place that decides what a step updates.
 
-    Order: query/key embeddings of the views the batch carries, losses,
-    backprop, SGD on each query set that is not frozen, momentum update
-    of the key encoder, queue push.  A batch without views, or with views
-    of other than ``batch_size`` frames, raises ``ContractError`` before
-    any of it.  So does a gradient in a frozen query set or in the key
-    encoder, which only the moving average moves: it is checked after
-    backprop and before the first update.  Key embeddings that are not
+    Order: key embeddings of the batch's key views, then the recorded
+    query embeddings and losses, backprop, SGD on each query set that is
+    not frozen, momentum update of the key encoder, queue push.  The key
+    pass runs before the query graph opens, so its temporaries are freed
+    before the graph holds its saved buffers.  A batch without views, or
+    with views of other than ``batch_size`` frames, raises
+    ``ContractError`` before any of it.  Key embeddings that are not
     finite and unit-norm (the queue's own tolerance) raise it right after
-    the key forward pass, naming the step.
+    the key forward pass, naming the step.  So does a gradient in a frozen
+    query set or in the key encoder, which only the moving average moves:
+    it is checked after backprop and before the first update.
     ``extra_loss(q, k_plus)``, when given, runs inside the recorded graph
     before the queue moves and returns (term, value): ``term`` is added
     to the InfoNCE loss and ``value`` is reported as ``l_dis`` (see
-    distill.distilled_train_step).  A non-finite l_con, l_dis or total
-    raises ``NonFiniteLossError`` before the backward pass, naming the
-    term and the step index (the ``step`` column of metrics.csv).  Every
-    error leaves parameters, velocities, queue and step count as they were.
+    distill.distilled_train_step).
+
+    A diverging step raises ``DivergenceError`` naming the step index (the
+    ``step`` column of metrics.csv): an overflow or invalid operation in
+    a forward pass or in backprop names that pass; a non-finite l_con,
+    l_dis or total raises ``NonFiniteLossError`` before the backward pass,
+    naming the term; a trained gradient that is not finite names its set
+    and parameter.  Every error leaves parameters, velocities, queue and
+    step count as they were.
     """
-    cfg = state.cfg
+    cfg, step = state.cfg, state.step_count
     if batch.views is None:
         raise ContractError("batch carries no views; pipeline.PreparedBatches builds them")
     sizes = [len(v) for v in batch.views]
@@ -468,14 +499,15 @@ def _train_step(state: MoCoState, batch: Batch, extra_loss=None) -> StepResult:
         raise ContractError("queue must be warmed before training steps")
 
     views_q, views_k = batch.views
-    graph = T.Graph()
-    with graph:
-        q = encode(state.query, views_q, record_grads=True)
+    with _diverges_as_error("key forward pass", step):
         k_plus = encode(state.key, views_k).data
-        worst = _norm_deviation(k_plus)
-        if not worst <= _UNIT_NORM_TOL:
-            raise ContractError(f"key embeddings not unit-norm at step {state.step_count} "
-                                f"(worst deviation {worst:.3e})")
+    worst = _norm_deviation(k_plus)
+    if not worst <= _UNIT_NORM_TOL:
+        raise ContractError(f"key embeddings not unit-norm at step {step} "
+                            f"(worst deviation {worst:.3e})")
+    graph = T.Graph()
+    with _diverges_as_error("query forward pass", step), graph:
+        q = encode(state.query, views_q, record_grads=True)
         l_con = info_nce_loss(q, k_plus, state.queue, cfg.tau)
         total, l_dis_value = l_con, 0.0
         if extra_loss is not None:
@@ -484,13 +516,16 @@ def _train_step(state: MoCoState, batch: Batch, extra_loss=None) -> StepResult:
     losses = {"l_con": float(l_con.data), "l_dis": l_dis_value, "total": float(total.data)}
     for name, value in losses.items():
         if not math.isfinite(value):
-            raise NonFiniteLossError(f"{name} is {value} at step {state.step_count}")
-    graph.backward(total)
+            raise NonFiniteLossError(f"{name} is {value} at step {step}")
+    with _diverges_as_error("backward pass", step):
+        graph.backward(total)
 
     for side, enc in (("query", state.query), ("key", state.key)):
         for part, ps in (("backbone", enc.backbone), ("head", enc.head)):
             if side == "key" or ps.frozen:
                 _assert_zero_grads(ps, f"{side} {part}")
+            else:
+                _assert_finite_grads(ps, f"{side} {part}", step)
     for query_set in (state.query.backbone, state.query.head):
         if not query_set.frozen:
             T.sgd_step(query_set, cfg.lr, cfg.momentum, cfg.weight_decay)
@@ -498,4 +533,4 @@ def _train_step(state: MoCoState, batch: Batch, extra_loss=None) -> StepResult:
 
     state.queue.push(k_plus)
     state.step_count += 1
-    return StepResult(l_con=float(l_con.data), l_dis=l_dis_value, total=float(total.data))
+    return StepResult(**losses)

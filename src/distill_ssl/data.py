@@ -115,7 +115,34 @@ class Dataset:
         return self.frames.shape[0]
 
     def subset(self, indices) -> Dataset:
+        """The rows ``indices``: copies for an index array, views for a slice."""
         return Dataset(self.frames[indices], self.labels[indices])
+
+    def reorder(self, order: np.ndarray) -> None:
+        """Permute the rows in place so that new row i is old row ``order[i]``.
+
+        Equal to ``subset(order)`` without its copy of the frames: one walk
+        along each cycle of the permutation moves every row once, through
+        one row of scratch.  ``order`` must be a permutation of the rows.
+        """
+        order = np.asarray(order)
+        n = len(self)
+        if order.shape != (n,) or not np.array_equal(np.sort(order), np.arange(n)):
+            raise ValueError(f"order must be a permutation of the {n} rows")
+        frames, row = self.frames, np.empty_like(self.frames[0])
+        done = order == np.arange(n)  # fixed points stay where they are
+        for start in np.flatnonzero(~done).tolist():
+            if done[start]:
+                continue
+            row[...] = frames[start]
+            dst = start
+            while (src := int(order[dst])) != start:
+                frames[dst] = frames[src]
+                done[dst] = True
+                dst = src
+            frames[dst] = row
+            done[dst] = True
+        self.labels = self.labels[order]
 
 
 def _spread(lo: float, hi: float, n: int) -> tuple[float, ...]:

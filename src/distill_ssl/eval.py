@@ -254,12 +254,21 @@ def check_holdout_fraction(holdout_fraction: float) -> None:
 def split_dataset(
     dataset: Dataset, holdout_fraction: float = 0.5, seed: int = 0
 ) -> tuple[Dataset, Dataset]:
-    """Stratified train/holdout split, deterministic in the seed.
+    """Stratified train/holdout split, deterministic in the seed: copies of
+    the rows ``split_indices`` picks.  ``cli`` gets the same two splits as
+    views by reordering the dataset it loaded (``Dataset.reorder``)."""
+    train_idx, test_idx = split_indices(dataset.labels, holdout_fraction, seed)
+    return dataset.subset(train_idx), dataset.subset(test_idx)
+
+
+def split_indices(
+    labels: np.ndarray, holdout_fraction: float, seed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted train and holdout row indices of a stratified split.
 
     Raises ``SamplingError`` when a class would have no frame on one side.
     """
     check_holdout_fraction(holdout_fraction)
-    labels = dataset.labels
     rng = Rng(seed).derive(STREAM_PROBE, 0xFACE)
     train_idx, test_idx = [], []
     for cls in np.unique(labels):
@@ -273,9 +282,7 @@ def split_dataset(
             )
         train_idx.extend(pool[perm[:cut]])
         test_idx.extend(pool[perm[cut:]])
-    train_idx.sort()
-    test_idx.sort()
-    return dataset.subset(train_idx), dataset.subset(test_idx)
+    return np.sort(train_idx), np.sort(test_idx)
 
 
 class _FeatureFeed(Worker):

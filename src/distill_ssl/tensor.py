@@ -69,8 +69,9 @@ class Graph:
     """Tape of recorded ops; execution order is the topological order."""
 
     def __init__(self):
-        self._ops: list[tuple[Tensor, object]] = []
+        self._ops: list[tuple[Tensor, object] | None] = []
         self._prev: "Graph | None" = None
+        self._spent = False
 
     def __enter__(self) -> "Graph":
         global _ACTIVE
@@ -84,23 +85,34 @@ class Graph:
         self._prev = None
 
     def __len__(self) -> int:
+        """The number of recorded ops, also after ``backward`` has released them."""
         return len(self._ops)
 
     def backward(self, loss: Tensor) -> None:
-        """Propagate d(loss)/d(input) through every recorded op.
+        """Propagate d(loss)/d(input) through every recorded op, once.
 
         Participating leaves accumulate into their ``grad`` slots;
         non-participating leaves keep their (zero) gradients untouched.
+        Each op's backward closure, and every buffer it saved, is released
+        as soon as it has run, and so is its output's gradient: the walk
+        holds only what the ops still to run need.  A walked graph is
+        spent, and a second ``backward`` raises ``GraphError``.
         """
+        if self._spent:
+            raise GraphError("graph already walked: backward released its saved buffers")
         if loss.data.ndim != 0:
             raise GraphError(f"loss must be a scalar, got shape {loss.data.shape}")
         if not loss._node or all(out is not loss for out, _ in self._ops):
             raise GraphError("loss tensor was not produced by this graph")
+        self._spent = True
         loss.grad = np.ones(())
-        for out, backward_fn in reversed(self._ops):
-            if out.grad is None:
-                continue
-            backward_fn(out.grad)
+        ops = self._ops
+        for i in reversed(range(len(ops))):
+            out, backward_fn = ops[i]
+            ops[i] = None
+            if out.grad is not None:
+                backward_fn(out.grad)
+                out.grad = None
 
 
 class no_grad:
@@ -138,11 +150,16 @@ def participates(t: Tensor) -> bool:
 
 
 def accumulate(t: Tensor, g: np.ndarray) -> None:
-    """Add a gradient contribution to ``t`` if it participates."""
+    """Add a gradient contribution to ``t`` if it participates.
+
+    The first contribution is written in one pass as ``g + 0.0``, which is
+    bitwise a zeroed slot plus ``g`` (a -0.0 in ``g`` becomes +0.0 either way).
+    """
     if participates(t):
         if t.grad is None:
-            t.grad = np.zeros_like(t.data)
-        t.grad += g
+            t.grad = np.add(g, 0.0, out=np.empty_like(t.data))
+        else:
+            t.grad += g
 
 
 # ---------------------------------------------------------------------------
@@ -210,28 +227,40 @@ def conv2d(x: Tensor, kernels: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
         )
     oh = (h + 2 * pad - k) // stride + 1
     ow = (w + 2 * pad - k) // stride + 1
-    xpad = np.pad(xd, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else xd
+    padded = (bsz, cin, h + 2 * pad, w + 2 * pad)
+    xpad = xd
+    if pad:
+        xpad = np.zeros(padded)
+        xpad[:, :, pad : pad + h, pad : pad + w] = xd
     # im2col: one B x C*k*k x OH*OW copy of the windows serves all three GEMMs
     cols = _conv_windows(xpad, k, stride, oh, ow).transpose(0, 1, 4, 5, 2, 3)
     cols = cols.reshape(bsz, cin * k * k, oh * ow)
+    del xpad
     wm = kernels.data.reshape(cout, cin * k * k)
     out_data = (wm @ cols).reshape(bsz, cout, oh, ow)
     out = Tensor(out_data[0] if single else out_data)
+    # The backward keeps the columns only for the kernel gradient, and the
+    # input only when it takes gradients (conv1's centered frames never do).
+    if not participates(kernels):
+        cols = None
+    grad_x = x if participates(x) else None
 
     def backward(g: np.ndarray) -> None:
+        nonlocal cols
         gm = g.reshape(bsz, cout, oh * ow)
-        if participates(kernels):
+        if cols is not None:
             dw = np.tensordot(gm, cols, axes=([0, 2], [0, 2]))
+            cols = None  # their last use
             accumulate(kernels, dw.reshape(kernels.data.shape))
-        if participates(x):
+        if grad_x is not None:
             dcols = (wm.T @ gm).reshape(bsz, cin, k, k, oh, ow)
-            dxpad = np.zeros_like(xpad)
+            dxpad = np.zeros(padded)
             for i in range(k):
                 for j in range(k):
                     dst = dxpad[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride]
                     dst += dcols[:, :, i, j]
             dx = dxpad[:, :, pad : pad + h, pad : pad + w] if pad else dxpad
-            accumulate(x, dx[0] if single else dx)
+            accumulate(grad_x, dx[0] if single else dx)
 
     record(out, backward)
     return out

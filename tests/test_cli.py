@@ -6,11 +6,13 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import distill_ssl
+from distill_ssl import cli
 from distill_ssl.cli import (
     build_parser,
     encoder_config,
@@ -20,8 +22,15 @@ from distill_ssl.cli import (
     train_config,
 )
 from distill_ssl.contrastive import EncoderConfig, TrainConfig
-from distill_ssl.data import generic_spec, target_spec
-from distill_ssl.eval import ProbeConfig
+from distill_ssl.data import (
+    Dataset,
+    generate_synthetic_dataset,
+    generic_spec,
+    load_dataset,
+    save_dataset,
+    target_spec,
+)
+from distill_ssl.eval import ProbeConfig, split_dataset
 
 SMALL = {
     "steps": 12,
@@ -614,3 +623,87 @@ def test_step_page_faults_do_not_hang_on_the_loader(tmp_path):
         assert proc.returncode == 0, (tmp_path / f"err{steps}").read_text()
         faults[steps] = usage.ru_minflt
     assert (faults[40] - faults[10]) / 30 < 100, faults
+
+
+@pytest.mark.skipif(not _has_mallopt(), reason="libc has no mallopt")
+def test_a_library_caller_gets_the_allocator_policy(tmp_path):
+    # the policy is applied when the package is imported, so a caller that
+    # never runs the CLI reuses the heap as well
+    script = ("import sys\n"
+              "from distill_ssl import pipeline\n"
+              "from distill_ssl.contrastive import EncoderConfig, TrainConfig\n"
+              "from distill_ssl.data import generate_synthetic_dataset, target_spec\n"
+              "dataset = generate_synthetic_dataset(target_spec(4, 20), 7)\n"
+              "pipeline.pretrain(dataset, EncoderConfig(), TrainConfig(steps=int(sys.argv[1])))\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(distill_ssl.__file__)))
+    faults = {}
+    for steps in (10, 40):
+        with open(tmp_path / f"err{steps}", "wb") as err:
+            proc = subprocess.Popen([sys.executable, "-c", script, str(steps)], env=env,
+                                    stdout=subprocess.DEVNULL, stderr=err)
+            _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        assert proc.returncode == 0, (tmp_path / f"err{steps}").read_text()
+        faults[steps] = usage.ru_minflt
+    assert (faults[40] - faults[10]) / 30 < 100, faults
+
+
+def test_a_diverging_run_stops_at_the_first_overflow(tmp_path, capsys):
+    # at --lr 1e6 the parameters grow about 100x a step; backprop overflows at
+    # step 9, seven steps before the key embeddings collapse
+    assert run(["gen-data", "--target-frames-per-phase", "20", "--generic-frames-per-phase", "1",
+                "--out", str(tmp_path / "data")]) == 0
+    capsys.readouterr()
+    assert run(["pretrain-student", "--lr", "1e6", "--steps", "30",
+                "--data", str(tmp_path / "data" / "target"), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: DivergenceError: overflow encountered in multiply "
+                          "in the backward pass at step 9\n"), err
+    assert not (tmp_path / "out").exists()
+
+
+class TestProbeSplit:
+    """``_probe_inputs`` splits the dataset it loaded in place: the rows
+    ``split_dataset`` copies, as views of the loaded frames."""
+
+    @staticmethod
+    def probe_inputs(path, holdout):
+        """The class count and the two splits."""
+        cfg = {key: spec[1] for key, spec in cli.CONFIG_SCHEMA.items()}
+        cfg.update(data=str(path), holdout_fraction=holdout, seed=3)
+        return cli._probe_inputs(cfg)[3:]
+
+    @pytest.mark.parametrize("holdout", [0.5, 0.3])
+    def test_splits_equal_split_dataset_and_view_the_loaded_frames(
+        self, holdout, tmp_path, monkeypatch
+    ):
+        rng = np.random.default_rng(2)
+        labels = rng.permutation(np.repeat(np.arange(4), [7, 13, 5, 10]))  # unequal classes
+        save_dataset(Dataset(rng.random((35, 1, 32, 32)), labels), tmp_path / "d")
+        want = split_dataset(load_dataset(tmp_path / "d")[0], holdout, seed=3)
+        loaded = []
+
+        def load(path):
+            loaded.append(load_dataset(path)[0])
+            return loaded[-1], {}
+
+        monkeypatch.setattr(cli, "load_dataset", load)
+        num_classes, *got = self.probe_inputs(tmp_path / "d", holdout)
+        assert num_classes == 4
+        for split, ref in zip(got, want):
+            assert split.frames.tobytes() == ref.frames.tobytes()
+            assert split.labels.tobytes() == ref.labels.tobytes()
+            assert np.shares_memory(split.frames, loaded[0].frames)
+
+    def test_load_and_split_hold_one_copy_of_the_frames(self, tmp_path):
+        save_dataset(generate_synthetic_dataset(target_spec(4, 3), 1), tmp_path / "small")
+        self.probe_inputs(tmp_path / "small", 0.5)  # numpy's lazy imports are not the split's
+        frames = generate_synthetic_dataset(target_spec(), 1).frames  # 1200 frames
+        save_dataset(Dataset(frames, np.arange(1200) % 4), tmp_path / "d")
+        tracemalloc.start()
+        try:
+            self.probe_inputs(tmp_path / "d", 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.15 * frames.nbytes, peak / frames.nbytes

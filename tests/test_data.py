@@ -276,6 +276,24 @@ class TestDatasetPersistence:
         assert np.array_equal(frames, ds.frames)
         frames[0] = 0.0  # a view of the loader's own buffer, not of the file
 
+    @pytest.mark.parametrize("order", [[0, 1, 2, 3, 4, 5], [5, 4, 3, 2, 1, 0], [1, 2, 0, 3, 5, 4],
+                                       [3, 0, 5, 2, 4, 1]])
+    def test_reorder_is_subset_in_place(self, order):
+        rng = np.random.default_rng(1)
+        ds = D.Dataset(rng.random((6, 2, 3, 3)), [0, 1, 2, 0, 1, 2])
+        frames, want = ds.frames, ds.subset(order)
+        ds.reorder(np.array(order))
+        assert ds.frames is frames  # the rows moved inside the array they were in
+        assert ds.frames.tobytes() == want.frames.tobytes()
+        assert np.array_equal(ds.labels, want.labels)
+
+    @pytest.mark.parametrize("order", [[0, 0, 1], [0, 1], [0, 1, 3]])
+    def test_reorder_refuses_what_is_not_a_permutation(self, order):
+        ds = D.Dataset(np.arange(3.0).reshape(3, 1, 1, 1), [0, 1, 2])
+        with pytest.raises(ValueError, match="permutation of the 3 rows"):
+            ds.reorder(np.array(order))
+        assert ds.frames.ravel().tolist() == [0.0, 1.0, 2.0] and ds.labels.tolist() == [0, 1, 2]
+
     def test_dataset_shape_contract(self):
         with pytest.raises(ValueError, match="do not align"):
             D.Dataset(np.zeros((3, 1, 2, 2)), np.zeros(2))

@@ -10,8 +10,10 @@ import importlib
 import importlib.util
 import os
 import sys
+import weakref
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -76,3 +78,37 @@ def test_eval_sweep_checkpoints_match_the_package_layout(bench, tmp_path):
         for suffix in (".bin", ".json"):
             saved = (tmp_path / "saved" / name).with_suffix(suffix)
             assert saved.read_bytes() == written.with_suffix(suffix).read_bytes(), name + suffix
+
+
+def _weighted_sum(t, weights):
+    """A recorded op whose backward closure alone holds ``weights``."""
+    from distill_ssl import tensor as T
+
+    out = T.Tensor((t.data * weights).sum())
+    T.record(out, lambda g: T.accumulate(t, g * weights))
+    return out
+
+
+def test_backward_keeps_the_op_count_and_frees_saved_buffers(bench, monkeypatch):
+    # spans._tape_ops reads len(graph) once Graph.backward has returned, so a
+    # tape that dropped its entries would read tensor.tape_ops_per_step as 0
+    _, spans = bench
+    from distill_ssl import tensor as T
+
+    recorded, record = [], T.record
+    monkeypatch.setattr(T, "record", lambda out, fn: (recorded.append(out), record(out, fn)))
+    x = T.parameter(np.array([1.0, -2.0, 3.0]))
+    weights = np.array([0.5, 1.0, 2.0])
+    saved = weakref.ref(weights)
+    graph = T.Graph()
+    with graph:
+        loss = T.scale(_weighted_sum(T.relu(x), weights), 2.0)
+    del weights
+    assert saved() is not None  # only the tape holds it now
+    recorder = spans.Recorder(traced=True)
+    backward = recorder.wrap("tensor.graph_backward", T.Graph.backward,
+                             spans.MEASURES["tensor.graph_backward"])
+    backward(graph, loss)
+    assert recorder.spans[-1][-1] == len(recorded) == 3
+    assert saved() is None
+    assert x.grad.tolist() == [1.0, 0.0, 4.0]

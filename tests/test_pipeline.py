@@ -3,6 +3,7 @@ and the forked worker that builds every batch's views."""
 
 import copy
 import os
+import re
 import signal
 import time
 from collections import Counter
@@ -284,6 +285,63 @@ def test_keys_off_the_unit_sphere_stop_the_step_before_any_update(stage_artifact
                        match=r"^key embeddings not unit-norm at step 1 \(worst deviation 1\.000e\+00\)$"):
         step(state, batches.next_batch())
     assert_states_equal(state, before)
+
+
+def test_a_non_finite_gradient_stops_the_step_before_any_update():
+    # an inf already in a gradient slot adds no floating-point exception, so
+    # only the check before sgd_step can name it
+    cfg = toy_cfg()
+    state = C.init_moco_state(TOY_ENC, cfg, Rng(cfg.seed))
+    batches = P.PreparedBatches(toy_dataset().frames, cfg)
+    C.warm_up_queue(state, batches)
+    C.moco_train_step(state, batches.next_batch())  # every trained set now has a velocity to keep
+    state.query.backbone["conv1.kernels"].grad[0, 0, 1, 1] = np.inf
+    before = copy.deepcopy(state)
+    with pytest.raises(C.DivergenceError,
+                       match=r"^query backbone 'conv1\.kernels' gradient is inf at step 1$"):
+        C.moco_train_step(state, batches.next_batch())
+    assert_states_equal(state, before)
+
+
+# Accepted extremes of every value a step reads: TrainConfig's and the view
+# noise and brightness, which the views are clipped after.
+EXTREMES = [("lr", 0.0), ("lr", 1e6), ("lr", 1e308), ("weight_decay", 1e6),
+            ("tau", 1e-6), ("tau", 1e6), ("distill_tau", 1e-6), ("distill_tau", 1e6),
+            ("m", 0.0), ("m", 1.0 - 1e-9), ("momentum", 0.0), ("momentum", 1.0 - 1e-9),
+            ("noise_sigma", 1e6), ("brightness_delta", 1e6)]
+
+
+@pytest.mark.parametrize("distilled", [False, True], ids=["plain", "distilled"])
+@pytest.mark.parametrize("key, value", EXTREMES, ids=[f"{k}={v!r}" for k, v in EXTREMES])
+def test_an_accepted_extreme_trains_finite_or_stops_named_before_any_update(
+    stage_artifacts, key, value, distilled
+):
+    root, _, _ = stage_artifacts
+    if key in ("noise_sigma", "brightness_delta"):
+        cfg = toy_cfg(steps=30, augment=AugmentConfig(**{"output_size": (12, 12),
+                                                         "noise_sigma": 0.01, key: value}))
+    else:
+        cfg = toy_cfg(steps=30, **{key: value})
+    state, teacher, step = C.init_moco_state(TOY_ENC, cfg, Rng(cfg.seed)), None, C.moco_train_step
+    if distilled:
+        teacher = P._loaded_state(root / "teacher", TOY_ENC, cfg, freeze_backbone=True)
+        step = distill.distilled_train_step
+    before = []
+
+    def kept_step(state, batch):
+        before[:] = [copy.deepcopy(state)]
+        return step(state, batch)
+
+    try:
+        run = P._run(toy_dataset(), state, kept_step, teacher)
+    except (C.DivergenceError, C.ContractError) as exc:
+        assert re.search(rf"at step {before[0].step_count}\b", str(exc)), str(exc)
+        assert_states_equal(state, before[0])
+    else:
+        assert len(run.steps) == 30
+        for enc in (state.query, state.key):
+            for ps in (enc.backbone, enc.head):
+                assert all(np.isfinite(t.data).all() for _, t in ps.items())
 
 
 def test_loop_batches_carry_the_workers_views_but_no_frames():

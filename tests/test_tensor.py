@@ -1,6 +1,7 @@
 """Tensor op contracts: hand values, finite-difference oracles, invariants."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -421,6 +422,53 @@ class TestBackward:
             loss = T.tensor_sum(T.add(T.scale(x, 3.0), T.multiply(x, x)))
         graph.backward(loss)
         assert np.allclose(x.grad, [3.0 + 4.0])
+
+    def test_a_spent_graph_refuses_a_second_backward(self):
+        x = T.parameter(np.array([2.0]))
+        graph = T.Graph()
+        with graph:
+            loss = T.tensor_sum(T.scale(x, 3.0))
+        graph.backward(loss)
+        assert len(graph) == 2  # the recorded ops still count
+        with pytest.raises(T.GraphError, match="already walked"):
+            graph.backward(loss)
+        assert np.array_equal(x.grad, [3.0])
+
+    def test_backward_drops_every_intermediate_gradient(self):
+        x = T.parameter(np.array([1.0, -2.0]))
+        graph = T.Graph()
+        with graph:
+            hidden = T.relu(T.scale(x, 2.0))
+            loss = T.tensor_sum(hidden)
+        graph.backward(loss)
+        assert hidden.grad is None and loss.grad is None
+        assert np.array_equal(x.grad, [2.0, 0.0])
+
+    def test_first_gradient_is_a_zeroed_slot_plus_the_contribution(self):
+        # g + 0.0 in one pass is bitwise 0.0 + g: a -0.0 contribution lands as +0.0
+        x = T.Tensor(np.ones(4))
+        x._node = True
+        g = np.array([-0.0, 0.0, -1.5, 2.0**-1074])
+        T.accumulate(x, g)
+        assert x.grad.tobytes() == (np.zeros(4) + g).tobytes()
+        assert np.signbit(x.grad).tolist() == [False, False, True, False]
+        assert x.grad is not g
+        T.accumulate(x, np.broadcast_to(np.float64(1.0), (4,)))
+        assert x.grad.tolist() == [1.0, 1.0, -0.5, 1.0]
+
+    def test_conv_backward_keeps_no_input_that_takes_no_gradient(self):
+        # conv1's centered frames: the tape holds neither them nor their padded copy
+        rng = np.random.default_rng(5)
+        kern = T.parameter(rng.normal(size=(3, 2, 3, 3)))
+        x = T.constant(rng.normal(size=(2, 2, 5, 5)))
+        frames = weakref.ref(x.data)
+        graph = T.Graph()
+        with graph:
+            loss = T.tensor_sum(T.conv2d(x, kern, stride=2, pad=1))
+        del x
+        assert frames() is None
+        graph.backward(loss)
+        assert np.any(kern.grad != 0.0)
 
     def test_forward_without_graph_records_nothing(self):
         x = T.parameter(np.ones(3))
