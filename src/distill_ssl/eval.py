@@ -5,13 +5,14 @@ backbone in batches (resized first only when they differ from the
 encoder's input size), and its labels travel with the features.
 Features are backbone outputs (pre projection head).  Transfer modes
 combine teacher and student features by addition or concatenation, or
-evaluate either alone.  A sweep runs each distinct encoder's backbone once
-per split and combines those features for every arm that uses it; those
-backbone passes run in a worker forked as the sweep starts, ahead of the
-probe fits, which stay in the calling process.  The probe is multinomial
-logistic regression fit by full-batch gradient descent on a per-class
-stratified label subset, its logits held class-major (classes x samples)
-so that its softmax folds a few long rows.
+evaluate either alone.  A sweep's features are made in a worker forked as
+it starts, ahead of the probe fits, which stay in the calling process: the
+worker runs each distinct encoder's backbone once per split, combines the
+outputs into each arm's features and hands them over arm by arm, and each
+process drops an arm's features once it is done with them.  The probe is
+multinomial logistic regression fit by full-batch gradient descent on a
+per-class stratified label subset, its logits held class-major (classes x
+samples) so that its softmax folds a few long rows.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from collections import Counter
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
@@ -83,6 +85,25 @@ def _mode_encoders(mode: str, student, teacher) -> tuple:
     return {"student": (student,), "teacher": (teacher,)}.get(mode, (teacher, student))
 
 
+def _check_mode(mode: str, student, teacher) -> None:
+    """Refuse an unknown mode, or a mode without the encoders it reads."""
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
+    if mode in ("student", "addition", "concatenation") and student is None:
+        raise ContractError(f"mode {mode!r} needs student parameters")
+    if mode in ("teacher", "addition", "concatenation") and teacher is None:
+        raise ContractError(f"mode {mode!r} needs teacher parameters")
+
+
+def _addition_width(d_teacher: int, d_student: int) -> int:
+    """The width of added features; refuses two different widths."""
+    if d_teacher != d_student:
+        raise ContractError(
+            f"addition needs matching feature dims, got {d_teacher} and {d_student}"
+        )
+    return d_teacher
+
+
 def _backbone_features(enc: EncoderParams, frames: np.ndarray, batch: int = 64) -> np.ndarray:
     # 64 frames keep conv2's column buffer at 2.4 MB; 128-frame batches ran slower
     size = tuple(enc.cfg.input_size)
@@ -108,19 +129,11 @@ def extract_features(
     student/teacher may be None when the mode does not use them.
     ``backbone(enc, frames)`` gives one encoder's features.
     """
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
-    if mode in ("student", "addition", "concatenation") and student is None:
-        raise ContractError(f"mode {mode!r} needs student parameters")
-    if mode in ("teacher", "addition", "concatenation") and teacher is None:
-        raise ContractError(f"mode {mode!r} needs teacher parameters")
+    _check_mode(mode, student, teacher)
     feats = [backbone(enc, dataset.frames) for enc in _mode_encoders(mode, student, teacher)]
     if mode == "addition":
         f_t, f_s = feats
-        if f_t.shape[1] != f_s.shape[1]:
-            raise ContractError(
-                f"addition needs matching feature dims, got {f_t.shape[1]} and {f_s.shape[1]}"
-            )
+        _addition_width(f_t.shape[1], f_s.shape[1])
         return FeatureSet(f_t + f_s, dataset.labels)
     return FeatureSet(np.concatenate(feats, axis=1) if mode == "concatenation" else feats[0],
                       dataset.labels)
@@ -285,41 +298,61 @@ def split_indices(
     return np.sort(train_idx), np.sort(test_idx)
 
 
+def _feature_width(arm: SweepEncoder) -> int:
+    """The width of ``arm``'s features, refused as ``extract_features`` refuses it."""
+    _check_mode(arm.mode, arm.student, arm.teacher)
+    widths = [enc.cfg.d_backbone for enc in _mode_encoders(arm.mode, arm.student, arm.teacher)]
+    return _addition_width(*widths) if arm.mode == "addition" else sum(widths)
+
+
 class _FeatureFeed(Worker):
-    """The sweep's backbone features, made ahead of its probe fits in a
+    """The features of every sweep arm, made ahead of its probe fits in a
     forked ``Worker``.
 
-    One job per distinct (encoder object, split) pair, in the order the
-    arms first ask for them; the worker runs ``_backbone_features`` on
-    each in turn into a shared array, on the same arrays the calling
-    process holds, so every feature keeps its bits.  Called as the
-    ``backbone`` of ``extract_features``, the feed blocks only until that
-    job is done.
+    One job per (arm, split), in sweep order (the first arm's train and
+    test splits, then the next arm's): the worker runs ``extract_features``
+    on each into a shared array of exactly the arm's width.  Its backbone
+    runs each distinct (encoder object, split) pass once and keeps the
+    output only until the last job that reads it, on the same arrays the
+    calling process holds, so every feature keeps its bits.  Each side
+    drops a job's array once it is done with it: the worker after writing
+    it, the feed as ``take`` hands it over.  Every arm is checked before
+    the fork, with the errors ``extract_features`` raises.
     """
 
     name, item = "feature worker", "feature job"
 
     def __init__(self, arms: list[SweepEncoder], splits: tuple[Dataset, ...]):
-        jobs = {}  # keyed by identity: ``arms`` and ``splits`` keep every key alive
-        for arm in arms:
-            for split in splits:
-                for enc in _mode_encoders(arm.mode, arm.student, arm.teacher):
-                    if enc is not None:
-                        jobs.setdefault((id(enc), id(split.frames)), (enc, split.frames))
-        self._index = {key: i for i, key in enumerate(jobs)}
-        self._jobs = list(jobs.values())
-        self._features = [shared((len(frames), enc.cfg.d_backbone)) for enc, frames in self._jobs]
+        self._jobs = [(arm, split) for arm in arms for split in splits]
+        # mapped here, before the fork; a page is resident once written or read
+        self._features = [shared((len(split), _feature_width(arm))) for arm, split in self._jobs]
         super().__init__(len(self._jobs))
 
-    def __call__(self, enc: EncoderParams, frames: np.ndarray) -> np.ndarray:
-        i = self._index[(id(enc), id(frames))]
-        while self._received <= i:
-            self._wait()
-        return self._features[i]
+    def take(self) -> FeatureSet:
+        """The next job's features, once the worker has made them.  The feed
+        keeps no reference to them: their mapping closes with the caller's."""
+        i = self._received
+        self._wait()
+        features, self._features[i] = self._features[i], None
+        return FeatureSet(features, self._jobs[i][1].labels)
 
     def _produce(self, free: int):
-        for (enc, frames), out in zip(self._jobs, self._features):
-            out[...] = _backbone_features(enc, frames)
+        # backbone passes keyed by identity: ``self._jobs`` keeps every key alive
+        uses = Counter((id(enc), id(split.frames)) for arm, split in self._jobs
+                       for enc in _mode_encoders(arm.mode, arm.student, arm.teacher))
+        outputs = {}
+
+        def backbone(enc: EncoderParams, frames: np.ndarray) -> np.ndarray:
+            key = (id(enc), id(frames))
+            if key not in outputs:
+                outputs[key] = _backbone_features(enc, frames)
+            uses[key] -= 1
+            return outputs[key] if uses[key] else outputs.pop(key)
+
+        for i, (arm, split) in enumerate(self._jobs):
+            fs = extract_features(arm.student, arm.teacher, split, arm.mode, backbone)
+            self._features[i][...] = fs.features
+            self._features[i] = None  # this side is done with the job's mapping
             yield
 
 
@@ -334,24 +367,30 @@ def label_efficiency_sweep(
 ) -> tuple[list[dict], dict]:
     """One probe per (encoder, fraction, seed); rows plus mean/std summary.
 
-    Each distinct encoder object's backbone runs once per split, however
-    many arms share it, in a ``_FeatureFeed`` worker forked as the call
-    starts: while this process fits one arm's probes, the worker computes
-    the next arms' features on the other core.  Every fit, prediction and
-    metric runs here, in arm, fraction and seed order.  The worker is
+    Every arm's features are made by ``extract_features`` in a
+    ``_FeatureFeed`` worker forked as the call starts, each distinct
+    encoder object's backbone once per split however many arms share it:
+    while this process fits one arm's probes, the worker makes the next
+    arms' features on the other core.  Every fit, prediction and metric
+    runs here, in arm, fraction and seed order, and an arm's features are
+    held only until the next arm's are taken.  Arms are checked before
+    the fork: a repeated name raises ``ValueError`` (its summary entry
+    would hide the other's), and a mode, encoder or width that
+    ``extract_features`` would refuse raises its error.  The worker is
     reaped before the call returns or raises; one that fails raises
-    ``worker.WorkerError`` with its traceback.  The features live only as
-    long as the call.  ``ProbeConfig`` range-checks each fraction as its
-    first probe is built.
+    ``worker.WorkerError`` with its traceback.  ``ProbeConfig``
+    range-checks each fraction as its first probe is built.
     """
     if not encoders or not fractions or not seeds:
         raise ValueError("encoders, fractions and seeds must be non-empty")
+    repeated = sorted(name for name, n in Counter(enc.name for enc in encoders).items() if n > 1)
+    if repeated:
+        raise ValueError(f"every arm needs a name of its own; repeated: {repeated}")
     rows = []
     summary: dict[str, dict] = {}
-    with _FeatureFeed(encoders, (train_set, test_set)) as backbone:
+    with _FeatureFeed(encoders, (train_set, test_set)) as feed:
         for enc in encoders:
-            fs_train = extract_features(enc.student, enc.teacher, train_set, enc.mode, backbone)
-            fs_test = extract_features(enc.student, enc.teacher, test_set, enc.mode, backbone)
+            fs_train, fs_test = feed.take(), feed.take()
             summary[enc.name] = {}
             for fraction in fractions:
                 accs = []

@@ -1,6 +1,7 @@
 """Feature extraction modes, linear probe, metrics, sweeps."""
 
 import os
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -391,24 +392,34 @@ class TestSweep:
                     oracle.append({"encoder": name, "mode": mode, "fraction": fraction,
                                    "seed": seed, **vars(m)})
 
-        # the passes run in the forked feature worker, which reports each on a pipe
+        # the passes and every arm's extraction run in the forked feature
+        # worker, which reports each on a pipe
         report, reported = os.pipe()
-        original = E.forward_backbone
+        original, extract = E.forward_backbone, E.extract_features
 
         def counted(enc, x):
-            os.write(reported, f"{os.getpid()} {id(enc)} {x.data.shape[0]}\n".encode())
+            os.write(reported, f"pass {os.getpid()} {id(enc)} {x.data.shape[0]}\n".encode())
             return original(enc, x)
 
+        def extracting(*args):
+            os.write(reported, f"extract {os.getpid()}\n".encode())
+            return extract(*args)
+
         monkeypatch.setattr(E, "forward_backbone", counted)
+        monkeypatch.setattr(E, "extract_features", extracting)
         try:
             rows, _ = E.label_efficiency_sweep(encoders, fractions, seeds, train_set, test_set, 4,
                                                probe)
         finally:
             os.close(reported)
         with os.fdopen(report) as fh:  # EOF: the reaped worker held the only other write end
-            passes = [tuple(map(int, line.split())) for line in fh]
+            lines = [line.split() for line in fh]
+        passes = [tuple(map(int, rest)) for tag, *rest in lines if tag == "pass"]
+        extractions = [int(rest[0]) for tag, *rest in lines if tag == "extract"]
         assert rows == oracle
-        assert passes and all(pid != os.getpid() for pid, _, _ in passes)
+        assert len(extractions) == 2 * len(arms)  # one per (arm, split)
+        pids = set(extractions) | {pid for pid, _, _ in passes}
+        assert len(pids) == 1 and os.getpid() not in pids  # all in the one worker
         # one batch per split here: a, b and a_again each run once on train and once on test
         assert len(train_set) <= 128 and len(test_set) <= 128
         assert sorted(p[1:] for p in passes) == sorted((id(e), len(s)) for e in (a, b, a_again)
@@ -445,6 +456,45 @@ class TestSweep:
             E.label_efficiency_sweep(arms, [0.5, 1.0], [0], train_set, test_set, 4,
                                      E.ProbeConfig(steps=5))
         assert len(fits) == 3  # the second arm's first fit
+        assert_no_child()
+
+    @pytest.mark.parametrize("arm, error, match", (
+        (lambda a, narrow: E.SweepEncoder("a", "teacher", teacher=a), ValueError,
+         r"repeated: \['a'\]"),
+        (lambda a, narrow: E.SweepEncoder("b", "blend", student=a), ValueError, "unknown mode"),
+        (lambda a, narrow: E.SweepEncoder("b", "addition", student=a), C.ContractError,
+         "'addition' needs teacher parameters"),
+        (lambda a, narrow: E.SweepEncoder("b", "addition", a, narrow), C.ContractError,
+         "matching feature dims, got 10 and 12"),
+    ), ids=("repeated-name", "unknown-mode", "missing-encoder", "unequal-addition-widths"))
+    def test_arms_refused_before_the_fork(self, ckpts, monkeypatch, arm, error, match):
+        a = query_encoder(ckpts[0], TOY_ENC)
+        narrow = C.init_encoder(replace(TOY_ENC, d_backbone=10), Rng(0))
+        train_set, test_set = E.split_dataset(toy_dataset(per_phase=12), 0.5, seed=0)
+        fits = []
+        monkeypatch.setattr(E, "fit_linear_probe", lambda *args: fits.append(args))
+        # the bad arm comes last: a check made only as the sweep reaches it would fit arm "a"
+        arms = [E.SweepEncoder("a", "student", student=a), arm(a, narrow)]
+        with deadline(5), pytest.raises(error, match=match):
+            E.label_efficiency_sweep(arms, [1.0], [0], train_set, test_set, 4)
+        assert fits == []
+        assert_no_child()
+
+    def test_taken_features_are_released_with_the_callers_reference(self, ckpts):
+        a, b = query_encoder(ckpts[0], TOY_ENC), query_encoder(ckpts[1], TOY_ENC)
+        train_set, test_set = E.split_dataset(toy_dataset(per_phase=12), 0.5, seed=0)
+        arms = [E.SweepEncoder("plain", "student", student=a),
+                E.SweepEncoder("concatenation", "concatenation", a, b)]
+        with deadline(5), E._FeatureFeed(arms, (train_set, test_set)) as feed:
+            for arm in arms:
+                for split in (train_set, test_set):
+                    fs = feed.take()
+                    want = E.extract_features(arm.student, arm.teacher, split, arm.mode)
+                    assert np.array_equal(fs.features, want.features)
+                    assert np.array_equal(fs.labels, split.labels)
+                    array, mapping = weakref.ref(fs.features), weakref.ref(fs.features.base)
+                    del fs
+                    assert array() is None and mapping() is None  # the feed kept no reference
         assert_no_child()
 
     def test_split_is_stratified_and_deterministic(self):
