@@ -356,6 +356,7 @@ def cmd_pretrain_student(cfg: dict) -> int:
         _require(cfg, "pretrain-student --distill", "teacher")
         _refuse(cfg, "pretrain-student --distill", "init_from")
         return _train(cfg, "pretrain-student", pipeline.pretrain_distilled, "teacher")
+    _refuse(cfg, "pretrain-student without --distill", "teacher")
     return _train(cfg, "pretrain-student", pipeline.pretrain, init_from=cfg["init_from"])
 
 

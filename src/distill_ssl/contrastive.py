@@ -401,14 +401,18 @@ def init_moco_state(enc_cfg: EncoderConfig, cfg: TrainConfig, rng: Rng) -> MoCoS
     return MoCoState(query, key, KeyQueue(cfg.queue_size, enc_cfg.d), cfg)
 
 
-def build_views(batch: Batch, aug: AugmentConfig, rng: Rng) -> tuple[np.ndarray, np.ndarray]:
+def build_views(
+    batch: Batch, aug: AugmentConfig, rng: Rng, key_only: bool = False
+) -> tuple[np.ndarray | None, np.ndarray]:
     """Query and key view batches, each B x C x h x w, from per-sample streams.
 
     Sample i's query view comes from ``view_stream(rng, epoch, index, 0)``
     and its key view from ``view_stream(rng, epoch, index, 1)``.  All 2B
     seeds are derived as one array (``augment.view_seeds``) and all 2B
     views made in one array pass (``augment.sample_views``), which is
-    bitwise equal to ``augment.sample_view`` on each stream.
+    bitwise equal to ``augment.sample_view`` on each stream.  With
+    ``key_only`` the query views are None and only the B key views are
+    made, with the same bits, since each view reads only its own stream.
 
     The views depend on the batch, ``aug`` and ``rng.seed`` alone, never
     on draws taken from ``rng`` or on model state.  That is what lets
@@ -416,16 +420,19 @@ def build_views(batch: Batch, aug: AugmentConfig, rng: Rng) -> tuple[np.ndarray,
     build every batch's views one batch ahead of the step that uses them.
     """
     n = batch.frames.shape[0]
-    views = sample_views(batch.frames, aug, view_seeds(rng, batch.epoch, batch.indices))
+    seeds = view_seeds(rng, batch.epoch, batch.indices)
+    if key_only:
+        return None, sample_views(batch.frames, aug, seeds[n:])
+    views = sample_views(batch.frames, aug, seeds)
     return views[:n], views[n:]
 
 
 def warm_up_queue(state: MoCoState, batches) -> None:
     """Fill the queue with key-encoder embeddings before any loss is taken.
 
-    Consumes capacity/batch_size batches, each carrying its views
-    (``pipeline.PreparedBatches``); a batch without them raises
-    ``ContractError`` before it touches the queue.
+    Consumes capacity/batch_size batches, each carrying its key views
+    (``pipeline.PreparedBatches`` builds no query views for them); a batch
+    without views raises ``ContractError`` before it touches the queue.
     """
     for _ in range(state.queue.capacity // state.cfg.batch_size):
         batch = batches.next_batch()
@@ -469,13 +476,14 @@ def _train_step(state: MoCoState, batch: Batch, extra_loss=None) -> StepResult:
     query embeddings and losses, backprop, SGD on each query set that is
     not frozen, momentum update of the key encoder, queue push.  The key
     pass runs before the query graph opens, so its temporaries are freed
-    before the graph holds its saved buffers.  A batch without views, or
-    with views of other than ``batch_size`` frames, raises
-    ``ContractError`` before any of it.  Key embeddings that are not
-    finite and unit-norm (the queue's own tolerance) raise it right after
-    the key forward pass, naming the step.  So does a gradient in a frozen
-    query set or in the key encoder, which only the moving average moves:
-    it is checked after backprop and before the first update.
+    before the graph holds its saved buffers.  An unwarmed queue, or a
+    batch without query views or with views of other than ``batch_size``
+    frames, raises ``ContractError`` before any of it.  Key embeddings
+    that are not finite and unit-norm (the queue's own tolerance) raise it
+    right after the key forward pass, naming the step.  So does a gradient
+    in a frozen query set or in the key encoder, which only the moving
+    average moves: it is checked after backprop and before the first
+    update.
     ``extra_loss(q, k_plus)``, when given, runs inside the recorded graph
     before the queue moves and returns (term, value): ``term`` is added
     to the InfoNCE loss and ``value`` is reported as ``l_dis`` (see
@@ -490,13 +498,15 @@ def _train_step(state: MoCoState, batch: Batch, extra_loss=None) -> StepResult:
     step count as they were.
     """
     cfg, step = state.cfg, state.step_count
+    if not state.queue.warmed:
+        raise ContractError("queue must be warmed before training steps")
     if batch.views is None:
         raise ContractError("batch carries no views; pipeline.PreparedBatches builds them")
+    if batch.views[0] is None:
+        raise ContractError("batch carries only key views: it is a warm-up batch")
     sizes = [len(v) for v in batch.views]
     if sizes != [cfg.batch_size] * 2:
         raise ContractError(f"views of {sizes} frames, config says {cfg.batch_size}")
-    if not state.queue.warmed:
-        raise ContractError("queue must be warmed before training steps")
 
     views_q, views_k = batch.views
     with _diverges_as_error("key forward pass", step):

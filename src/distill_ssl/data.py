@@ -3,17 +3,23 @@
 In memory a dataset is a ``Dataset``: one N x C x H x W frames array and
 one array of N integer labels; every stage reads those two arrays.
 Checkpoints and dataset caches share one on-disk format: a JSON manifest
-(`name.json`) describing a named tensor table and the blob's sha256, next
+(`name.json`) describing a named tensor table and the blob's digest, next
 to a contiguous little-endian float64 blob (`name.bin`).  A dataset is
 stored as its ``frames`` and ``labels`` tensors.  Round trips are bitwise
 exact, and an interrupted rewrite never loads: each file is written to a
 temporary sibling and renamed over the old one, blob first, so until the
-new manifest lands the old manifest's sha256 rejects the new blob.
+new manifest lands the old manifest's digest rejects the new blob.
+
+Manifests are written at version 2, whose ``blake2b`` entry is the
+blob's BLAKE2b-256 (CPython's built-in ``_blake2``, which links no
+OpenSSL), and a version-2 manifest without it is refused.  Version-1
+manifests still load: their ``sha256`` entry is checked through
+``hashlib`` (OpenSSL), imported only on that path, and one written
+before the digest existed loads unchecked.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
@@ -21,12 +27,15 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from _blake2 import blake2b
 
 from .augment import resize_to
 from .rng import STREAM_BATCH, STREAM_DATA, Rng
 from .tensor import ParamSet
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+# The blob digest's manifest entry, per format version.
+_DIGEST_KEYS = {1: "sha256", FORMAT_VERSION: "blake2b"}
 # High-frequency textures give the stand-in encoder strong per-instance
 # responses; weaker textures collapse embeddings at init and stall
 # contrastive training within the desk-scale step budget.
@@ -235,7 +244,7 @@ def _write_pair(tensors: dict[str, np.ndarray], path, config: dict | None) -> No
     base.parent.mkdir(parents=True, exist_ok=True)
     table = []
     arrays = []
-    digest = hashlib.sha256()
+    digest = blake2b(digest_size=32)
     offset = 0
     for name, arr in tensors.items():
         arr = np.ascontiguousarray(arr, dtype="<f8")
@@ -249,7 +258,7 @@ def _write_pair(tensors: dict[str, np.ndarray], path, config: dict | None) -> No
         "version": FORMAT_VERSION,
         "config": config or {},
         "tensors": table,
-        "sha256": digest.hexdigest(),
+        "blake2b": digest.hexdigest(),
     }
     _replace(base.with_suffix(".bin"), arrays)
     _replace(base.with_suffix(".json"), [json.dumps(manifest, indent=1, sort_keys=True).encode()])
@@ -272,6 +281,14 @@ def _well_formed(entry) -> bool:
             and type(entry.get("offset")) is int and type(entry.get("length")) is int)
 
 
+def _hexdigest(key: str, blob: np.ndarray) -> str:
+    if key == "sha256":
+        import hashlib  # maps OpenSSL: only a version-1 manifest's load pays for it
+
+        return hashlib.sha256(blob).hexdigest()
+    return blake2b(blob, digest_size=32).hexdigest()
+
+
 def _read_pair(path) -> tuple[dict[str, np.ndarray], dict]:
     base = _base_path(path)
     manifest_path = base.with_suffix(".json")
@@ -284,10 +301,16 @@ def _read_pair(path) -> tuple[dict[str, np.ndarray], dict]:
         raise CorruptManifestError(f"unparseable manifest {manifest_path}: {exc}")
     if not isinstance(manifest, dict) or not isinstance(manifest.get("tensors"), list):
         raise CorruptManifestError(f"manifest {manifest_path} lacks a tensor table")
-    if manifest.get("version") != FORMAT_VERSION:
+    version = manifest.get("version")
+    if type(version) is not int or version not in _DIGEST_KEYS:
         raise CorruptManifestError(
-            f"manifest {manifest_path} has version {manifest.get('version')}, expected {FORMAT_VERSION}"
+            f"manifest {manifest_path} has version {version}, expected {FORMAT_VERSION} or 1"
         )
+    digest_key = _DIGEST_KEYS[version]
+    digest = manifest.get(digest_key)
+    # Only a version-1 manifest written before the digest existed loads unchecked.
+    if digest is None and version == FORMAT_VERSION:
+        raise CorruptManifestError(f"manifest {manifest_path} lacks the blob's {digest_key}")
     expected = 0
     for entry in manifest["tensors"]:
         if not _well_formed(entry):
@@ -314,10 +337,10 @@ def _read_pair(path) -> tuple[dict[str, np.ndarray], dict]:
         raise TruncatedBlobError(f"missing blob {blob_path}")
     if held != expected:
         raise TruncatedBlobError(f"blob {blob_path} holds {held} bytes, manifest says {expected}")
-    # Manifests written before the digest existed lack the key and load unchecked.
-    digest = manifest.get("sha256")
-    if digest is not None and hashlib.sha256(flat).hexdigest() != digest:
-        raise CorruptManifestError(f"blob {blob_path} does not match the sha256 in {manifest_path}")
+    if digest is not None and _hexdigest(digest_key, flat) != digest:
+        raise CorruptManifestError(
+            f"blob {blob_path} does not match the {digest_key} in {manifest_path}"
+        )
     if not flat.dtype.isnative:
         flat = flat.astype(np.float64)
     tensors = {}
@@ -471,9 +494,10 @@ class Batch:
     frames: np.ndarray | None
     indices: np.ndarray  # dataset indices, length B
     epoch: int
-    # The query and key view stacks (pipeline.PreparedBatches); a step
-    # raises ContractError on a batch without them.
-    views: tuple[np.ndarray, np.ndarray] | None = None
+    # The query and key view stacks (pipeline.PreparedBatches); the query
+    # stack is None on a batch that only warms the queues.  A step raises
+    # ContractError on a batch without both.
+    views: tuple[np.ndarray | None, np.ndarray] | None = None
     # A frozen teacher's log soft targets for these views, B x (M+1), and
     # its queue pointer before it pushed their keys (distill.teach); None
     # while the teacher queue warms or without a teacher.

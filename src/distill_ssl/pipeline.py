@@ -49,15 +49,21 @@ class PreparedBatches:
     makes for it and, given a frozen ``teacher``, what ``distill.teach``
     puts on it.  None of it depends on the state a step trains, so
     ``_ViewFeed`` runs this producer in a forked worker and the tests run
-    it in process, for the same bits."""
+    it in process, for the same bits.
+
+    The first ``warm_up`` batches only warm the queues, which read their
+    key views alone (``warm_up_queue``, and ``teach`` before the teacher
+    queue is warm), so they carry no query views."""
 
     def __init__(self, frames: np.ndarray, cfg: TrainConfig, teacher: MoCoState | None = None):
         self.stream, self._rng = BatchStream(frames, cfg.batch_size, cfg.seed), Rng(cfg.seed)
         self.cfg, self.teacher = cfg, teacher
+        self.warm_up, self._made = cfg.queue_size // cfg.batch_size, 0
 
     def next_batch(self) -> Batch:
         batch = self.stream.next_batch()
-        batch.views = build_views(batch, self.cfg.augment, self._rng)
+        key_only, self._made = self._made < self.warm_up, self._made + 1
+        batch.views = build_views(batch, self.cfg.augment, self._rng, key_only)
         if self.teacher is not None:
             teach(self.teacher, batch, self.cfg.effective_distill_tau)
         return batch
@@ -70,9 +76,10 @@ class _ViewFeed(Worker):
     each batch's views, and any teacher targets and pointer, into rings of
     ``_RING`` slots in shared arrays; the loop advances its own copy of
     the stream, taking each batch's indices and epoch but not its frames,
-    and copies each slot out.  The worker fills a slot a second time only
-    after the loop has released it.  The worker starts from the loop's
-    frames, stream and teacher; its teacher encodes call BLAS.
+    and copies each slot out, only its key half for a warm-up batch, the
+    only half the worker wrote.  The worker fills a slot a second time
+    only after the loop has released it.  The worker starts from the
+    loop's frames, stream and teacher; its teacher encodes call BLAS.
     """
 
     name, item = "view worker", "batch"
@@ -92,7 +99,8 @@ class _ViewFeed(Worker):
         batch = Batch(None, *self._source.stream.next_indices())  # the worker has the frames
         self._wait()
         slot = (self._received - 1) % _RING
-        batch.views = (self._views[slot, 0].copy(), self._views[slot, 1].copy())
+        views_q = None if self._received <= self._source.warm_up else self._views[slot, 0].copy()
+        batch.views = (views_q, self._views[slot, 1].copy())
         if self._targets is not None and self._ptrs[slot] >= 0:
             batch.log_p_t = self._targets[slot].copy()
             batch.teacher_ptr = int(self._ptrs[slot])
@@ -106,8 +114,9 @@ class _ViewFeed(Worker):
                 return  # the loop is gone: it stopped early or was killed
             slot = i % _RING
             batch = self._source.next_batch()
-            views = self._views[slot]
-            views[0], views[1] = batch.views
+            views_q, self._views[slot, 1] = batch.views  # no query views on a warm-up batch
+            if views_q is not None:
+                self._views[slot, 0] = views_q
             if batch.log_p_t is not None:
                 self._targets[slot], self._ptrs[slot] = batch.log_p_t, batch.teacher_ptr
             yield

@@ -499,6 +499,9 @@ class TestStages:
             # a distilled student starts from scratch: an initial checkpoint is not read
             ("pretrain-student", ["--distill", "--teacher", "{missing}", "--init-from", "{missing}"],
              "--init-from"),
+            # a plain student reads no teacher: without --distill it would be ignored
+            ("pretrain-student", ["--teacher", "{missing}"],
+             "pretrain-student without --distill takes no --teacher"),
             # the training commands other than pretrain-student read no student-only key
             ("pretrain-generic", ["--init-from", "{missing}"], "pretrain-generic takes no --init-from"),
             ("pretrain-generic", ["--distill"], "pretrain-generic takes no --distill"),

@@ -2,12 +2,16 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import distill_ssl
 import distill_ssl.data as D
 from distill_ssl.cli import run
 from distill_ssl.tensor import ParamSet, softmax_and_log
@@ -172,37 +176,84 @@ class TestCheckpointRoundTrip:
             D.save_checkpoint(bad, tmp_path / "bad")
 
     def test_bytes_pinned_apart_from_the_digest(self, tmp_path):
-        # sha256 of both files as written before the manifest carried the
-        # blob's digest: the blob is unchanged, and so is the manifest
-        # once the new key is taken out again
+        # sha256 of both files as written at format version 2: the blob is the
+        # one every earlier version wrote, and the manifest is pinned with its
+        # blake2b entry taken out again
         D.save_checkpoint(self.make_sets(), tmp_path / "ckpt", config={"note": 1})
         blob = (tmp_path / "ckpt.bin").read_bytes()
         manifest = json.loads((tmp_path / "ckpt.json").read_text())
-        assert manifest.pop("sha256") == hashlib.sha256(blob).hexdigest()
-        old_manifest = json.dumps(manifest, indent=1, sort_keys=True).encode()
+        assert manifest["version"] == 2 and "sha256" not in manifest
+        assert manifest.pop("blake2b") == hashlib.blake2b(blob, digest_size=32).hexdigest()
+        bare_manifest = json.dumps(manifest, indent=1, sort_keys=True).encode()
         assert hashlib.sha256(blob).hexdigest() == (
             "cb7f71010249a67b70cdea5b04f6666575cf56237b79ff0e0ea1b7d9a770a167"
         )
-        assert hashlib.sha256(old_manifest).hexdigest() == (
-            "b228d780e475c8930d87ca06f1bd1bb17c52c2560b4b48e12724ce67692813cb"
+        assert hashlib.sha256(bare_manifest).hexdigest() == (
+            "3cfb46addc16028536bf38e5c50bae26efee1db8bdcf788f48462469c9b08926"
         )
         assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.bin", "ckpt.json"]
+
+    def write_version_1(self, path, with_digest: bool):
+        """The manifest that format version 1 wrote for the blob at ``path``."""
+        manifest = json.loads(path.with_suffix(".json").read_text())
+        del manifest["blake2b"]
+        manifest["version"] = 1
+        if with_digest:
+            manifest["sha256"] = hashlib.sha256(path.with_suffix(".bin").read_bytes()).hexdigest()
+        path.with_suffix(".json").write_text(json.dumps(manifest, indent=1, sort_keys=True))
+
+    def test_version_1_manifest_with_sha256_still_loads_and_is_checked(self, tmp_path):
+        D.save_checkpoint(self.make_sets(), tmp_path / "ckpt", config={"note": 1})
+        self.write_version_1(tmp_path / "ckpt", with_digest=True)
+        # the manifest's bytes as format version 1 wrote them
+        assert hashlib.sha256((tmp_path / "ckpt.json").read_bytes()).hexdigest() == (
+            "11ab66800e98cd7d06b6ee7c8b6fb4e6a42977407a56822aac86ba0eadeb7598"
+        )
+        loaded, config = D.load_checkpoint(tmp_path / "ckpt")
+        assert config == {"note": 1}
+        assert np.array_equal(loaded["query.head"]["fc.b"].data, self.make_sets()["query.head"]["fc.b"].data)
+        blob = bytearray((tmp_path / "ckpt.bin").read_bytes())
+        blob[3] ^= 1
+        (tmp_path / "ckpt.bin").write_bytes(bytes(blob))
+        with pytest.raises(D.CorruptManifestError, match="does not match the sha256"):
+            D.load_checkpoint(tmp_path / "ckpt")
 
     def test_blob_not_matching_its_digest_rejected(self, tmp_path):
         D.save_checkpoint(self.make_sets(), tmp_path / "ckpt")
         blob = bytearray((tmp_path / "ckpt.bin").read_bytes())
         blob[3] ^= 1  # same length, still finite: only the digest can tell
         (tmp_path / "ckpt.bin").write_bytes(bytes(blob))
-        with pytest.raises(D.CorruptManifestError, match="sha256"):
+        with pytest.raises(D.CorruptManifestError, match="does not match the blake2b"):
             D.load_checkpoint(tmp_path / "ckpt")
 
     def test_manifest_without_digest_still_loads(self, tmp_path):
-        D.save_checkpoint(self.make_sets(), tmp_path / "ckpt")
-        manifest = json.loads((tmp_path / "ckpt.json").read_text())
-        del manifest["sha256"]
-        (tmp_path / "ckpt.json").write_text(json.dumps(manifest))
+        # a version-1 manifest written before the digest existed
+        D.save_checkpoint(self.make_sets(), tmp_path / "ckpt", config={"note": 1})
+        self.write_version_1(tmp_path / "ckpt", with_digest=False)
+        assert hashlib.sha256((tmp_path / "ckpt.json").read_bytes()).hexdigest() == (
+            "b228d780e475c8930d87ca06f1bd1bb17c52c2560b4b48e12724ce67692813cb"
+        )
         loaded, _ = D.load_checkpoint(tmp_path / "ckpt")
         assert np.array_equal(loaded["query.head"]["fc.b"].data, self.make_sets()["query.head"]["fc.b"].data)
+
+    def test_version_2_manifest_without_its_digest_rejected(self, tmp_path):
+        # a reader of version 1 alone would take it for a manifest from before the digest
+        D.save_checkpoint(self.make_sets(), tmp_path / "ckpt")
+        manifest = json.loads((tmp_path / "ckpt.json").read_text())
+        del manifest["blake2b"]
+        manifest["sha256"] = hashlib.sha256((tmp_path / "ckpt.bin").read_bytes()).hexdigest()
+        (tmp_path / "ckpt.json").write_text(json.dumps(manifest))
+        with pytest.raises(D.CorruptManifestError, match="ckpt.json lacks the blob's blake2b"):
+            D.load_checkpoint(tmp_path / "ckpt")
+
+    @pytest.mark.parametrize("version", [3, 0, True, 2.0, "2", None])
+    def test_unknown_version_rejected(self, tmp_path, version):
+        D.save_checkpoint(self.make_sets(), tmp_path / "ckpt")
+        manifest = json.loads((tmp_path / "ckpt.json").read_text())
+        manifest["version"] = version
+        (tmp_path / "ckpt.json").write_text(json.dumps(manifest))
+        with pytest.raises(D.CorruptManifestError, match="expected 2 or 1"):
+            D.load_checkpoint(tmp_path / "ckpt")
 
     @pytest.mark.parametrize("existing", [True, False], ids=["rewrite", "first_write"])
     def test_write_interrupted_between_the_files_never_loads(self, tmp_path, monkeypatch, existing):
@@ -229,6 +280,35 @@ class TestCheckpointRoundTrip:
         )
         with pytest.raises(D.CorruptManifestError):
             D.load_checkpoint(tmp_path / "ckpt")
+
+
+# Saves and loads a dataset and a checkpoint, then names any OpenSSL module
+# that the process has mapped.
+_OPENSSL_GUARD = """
+import sys
+from pathlib import Path
+import numpy as np
+import distill_ssl.cli
+from distill_ssl import data
+from distill_ssl.tensor import ParamSet
+
+out = Path(sys.argv[1])
+data.save_dataset(data.generate_synthetic_dataset(data.target_spec(2, 4, (8, 8)), 0), out / "d")
+data.load_dataset(out / "d")
+data.save_checkpoint({"query.head": ParamSet({"w": np.ones((2, 3))})}, out / "c")
+data.load_checkpoint(out / "c")
+print(sorted(m for m in ("_hashlib", "_ssl", "hashlib") if m in sys.modules))
+"""
+
+
+def test_no_openssl_in_a_process_that_saves_and_loads(tmp_path):
+    # a module-level ``import hashlib`` anywhere in the package maps libcrypto
+    # (about 3.6 MiB of RSS) into every stage process
+    src = os.path.dirname(os.path.dirname(distill_ssl.__file__))
+    done = subprocess.run([sys.executable, "-c", _OPENSSL_GUARD, str(tmp_path)],
+                          env=dict(os.environ, PYTHONPATH=src), check=True,
+                          capture_output=True, text=True)
+    assert done.stdout.strip() == "[]"
 
 
 class TestDatasetPersistence:

@@ -233,6 +233,20 @@ def test_steps_and_warm_up_refuse_a_batch_without_views(stage_artifacts, stage):
     assert_states_equal(state, before)
 
 
+def test_a_step_refuses_a_warm_up_batch():
+    # a warm-up batch carries no query views, and no step may take it for a full one
+    cfg = toy_cfg()
+    state = C.init_moco_state(TOY_ENC, cfg, Rng(cfg.seed))
+    batches = P.PreparedBatches(toy_dataset().frames, cfg)
+    C.warm_up_queue(state, P.PreparedBatches(toy_dataset().frames, cfg))
+    batch = batches.next_batch()
+    assert batch.views[0] is None and batch.views[1].shape[0] == cfg.batch_size
+    before = copy.deepcopy(state)
+    with pytest.raises(C.ContractError, match="only key views"):
+        C.moco_train_step(state, batch)
+    assert_states_equal(state, before)
+
+
 def test_distilled_step_refuses_a_batch_without_soft_targets():
     # the step reads the teacher's targets from its batch and never runs a teacher
     cfg = toy_cfg()
@@ -456,15 +470,21 @@ def test_worker_ends_when_the_training_process_is_killed():
 
 
 def test_feed_batches_carry_the_views_build_views_makes():
+    # the warm-up batches carry only their key views, with the bits of a full build
     cfg = toy_cfg()
     data = toy_dataset()
     stream, rng = BatchStream(data.frames, cfg.batch_size, cfg.seed), Rng(cfg.seed)
+    warm = cfg.queue_size // cfg.batch_size
     with deadline(10), P._ViewFeed(data.frames, cfg, 7) as f:
-        for _ in range(7):
+        for i in range(7):
             got, expected = f.next_batch(), stream.next_batch()
             assert np.array_equal(got.indices, expected.indices) and got.epoch == expected.epoch
-            views = C.build_views(expected, cfg.augment, rng)
-            assert [v.tobytes() for v in got.views] == [v.tobytes() for v in views]
+            views_q, views_k = C.build_views(expected, cfg.augment, rng)
+            assert got.views[1].tobytes() == views_k.tobytes()
+            if i < warm:
+                assert got.views[0] is None
+            else:
+                assert got.views[0].tobytes() == views_q.tobytes()
         with pytest.raises(WorkerError, match="ended before batch 8 of 7"):
             f.next_batch()
     assert_no_child()
