@@ -320,12 +320,13 @@ def cmd_gen_data(cfg: dict) -> int:
 
 def _train(cfg: dict, command: str, stage, *checkpoints: str, **options) -> int:
     """Run ``stage(dataset, *checkpoint paths, enc_cfg, train_cfg, **options)``
-    and write its metrics, checkpoint and provenance."""
+    and write its metrics, checkpoint and provenance.  The stage takes the
+    loaded dataset over; this frame keeps no reference to it."""
     _require(cfg, command, "data", "out", *checkpoints)
     train_cfg = train_config(cfg)  # the view size is checked before the encoder is fitted to it
     enc_cfg = encoder_config(cfg, "view_size")
-    dataset, _ = load_dataset(cfg["data"])
-    run = stage(dataset, *(cfg[key] for key in checkpoints), enc_cfg, train_cfg, **options)
+    run = stage(load_dataset(cfg["data"])[0], *(cfg[key] for key in checkpoints), enc_cfg,
+                train_cfg, **options)
     out = _out_dir(cfg)
     _write_train_metrics(out, run)
     pipeline.save_model(run.state, out / "checkpoint",

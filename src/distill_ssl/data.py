@@ -1,11 +1,14 @@
 """Synthetic surrogate datasets, Netpbm ingestion, and bit-exact persistence.
 
 In memory a dataset is a ``Dataset``: one N x C x H x W frames array and
-one array of N integer labels; every stage reads those two arrays.
-Checkpoints and dataset caches share one on-disk format: a JSON manifest
-(`name.json`) describing a named tensor table and the blob's digest, next
-to a contiguous little-endian float64 blob (`name.bin`).  A dataset is
-stored as its ``frames`` and ``labels`` tensors.  Round trips are bitwise
+one array of N integer labels; every stage reads those two arrays, and a
+stage whose worker reads the frames releases them from the dataset
+(``Dataset.release_frames``).  Checkpoints and dataset caches share one
+on-disk format: a JSON manifest (`name.json`) describing a named tensor
+table and the blob's digest, next to a contiguous little-endian float64
+blob (`name.bin`).  A dataset is stored as its ``frames`` and ``labels``
+tensors, and one whose labels are not whole numbers >= 0 does not load;
+a tensor with a non-finite value is not saved.  Round trips are bitwise
 exact, and an interrupted rewrite never loads: each file is written to a
 temporary sibling and renamed over the old one, blob first, so until the
 new manifest lands the old manifest's digest rejects the new blob.
@@ -36,6 +39,8 @@ from .tensor import ParamSet
 FORMAT_VERSION = 2
 # The blob digest's manifest entry, per format version.
 _DIGEST_KEYS = {1: "sha256", FORMAT_VERSION: "blake2b"}
+# Values per finiteness check on save: its mask is 64 KiB, not a byte per value of the blob.
+_FINITE_BLOCK = 1 << 16
 # High-frequency textures give the stand-in encoder strong per-instance
 # responses; weaker textures collapse embeddings at init and stall
 # contrastive training within the desk-scale step budget.
@@ -105,23 +110,36 @@ class SyntheticSpec:
             raise ValueError(f"domain_tag must be 'generic' or 'target', got {self.domain_tag!r}")
 
 
-@dataclass
 class Dataset:
-    """Labelled frames: ``frames`` N x C x H x W float64, ``labels`` N int64."""
+    """Labelled frames: ``frames`` N x C x H x W float64, ``labels`` N int64.
 
-    frames: np.ndarray
-    labels: np.ndarray
+    A process that hands the frames to a forked worker, which alone reads
+    them, releases its own reference with ``release_frames`` (the training
+    stages and the label sweep do): the dataset then keeps only its labels,
+    and reading its frames raises ``RuntimeError``.
+    """
 
-    def __post_init__(self):
-        self.frames = np.asarray(self.frames, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.frames.ndim != 4 or self.labels.shape != self.frames.shape[:1]:
+    def __init__(self, frames, labels):
+        self._frames = np.asarray(frames, dtype=np.float64)
+        self.labels = np.asarray(labels, dtype=np.int64)
+        if self._frames.ndim != 4 or self.labels.shape != self._frames.shape[:1]:
             raise ValueError(
-                f"frames {self.frames.shape} do not align with labels {self.labels.shape}"
+                f"frames {self._frames.shape} do not align with labels {self.labels.shape}"
             )
 
+    @property
+    def frames(self) -> np.ndarray:
+        if self._frames is None:
+            raise RuntimeError("this dataset's frames were taken over by a stage that released "
+                               "them; load the dataset again to read its frames")
+        return self._frames
+
+    def release_frames(self) -> None:
+        """Drop this dataset's reference to its frames; only the labels stay."""
+        self._frames = None
+
     def __len__(self) -> int:
-        return self.frames.shape[0]
+        return self.labels.shape[0]
 
     def subset(self, indices) -> Dataset:
         """The rows ``indices``: copies for an index array, views for a slice."""
@@ -240,6 +258,12 @@ def _base_path(path) -> Path:
 
 
 def _write_pair(tensors: dict[str, np.ndarray], path, config: dict | None) -> None:
+    """Write ``tensors`` as one blob and its manifest, refusing any non-finite value.
+
+    Each tensor is checked ``_FINITE_BLOCK`` values at a time, so a save
+    allocates no mask the size of the blob, and is written straight from
+    its own buffer: a float64 C-contiguous tensor is never copied.
+    """
     base = _base_path(path)
     base.parent.mkdir(parents=True, exist_ok=True)
     table = []
@@ -248,8 +272,10 @@ def _write_pair(tensors: dict[str, np.ndarray], path, config: dict | None) -> No
     offset = 0
     for name, arr in tensors.items():
         arr = np.ascontiguousarray(arr, dtype="<f8")
-        if not np.all(np.isfinite(arr)):
-            raise CheckpointError(f"tensor {name!r} contains non-finite values")
+        flat = arr.reshape(-1)
+        for start in range(0, flat.size, _FINITE_BLOCK):
+            if not np.isfinite(flat[start : start + _FINITE_BLOCK]).all():
+                raise CheckpointError(f"tensor {name!r} contains non-finite values")
         table.append({"name": name, "shape": list(arr.shape), "offset": offset, "length": arr.nbytes})
         arrays.append(arr)
         digest.update(arr)
@@ -396,11 +422,18 @@ def save_dataset(dataset: Dataset, path, config: dict | None = None) -> None:
 
 
 def load_dataset(path) -> tuple[Dataset, dict]:
+    """The dataset saved at ``path``; refused unless every label is a whole
+    number in [0, 2**63), which int64 holds exactly."""
     tensors, config = _read_pair(path)
     if "frames" not in tensors or "labels" not in tensors:
         raise CorruptManifestError(f"dataset {path} lacks frames/labels tensors")
+    labels = tensors["labels"]
+    bad = np.flatnonzero(~((labels >= 0) & (labels < 2.0**63) & (labels == np.floor(labels))))
+    if bad.size:
+        raise CorruptManifestError(f"dataset {path}: label {float(labels.flat[bad[0]])!r} in row "
+                                   f"{bad[0]} is not a whole number in [0, 2**63)")
     try:
-        return Dataset(tensors["frames"], tensors["labels"]), config
+        return Dataset(tensors["frames"], labels), config
     except ValueError as exc:
         raise CorruptManifestError(f"dataset {path}: {exc}") from exc
 
@@ -510,15 +543,14 @@ class BatchStream:
 
     Epoch e's order is a Fisher-Yates permutation drawn from a stream
     keyed by (seed, epoch); the trailing remainder that does not fill a
-    whole batch is dropped.
+    whole batch is dropped.  ``next_indices`` reads only the row count, so
+    an owner that takes indices alone may set ``frames`` to None.
     """
 
     def __init__(self, frames: np.ndarray, batch_size: int, seed: int):
-        if batch_size < 1 or batch_size > frames.shape[0]:
-            raise ValueError(
-                f"batch_size {batch_size} invalid for dataset of {frames.shape[0]} frames"
-            )
-        self._frames = frames
+        self.frames, self._rows = frames, frames.shape[0]
+        if batch_size < 1 or batch_size > self._rows:
+            raise ValueError(f"batch_size {batch_size} invalid for dataset of {self._rows} frames")
         self._batch = batch_size
         self._seed = seed
         self._epoch = 0
@@ -526,7 +558,7 @@ class BatchStream:
         self._cursor = 0
 
     def _shuffle(self, epoch: int) -> np.ndarray:
-        return Rng(self._seed).derive(STREAM_BATCH, epoch).permutation(self._frames.shape[0])
+        return Rng(self._seed).derive(STREAM_BATCH, epoch).permutation(self._rows)
 
     def next_indices(self) -> tuple[np.ndarray, int]:
         """The next batch's dataset indices and epoch, without its frames."""
@@ -540,4 +572,4 @@ class BatchStream:
 
     def next_batch(self) -> Batch:
         idx, epoch = self.next_indices()
-        return Batch(frames=self._frames[idx], indices=idx, epoch=epoch)
+        return Batch(frames=self.frames[idx], indices=idx, epoch=epoch)

@@ -9,10 +9,12 @@ evaluate either alone.  A sweep's features are made in a worker forked as
 it starts, ahead of the probe fits, which stay in the calling process: the
 worker runs each distinct encoder's backbone once per split, combines the
 outputs into each arm's features and hands them over arm by arm, and each
-process drops an arm's features once it is done with them.  The probe is
-multinomial logistic regression fit by full-batch gradient descent on a
-per-class stratified label subset, its logits held class-major (classes x
-samples) so that its softmax folds a few long rows.
+process drops an arm's features once it is done with them.  The splits'
+frames belong to the worker: the calling process releases them once it
+has forked.  The probe is multinomial logistic regression fit by
+full-batch gradient descent on a per-class stratified label subset, its
+logits held class-major (classes x samples) so that its softmax folds a
+few long rows.
 """
 
 from __future__ import annotations
@@ -373,10 +375,13 @@ def label_efficiency_sweep(
     while this process fits one arm's probes, the worker makes the next
     arms' features on the other core.  Every fit, prediction and metric
     runs here, in arm, fraction and seed order, and an arm's features are
-    held only until the next arm's are taken.  Arms are checked before
-    the fork: a repeated name raises ``ValueError`` (its summary entry
-    would hide the other's), and a mode, encoder or width that
-    ``extract_features`` would refuse raises its error.  The worker is
+    held only until the next arm's are taken.  This process reads only the
+    splits' labels, so once the worker has forked both splits release
+    their frames (``Dataset.release_frames``): the call takes them over,
+    and a caller that needs them again splits a fresh load.  Arms are
+    checked before the fork: a repeated name raises ``ValueError`` (its
+    summary entry would hide the other's), and a mode, encoder or width
+    that ``extract_features`` would refuse raises its error.  The worker is
     reaped before the call returns or raises; one that fails raises
     ``worker.WorkerError`` with its traceback.  ``ProbeConfig``
     range-checks each fraction as its first probe is built.
@@ -389,6 +394,8 @@ def label_efficiency_sweep(
     rows = []
     summary: dict[str, dict] = {}
     with _FeatureFeed(encoders, (train_set, test_set)) as feed:
+        for split in (train_set, test_set):  # the worker's copies are the ones it reads
+            split.release_frames()
         for enc in encoders:
             fs_train, fs_test = feed.take(), feed.take()
             summary[enc.name] = {}

@@ -14,6 +14,11 @@ views and, in a distilled run, the frozen teacher's soft targets
 so the worker's copy of the producer makes the batches an in-process one
 would, and the steps only read them.  The worker and the training loop
 run on two cores at once, and no result changes by a bit.
+
+The frames belong to the worker alone: once it has forked, the training
+process drops every reference it holds to them, the ``Dataset`` the
+stage was given included.  Each stage takes that dataset's frames over,
+so a caller that needs them again loads the dataset again.
 """
 
 from __future__ import annotations
@@ -80,6 +85,8 @@ class _ViewFeed(Worker):
     only half the worker wrote.  The worker fills a slot a second time
     only after the loop has released it.  The worker starts from the
     loop's frames, stream and teacher; its teacher encodes call BLAS.
+    Once it has forked, the feed keeps only its stream, without the
+    frames, and the warm-up count: it holds no reference to the frames.
     """
 
     name, item = "view worker", "batch"
@@ -94,12 +101,14 @@ class _ViewFeed(Worker):
             self._ptrs = shared((_RING,), np.int64)
             self._ptrs[:] = -1  # no targets in a slot until the teacher queue is warm
         super().__init__(count)
+        self._stream, self._warm_up = self._source.stream, self._source.warm_up
+        self._stream.frames = self._source = None  # only the worker's copies read them
 
     def next_batch(self) -> Batch:
-        batch = Batch(None, *self._source.stream.next_indices())  # the worker has the frames
+        batch = Batch(None, *self._stream.next_indices())  # the worker has the frames
         self._wait()
         slot = (self._received - 1) % _RING
-        views_q = None if self._received <= self._source.warm_up else self._views[slot, 0].copy()
+        views_q = None if self._received <= self._warm_up else self._views[slot, 0].copy()
         batch.views = (views_q, self._views[slot, 1].copy())
         if self._targets is not None and self._ptrs[slot] >= 0:
             batch.log_p_t = self._targets[slot].copy()
@@ -133,8 +142,11 @@ def _run(dataset: Dataset, state: MoCoState, step, teacher: MoCoState | None = N
 
     Every batch, the warm-up's and the steps', comes prepared from a
     ``_ViewFeed`` forked before the warm-up, with the ``teacher``'s soft
-    targets once its queue is warm.  The worker is reaped before ``_run``
-    returns or raises; a worker that fails raises ``worker.WorkerError``.
+    targets once its queue is warm.  Once it has forked, ``dataset``
+    releases its frames (``Dataset.release_frames``), the last reference
+    this process held to them: only the worker reads them.  The worker is
+    reaped before ``_run`` returns or raises; a worker that fails raises
+    ``worker.WorkerError``.
 
     The stages pass the step functions they read from this module's
     globals when they run, never bound at import time, so a replaced
@@ -143,6 +155,7 @@ def _run(dataset: Dataset, state: MoCoState, step, teacher: MoCoState | None = N
     cfg = state.cfg
     batches = cfg.queue_size // cfg.batch_size + cfg.steps
     with _ViewFeed(dataset.frames, cfg, batches, teacher) as feed:
+        dataset.release_frames()
         warm_up_queue(state, feed)
         return TrainRun([step(state, feed.next_batch()) for _ in range(cfg.steps)], state)
 
@@ -161,7 +174,8 @@ def pretrain(
     init_from: str | None = None,
 ) -> TrainRun:
     """Plain momentum-contrastive pretraining; optionally initialized from
-    a checkpoint (the teacher-initialization transfer arm)."""
+    a checkpoint (the teacher-initialization transfer arm).  Takes over the
+    frames of ``dataset``, which keeps only its labels (``_run``)."""
     if init_from is not None:
         state = _loaded_state(init_from, enc_cfg, cfg)
     else:
@@ -178,7 +192,8 @@ def adapt_teacher(
 ) -> TrainRun:
     """Head-only adaptation of a generic-domain encoder on the target data.
 
-    Query and key both start as the checkpoint's query encoder.
+    Query and key both start as the checkpoint's query encoder.  Takes over
+    the frames of ``dataset``, which keeps only its labels (``_run``).
     """
     teacher = _loaded_state(generic_ckpt, enc_cfg, cfg, ("query", "query"), freeze_backbone)
     return _run(dataset, teacher, teacher_adapt_step)
@@ -192,7 +207,8 @@ def pretrain_distilled(
 ) -> TrainRun:
     """Distilled student training: both queues warm on the same sample
     stream, then every step pushes paired keys; the teacher's side runs in
-    the view worker."""
+    the view worker.  Takes over the frames of ``dataset``, which keeps only
+    its labels (``_run``)."""
     student = init_moco_state(enc_cfg, cfg, Rng(cfg.seed))
     teacher = _loaded_state(teacher_ckpt, enc_cfg, cfg, freeze_backbone=True)
     return _run(dataset, student, distilled_train_step, teacher)

@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -585,6 +586,37 @@ class TestStages:
         assert len(rows) == 4 * 2 * 2
         assert calls == {"cli.generate_synthetic_dataset": 2, "cli.fit_linear_probe": 2,
                          "cli.label_efficiency_sweep": 1, "eval.fit_linear_probe": len(rows)}
+
+    @pytest.mark.parametrize("command", ["pretrain-student", "sweep-labels"])
+    def test_a_command_holds_no_frames_by_its_first_step(
+        self, command, monkeypatch, small_config, data_dir, generic_ckpt, tmp_path
+    ):
+        # the forked worker reads the frames; the command's own process keeps none
+        from distill_ssl import eval as E
+        from distill_ssl import pipeline
+
+        blobs = []
+
+        def load(path):
+            loaded = load_dataset(path)
+            blobs.append(weakref.ref(loaded[0].frames.base))
+            return loaded
+
+        module, name = (pipeline, "moco_train_step") if command == "pretrain-student" else \
+            (E, "fit_linear_probe")
+        real, held = getattr(module, name), []
+
+        def step(*args):
+            held.append(blobs[0]())
+            return real(*args)
+
+        monkeypatch.setattr(cli, "load_dataset", load)
+        monkeypatch.setattr(module, name, step)
+        extra = ["--plain", str(generic_ckpt), "--fractions", "1.0"] \
+            if command == "sweep-labels" else []
+        assert run([command, "--config", small_config, "--data", str(data_dir / "target"),
+                    "--out", str(tmp_path / "out"), *extra]) == 0
+        assert len(blobs) == 1 and held and held == [None] * len(held)
 
     def test_gradcheck_writes_report(self, tmp_path):
         from distill_ssl.gradcheck import run_gradcheck

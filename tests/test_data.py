@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -170,10 +171,17 @@ class TestCheckpointRoundTrip:
         with pytest.raises(D.TensorShapeError, match="missing tensor"):
             D.load_checkpoint(tmp_path / "ckpt", expected_shapes={"query.head": {"V": (2, 2)}})
 
-    def test_non_finite_values_refused_on_save(self, tmp_path):
-        bad = {"s": ParamSet({"w": np.array([1.0, np.nan])})}
+    @pytest.mark.parametrize("size, at, value", [(2, 1, np.nan), (3, 0, np.inf),
+                                                 (2 * D._FINITE_BLOCK + 5, -1, np.nan),
+                                                 (2 * D._FINITE_BLOCK, -1, -np.inf)],
+                             ids=["nan", "inf", "nan-in-a-short-last-block",
+                                  "inf-in-a-full-last-block"])
+    def test_non_finite_values_refused_on_save(self, tmp_path, size, at, value):
+        w = np.ones(size)
+        w[at] = value
         with pytest.raises(D.CheckpointError, match="non-finite"):
-            D.save_checkpoint(bad, tmp_path / "bad")
+            D.save_checkpoint({"s": ParamSet({"w": w})}, tmp_path / "bad")
+        assert not (tmp_path / "bad.bin").exists()
 
     def test_bytes_pinned_apart_from_the_digest(self, tmp_path):
         # sha256 of both files as written at format version 2: the blob is the
@@ -347,6 +355,41 @@ class TestDatasetPersistence:
         finally:
             tracemalloc.stop()
         assert peak <= 1.1 * size, (peak, size)
+
+    def test_save_holds_no_copy_of_the_frames(self, tmp_path):
+        # the finiteness check runs block by block: no mask the size of the blob
+        D.save_dataset(D.generate_synthetic_dataset(small_spec(), 1), tmp_path / "small")
+        frames = D.generate_synthetic_dataset(D.target_spec(), 1).frames  # 1200 frames
+        dataset = D.Dataset(frames, np.arange(1200) % 4)
+        tracemalloc.start()
+        try:
+            D.save_dataset(dataset, tmp_path / "d")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.05 * frames.nbytes, peak / frames.nbytes
+        assert D.load_dataset(tmp_path / "d")[0].frames.tobytes() == frames.tobytes()
+
+    @pytest.mark.parametrize("label", [2.6, -1.0, 0.5, 2.0**63, 1e300])
+    def test_labels_that_are_not_whole_numbers_from_0_refused(self, tmp_path, label):
+        ds = D.generate_synthetic_dataset(small_spec(), 9)
+        labels = ds.labels.astype(np.float64)
+        labels[[7, 11]] = label  # the first bad row is named
+        D._write_pair({"frames": ds.frames, "labels": labels}, tmp_path / "d", None)
+        message = f"dataset {tmp_path / 'd'}: label {label!r} in row 7 is not a whole number"
+        with pytest.raises(D.CorruptManifestError, match=f"^{re.escape(message)} in "):
+            D.load_dataset(tmp_path / "d")
+
+    def test_a_probe_refuses_a_bad_label_before_its_fits(self, tmp_path, capsys):
+        # a -1 would be fitted as the last one-hot row, and the probe fail only after its fits
+        ds = D.generate_synthetic_dataset(small_spec(), 9)
+        labels = ds.labels.astype(np.float64)
+        labels[3] = -1.0
+        D._write_pair({"frames": ds.frames, "labels": labels}, tmp_path / "d", None)
+        assert run(["linear-probe", "--data", str(tmp_path / "d"), "--ckpt", str(tmp_path / "no"),
+                    "--out", str(tmp_path / "out")]) == 1
+        assert "CorruptManifestError: dataset" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_loaded_frames_are_writeable_contiguous_float64(self, tmp_path):
         ds = D.generate_synthetic_dataset(small_spec(), 9)

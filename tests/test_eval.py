@@ -12,7 +12,7 @@ from distill_ssl import eval as E
 from distill_ssl import pipeline as P
 from distill_ssl import tensor as T
 from distill_ssl.augment import AugmentConfig, resize_to
-from distill_ssl.data import generate_synthetic_dataset, target_spec
+from distill_ssl.data import generate_synthetic_dataset, load_dataset, save_dataset, target_spec
 from distill_ssl.rng import Rng
 from distill_ssl.worker import WorkerError
 
@@ -75,10 +75,9 @@ def transfer_state(path, cfg):
 @pytest.fixture(scope="module")
 def ckpts(tmp_path_factory):
     root = tmp_path_factory.mktemp("ckpts")
-    ds = toy_dataset()
-    run_a = P.pretrain(ds, TOY_ENC, toy_cfg())
+    run_a = P.pretrain(toy_dataset(), TOY_ENC, toy_cfg())
     P.save_model(run_a.state, root / "a")
-    run_b = P.pretrain(ds, TOY_ENC, toy_cfg(seed=9))
+    run_b = P.pretrain(toy_dataset(), TOY_ENC, toy_cfg(seed=9))
     P.save_model(run_b.state, root / "b")
     return root / "a", root / "b"
 
@@ -351,18 +350,19 @@ class TestPhaseMetrics:
 class TestSweep:
     def test_row_count_and_degenerate_sweep(self, ckpts):
         a = query_encoder(ckpts[0], TOY_ENC)
-        dataset = toy_dataset(per_phase=12)
-        train_set, test_set = E.split_dataset(dataset, 0.5, seed=0)
+
+        def splits():  # a sweep takes its splits' frames over: one fresh pair per call
+            return E.split_dataset(toy_dataset(per_phase=12), 0.5, seed=0)
+
         encoders = [E.SweepEncoder("a", "student", student=a)]
         probe = E.ProbeConfig(lr=0.5, steps=40)
         rows, summary = E.label_efficiency_sweep(
-            encoders, [0.5, 1.0], [0, 1, 2], train_set, test_set, 4, probe
+            encoders, [0.5, 1.0], [0, 1, 2], *splits(), 4, probe
         )
         assert len(rows) == 1 * 2 * 3
         # degenerate sweep equals a direct probe run
-        single_rows, _ = E.label_efficiency_sweep(
-            encoders, [1.0], [0], train_set, test_set, 4, probe
-        )
+        single_rows, _ = E.label_efficiency_sweep(encoders, [1.0], [0], *splits(), 4, probe)
+        train_set, test_set = splits()
         ftr = E.extract_features(a, None, train_set, "student")
         fte = E.extract_features(a, None, test_set, "student")
         model = E.fit_linear_probe(ftr, E.ProbeConfig(lr=0.5, steps=40, label_fraction=1.0, seed=0), 4)
@@ -495,6 +495,36 @@ class TestSweep:
                     array, mapping = weakref.ref(fs.features), weakref.ref(fs.features.base)
                     del fs
                     assert array() is None and mapping() is None  # the feed kept no reference
+        assert_no_child()
+
+    def test_the_sweep_process_holds_no_frames_by_its_first_fit(self, ckpts, tmp_path,
+                                                                 monkeypatch):
+        # the splits are views of one loaded array, as the CLI makes them; the sweep
+        # reads only their labels once its feature worker has forked
+        a, b = query_encoder(ckpts[0], TOY_ENC), query_encoder(ckpts[1], TOY_ENC)
+        save_dataset(toy_dataset(per_phase=12), tmp_path / "d")
+        loaded = load_dataset(tmp_path / "d")[0]
+        loaded.reorder(np.concatenate(E.split_indices(loaded.labels, 0.5, seed=0)))
+        train_set, test_set = loaded.subset(slice(None, 24)), loaded.subset(slice(24, None))
+        arrays = [weakref.ref(x) for x in (loaded.frames.base, train_set.frames, test_set.frames)]
+        del loaded
+        real, held = E.fit_linear_probe, []
+
+        def fit(*args):
+            held.append([x() for x in arrays])
+            return real(*args)
+
+        monkeypatch.setattr(E, "fit_linear_probe", fit)
+        arms = [E.SweepEncoder("plain", "student", student=a),
+                E.SweepEncoder("addition", "addition", a, b)]
+        with deadline(10):
+            rows, _ = E.label_efficiency_sweep(arms, [1.0], [0, 1], train_set, test_set, 4,
+                                               E.ProbeConfig(steps=5))
+        assert len(rows) == 4 and held == [[None] * 3] * 4
+        assert train_set.labels.shape == test_set.labels.shape == (24,)
+        for split in (train_set, test_set):
+            with pytest.raises(RuntimeError, match="frames were taken over by a stage"):
+                E.extract_features(a, None, split, "student")
         assert_no_child()
 
     def test_split_is_stratified_and_deterministic(self):

@@ -6,6 +6,7 @@ import os
 import re
 import signal
 import time
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -15,7 +16,8 @@ from distill_ssl import contrastive as C
 from distill_ssl import distill
 from distill_ssl import pipeline as P
 from distill_ssl.augment import AugmentConfig
-from distill_ssl.data import BatchStream, generate_synthetic_dataset, load_checkpoint, target_spec
+from distill_ssl.data import (BatchStream, generate_synthetic_dataset, load_checkpoint,
+                              load_dataset, save_dataset, target_spec)
 from distill_ssl.rng import Rng
 from distill_ssl.worker import WorkerError
 
@@ -175,7 +177,7 @@ def test_stages_equal_a_hand_loop_with_in_process_views(stage_artifacts, stage):
         state = C.init_moco_state(TOY_ENC, cfg, Rng(cfg.seed))
         teacher = P._loaded_state(root / "teacher", TOY_ENC, cfg, freeze_backbone=True)
         step = distill.distilled_train_step
-    assert run.steps == hand_run(state, data, step, teacher)
+    assert run.steps == hand_run(state, toy_dataset(), step, teacher)  # the run took data over
     assert_states_equal(run.state, state)
 
 
@@ -368,6 +370,39 @@ def test_loop_batches_carry_the_workers_views_but_no_frames():
             assert got.frames is None
             assert np.array_equal(got.indices, want.indices) and got.epoch == want.epoch
             assert all(np.array_equal(a, b) for a, b in zip(got.views, want.views))
+
+
+@pytest.mark.parametrize("stage", ["pretrain", "adapt_teacher", "distilled"])
+def test_the_training_process_holds_no_frames_by_its_first_step(
+    stage_artifacts, stage, tmp_path, monkeypatch
+):
+    # only the view worker reads the frames: the loop's process drops them once it has forked
+    root, _, _ = stage_artifacts
+    save_dataset(toy_dataset(), tmp_path / "d")
+    dataset = load_dataset(tmp_path / "d")[0]
+    frames, blob = weakref.ref(dataset.frames), weakref.ref(dataset.frames.base)
+    name, run = {
+        "pretrain": ("moco_train_step", lambda: P.pretrain(dataset, TOY_ENC, toy_cfg())),
+        "adapt_teacher": ("teacher_adapt_step",
+                          lambda: P.adapt_teacher(dataset, root / "generic", TOY_ENC, toy_cfg())),
+        "distilled": ("distilled_train_step",
+                      lambda: P.pretrain_distilled(dataset, root / "teacher", TOY_ENC, toy_cfg())),
+    }[stage]
+    real, held = getattr(P, name), []
+
+    def step(state, batch):
+        held.append((frames(), blob()))
+        return real(state, batch)
+
+    monkeypatch.setattr(P, name, step)
+    assert len(run().steps) == 6
+    assert held == [(None, None)] * 6
+    assert len(dataset) == 48 and dataset.labels.shape == (48,)  # the labels stay
+    for use in (lambda: dataset.frames, lambda: dataset.subset([0]),
+                lambda: P.pretrain(dataset, TOY_ENC, toy_cfg())):
+        with pytest.raises(RuntimeError, match="frames were taken over by a stage"):
+            use()
+    assert_no_child()
 
 
 def test_worker_reaped_after_a_stage():
