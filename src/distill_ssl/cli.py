@@ -21,8 +21,6 @@ import sys
 from dataclasses import asdict, replace
 from pathlib import Path
 
-import numpy as np
-
 from .augment import AugmentConfig
 from .contrastive import EncoderConfig, TrainConfig, load_encoders
 from .data import (
@@ -41,7 +39,7 @@ from .eval import (
     extract_features,
     fit_linear_probe,
     label_efficiency_sweep,
-    split_indices,
+    split_dataset,
     write_accuracy_svg,
     write_results_csv,
     write_summary_json,
@@ -321,12 +319,13 @@ def cmd_gen_data(cfg: dict) -> int:
 def _train(cfg: dict, command: str, stage, *checkpoints: str, **options) -> int:
     """Run ``stage(dataset, *checkpoint paths, enc_cfg, train_cfg, **options)``
     and write its metrics, checkpoint and provenance.  The stage takes the
-    loaded dataset over; this frame keeps no reference to it."""
+    loaded dataset over and releases it once its worker has forked; a
+    stage that fails before then leaves it to the ``with`` block."""
     _require(cfg, command, "data", "out", *checkpoints)
     train_cfg = train_config(cfg)  # the view size is checked before the encoder is fitted to it
     enc_cfg = encoder_config(cfg, "view_size")
-    run = stage(load_dataset(cfg["data"])[0], *(cfg[key] for key in checkpoints), enc_cfg,
-                train_cfg, **options)
+    with load_dataset(cfg["data"])[0] as dataset:
+        run = stage(dataset, *(cfg[key] for key in checkpoints), enc_cfg, train_cfg, **options)
     out = _out_dir(cfg)
     _write_train_metrics(out, run)
     pipeline.save_model(run.state, out / "checkpoint",
@@ -364,18 +363,14 @@ def cmd_pretrain_student(cfg: dict) -> int:
 def _probe_inputs(cfg: dict, **probe_fields):
     """Encoder and probe configs, probe seeds, class count, and the
     train/holdout split of --data; every value is checked before --data or
-    any checkpoint is read."""
+    any checkpoint is read.  Each split reads its rows from the blob, through
+    a handle of its own, only as they are asked for; the caller releases both."""
     enc_cfg = encoder_config(cfg)
     probe = probe_config(cfg, **probe_fields)
     seeds = _distinct(cfg, "probe_seeds", int)
     _usage_error(check_holdout_fraction)(cfg["holdout_fraction"])
-    dataset, _ = load_dataset(cfg["data"])
-    # The split's rows are moved in place, train rows first, so both splits
-    # are views of the loaded frames: split_dataset's rows without its copies.
-    train_idx, test_idx = split_indices(dataset.labels, cfg["holdout_fraction"], cfg["seed"])
-    dataset.reorder(np.concatenate([train_idx, test_idx]))
-    cut = len(train_idx)
-    train_set, test_set = dataset.subset(slice(None, cut)), dataset.subset(slice(cut, None))
+    with load_dataset(cfg["data"])[0] as dataset:
+        train_set, test_set = split_dataset(dataset, cfg["holdout_fraction"], cfg["seed"])
     return enc_cfg, probe, seeds, int(dataset.labels.max()) + 1, train_set, test_set
 
 
@@ -388,10 +383,11 @@ def cmd_linear_probe(cfg: dict) -> int:
     enc_cfg, probe, seeds, num_classes, train_set, test_set = _probe_inputs(
         cfg, label_fraction=cfg["label_fraction"]
     )
-    student, teacher = (_query_encoder(cfg[key], enc_cfg) if key in keys else None
-                        for key in ("ckpt", "teacher"))
-    ftr = extract_features(student, teacher, train_set, mode)
-    fte = extract_features(student, teacher, test_set, mode)
+    with train_set, test_set:
+        student, teacher = (_query_encoder(cfg[key], enc_cfg) if key in keys else None
+                            for key in ("ckpt", "teacher"))
+        ftr = extract_features(student, teacher, train_set, mode)
+        fte = extract_features(student, teacher, test_set, mode)
     rows = []
     for seed in seeds:
         model = fit_linear_probe(ftr, replace(probe, seed=seed), num_classes)
@@ -427,13 +423,15 @@ def cmd_sweep_labels(cfg: dict) -> int:
     for fraction in fractions:  # ProbeConfig holds the range check
         probe_config(cfg, label_fraction=fraction)
     enc_cfg, probe, seeds, num_classes, train_set, test_set = _probe_inputs(cfg)
-    # Each checkpoint key has an arm of its own, so every given one is used.
-    loaded = {key: _query_encoder(cfg[key], enc_cfg)
-              for key in ("teacher", "plain", "init_student", "distilled")}
-    encoders = [SweepEncoder(name, mode, loaded.get(s), loaded.get(t)) for name, mode, s, t in arms]
-    rows, summary = label_efficiency_sweep(
-        encoders, fractions, seeds, train_set, test_set, num_classes, probe=probe
-    )
+    with train_set, test_set:  # the sweep releases them once its worker has forked
+        # Each checkpoint key has an arm of its own, so every given one is used.
+        loaded = {key: _query_encoder(cfg[key], enc_cfg)
+                  for key in ("teacher", "plain", "init_student", "distilled")}
+        encoders = [SweepEncoder(name, mode, loaded.get(s), loaded.get(t))
+                    for name, mode, s, t in arms]
+        rows, summary = label_efficiency_sweep(
+            encoders, fractions, seeds, train_set, test_set, num_classes, probe=probe
+        )
     out = _out_dir(cfg)
     write_results_csv(rows, out / "metrics.csv")
     write_summary_json(summary, out / "summary.json")

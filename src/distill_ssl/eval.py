@@ -1,8 +1,9 @@
 """Frozen-feature extraction, linear probing, phase metrics, label sweeps.
 
 Every function takes a ``data.Dataset``: its frames go through the
-backbone in batches (resized first only when they differ from the
-encoder's input size), and its labels travel with the features.
+backbone in batches of 64 rows, each read from the dataset as its turn
+comes (and resized only when it differs from the encoder's input size),
+and its labels travel with the features.
 Features are backbone outputs (pre projection head).  Transfer modes
 combine teacher and student features by addition or concatenation, or
 evaluate either alone.  A sweep's features are made in a worker forked as
@@ -10,11 +11,11 @@ it starts, ahead of the probe fits, which stay in the calling process: the
 worker runs each distinct encoder's backbone once per split, combines the
 outputs into each arm's features and hands them over arm by arm, and each
 process drops an arm's features once it is done with them.  The splits'
-frames belong to the worker: the calling process releases them once it
-has forked.  The probe is multinomial logistic regression fit by
-full-batch gradient descent on a per-class stratified label subset, its
-logits held class-major (classes x samples) so that its softmax folds a
-few long rows.
+frames belong to the worker: the calling process never reads a row, and
+releases the splits once it has forked.  The probe is multinomial
+logistic regression fit by full-batch gradient descent on a per-class
+stratified label subset, its logits held class-major (classes x samples)
+so that its softmax folds a few long rows.
 """
 
 from __future__ import annotations
@@ -106,16 +107,16 @@ def _addition_width(d_teacher: int, d_student: int) -> int:
     return d_teacher
 
 
-def _backbone_features(enc: EncoderParams, frames: np.ndarray, batch: int = 64) -> np.ndarray:
+def _backbone_features(enc: EncoderParams, dataset: Dataset, batch: int = 64) -> np.ndarray:
     # 64 frames keep conv2's column buffer at 2.4 MB; 128-frame batches ran slower
     size = tuple(enc.cfg.input_size)
-    if frames.shape[2:] != size:
-        frames = resize_to(frames, size)
     outs = []
     with T.no_grad():
-        for start in range(0, frames.shape[0], batch):
-            x = T.constant(center_input(frames[start : start + batch]))
-            outs.append(forward_backbone(enc, x).data)
+        for start in range(0, len(dataset), batch):
+            frames = dataset.rows(slice(start, start + batch))
+            if frames.shape[2:] != size:
+                frames = resize_to(frames, size)
+            outs.append(forward_backbone(enc, T.constant(center_input(frames))).data)
     return np.concatenate(outs, axis=0)
 
 
@@ -129,10 +130,10 @@ def extract_features(
     """Deterministic frozen features of a dataset for one transfer mode.
 
     student/teacher may be None when the mode does not use them.
-    ``backbone(enc, frames)`` gives one encoder's features.
+    ``backbone(enc, dataset)`` gives one encoder's features.
     """
     _check_mode(mode, student, teacher)
-    feats = [backbone(enc, dataset.frames) for enc in _mode_encoders(mode, student, teacher)]
+    feats = [backbone(enc, dataset) for enc in _mode_encoders(mode, student, teacher)]
     if mode == "addition":
         f_t, f_s = feats
         _addition_width(f_t.shape[1], f_s.shape[1])
@@ -269,9 +270,8 @@ def check_holdout_fraction(holdout_fraction: float) -> None:
 def split_dataset(
     dataset: Dataset, holdout_fraction: float = 0.5, seed: int = 0
 ) -> tuple[Dataset, Dataset]:
-    """Stratified train/holdout split, deterministic in the seed: copies of
-    the rows ``split_indices`` picks.  ``cli`` gets the same two splits as
-    views by reordering the dataset it loaded (``Dataset.reorder``)."""
+    """Stratified train/holdout split, deterministic in the seed: the rows
+    ``split_indices`` picks, as subsets that read no row until asked."""
     train_idx, test_idx = split_indices(dataset.labels, holdout_fraction, seed)
     return dataset.subset(train_idx), dataset.subset(test_idx)
 
@@ -315,8 +315,8 @@ class _FeatureFeed(Worker):
     test splits, then the next arm's): the worker runs ``extract_features``
     on each into a shared array of exactly the arm's width.  Its backbone
     runs each distinct (encoder object, split) pass once and keeps the
-    output only until the last job that reads it, on the same arrays the
-    calling process holds, so every feature keeps its bits.  Each side
+    output only until the last job that reads it, reading the rows of the
+    splits the calling process gave it, so every feature keeps its bits.  Each side
     drops a job's array once it is done with it: the worker after writing
     it, the feed as ``take`` hands it over.  Every arm is checked before
     the fork, with the errors ``extract_features`` raises.
@@ -340,14 +340,14 @@ class _FeatureFeed(Worker):
 
     def _produce(self, free: int):
         # backbone passes keyed by identity: ``self._jobs`` keeps every key alive
-        uses = Counter((id(enc), id(split.frames)) for arm, split in self._jobs
+        uses = Counter((id(enc), id(split)) for arm, split in self._jobs
                        for enc in _mode_encoders(arm.mode, arm.student, arm.teacher))
         outputs = {}
 
-        def backbone(enc: EncoderParams, frames: np.ndarray) -> np.ndarray:
-            key = (id(enc), id(frames))
+        def backbone(enc: EncoderParams, split: Dataset) -> np.ndarray:
+            key = (id(enc), id(split))
             if key not in outputs:
-                outputs[key] = _backbone_features(enc, frames)
+                outputs[key] = _backbone_features(enc, split)
             uses[key] -= 1
             return outputs[key] if uses[key] else outputs.pop(key)
 
@@ -376,8 +376,8 @@ def label_efficiency_sweep(
     arms' features on the other core.  Every fit, prediction and metric
     runs here, in arm, fraction and seed order, and an arm's features are
     held only until the next arm's are taken.  This process reads only the
-    splits' labels, so once the worker has forked both splits release
-    their frames (``Dataset.release_frames``): the call takes them over,
+    splits' labels, so once the worker has forked both splits are released
+    (``Dataset.release_frames``): the call takes them over,
     and a caller that needs them again splits a fresh load.  Arms are
     checked before the fork: a repeated name raises ``ValueError`` (its
     summary entry would hide the other's), and a mode, encoder or width

@@ -15,10 +15,12 @@ so the worker's copy of the producer makes the batches an in-process one
 would, and the steps only read them.  The worker and the training loop
 run on two cores at once, and no result changes by a bit.
 
-The frames belong to the worker alone: once it has forked, the training
-process drops every reference it holds to them, the ``Dataset`` the
-stage was given included.  Each stage takes that dataset's frames over,
-so a caller that needs them again loads the dataset again.
+The frames belong to the worker alone, which reads each batch's rows
+from the dataset as it prepares the batch: the training process never
+reads a frame, and once the worker has forked it releases the
+``Dataset`` the stage was given (a loaded blob's handle closes).  Each
+stage takes that dataset over, so a caller that needs its frames again
+loads the dataset again.
 """
 
 from __future__ import annotations
@@ -60,8 +62,8 @@ class PreparedBatches:
     key views alone (``warm_up_queue``, and ``teach`` before the teacher
     queue is warm), so they carry no query views."""
 
-    def __init__(self, frames: np.ndarray, cfg: TrainConfig, teacher: MoCoState | None = None):
-        self.stream, self._rng = BatchStream(frames, cfg.batch_size, cfg.seed), Rng(cfg.seed)
+    def __init__(self, dataset: Dataset, cfg: TrainConfig, teacher: MoCoState | None = None):
+        self.stream, self._rng = BatchStream(dataset, cfg.batch_size, cfg.seed), Rng(cfg.seed)
         self.cfg, self.teacher = cfg, teacher
         self.warm_up, self._made = cfg.queue_size // cfg.batch_size, 0
 
@@ -84,17 +86,17 @@ class _ViewFeed(Worker):
     and copies each slot out, only its key half for a warm-up batch, the
     only half the worker wrote.  The worker fills a slot a second time
     only after the loop has released it.  The worker starts from the
-    loop's frames, stream and teacher; its teacher encodes call BLAS.
+    loop's dataset, stream and teacher; its teacher encodes call BLAS.
     Once it has forked, the feed keeps only its stream, without the
-    frames, and the warm-up count: it holds no reference to the frames.
+    dataset, and the warm-up count.
     """
 
     name, item = "view worker", "batch"
 
-    def __init__(self, frames: np.ndarray, cfg: TrainConfig, count: int,
+    def __init__(self, dataset: Dataset, cfg: TrainConfig, count: int,
                  teacher: MoCoState | None = None):
-        self._source = PreparedBatches(frames, cfg, teacher)
-        self._views = shared((_RING, 2, cfg.batch_size, frames.shape[1], *cfg.augment.output_size))
+        self._source = PreparedBatches(dataset, cfg, teacher)
+        self._views = shared((_RING, 2, cfg.batch_size, dataset.shape[1], *cfg.augment.output_size))
         self._targets = None
         if teacher is not None:
             self._targets = shared((_RING, cfg.batch_size, teacher.queue.capacity + 1))
@@ -102,7 +104,7 @@ class _ViewFeed(Worker):
             self._ptrs[:] = -1  # no targets in a slot until the teacher queue is warm
         super().__init__(count)
         self._stream, self._warm_up = self._source.stream, self._source.warm_up
-        self._stream.frames = self._source = None  # only the worker's copies read them
+        self._stream.dataset = self._source = None  # only the worker's copies read rows
 
     def next_batch(self) -> Batch:
         batch = Batch(None, *self._stream.next_indices())  # the worker has the frames
@@ -142,9 +144,9 @@ def _run(dataset: Dataset, state: MoCoState, step, teacher: MoCoState | None = N
 
     Every batch, the warm-up's and the steps', comes prepared from a
     ``_ViewFeed`` forked before the warm-up, with the ``teacher``'s soft
-    targets once its queue is warm.  Once it has forked, ``dataset``
-    releases its frames (``Dataset.release_frames``), the last reference
-    this process held to them: only the worker reads them.  The worker is
+    targets once its queue is warm.  Once it has forked, ``dataset`` is
+    released (``Dataset.release_frames``): only the worker reads its rows,
+    this process never.  The worker is
     reaped before ``_run`` returns or raises; a worker that fails raises
     ``worker.WorkerError``.
 
@@ -154,7 +156,7 @@ def _run(dataset: Dataset, state: MoCoState, step, teacher: MoCoState | None = N
     """
     cfg = state.cfg
     batches = cfg.queue_size // cfg.batch_size + cfg.steps
-    with _ViewFeed(dataset.frames, cfg, batches, teacher) as feed:
+    with _ViewFeed(dataset, cfg, batches, teacher) as feed:
         dataset.release_frames()
         warm_up_queue(state, feed)
         return TrainRun([step(state, feed.next_batch()) for _ in range(cfg.steps)], state)

@@ -102,11 +102,12 @@ def pipeline_artifacts(tmp_path_factory):
 
 def _probe_accuracy(artifacts, ckpt_name: str, fraction: float, seeds=(0, 1, 2)) -> float:
     enc_cfg = C.EncoderConfig()
-    dataset, _ = load_dataset(artifacts["data"] / "target")
-    train_set, test_set = E.split_dataset(dataset, 0.5, seed=7)
+    with load_dataset(artifacts["data"] / "target")[0] as dataset:
+        train_set, test_set = E.split_dataset(dataset, 0.5, seed=7)
     (enc,) = C.load_encoders(artifacts["root"] / ckpt_name / "checkpoint", enc_cfg, ("query",))
-    ftr = E.extract_features(enc, None, train_set, "student")
-    fte = E.extract_features(enc, None, test_set, "student")
+    with train_set, test_set:
+        ftr = E.extract_features(enc, None, train_set, "student")
+        fte = E.extract_features(enc, None, test_set, "student")
     accs = []
     for seed in seeds:
         probe = E.fit_linear_probe(ftr, E.ProbeConfig(label_fraction=fraction, seed=seed), 4)
@@ -227,8 +228,8 @@ def test_criterion_5_semantic_preserving_freeze(tmp_path):
         teacher = _fresh_teacher(gpath, cfg, freeze_backbone=True)
         backbone_before = {n: t.data.copy() for n, t in teacher.query.backbone.items()}
         head_before = {n: t.data.copy() for n, t in teacher.query.head.items()}
-        frames = toy_dataset().frames
-        batches = P.PreparedBatches(frames, cfg)
+        data = toy_dataset()
+        batches = P.PreparedBatches(data, cfg)
         C.warm_up_queue(teacher, batches)
         for _ in range(100):
             K.teacher_adapt_step(teacher, batches.next_batch())
@@ -242,14 +243,14 @@ def test_criterion_5_semantic_preserving_freeze(tmp_path):
 
         # freeze disabled: bitwise identical to plain training from the same state
         unfrozen = _fresh_teacher(gpath, cfg, freeze_backbone=False)
-        batches_a = P.PreparedBatches(frames, cfg)
+        batches_a = P.PreparedBatches(data, cfg)
         C.warm_up_queue(unfrozen, batches_a)
         for _ in range(10):
             K.teacher_adapt_step(unfrozen, batches_a.next_batch())
 
         plain = _fresh_teacher(gpath, cfg, freeze_backbone=False)
         moco = C.MoCoState(plain.query, plain.key, C.KeyQueue(cfg.queue_size, TOY_ENC.d), cfg)
-        batches_b = P.PreparedBatches(frames, cfg)
+        batches_b = P.PreparedBatches(data, cfg)
         C.warm_up_queue(moco, batches_b)
         for _ in range(10):
             C.moco_train_step(moco, batches_b.next_batch())
@@ -279,7 +280,7 @@ def _paired_student(tmp_path, lam, steps=50):
     student = C.init_moco_state(TOY_ENC, cfg, Rng(cfg.seed))
     encoders = C.load_encoders(tpath, TOY_ENC, freeze_backbone=True)
     teacher = C.MoCoState(*encoders, C.KeyQueue(cfg.queue_size, TOY_ENC.d), cfg)
-    batches = P.PreparedBatches(toy_dataset().frames, cfg, teacher)
+    batches = P.PreparedBatches(toy_dataset(), cfg, teacher)
     C.warm_up_queue(student, batches)
     return student, teacher, batches
 
@@ -292,7 +293,7 @@ def test_criterion_6_degenerate_weight_equivalence(tmp_path):
 
         cfg = toy_cfg(lam=0.0, steps=50)
         student_b = C.init_moco_state(TOY_ENC, cfg, Rng(cfg.seed))
-        batches_b = P.PreparedBatches(toy_dataset().frames, cfg)
+        batches_b = P.PreparedBatches(toy_dataset(), cfg)
         C.warm_up_queue(student_b, batches_b)
         for _ in range(50):
             C.moco_train_step(student_b, batches_b.next_batch())

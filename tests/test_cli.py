@@ -7,7 +7,6 @@ import shutil
 import subprocess
 import sys
 import tracemalloc
-import weakref
 
 import numpy as np
 import pytest
@@ -27,11 +26,12 @@ from distill_ssl.data import (
     Dataset,
     generate_synthetic_dataset,
     generic_spec,
-    load_dataset,
     save_dataset,
     target_spec,
 )
-from distill_ssl.eval import ProbeConfig, split_dataset
+from distill_ssl.eval import ProbeConfig, split_indices
+
+from reads import assert_no_read_covers_every_row, holds_open, log_row_reads, row_reads
 
 SMALL = {
     "steps": 12,
@@ -591,32 +591,36 @@ class TestStages:
     def test_a_command_holds_no_frames_by_its_first_step(
         self, command, monkeypatch, small_config, data_dir, generic_ckpt, tmp_path
     ):
-        # the forked worker reads the frames; the command's own process keeps none
+        # the forked worker reads the rows, a batch's at a time; the command's own
+        # process reads none, and has closed every handle on the blob by its first step
         from distill_ssl import eval as E
         from distill_ssl import pipeline
-
-        blobs = []
-
-        def load(path):
-            loaded = load_dataset(path)
-            blobs.append(weakref.ref(loaded[0].frames.base))
-            return loaded
 
         module, name = (pipeline, "moco_train_step") if command == "pretrain-student" else \
             (E, "fit_linear_probe")
         real, held = getattr(module, name), []
 
         def step(*args):
-            held.append(blobs[0]())
+            held.append(holds_open(data_dir / "target.bin"))
             return real(*args)
 
-        monkeypatch.setattr(cli, "load_dataset", load)
         monkeypatch.setattr(module, name, step)
+        log_row_reads(monkeypatch, tmp_path / "reads")
         extra = ["--plain", str(generic_ckpt), "--fractions", "1.0"] \
             if command == "sweep-labels" else []
         assert run([command, "--config", small_config, "--data", str(data_dir / "target"),
                     "--out", str(tmp_path / "out"), *extra]) == 0
-        assert len(blobs) == 1 and held and held == [None] * len(held)
+        assert held and not any(held)
+        assert_no_read_covers_every_row(tmp_path / "reads", worker_only=True)
+
+    def test_linear_probe_reads_the_rows_a_batch_at_a_time(
+        self, monkeypatch, small_config, data_dir, generic_ckpt, tmp_path
+    ):
+        log_row_reads(monkeypatch, tmp_path / "reads")
+        assert run(["linear-probe", "--config", small_config, "--data", str(data_dir / "target"),
+                    "--ckpt", str(generic_ckpt), "--out", str(tmp_path / "out")]) == 0
+        assert_no_read_covers_every_row(tmp_path / "reads", worker_only=False)
+        assert not holds_open(data_dir / "target.bin")
 
     def test_gradcheck_writes_report(self, tmp_path):
         from distill_ssl.gradcheck import run_gradcheck
@@ -698,8 +702,8 @@ def test_a_diverging_run_stops_at_the_first_overflow(tmp_path, capsys):
 
 
 class TestProbeSplit:
-    """``_probe_inputs`` splits the dataset it loaded in place: the rows
-    ``split_dataset`` copies, as views of the loaded frames."""
+    """``_probe_inputs`` splits the dataset it loaded by row index: each split
+    reads its rows from the blob as they are asked for."""
 
     @staticmethod
     def probe_inputs(path, holdout):
@@ -709,36 +713,31 @@ class TestProbeSplit:
         return cli._probe_inputs(cfg)[3:]
 
     @pytest.mark.parametrize("holdout", [0.5, 0.3])
-    def test_splits_equal_split_dataset_and_view_the_loaded_frames(
-        self, holdout, tmp_path, monkeypatch
-    ):
+    def test_splits_hold_the_rows_split_indices_picks(self, holdout, tmp_path):
         rng = np.random.default_rng(2)
         labels = rng.permutation(np.repeat(np.arange(4), [7, 13, 5, 10]))  # unequal classes
-        save_dataset(Dataset(rng.random((35, 1, 32, 32)), labels), tmp_path / "d")
-        want = split_dataset(load_dataset(tmp_path / "d")[0], holdout, seed=3)
-        loaded = []
-
-        def load(path):
-            loaded.append(load_dataset(path)[0])
-            return loaded[-1], {}
-
-        monkeypatch.setattr(cli, "load_dataset", load)
+        frames = rng.random((35, 1, 32, 32))
+        save_dataset(Dataset(frames, labels), tmp_path / "d")
         num_classes, *got = self.probe_inputs(tmp_path / "d", holdout)
         assert num_classes == 4
-        for split, ref in zip(got, want):
-            assert split.frames.tobytes() == ref.frames.tobytes()
-            assert split.labels.tobytes() == ref.labels.tobytes()
-            assert np.shares_memory(split.frames, loaded[0].frames)
+        for split, rows in zip(got, split_indices(labels, holdout, seed=3)):
+            with split:
+                assert split.frames.tobytes() == frames[rows].tobytes()
+                assert split.labels.tobytes() == labels[rows].tobytes()
 
-    def test_load_and_split_hold_one_copy_of_the_frames(self, tmp_path):
+    def test_load_and_split_hold_no_frames(self, tmp_path, monkeypatch):
         save_dataset(generate_synthetic_dataset(target_spec(4, 3), 1), tmp_path / "small")
-        self.probe_inputs(tmp_path / "small", 0.5)  # numpy's lazy imports are not the split's
-        frames = generate_synthetic_dataset(target_spec(), 1).frames  # 1200 frames
-        save_dataset(Dataset(frames, np.arange(1200) % 4), tmp_path / "d")
+        for split in self.probe_inputs(tmp_path / "small", 0.5)[1:]:  # numpy's lazy imports
+            split.release_frames()  # are not the split's
+        save_dataset(generate_synthetic_dataset(target_spec(), 1), tmp_path / "d")  # 1200 frames
+        log_row_reads(monkeypatch, tmp_path / "reads")
         tracemalloc.start()
         try:
-            self.probe_inputs(tmp_path / "d", 0.5)
+            splits = self.probe_inputs(tmp_path / "d", 0.5)[1:]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.15 * frames.nbytes, peak / frames.nbytes
+        for split in splits:
+            split.release_frames()
+        assert peak < 0.05 * 1200 * 32 * 32 * 8, peak
+        assert row_reads(tmp_path / "reads") == []

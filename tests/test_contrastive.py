@@ -38,7 +38,7 @@ def toy_dataset(seed=3, phases=4, per_phase=16):
 def warmed_state(cfg=None, seed=7):
     cfg = cfg or toy_cfg()
     state = C.init_moco_state(TOY_ENC, cfg, Rng(cfg.seed))
-    batches = P.PreparedBatches(toy_dataset().frames, cfg)
+    batches = P.PreparedBatches(toy_dataset(), cfg)
     C.warm_up_queue(state, batches)
     return state, batches
 
@@ -358,10 +358,10 @@ class TestMocoTrainStep:
     def test_loss_decreases_on_fixed_toy_dataset(self):
         # 64-frame toy, seed 7: training signal must appear within 50 steps.
         spec = target_spec(4, 16, (12, 12))
-        frames = generate_synthetic_dataset(spec, 7).frames
+        data = generate_synthetic_dataset(spec, 7)
         cfg = toy_cfg(batch_size=16, queue_size=32, lr=0.06)
         state = C.init_moco_state(TOY_ENC, cfg, Rng(7))
-        batches = P.PreparedBatches(frames, cfg)
+        batches = P.PreparedBatches(data, cfg)
         C.warm_up_queue(state, batches)
         losses = [C.moco_train_step(state, batches.next_batch()).l_con for _ in range(50)]
         assert np.mean(losses[-5:]) < losses[0]
@@ -379,7 +379,7 @@ class TestMocoTrainStep:
     def test_unwarmed_queue_rejected(self):
         cfg = toy_cfg()
         state = C.init_moco_state(TOY_ENC, cfg, Rng(cfg.seed))
-        batches = P.PreparedBatches(toy_dataset().frames, cfg)
+        batches = P.PreparedBatches(toy_dataset(), cfg)
         with pytest.raises(C.ContractError, match="warmed"):
             C.moco_train_step(state, batches.next_batch())
 
@@ -388,7 +388,7 @@ class TestMocoTrainStep:
         # pass is done before the query graph opens: 7.5 MiB before, 4.6 now
         cfg = C.TrainConfig()
         state = C.init_moco_state(C.EncoderConfig(), cfg, Rng(cfg.seed))
-        batches = P.PreparedBatches(generate_synthetic_dataset(target_spec(4, 40), 3).frames, cfg)
+        batches = P.PreparedBatches(generate_synthetic_dataset(target_spec(4, 40), 3), cfg)
         C.warm_up_queue(state, batches)
         C.moco_train_step(state, batches.next_batch())  # every SGD velocity now exists
         batch = batches.next_batch()

@@ -93,6 +93,16 @@ class TestSyntheticDataset:
             small_spec(base_intensity=(0.1, 0.5, 0.7))
 
 
+def write_version_1(path, with_digest: bool):
+    """The manifest that format version 1 wrote for the blob at ``path``."""
+    manifest = json.loads(path.with_suffix(".json").read_text())
+    del manifest["blake2b"]
+    manifest["version"] = 1
+    if with_digest:
+        manifest["sha256"] = hashlib.sha256(path.with_suffix(".bin").read_bytes()).hexdigest()
+    path.with_suffix(".json").write_text(json.dumps(manifest, indent=1, sort_keys=True))
+
+
 class TestCheckpointRoundTrip:
     def make_sets(self):
         rng = np.random.default_rng(0)
@@ -201,18 +211,9 @@ class TestCheckpointRoundTrip:
         )
         assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.bin", "ckpt.json"]
 
-    def write_version_1(self, path, with_digest: bool):
-        """The manifest that format version 1 wrote for the blob at ``path``."""
-        manifest = json.loads(path.with_suffix(".json").read_text())
-        del manifest["blake2b"]
-        manifest["version"] = 1
-        if with_digest:
-            manifest["sha256"] = hashlib.sha256(path.with_suffix(".bin").read_bytes()).hexdigest()
-        path.with_suffix(".json").write_text(json.dumps(manifest, indent=1, sort_keys=True))
-
     def test_version_1_manifest_with_sha256_still_loads_and_is_checked(self, tmp_path):
         D.save_checkpoint(self.make_sets(), tmp_path / "ckpt", config={"note": 1})
-        self.write_version_1(tmp_path / "ckpt", with_digest=True)
+        write_version_1(tmp_path / "ckpt", with_digest=True)
         # the manifest's bytes as format version 1 wrote them
         assert hashlib.sha256((tmp_path / "ckpt.json").read_bytes()).hexdigest() == (
             "11ab66800e98cd7d06b6ee7c8b6fb4e6a42977407a56822aac86ba0eadeb7598"
@@ -237,7 +238,7 @@ class TestCheckpointRoundTrip:
     def test_manifest_without_digest_still_loads(self, tmp_path):
         # a version-1 manifest written before the digest existed
         D.save_checkpoint(self.make_sets(), tmp_path / "ckpt", config={"note": 1})
-        self.write_version_1(tmp_path / "ckpt", with_digest=False)
+        write_version_1(tmp_path / "ckpt", with_digest=False)
         assert hashlib.sha256((tmp_path / "ckpt.json").read_bytes()).hexdigest() == (
             "b228d780e475c8930d87ca06f1bd1bb17c52c2560b4b48e12724ce67692813cb"
         )
@@ -324,10 +325,11 @@ class TestDatasetPersistence:
         ds = D.generate_synthetic_dataset(small_spec(), 9)
         D.save_dataset(ds, tmp_path / "data", config={"seed": 9})
         loaded, config = D.load_dataset(tmp_path / "data")
-        assert config["seed"] == 9
-        assert len(loaded) == len(ds)
-        assert np.array_equal(loaded.frames, ds.frames)
-        assert np.array_equal(loaded.labels, ds.labels) and loaded.labels.dtype == np.int64
+        with loaded:
+            assert config["seed"] == 9
+            assert len(loaded) == len(ds)
+            assert np.array_equal(loaded.frames, ds.frames)
+            assert np.array_equal(loaded.labels, ds.labels) and loaded.labels.dtype == np.int64
 
     def test_misaligned_labels_rejected(self, tmp_path):
         ds = D.generate_synthetic_dataset(small_spec(), 9)
@@ -343,23 +345,32 @@ class TestDatasetPersistence:
         with pytest.raises(D.TruncatedBlobError, match=f"holds {size + 8} bytes, manifest says {size}$"):
             D.load_dataset(tmp_path / "d")
 
-    def test_load_holds_one_copy_of_the_blob(self, tmp_path):
-        # the blob is read into the array the frames view: no second copy at any point
-        rng = np.random.default_rng(0)
-        D.save_dataset(D.Dataset(rng.random((1200, 1, 32, 32)), np.arange(1200) % 4), tmp_path / "d")
-        size = (tmp_path / "d.bin").stat().st_size
+    @staticmethod
+    def frames_1200(tmp_path):
+        """1200 default frames, saved at ``tmp_path / "d"`` once a small save
+        has run (numpy's lazy imports are not the save's)."""
+        D.save_dataset(D.generate_synthetic_dataset(small_spec(), 1), tmp_path / "small")
+        return D.generate_synthetic_dataset(D.target_spec(), 1).frames
+
+    def test_load_holds_no_copy_of_the_frames(self, tmp_path):
+        # the digest streams the blob through one 256 KiB block; the rows stay on disk
+        frames = self.frames_1200(tmp_path)
+        D.save_dataset(D.Dataset(frames, np.arange(1200) % 4), tmp_path / "d")
+        with D.load_dataset(tmp_path / "small")[0]:
+            pass
         tracemalloc.start()
         try:
-            D.load_dataset(tmp_path / "d")
+            loaded = D.load_dataset(tmp_path / "d")[0]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.1 * size, (peak, size)
+        with loaded:
+            assert peak < 0.05 * frames.nbytes, peak / frames.nbytes
+            assert loaded.frames.tobytes() == frames.tobytes()
 
     def test_save_holds_no_copy_of_the_frames(self, tmp_path):
         # the finiteness check runs block by block: no mask the size of the blob
-        D.save_dataset(D.generate_synthetic_dataset(small_spec(), 1), tmp_path / "small")
-        frames = D.generate_synthetic_dataset(D.target_spec(), 1).frames  # 1200 frames
+        frames = self.frames_1200(tmp_path)
         dataset = D.Dataset(frames, np.arange(1200) % 4)
         tracemalloc.start()
         try:
@@ -368,7 +379,22 @@ class TestDatasetPersistence:
         finally:
             tracemalloc.stop()
         assert peak < 0.05 * frames.nbytes, peak / frames.nbytes
-        assert D.load_dataset(tmp_path / "d")[0].frames.tobytes() == frames.tobytes()
+        with D.load_dataset(tmp_path / "d")[0] as loaded:
+            assert loaded.frames.tobytes() == frames.tobytes()
+
+    def test_a_generated_dataset_is_saved_a_chunk_at_a_time(self, tmp_path):
+        # the generator makes 64 rows per pass: a chunk's temporaries, 0.39x the frames
+        # at 1200 frames, where making them all at once would hold 1x
+        frames = self.frames_1200(tmp_path)
+        tracemalloc.start()
+        try:
+            D.save_dataset(D.generate_synthetic_dataset(D.target_spec(), 1), tmp_path / "d")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * frames.nbytes, peak / frames.nbytes
+        with D.load_dataset(tmp_path / "d")[0] as loaded:
+            assert loaded.frames.tobytes() == frames.tobytes()
 
     @pytest.mark.parametrize("label", [2.6, -1.0, 0.5, 2.0**63, 1e300])
     def test_labels_that_are_not_whole_numbers_from_0_refused(self, tmp_path, label):
@@ -394,28 +420,11 @@ class TestDatasetPersistence:
     def test_loaded_frames_are_writeable_contiguous_float64(self, tmp_path):
         ds = D.generate_synthetic_dataset(small_spec(), 9)
         D.save_dataset(ds, tmp_path / "d")
-        frames = D.load_dataset(tmp_path / "d")[0].frames
+        with D.load_dataset(tmp_path / "d")[0] as loaded:
+            frames = loaded.rows(np.array([5, 2]))
         assert frames.dtype == np.float64 and frames.flags.c_contiguous and frames.flags.writeable
-        assert np.array_equal(frames, ds.frames)
-        frames[0] = 0.0  # a view of the loader's own buffer, not of the file
-
-    @pytest.mark.parametrize("order", [[0, 1, 2, 3, 4, 5], [5, 4, 3, 2, 1, 0], [1, 2, 0, 3, 5, 4],
-                                       [3, 0, 5, 2, 4, 1]])
-    def test_reorder_is_subset_in_place(self, order):
-        rng = np.random.default_rng(1)
-        ds = D.Dataset(rng.random((6, 2, 3, 3)), [0, 1, 2, 0, 1, 2])
-        frames, want = ds.frames, ds.subset(order)
-        ds.reorder(np.array(order))
-        assert ds.frames is frames  # the rows moved inside the array they were in
-        assert ds.frames.tobytes() == want.frames.tobytes()
-        assert np.array_equal(ds.labels, want.labels)
-
-    @pytest.mark.parametrize("order", [[0, 0, 1], [0, 1], [0, 1, 3]])
-    def test_reorder_refuses_what_is_not_a_permutation(self, order):
-        ds = D.Dataset(np.arange(3.0).reshape(3, 1, 1, 1), [0, 1, 2])
-        with pytest.raises(ValueError, match="permutation of the 3 rows"):
-            ds.reorder(np.array(order))
-        assert ds.frames.ravel().tolist() == [0.0, 1.0, 2.0] and ds.labels.tolist() == [0, 1, 2]
+        assert np.array_equal(frames, ds.frames[[5, 2]])
+        frames[0] = 0.0  # an array of the reader's own, not of the file
 
     def test_dataset_shape_contract(self):
         with pytest.raises(ValueError, match="do not align"):
@@ -423,8 +432,133 @@ class TestDatasetPersistence:
         with pytest.raises(ValueError, match="do not align"):
             D.Dataset(np.zeros((3, 2, 2)), np.zeros(3))
         part = D.Dataset(np.arange(12.0).reshape(3, 1, 2, 2), [2, 0, 1]).subset([2, 0])
-        assert len(part) == 2 and part.labels.tolist() == [1, 2]
+        assert len(part) == 2 and part.labels.tolist() == [1, 2] and part.shape == (2, 1, 2, 2)
         assert np.array_equal(part.frames[0], np.arange(8.0, 12.0).reshape(1, 2, 2))
+
+    def test_version_1_dataset_keeps_its_sha256_check(self, tmp_path):
+        ds = D.generate_synthetic_dataset(small_spec(), 9)
+        D.save_dataset(ds, tmp_path / "d")
+        write_version_1(tmp_path / "d", with_digest=True)
+        with D.load_dataset(tmp_path / "d")[0] as loaded:
+            assert loaded.frames.tobytes() == ds.frames.tobytes()
+        flip_byte(tmp_path / "d.bin", 3)
+        with pytest.raises(D.CorruptManifestError, match="does not match the sha256"):
+            D.load_dataset(tmp_path / "d")
+        D.save_dataset(ds, tmp_path / "d")
+        write_version_1(tmp_path / "d", with_digest=False)
+        flip_byte(tmp_path / "d.bin", 3)
+        with D.load_dataset(tmp_path / "d")[0] as loaded:  # written before the digest: unchecked
+            assert loaded.frames.tobytes() != ds.frames.tobytes()
+
+
+def flip_byte(path, at: int) -> None:
+    """Flip one bit of the byte at ``at``, in place: the file keeps its inode and size."""
+    with open(path, "r+b") as fh:
+        fh.seek(at)
+        byte = fh.read(1)[0]
+        fh.seek(at)
+        fh.write(bytes([byte ^ 1]))
+
+
+def saved(tmp_path, dataset) -> D.Dataset:
+    D.save_dataset(dataset, tmp_path / "d")
+    return D.load_dataset(tmp_path / "d")[0]
+
+
+class TestRowsFromTheBlob:
+    """A loaded dataset reads each row from its blob when asked: the bytes an
+    in-memory dataset holds, and only while the file is the one whose digest
+    matched."""
+
+    INDICES = [slice(None), slice(3, 9), slice(10, 2, -3), slice(7, 7), np.array([9, 0, 4, 5, 6]),
+               np.array([4, 4, 1, 4, 2, 3]), np.array([11]), np.array([], dtype=np.int64)]
+
+    @pytest.mark.parametrize("channels", [1, 3])
+    @pytest.mark.parametrize("index", INDICES, ids=lambda i: repr(i).replace(" ", ""))
+    def test_rows_equal_the_rows_in_memory(self, tmp_path, channels, index):
+        ds = D.generate_synthetic_dataset(small_spec(channels=channels, frames_per_phase=4), 2)
+        frames = ds.frames
+        with saved(tmp_path, D.Dataset(frames, ds.labels)) as loaded:
+            for source in (loaded, ds, D.Dataset(frames, ds.labels)):
+                got = source.rows(index)
+                assert got.shape == frames[index].shape and got.tobytes() == frames[index].tobytes()
+            order = np.array([8, 2, 2, 11, 5, 0, 1, 3, 4, 6, 7, 9])
+            with loaded.subset(order) as part:
+                assert part.rows(index).tobytes() == frames[order[index]].tobytes()
+
+    def test_rows_read_in_a_forked_child_are_the_same(self, tmp_path):
+        ds = D.generate_synthetic_dataset(small_spec(), 4)
+        index = np.array([33, 5, 6, 7, 59, 0, 5])
+        with saved(tmp_path, ds) as loaded:
+            ready_r, ready_w = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # the child's whole life: read, send, exit
+                code = 1
+                try:
+                    os.write(ready_w, loaded.rows(index).tobytes())
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(ready_w)
+            with open(ready_r, "rb") as fh:
+                got = fh.read()
+            _, status = os.waitpid(pid, 0)
+            assert os.waitstatus_to_exitcode(status) == 0
+            assert got == ds.rows(index).tobytes() == loaded.rows(index).tobytes()
+
+    @pytest.mark.parametrize("at", [8, -8], ids=["a frame", "a label"])
+    def test_a_byte_flipped_in_place_after_the_load_is_refused(self, tmp_path, at):
+        with saved(tmp_path, D.generate_synthetic_dataset(small_spec(), 4)) as loaded:
+            loaded.rows(slice(0, 2))
+            flip_byte(tmp_path / "d.bin", at % (tmp_path / "d.bin").stat().st_size)
+            for index in (slice(0, 2), np.array([40])):  # the flipped row, and another
+                with pytest.raises(D.CorruptManifestError,
+                                   match=f"^blob {re.escape(str(tmp_path / 'd.bin'))} changed"):
+                    loaded.rows(index)
+
+    def test_a_truncated_blob_is_refused(self, tmp_path):
+        with saved(tmp_path, D.generate_synthetic_dataset(small_spec(), 4)) as loaded:
+            size = (tmp_path / "d.bin").stat().st_size
+            os.truncate(tmp_path / "d.bin", size - 16 * 16 * 8 * 30)  # the last 30 rows and more
+            with pytest.raises(D.TruncatedBlobError, match="gave 0 of the 2048 bytes"):
+                loaded.rows(np.array([59]))
+            with pytest.raises(D.TruncatedBlobError, match=f"now holds {size - 61440} bytes"):
+                loaded.rows(np.array([0]))
+
+    def test_a_blob_replaced_by_a_save_is_refused(self, tmp_path):
+        # a save renames a new file over the path, which stamps the unlinked one's
+        # ctime: a dataset read across a save never mixes the rows of two saves
+        with saved(tmp_path, D.generate_synthetic_dataset(small_spec(), 4)) as loaded:
+            D.save_dataset(D.generate_synthetic_dataset(small_spec(), 5), tmp_path / "d")
+            with pytest.raises(D.CorruptManifestError, match="changed after its digest"):
+                loaded.rows(slice(None))
+
+    def test_a_subset_keeps_its_handle_when_its_dataset_is_released(self, tmp_path):
+        ds = D.generate_synthetic_dataset(small_spec(), 4)
+        with saved(tmp_path, ds) as loaded:
+            part = loaded.subset(np.array([7, 3]))
+        with part:
+            assert part.frames.tobytes() == ds.frames[[7, 3]].tobytes()
+        with pytest.raises(RuntimeError, match="frames were taken over by a stage"):
+            part.rows(slice(None))
+
+
+# sha256 of the default gen-data outputs (seed 7: target at seed 7, generic at 8),
+# as the datasets were written when every frame was made and held at once
+GEN_DATA_DIGESTS = {
+    "target.bin": "d5732295f58c15ca93c8fe8d556173094801e22ce1d43a280fcbd2cabd639b6d",
+    "target.json": "56b78d9ea65dc7358cb058dd4998de7c4f4b3fd00b634c43e1e76ba7d534e30e",
+    "generic.bin": "b7ad48a0c13361fb81feae75dc448d9b3e26314e1d7d8674728e5b6767a89eeb",
+    "generic.json": "07d7298826e662678544d9551b417620b5f3c80df1129f1addbd13292d6f6c18",
+}
+
+
+def test_default_gen_data_outputs_pinned(tmp_path, monkeypatch):
+    monkeypatch.delenv("DISTILL_SSL_SEED", raising=False)
+    assert run(["gen-data", "--out", str(tmp_path)]) == 0
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+           for name in GEN_DATA_DIGESTS}
+    assert got == GEN_DATA_DIGESTS
 
 
 def write_pgm(path, width, height, pixels, magic=b"P5", maxval=255):
@@ -513,34 +647,38 @@ class TestRealFramesRecipe:
                 write_pgm(sub / f"f{i}.pgm", 4, 4, [cls * 100 + i * 16 + j for j in range(16)])
         monkeypatch.chdir(tmp_path)
         exec(readme_real_frames_recipe(), {})
-        loaded, _ = D.load_dataset("runs/data/real")
         frames, _ = D.load_image_directory("frames", (32, 32))
-        assert np.array_equal(loaded.frames, np.stack(frames))
-        assert loaded.frames.shape == (6, 1, 32, 32)
-        assert loaded.labels.tolist() == [0, 0, 0, 1, 1, 1]
+        with D.load_dataset("runs/data/real")[0] as loaded:
+            assert np.array_equal(loaded.frames, np.stack(frames))
+            assert loaded.frames.shape == (6, 1, 32, 32)
+            assert loaded.labels.tolist() == [0, 0, 0, 1, 1, 1]
         assert run([
             "pretrain-student", "--data", "runs/data/real", "--out", "runs/real",
             "--steps", "2", "--batch-size", "2", "--queue-size", "4",
         ]) == 0
 
 
+def stream_over(frames, batch_size, seed):
+    return D.BatchStream(D.Dataset(frames, np.zeros(len(frames))), batch_size, seed)
+
+
 class TestBatchStream:
     def test_deterministic_and_epochal(self):
         frames = np.arange(40, dtype=np.float64).reshape(10, 1, 2, 2)
-        a = D.BatchStream(frames, 4, seed=3)
-        b = D.BatchStream(frames, 4, seed=3)
+        a = stream_over(frames, 4, seed=3)
+        b = stream_over(frames, 4, seed=3)
         for _ in range(6):
             ba, bb = a.next_batch(), b.next_batch()
             assert np.array_equal(ba.indices, bb.indices)
             assert ba.epoch == bb.epoch
         # 10 frames, batch 4: two batches per epoch, remainder dropped
-        c = D.BatchStream(frames, 4, seed=3)
+        c = stream_over(frames, 4, seed=3)
         epochs = [c.next_batch().epoch for _ in range(6)]
         assert epochs == [0, 0, 1, 1, 2, 2]
 
     def test_epoch_orders_pinned(self):
         # regression anchor: the scalar draw path fixes every shuffle
-        stream = D.BatchStream(np.zeros((10, 1, 2, 2)), 5, seed=42)
+        stream = stream_over(np.zeros((10, 1, 2, 2)), 5, seed=42)
         batches = [stream.next_batch() for _ in range(4)]
         assert [(b.epoch, b.indices.tolist()) for b in batches] == [
             (0, [4, 1, 3, 9, 0]),
@@ -551,14 +689,14 @@ class TestBatchStream:
 
     def test_no_repeats_within_epoch(self):
         frames = np.zeros((12, 1, 1, 1))
-        stream = D.BatchStream(frames, 4, seed=1)
+        stream = stream_over(frames, 4, seed=1)
         seen = np.concatenate([stream.next_batch().indices for _ in range(3)])
         assert sorted(seen.tolist()) == list(range(12))
 
     def test_indices_without_frames_follow_the_batches(self):
         frames = np.arange(40, dtype=np.float64).reshape(10, 1, 2, 2)
-        a = D.BatchStream(frames, 4, seed=3)
-        b = D.BatchStream(frames, 4, seed=3)
+        a = stream_over(frames, 4, seed=3)
+        b = stream_over(frames, 4, seed=3)
         for _ in range(6):
             batch, (indices, epoch) = a.next_batch(), b.next_indices()
             assert np.array_equal(batch.indices, indices) and batch.epoch == epoch

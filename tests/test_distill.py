@@ -97,7 +97,7 @@ class TestTeacherAdaptStep:
     def run_steps(self, generic_ckpt, steps, freeze=True, seed=7):
         cfg = toy_cfg(seed=seed)
         teacher = fresh_teacher(generic_ckpt, cfg, freeze_backbone=freeze)
-        batches = P.PreparedBatches(toy_dataset().frames, cfg)
+        batches = P.PreparedBatches(toy_dataset(), cfg)
         C.warm_up_queue(teacher, batches)
         losses = [K.teacher_adapt_step(teacher, batches.next_batch()) for _ in range(steps)]
         return teacher, losses
@@ -139,10 +139,10 @@ class TestTeacherAdaptStep:
 
     def test_unfrozen_adapt_equals_moco_step_bitwise(self, generic_ckpt):
         cfg = toy_cfg()
-        frames = toy_dataset().frames
+        data = toy_dataset()
 
         teacher = fresh_teacher(generic_ckpt, cfg, freeze_backbone=False)
-        batches_a = P.PreparedBatches(frames, cfg)
+        batches_a = P.PreparedBatches(data, cfg)
         C.warm_up_queue(teacher, batches_a)
         for _ in range(3):
             K.teacher_adapt_step(teacher, batches_a.next_batch())
@@ -152,7 +152,7 @@ class TestTeacherAdaptStep:
         moco = C.MoCoState(
             fresh.query, fresh.key, C.KeyQueue(cfg.queue_size, TOY_ENC.d), cfg
         )
-        batches_b = P.PreparedBatches(frames, cfg)
+        batches_b = P.PreparedBatches(data, cfg)
         C.warm_up_queue(moco, batches_b)
         for _ in range(3):
             C.moco_train_step(moco, batches_b.next_batch())
@@ -351,7 +351,7 @@ def pair_from(tpath, cfg):
     student = C.init_moco_state(TOY_ENC, cfg, Rng(cfg.seed))
     encoders = C.load_encoders(tpath, TOY_ENC, freeze_backbone=True)
     teacher = C.MoCoState(*encoders, C.KeyQueue(cfg.queue_size, TOY_ENC.d), cfg)
-    batches = P.PreparedBatches(toy_dataset().frames, cfg, teacher)
+    batches = P.PreparedBatches(toy_dataset(), cfg, teacher)
     C.warm_up_queue(student, batches)
     return student, teacher, batches
 
@@ -382,7 +382,7 @@ class TestDistilledTrainStep:
 
         cfg = toy_cfg(lam=0.0, steps=5)
         student_b = C.init_moco_state(TOY_ENC, cfg, Rng(cfg.seed))
-        batches_b = P.PreparedBatches(toy_dataset().frames, cfg)
+        batches_b = P.PreparedBatches(toy_dataset(), cfg)
         C.warm_up_queue(student_b, batches_b)
         for _ in range(5):
             C.moco_train_step(student_b, batches_b.next_batch())

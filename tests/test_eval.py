@@ -18,6 +18,7 @@ from distill_ssl.worker import WorkerError
 
 from digests import sha256_of
 from procs import assert_no_child, deadline
+from reads import assert_no_read_covers_every_row, holds_open, log_row_reads
 
 TOY_ENC = C.EncoderConfig(conv_channels=(4, 6), d_backbone=12, d=8, input_size=(12, 12))
 
@@ -130,12 +131,13 @@ class TestExtractFeatures:
 
 class TestResize:
     @pytest.mark.parametrize("channels", [1, 3])
-    def test_other_size_frames_equal_per_frame_resize(self, channels, monkeypatch):
+    def test_other_size_frames_equal_per_frame_resize(self, channels, monkeypatch, tmp_path):
         enc_cfg = C.EncoderConfig(in_channels=channels, conv_channels=(4, 6), d_backbone=12, d=8,
                                   input_size=(12, 12))
         enc = C.init_encoder(enc_cfg, Rng(channels))
-        spec = target_spec(4, 3, (16, 20))
+        spec = target_spec(4, 20, (16, 20))  # 80 frames: batches of 64 and 16
         data = generate_synthetic_dataset(replace(spec, channels=channels), 5)
+        want = per_frame_resize_features(enc, data.frames)
         calls = []
 
         def counted_resize(px, size):
@@ -143,10 +145,13 @@ class TestResize:
             return resize_to(px, size)
 
         monkeypatch.setattr(E, "resize_to", counted_resize)
+        log_row_reads(monkeypatch, tmp_path / "reads")
         fs = E.extract_features(enc, None, data, "student")
-        assert calls == [data.frames.shape]  # one call resizes the whole stack
-        assert fs.features.shape == (12, enc_cfg.d_backbone)
-        assert np.array_equal(fs.features, per_frame_resize_features(enc, data.frames))
+        # each batch is read and resized as its turn comes, in one call each
+        assert calls == [(64, channels, 16, 20), (16, channels, 16, 20)]
+        assert_no_read_covers_every_row(tmp_path / "reads", worker_only=False)
+        assert fs.features.shape == (80, enc_cfg.d_backbone)
+        assert np.array_equal(fs.features, want)
         assert np.array_equal(fs.labels, data.labels)
 
     @pytest.mark.parametrize("size", [(12, 12), (23, 29)], ids=["down", "up"])
@@ -499,19 +504,17 @@ class TestSweep:
 
     def test_the_sweep_process_holds_no_frames_by_its_first_fit(self, ckpts, tmp_path,
                                                                  monkeypatch):
-        # the splits are views of one loaded array, as the CLI makes them; the sweep
-        # reads only their labels once its feature worker has forked
+        # the splits read the loaded blob, as the CLI makes them; the sweep process
+        # reads no row, and closes both handles once its feature worker has forked
         a, b = query_encoder(ckpts[0], TOY_ENC), query_encoder(ckpts[1], TOY_ENC)
         save_dataset(toy_dataset(per_phase=12), tmp_path / "d")
-        loaded = load_dataset(tmp_path / "d")[0]
-        loaded.reorder(np.concatenate(E.split_indices(loaded.labels, 0.5, seed=0)))
-        train_set, test_set = loaded.subset(slice(None, 24)), loaded.subset(slice(24, None))
-        arrays = [weakref.ref(x) for x in (loaded.frames.base, train_set.frames, test_set.frames)]
-        del loaded
+        with load_dataset(tmp_path / "d")[0] as loaded:
+            train_set, test_set = E.split_dataset(loaded, 0.5, seed=0)
+        log_row_reads(monkeypatch, tmp_path / "reads")
         real, held = E.fit_linear_probe, []
 
         def fit(*args):
-            held.append([x() for x in arrays])
+            held.append(holds_open(tmp_path / "d.bin"))
             return real(*args)
 
         monkeypatch.setattr(E, "fit_linear_probe", fit)
@@ -520,7 +523,8 @@ class TestSweep:
         with deadline(10):
             rows, _ = E.label_efficiency_sweep(arms, [1.0], [0, 1], train_set, test_set, 4,
                                                E.ProbeConfig(steps=5))
-        assert len(rows) == 4 and held == [[None] * 3] * 4
+        assert len(rows) == 4 and held == [False] * 4
+        assert_no_read_covers_every_row(tmp_path / "reads", worker_only=True)
         assert train_set.labels.shape == test_set.labels.shape == (24,)
         for split in (train_set, test_set):
             with pytest.raises(RuntimeError, match="frames were taken over by a stage"):
@@ -583,7 +587,7 @@ class TestInitTransfer:
         cfg = toy_cfg()
         state = transfer_state(ckpts[0], cfg)
         before = {n: t.data.copy() for n, t in state.query.head.items()}
-        batches = PreparedBatches(toy_dataset().frames, cfg)
+        batches = PreparedBatches(toy_dataset(), cfg)
         C.warm_up_queue(state, batches)
         C.moco_train_step(state, batches.next_batch())
         assert any(not np.array_equal(t.data, before[n]) for n, t in state.query.head.items())

@@ -6,7 +6,6 @@ import os
 import re
 import signal
 import time
-import weakref
 from collections import Counter
 
 import numpy as np
@@ -23,6 +22,7 @@ from distill_ssl.worker import WorkerError
 
 from digests import sha256_of
 from procs import assert_no_child, deadline
+from reads import assert_no_read_covers_every_row, holds_open, log_row_reads
 
 TOY_ENC = C.EncoderConfig(conv_channels=(4, 6), d_backbone=12, d=8, input_size=(12, 12))
 
@@ -139,7 +139,7 @@ def test_stages_look_up_step_functions_when_they_run(stage_artifacts, monkeypatc
 
 def hand_run(state, dataset, step, teacher=None):
     """``_run`` without the worker: the same batches, prepared in process."""
-    batches = P.PreparedBatches(dataset.frames, state.cfg, teacher)
+    batches = P.PreparedBatches(dataset, state.cfg, teacher)
     C.warm_up_queue(state, batches)
     return [step(state, batches.next_batch()) for _ in range(state.cfg.steps)]
 
@@ -223,12 +223,12 @@ def test_steps_and_warm_up_refuse_a_batch_without_views(stage_artifacts, stage):
     else:
         state = P._loaded_state(root / "generic", TOY_ENC, cfg, ("query", "query"), True)
         step = distill.teacher_adapt_step
-    bare = BatchStream(data.frames, cfg.batch_size, cfg.seed)
+    bare = BatchStream(data, cfg.batch_size, cfg.seed)
     before = copy.deepcopy(state)
     with pytest.raises(C.ContractError, match="no views"):
         C.warm_up_queue(state, bare)
     assert_states_equal(state, before)
-    C.warm_up_queue(state, P.PreparedBatches(data.frames, cfg))
+    C.warm_up_queue(state, P.PreparedBatches(data, cfg))
     before = copy.deepcopy(state)
     with pytest.raises(C.ContractError, match="no views"):
         step(state, bare.next_batch())
@@ -239,8 +239,8 @@ def test_a_step_refuses_a_warm_up_batch():
     # a warm-up batch carries no query views, and no step may take it for a full one
     cfg = toy_cfg()
     state = C.init_moco_state(TOY_ENC, cfg, Rng(cfg.seed))
-    batches = P.PreparedBatches(toy_dataset().frames, cfg)
-    C.warm_up_queue(state, P.PreparedBatches(toy_dataset().frames, cfg))
+    batches = P.PreparedBatches(toy_dataset(), cfg)
+    C.warm_up_queue(state, P.PreparedBatches(toy_dataset(), cfg))
     batch = batches.next_batch()
     assert batch.views[0] is None and batch.views[1].shape[0] == cfg.batch_size
     before = copy.deepcopy(state)
@@ -253,7 +253,7 @@ def test_distilled_step_refuses_a_batch_without_soft_targets():
     # the step reads the teacher's targets from its batch and never runs a teacher
     cfg = toy_cfg()
     state = C.init_moco_state(TOY_ENC, cfg, Rng(cfg.seed))
-    batches = P.PreparedBatches(toy_dataset().frames, cfg)
+    batches = P.PreparedBatches(toy_dataset(), cfg)
     C.warm_up_queue(state, batches)
     before = copy.deepcopy(state)
     with pytest.raises(C.ContractError, match="no teacher soft targets"):
@@ -272,7 +272,7 @@ def test_a_gradient_where_none_belongs_changes_no_state(stage_artifacts, where):
     else:
         state = C.init_moco_state(TOY_ENC, cfg, Rng(cfg.seed))
         step, bad = C.moco_train_step, state.key.head["fc1.weight"]
-    batches = P.PreparedBatches(toy_dataset().frames, cfg)
+    batches = P.PreparedBatches(toy_dataset(), cfg)
     C.warm_up_queue(state, batches)
     step(state, batches.next_batch())  # every trained set now has a velocity to keep
     bad.grad = np.full_like(bad.data, 0.5)
@@ -291,7 +291,7 @@ def test_keys_off_the_unit_sphere_stop_the_step_before_any_update(stage_artifact
     if distilled:
         teacher = P._loaded_state(root / "teacher", TOY_ENC, cfg, freeze_backbone=True)
         step = distill.distilled_train_step
-    batches = P.PreparedBatches(toy_dataset().frames, cfg, teacher)
+    batches = P.PreparedBatches(toy_dataset(), cfg, teacher)
     C.warm_up_queue(state, batches)
     step(state, batches.next_batch())  # every trained set now has a velocity to keep
     for _, t in state.key.head.items():
@@ -308,7 +308,7 @@ def test_a_non_finite_gradient_stops_the_step_before_any_update():
     # only the check before sgd_step can name it
     cfg = toy_cfg()
     state = C.init_moco_state(TOY_ENC, cfg, Rng(cfg.seed))
-    batches = P.PreparedBatches(toy_dataset().frames, cfg)
+    batches = P.PreparedBatches(toy_dataset(), cfg)
     C.warm_up_queue(state, batches)
     C.moco_train_step(state, batches.next_batch())  # every trained set now has a velocity to keep
     state.query.backbone["conv1.kernels"].grad[0, 0, 1, 1] = np.inf
@@ -363,8 +363,8 @@ def test_an_accepted_extreme_trains_finite_or_stops_named_before_any_update(
 def test_loop_batches_carry_the_workers_views_but_no_frames():
     # the loop takes each batch's indices and epoch; only the worker gathers frames
     cfg, data = toy_cfg(), toy_dataset()
-    prepared = P.PreparedBatches(data.frames, cfg)
-    with P._ViewFeed(data.frames, cfg, 8) as f:  # 6 batches per epoch: crosses into epoch 1
+    prepared = P.PreparedBatches(data, cfg)
+    with P._ViewFeed(data, cfg, 8) as f:  # 6 batches per epoch: crosses into epoch 1
         for _ in range(8):
             got, want = f.next_batch(), prepared.next_batch()
             assert got.frames is None
@@ -376,11 +376,12 @@ def test_loop_batches_carry_the_workers_views_but_no_frames():
 def test_the_training_process_holds_no_frames_by_its_first_step(
     stage_artifacts, stage, tmp_path, monkeypatch
 ):
-    # only the view worker reads the frames: the loop's process drops them once it has forked
+    # only the view worker reads rows, a batch's at a time; the loop's process
+    # reads none and closes its handle on the blob once the worker has forked
     root, _, _ = stage_artifacts
     save_dataset(toy_dataset(), tmp_path / "d")
     dataset = load_dataset(tmp_path / "d")[0]
-    frames, blob = weakref.ref(dataset.frames), weakref.ref(dataset.frames.base)
+    log_row_reads(monkeypatch, tmp_path / "reads")
     name, run = {
         "pretrain": ("moco_train_step", lambda: P.pretrain(dataset, TOY_ENC, toy_cfg())),
         "adapt_teacher": ("teacher_adapt_step",
@@ -391,12 +392,13 @@ def test_the_training_process_holds_no_frames_by_its_first_step(
     real, held = getattr(P, name), []
 
     def step(state, batch):
-        held.append((frames(), blob()))
+        held.append(holds_open(tmp_path / "d.bin"))
         return real(state, batch)
 
     monkeypatch.setattr(P, name, step)
     assert len(run().steps) == 6
-    assert held == [(None, None)] * 6
+    assert held == [False] * 6
+    assert_no_read_covers_every_row(tmp_path / "reads", worker_only=True)
     assert len(dataset) == 48 and dataset.labels.shape == (48,)  # the labels stay
     for use in (lambda: dataset.frames, lambda: dataset.subset([0]),
                 lambda: P.pretrain(dataset, TOY_ENC, toy_cfg())):
@@ -451,7 +453,7 @@ def wait_for_exit(pid, seconds=5.0):
 
 def feed(count=50):
     cfg = toy_cfg()
-    return P._ViewFeed(toy_dataset().frames, cfg, count)
+    return P._ViewFeed(toy_dataset(), cfg, count)
 
 
 def test_worker_ends_when_the_loop_closes_its_pipes_unread():
@@ -508,9 +510,9 @@ def test_feed_batches_carry_the_views_build_views_makes():
     # the warm-up batches carry only their key views, with the bits of a full build
     cfg = toy_cfg()
     data = toy_dataset()
-    stream, rng = BatchStream(data.frames, cfg.batch_size, cfg.seed), Rng(cfg.seed)
+    stream, rng = BatchStream(data, cfg.batch_size, cfg.seed), Rng(cfg.seed)
     warm = cfg.queue_size // cfg.batch_size
-    with deadline(10), P._ViewFeed(data.frames, cfg, 7) as f:
+    with deadline(10), P._ViewFeed(data, cfg, 7) as f:
         for i in range(7):
             got, expected = f.next_batch(), stream.next_batch()
             assert np.array_equal(got.indices, expected.indices) and got.epoch == expected.epoch
@@ -534,9 +536,9 @@ def test_feed_batches_carry_the_teacher_soft_targets(stage_artifacts):
     cfg, data = toy_cfg(), toy_dataset()
     teacher = P._loaded_state(root / "teacher", TOY_ENC, cfg, freeze_backbone=True)
     hand = P._loaded_state(root / "teacher", TOY_ENC, cfg, freeze_backbone=True)
-    stream, rng = BatchStream(data.frames, cfg.batch_size, cfg.seed), Rng(cfg.seed)
+    stream, rng = BatchStream(data, cfg.batch_size, cfg.seed), Rng(cfg.seed)
     warm = cfg.queue_size // cfg.batch_size
-    with deadline(10), P._ViewFeed(data.frames, cfg, warm + 5, teacher) as f:
+    with deadline(10), P._ViewFeed(data, cfg, warm + 5, teacher) as f:
         for i in range(warm + 5):
             got = f.next_batch()
             views_q, views_k = C.build_views(stream.next_batch(), cfg.augment, rng)
