@@ -1,14 +1,16 @@
 """Command-line orchestration of the training and evaluation pipeline.
 
-Configuration is a flat JSON schema; command-line flags override file
-values, which override built-in defaults (flag > file > env > default
-for the seed).  Every command checks its keys, builds its configs, loads
---data (and splits it, for probing), loads checkpoints and runs, and only
-then creates --out to write its resolved config.json plus its metrics and
-checkpoints there, so bad input fails before any load and leaves nothing
-behind.  A value that cannot be parsed and one that a config rejects are
-both usage errors: the command exits 2 and prints its usage.  Progress
-goes to stderr; files carry the machine-readable results.
+Configuration is a flat JSON schema.  Each command takes only the keys it
+reads (``COMMANDS``), and one config file may hold those of the whole
+pipeline.  Flags override file values, which override built-in defaults
+(flag > file > env > default for the seed).  Every command checks its
+keys, builds its configs, loads --data (and splits it, for probing),
+loads checkpoints and runs, and only then creates --out to write its
+resolved config.json plus its metrics and checkpoints there, so bad
+input fails before any load and leaves nothing behind.  A flag the
+command does not take, a value that cannot be parsed and one that a
+config rejects are all usage errors: the command exits 2 and prints its
+usage.  Progress goes to stderr; files carry the machine-readable results.
 """
 
 from __future__ import annotations
@@ -122,8 +124,11 @@ _JSON_TYPES = {bool: ((bool,), "a boolean"), int: ((int,), "an integer"),
                float: ((int, float), "a number"), str: ((str,), "a string")}
 
 
-def _parse_value(key: str, kind, raw):
-    if raw is None:
+def _parse_value(key: str, raw):
+    """A config file's value checked against the key's type; null stands
+    only for a key whose default is None (the paths and distill_tau)."""
+    kind, default, _ = CONFIG_SCHEMA[key]
+    if raw is None and default is None:
         return None
     accepted, name = _JSON_TYPES[kind]
     if not isinstance(raw, accepted) or (isinstance(raw, bool) and kind is not bool):
@@ -131,39 +136,39 @@ def _parse_value(key: str, kind, raw):
     return kind(raw)
 
 
+def _load_config_file(path: str) -> dict:
+    """A config file's values, each checked against the schema; one file
+    may hold the keys of every command."""
+    try:
+        loaded = json.loads(Path(path).read_text())
+    except FileNotFoundError:
+        raise CliError(f"config file not found: {path}")
+    except json.JSONDecodeError as exc:
+        raise CliError(f"config file {path} is not valid JSON: {exc}")
+    if not isinstance(loaded, dict):
+        raise CliError(f"config file {path} must hold a JSON object")
+    values = {}
+    for key, value in loaded.items():
+        if key == "command":  # provenance marker in emitted config.json
+            continue
+        if key not in CONFIG_SCHEMA:
+            raise CliError(f"unknown config key {key!r} in {path}")
+        values[key] = _parse_value(key, value)
+    return values
+
+
 def resolve_config(args: argparse.Namespace) -> dict:
-    """defaults < config file < command-line flags; env seed as fallback."""
-    config = {key: default for key, (_, default, _) in CONFIG_SCHEMA.items()}
-    file_has_seed = False
-    if args.config is not None:
-        try:
-            loaded = json.loads(Path(args.config).read_text())
-        except FileNotFoundError:
-            raise CliError(f"config file not found: {args.config}")
-        except json.JSONDecodeError as exc:
-            raise CliError(f"config file {args.config} is not valid JSON: {exc}")
-        if not isinstance(loaded, dict):
-            raise CliError(f"config file {args.config} must hold a JSON object")
-        for key, value in loaded.items():
-            if key == "command":  # provenance marker in emitted config.json
-                continue
-            if key not in CONFIG_SCHEMA:
-                raise CliError(f"unknown config key {key!r} in {args.config}")
-            kind = CONFIG_SCHEMA[key][0]
-            config[key] = _parse_value(key, kind, value)
-        file_has_seed = "seed" in loaded
-    flag_has_seed = False
-    for key in CONFIG_SCHEMA:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            config[key] = flag
-            if key == "seed":
-                flag_has_seed = True
-    if not flag_has_seed and not file_has_seed and SEED_ENV in os.environ:
+    """The command's keys: defaults < config file < command-line flags; env seed as fallback."""
+    config = {key: CONFIG_SCHEMA[key][1] for key in COMMANDS[args.command][1]}
+    loaded = _load_config_file(args.config) if args.config is not None else {}
+    flags = {key: getattr(args, key) for key in config if getattr(args, key) is not None}
+    if "seed" in config and "seed" not in loaded and "seed" not in flags and SEED_ENV in os.environ:
         try:
             config["seed"] = int(os.environ[SEED_ENV])
         except ValueError:
             raise CliError(f"{SEED_ENV}: cannot read {os.environ[SEED_ENV]!r} as int")
+    config.update((key, value) for key, value in loaded.items() if key in config)
+    config.update(flags)
     return config
 
 
@@ -237,7 +242,7 @@ def train_config(cfg: dict) -> TrainConfig:
     return TrainConfig(
         tau=cfg["tau"],
         m=cfg["m"],
-        lam=cfg["lambda"],
+        lam=cfg.get("lambda", _TRAIN.lam),  # only pretrain-student takes the distill keys
         batch_size=cfg["batch_size"],
         queue_size=cfg["queue_size"],
         lr=cfg["lr"],
@@ -245,7 +250,7 @@ def train_config(cfg: dict) -> TrainConfig:
         weight_decay=cfg["weight_decay"],
         steps=cfg["steps"],
         seed=cfg["seed"],
-        distill_tau=cfg["distill_tau"],
+        distill_tau=cfg.get("distill_tau", _TRAIN.distill_tau),
         augment=augment_config(cfg),
     )
 
@@ -263,7 +268,7 @@ def _require(cfg: dict, command: str, *keys: str) -> None:
 
 
 def _refuse(cfg: dict, command: str, *keys: str) -> None:
-    """A usage error for each key given to a command that does not read it."""
+    """A usage error for each key given to a command in a mode that does not read it."""
     given = [k for k in keys if cfg.get(k)]
     if given:
         raise CliError(f"{command} takes no --{' --'.join(k.replace('_', '-') for k in given)}")
@@ -310,7 +315,6 @@ def cmd_gen_data(cfg: dict) -> int:
         save_dataset(dataset, out / name, config={"seed": seed, "domain": spec.domain_tag})
         rows.append(f"{name},{len(dataset)},{spec.num_phases}")
         _progress(f"gen-data: wrote {name} ({len(dataset)} frames)")
-        del dataset  # one dataset in memory at a time
     (out / "metrics.csv").write_text("\n".join(rows) + "\n")
     _write_provenance(out, "gen-data", cfg)
     return 0
@@ -336,17 +340,11 @@ def _train(cfg: dict, command: str, stage, *checkpoints: str, **options) -> int:
     return 0
 
 
-# Student-only keys, which the other training commands would silently ignore.
-_STUDENT_KEYS = ("init_from", "distill", "teacher")
-
-
 def cmd_pretrain_generic(cfg: dict) -> int:
-    _refuse(cfg, "pretrain-generic", *_STUDENT_KEYS)
     return _train(cfg, "pretrain-generic", pipeline.pretrain)
 
 
 def cmd_adapt_teacher(cfg: dict) -> int:
-    _refuse(cfg, "adapt-teacher", *_STUDENT_KEYS)
     return _train(cfg, "adapt-teacher", pipeline.adapt_teacher, "generic",
                   freeze_backbone=cfg["freeze_backbone"])
 
@@ -457,14 +455,30 @@ def cmd_gradcheck(cfg: dict) -> int:
     return 0 if ok else 1
 
 
-_HANDLERS = {
-    "gen-data": cmd_gen_data,
-    "pretrain-generic": cmd_pretrain_generic,
-    "adapt-teacher": cmd_adapt_teacher,
-    "pretrain-student": cmd_pretrain_student,
-    "linear-probe": cmd_linear_probe,
-    "sweep-labels": cmd_sweep_labels,
-    "gradcheck": cmd_gradcheck,
+# The keys each config builder reads; a command takes those of the builders it calls.
+_ENCODER_KEYS = ("in_channels", "input_size", "conv_channels", "kernel_size", "conv_stride",
+                 "conv_pad", "d_backbone", "embed_dim")
+_AUGMENT_KEYS = ("crop_scale_lo", "crop_scale_hi", "flip_prob", "brightness_delta",
+                 "contrast_lo", "contrast_hi", "aug_noise_sigma", "view_size")
+_TRAIN_KEYS = ("data", "out", "seed", "tau", "m", "batch_size", "queue_size", "lr",
+               "sgd_momentum", "weight_decay", "steps", *_ENCODER_KEYS, *_AUGMENT_KEYS)
+_PROBE_KEYS = ("data", "out", "seed", *_ENCODER_KEYS, "probe_lr", "probe_steps",
+               "probe_weight_decay", "probe_seeds", "holdout_fraction")
+
+# command: (handler, the keys it reads); its parser takes only those.
+COMMANDS = {
+    "gen-data": (cmd_gen_data, ("out", "seed", "image_size", "target_phases",
+                                "target_frames_per_phase", "generic_classes",
+                                "generic_frames_per_phase")),
+    "pretrain-generic": (cmd_pretrain_generic, _TRAIN_KEYS),
+    "adapt-teacher": (cmd_adapt_teacher, (*_TRAIN_KEYS, "generic", "freeze_backbone")),
+    "pretrain-student": (cmd_pretrain_student, (*_TRAIN_KEYS, "lambda", "distill_tau",
+                                                "distill", "teacher", "init_from")),
+    "linear-probe": (cmd_linear_probe, (*_PROBE_KEYS, "label_fraction", "mode", "ckpt",
+                                        "teacher")),
+    "sweep-labels": (cmd_sweep_labels, (*_PROBE_KEYS, "fractions", "teacher", "plain",
+                                        "distilled", "init_student")),
+    "gradcheck": (cmd_gradcheck, ("out", "gradcheck_instances")),
 }
 
 
@@ -472,12 +486,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="distill-ssl",
         description="Deterministic desk-scale contrastive pretraining with teacher distillation",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", metavar="command")
-    for command in _HANDLERS:
-        p = sub.add_parser(command, help=f"{command} stage")
+    for command, (_, keys) in COMMANDS.items():
+        p = sub.add_parser(command, help=f"{command} stage", allow_abbrev=False)
         p.add_argument("--config", help="JSON config file (flat schema)")
-        for key, (kind, default, help_text) in CONFIG_SCHEMA.items():
+        for key in keys:
+            kind, default, help_text = CONFIG_SCHEMA[key]
             flag = "--" + key.replace("_", "-")
             if kind is bool:
                 group = p.add_mutually_exclusive_group()
@@ -503,7 +519,7 @@ def run(argv: list[str]) -> int:
         return 2
     try:
         cfg = resolve_config(args)
-        return _HANDLERS[args.command](cfg)
+        return COMMANDS[args.command][0](cfg)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)

@@ -3,6 +3,7 @@
 import ctypes
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -29,7 +30,7 @@ from distill_ssl.data import (
     save_dataset,
     target_spec,
 )
-from distill_ssl.eval import ProbeConfig, split_indices
+from distill_ssl.eval import MODES, ProbeConfig, split_indices
 
 from reads import assert_no_read_covers_every_row, holds_open, log_row_reads, row_reads
 
@@ -120,11 +121,11 @@ class TestDispatch:
 
 class TestConfigPrecedence:
     def test_flag_beats_file_beats_default(self, small_config):
-        args = build_parser().parse_args(["gen-data", "--config", small_config])
+        args = build_parser().parse_args(["pretrain-generic", "--config", small_config])
         cfg = resolve_config(args)
         assert cfg["steps"] == 12  # file beats default 500
         args = build_parser().parse_args(
-            ["gen-data", "--config", small_config, "--steps", "3"]
+            ["pretrain-generic", "--config", small_config, "--steps", "3"]
         )
         assert resolve_config(args)["steps"] == 3  # flag beats file
 
@@ -139,15 +140,24 @@ class TestConfigPrecedence:
 
     def test_defaults_without_any_source(self, monkeypatch):
         monkeypatch.delenv("DISTILL_SSL_SEED", raising=False)
-        cfg = resolve_config(build_parser().parse_args(["gen-data"]))
+        cfg = resolve_config(build_parser().parse_args(["pretrain-student"]))
         assert cfg["seed"] == 7 and cfg["tau"] == 0.07 and cfg["lambda"] == 5.0
 
     def test_defaults_build_the_dataclass_defaults(self, monkeypatch):
         monkeypatch.delenv("DISTILL_SSL_SEED", raising=False)
-        cfg = resolve_config(build_parser().parse_args(["gen-data"]))
-        assert train_config(cfg) == TrainConfig()
-        assert encoder_config(cfg) == EncoderConfig()
-        assert probe_config(cfg) == ProbeConfig()
+
+        def defaults(command):
+            return resolve_config(build_parser().parse_args([command]))
+
+        # every training command builds the same TrainConfig: only
+        # pretrain-student takes lambda and distill_tau, the others their defaults
+        for command in ("pretrain-generic", "adapt-teacher", "pretrain-student"):
+            assert train_config(defaults(command)) == TrainConfig()
+            assert encoder_config(defaults(command)) == EncoderConfig()
+        for command in ("linear-probe", "sweep-labels"):
+            assert encoder_config(defaults(command)) == EncoderConfig()
+            assert probe_config(defaults(command)) == ProbeConfig()
+        cfg = defaults("gen-data")
         size = (cfg["image_size"], cfg["image_size"])
         target = target_spec(cfg["target_phases"], cfg["target_frames_per_phase"], size)
         generic = generic_spec(cfg["generic_classes"], cfg["generic_frames_per_phase"], size)
@@ -163,6 +173,10 @@ class TestConfigPrecedence:
         ("probe_seeds", 0),
         ("mode", {"name": "student"}),
         ("distill", 1),
+        # null stands only for a key whose default is None
+        ("seed", None),
+        ("steps", None),
+        ("tau", None),
     ])
     def test_file_value_of_wrong_json_type_rejected(self, key, value, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -176,7 +190,7 @@ class TestConfigPrecedence:
     def test_float_key_accepts_json_integer(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"tau": 1, "lambda": 0, "distill_tau": None}))
-        cfg = resolve_config(build_parser().parse_args(["gen-data", "--config", str(path)]))
+        cfg = resolve_config(build_parser().parse_args(["pretrain-student", "--config", str(path)]))
         assert type(cfg["tau"]) is float and cfg["tau"] == 1.0
         assert type(cfg["lambda"]) is float and cfg["lambda"] == 0.0
         assert cfg["distill_tau"] is None
@@ -194,9 +208,9 @@ class TestConfigPrecedence:
 
 
 class TestProvenance:
-    def test_config_json_written_with_command(self, data_dir):
-        record = json.loads((data_dir / "config.json").read_text())
-        assert record["command"] == "gen-data"
+    def test_config_json_written_with_command(self, generic_ckpt):
+        record = json.loads((generic_ckpt.parent / "config.json").read_text())
+        assert record["command"] == "pretrain-generic"
         assert record["steps"] == 12
         assert "seed" in record and "tau" in record
 
@@ -266,17 +280,31 @@ class TestDeterminism:
             for name in ("checkpoint.bin", "metrics.csv"):
                 assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), (arm, name)
 
-    def test_artifact_reproducible_from_its_config_json(self, small_config, data_dir, tmp_path):
+    @pytest.mark.parametrize("command, artifacts", (
+        ("gen-data", ("target.bin", "generic.bin", "metrics.csv")),
+        ("pretrain-student", ("checkpoint.bin", "metrics.csv")),
+        ("linear-probe", ("metrics.csv",)),
+        ("sweep-labels", ("metrics.csv", "summary.json", "accuracy.svg")),
+    ))
+    def test_artifact_reproducible_from_its_config_json(
+        self, command, artifacts, small_config, data_dir, generic_ckpt, tmp_path
+    ):
+        inputs = {
+            "gen-data": [],
+            "pretrain-student": ["--data", str(data_dir / "target")],
+            "linear-probe": ["--data", str(data_dir / "target"), "--ckpt", str(generic_ckpt)],
+            "sweep-labels": ["--data", str(data_dir / "target"), "--plain", str(generic_ckpt),
+                             "--fractions", "0.5,1.0"],
+        }[command]
         first = tmp_path / "first"
-        assert run([
-            "pretrain-student", "--config", small_config,
-            "--data", str(data_dir / "target"), "--out", str(first),
-        ]) == 0
+        assert run([command, "--config", small_config, *inputs, "--out", str(first)]) == 0
+        record = json.loads((first / "config.json").read_text())
+        assert set(record) == {"command", *cli.COMMANDS[command][1]}
+        assert record["command"] == command
         replay = tmp_path / "replay"
-        assert run([
-            "pretrain-student", "--config", str(first / "config.json"), "--out", str(replay),
-        ]) == 0
-        assert (first / "checkpoint.bin").read_bytes() == (replay / "checkpoint.bin").read_bytes()
+        assert run([command, "--config", str(first / "config.json"), "--out", str(replay)]) == 0
+        for name in artifacts:
+            assert (first / name).read_bytes() == (replay / name).read_bytes(), name
 
     def test_stdout_stays_clean(self, small_config, tmp_path, capsys):
         assert run(["gen-data", "--config", small_config, "--out", str(tmp_path / "o")]) == 0
@@ -503,16 +531,16 @@ class TestStages:
             # a plain student reads no teacher: without --distill it would be ignored
             ("pretrain-student", ["--teacher", "{missing}"],
              "pretrain-student without --distill takes no --teacher"),
-            # the training commands other than pretrain-student read no student-only key
-            ("pretrain-generic", ["--init-from", "{missing}"], "pretrain-generic takes no --init-from"),
-            ("pretrain-generic", ["--distill"], "pretrain-generic takes no --distill"),
-            ("pretrain-generic", ["--teacher", "{missing}"], "pretrain-generic takes no --teacher"),
+            # the training commands other than pretrain-student take no student-only key
+            ("pretrain-generic", ["--init-from", "{missing}"], "unrecognized arguments: --init-from"),
+            ("pretrain-generic", ["--distill"], "unrecognized arguments: --distill"),
+            ("pretrain-generic", ["--teacher", "{missing}"], "unrecognized arguments: --teacher"),
             ("pretrain-generic", ["--data", "{missing}", "--init-from", "{missing}", "--distill",
                                   "--teacher", "{missing}"],
-             "takes no --init-from --distill --teacher"),
-            ("adapt-teacher", ["--init-from", "{missing}"], "adapt-teacher takes no --init-from"),
-            ("adapt-teacher", ["--distill"], "adapt-teacher takes no --distill"),
-            ("adapt-teacher", ["--teacher", "{missing}"], "adapt-teacher takes no --teacher"),
+             "unrecognized arguments: --init-from"),
+            ("adapt-teacher", ["--init-from", "{missing}"], "unrecognized arguments: --init-from"),
+            ("adapt-teacher", ["--distill"], "unrecognized arguments: --distill"),
+            ("adapt-teacher", ["--teacher", "{missing}"], "unrecognized arguments: --teacher"),
             # a repeated fraction or probe seed would repeat rows and merge summary entries
             ("sweep-labels", ["--fractions", "0.05,0.05"], "fractions lists a value more than once"),
             ("sweep-labels", ["--fractions", "0.5,1,0.50"], "fractions lists a value more than once"),
@@ -632,6 +660,101 @@ class TestStages:
         assert len(lines) > 5
         ops = [line.split(",")[0] for line in lines[1:]]
         assert ops == list(run_gradcheck(instances=1))
+
+
+class _Reads(dict):
+    """A resolved config that records the keys a command reads.  A ``get``
+    of a key the command does not take falls back to a default: no read."""
+
+    def __init__(self, cfg):
+        super().__init__(cfg)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        if key in self:
+            self.read.add(key)
+        return super().get(key, default)
+
+
+class TestCommandKeys:
+    def test_the_table_has_138_command_flag_pairs(self):
+        # 7 commands x 53 keys = 371 before each command took only its own
+        assert sum(len(keys) for _, keys in cli.COMMANDS.values()) == 138
+
+    def test_each_command_reads_exactly_its_keys(
+        self, monkeypatch, small_config, data_dir, generic_ckpt, teacher_ckpt, tmp_path
+    ):
+        configs = []
+        resolve = cli.resolve_config
+
+        def recording(args):
+            configs.append((args.command, _Reads(resolve(args))))
+            return configs[-1][1]
+
+        monkeypatch.setattr(cli, "resolve_config", recording)
+        target, generic = str(data_dir / "target"), str(generic_ckpt)
+        student = ["pretrain-student", "--data", target, "--steps", "1"]
+        runs = [
+            ["gen-data"],
+            ["pretrain-generic", "--data", str(data_dir / "generic"), "--steps", "1"],
+            ["adapt-teacher", "--data", target, "--generic", generic, "--steps", "1"],
+            student,
+            [*student, "--distill", "--teacher", str(teacher_ckpt)],
+            *(["linear-probe", "--data", target, "--ckpt", generic, "--teacher", generic,
+               "--mode", mode] for mode in MODES),
+            ["sweep-labels", "--data", target, "--teacher", generic, "--plain", generic,
+             "--distilled", generic, "--init-student", generic, "--fractions", "1.0"],
+            ["gradcheck", "--gradcheck-instances", "1"],
+        ]
+        for i, argv in enumerate(runs):
+            assert run([*argv, "--config", small_config, "--out", str(tmp_path / str(i))]) == 0
+        read = {}
+        for command, cfg in configs:
+            assert set(cfg) == set(cli.COMMANDS[command][1]), command
+            read.setdefault(command, set()).update(cfg.read)
+        assert read == {command: set(keys) for command, (_, keys) in cli.COMMANDS.items()}
+
+    @pytest.mark.parametrize("command, args, named", (
+        # flags a command would ignore
+        ("linear-probe", ["--steps", "10", "--lambda", "3", "--lr", "9"],
+         "unrecognized arguments: --steps 10 --lambda 3 --lr 9"),
+        ("gen-data", ["--teacher", "nowhere", "--lambda", "4"],
+         "unrecognized arguments: --teacher nowhere --lambda 4"),
+        # abbreviations of flags the command takes
+        ("linear-probe", ["--probe-step", "10", "--label", "0.5", "--hold", "0.3"],
+         "unrecognized arguments: --probe-step 10 --label 0.5 --hold 0.3"),
+        ("pretrain-student", ["--init", "{ckpt}"], "unrecognized arguments: --init"),
+        ("pretrain-student", ["--distill", "--teach", "{ckpt}"], "unrecognized arguments: --teach"),
+    ))
+    def test_a_flag_the_command_does_not_take_is_a_usage_error(
+        self, command, args, named, data_dir, generic_ckpt, tmp_path, capsys
+    ):
+        inputs = {
+            "linear-probe": ["--data", str(data_dir / "target"), "--ckpt", str(generic_ckpt)],
+            "pretrain-student": ["--data", str(data_dir / "target"), "--steps", "1"],
+            "gen-data": [],
+        }[command]
+        args = [a.replace("{ckpt}", str(generic_ckpt)) for a in args]
+        out = tmp_path / "out"
+        assert run([command, *inputs, *args, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and named in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    def test_help_lists_exactly_the_commands_keys(self, command, capsys):
+        assert run([command, "--help"]) == 0
+        flags = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out))
+        expected = {"--help", "--config"}
+        for key in cli.COMMANDS[command][1]:
+            expected.add("--" + key.replace("_", "-"))
+            if cli.CONFIG_SCHEMA[key][0] is bool:
+                expected.add("--no-" + key.replace("_", "-"))
+        assert flags == expected
 
 
 def _has_mallopt():
