@@ -2,15 +2,17 @@
 
 Configuration is a flat JSON schema.  Each command takes only the keys it
 reads (``COMMANDS``), and one config file may hold those of the whole
-pipeline.  Flags override file values, which override built-in defaults
-(flag > file > env > default for the seed).  Every command checks its
-keys, builds its configs, loads --data (and splits it, for probing),
-loads checkpoints and runs, and only then creates --out to write its
-resolved config.json plus its metrics and checkpoints there, so bad
-input fails before any load and leaves nothing behind.  A flag the
-command does not take, a value that cannot be parsed and one that a
-config rejects are all usage errors: the command exits 2 and prints its
-usage.  Progress goes to stderr; files carry the machine-readable results.
+pipeline; a loaded checkpoint brings its own architecture, so only the
+commands that make an encoder take its keys.  Flags override file values,
+which override built-in defaults (flag > file > env > default for the
+seed).  Every command checks its keys, builds its configs, loads --data
+(and splits it, for probing), loads checkpoints and runs, and only then
+creates --out to write its resolved config.json plus its metrics and
+checkpoints there, so bad input fails before any load and leaves nothing
+behind.  A flag the command does not take, a value that cannot be parsed
+or that a config rejects, and an --init-from of another architecture are
+usage errors: the command exits 2 and prints its own usage.  Progress
+goes to stderr; files carry the machine-readable results.
 """
 
 from __future__ import annotations
@@ -206,24 +208,18 @@ def _usage_error(build):
 
 
 @_usage_error
-def encoder_config(cfg: dict, size_key: str = "input_size") -> EncoderConfig:
-    """The encoder, checked to fit inputs of side ``cfg[size_key]``: the
-    views for training, the resized frames for probing."""
-    channels = tuple(_list(cfg, "conv_channels", int))
-    if len(channels) != 2:
-        raise CliError(f"conv_channels must name two layers, got {cfg['conv_channels']!r}")
-    enc_cfg = EncoderConfig(
+def encoder_config(cfg: dict) -> EncoderConfig:
+    """A new encoder; ``EncoderConfig`` refuses one that does not fit its input size."""
+    return EncoderConfig(
         in_channels=cfg["in_channels"],
         input_size=(cfg["input_size"], cfg["input_size"]),
-        conv_channels=channels,
+        conv_channels=tuple(_list(cfg, "conv_channels", int)),
         kernel_size=cfg["kernel_size"],
         stride=cfg["conv_stride"],
         pad=cfg["conv_pad"],
         d_backbone=cfg["d_backbone"],
         d=cfg["embed_dim"],
     )
-    enc_cfg.check_input_size((cfg[size_key], cfg[size_key]))
-    return enc_cfg
 
 
 def augment_config(cfg: dict) -> AugmentConfig:
@@ -297,9 +293,9 @@ def _progress(msg: str) -> None:
     print(msg, file=sys.stderr, flush=True)
 
 
-def _query_encoder(path, enc_cfg: EncoderConfig):
+def _query_encoder(path):
     """The checkpoint's query encoder, or None when no checkpoint is named."""
-    return load_encoders(path, enc_cfg, ("query",))[0] if path else None
+    return load_encoders(path, ("query",))[0] if path else None
 
 
 def cmd_gen_data(cfg: dict) -> int:
@@ -321,19 +317,21 @@ def cmd_gen_data(cfg: dict) -> int:
 
 
 def _train(cfg: dict, command: str, stage, *checkpoints: str, **options) -> int:
-    """Run ``stage(dataset, *checkpoint paths, enc_cfg, train_cfg, **options)``
-    and write its metrics, checkpoint and provenance.  The stage takes the
-    loaded dataset over and releases it once its worker has forked; a
-    stage that fails before then leaves it to the ``with`` block."""
+    """Run ``stage(dataset, *checkpoint paths, cfg=train_cfg, **options)``,
+    plus ``enc_cfg`` for a command that makes an encoder, and write its
+    metrics, checkpoint and provenance.  The stage takes the loaded dataset
+    over and releases it once its worker has forked; a stage that fails
+    before then leaves it to the ``with`` block."""
     _require(cfg, command, "data", "out", *checkpoints)
     train_cfg = train_config(cfg)  # the view size is checked before the encoder is fitted to it
-    enc_cfg = encoder_config(cfg, "view_size")
+    if "embed_dim" in cfg:  # a new encoder, whose kernels must also fit the views
+        enc_cfg = options["enc_cfg"] = encoder_config(cfg)
+        _usage_error(replace)(enc_cfg, input_size=(cfg["view_size"], cfg["view_size"]))
     with load_dataset(cfg["data"])[0] as dataset:
-        run = stage(dataset, *(cfg[key] for key in checkpoints), enc_cfg, train_cfg, **options)
+        run = stage(dataset, *(cfg[key] for key in checkpoints), cfg=train_cfg, **options)
     out = _out_dir(cfg)
     _write_train_metrics(out, run)
-    pipeline.save_model(run.state, out / "checkpoint",
-                        config={"encoder": enc_cfg.to_dict(), "seed": cfg["seed"]})
+    pipeline.save_model(run.state, out / "checkpoint", config={"seed": cfg["seed"]})
     _write_provenance(out, command, cfg)
     losses = f", loss {run.steps[0].total:.4f} -> {run.steps[-1].total:.4f}" if run.steps else ""
     _progress(f"{command}: {len(run.steps)} steps{losses}")
@@ -359,17 +357,16 @@ def cmd_pretrain_student(cfg: dict) -> int:
 
 
 def _probe_inputs(cfg: dict, **probe_fields):
-    """Encoder and probe configs, probe seeds, class count, and the
-    train/holdout split of --data; every value is checked before --data or
-    any checkpoint is read.  Each split reads its rows from the blob, through
-    a handle of its own, only as they are asked for; the caller releases both."""
-    enc_cfg = encoder_config(cfg)
+    """Probe config, probe seeds, class count, and the train/holdout split
+    of --data; every value is checked before --data or any checkpoint is
+    read.  Each split reads its rows from the blob, through a handle of its
+    own, only as they are asked for; the caller releases both."""
     probe = probe_config(cfg, **probe_fields)
     seeds = _distinct(cfg, "probe_seeds", int)
     _usage_error(check_holdout_fraction)(cfg["holdout_fraction"])
     with load_dataset(cfg["data"])[0] as dataset:
         train_set, test_set = split_dataset(dataset, cfg["holdout_fraction"], cfg["seed"])
-    return enc_cfg, probe, seeds, int(dataset.labels.max()) + 1, train_set, test_set
+    return probe, seeds, int(dataset.labels.max()) + 1, train_set, test_set
 
 
 def cmd_linear_probe(cfg: dict) -> int:
@@ -378,11 +375,11 @@ def cmd_linear_probe(cfg: dict) -> int:
         raise CliError(f"mode must be one of {MODES}, got {mode!r}")
     keys = {"student": ("ckpt",), "teacher": ("teacher",)}.get(mode, ("ckpt", "teacher"))
     _require(cfg, "linear-probe", "data", "out", *keys)
-    enc_cfg, probe, seeds, num_classes, train_set, test_set = _probe_inputs(
+    probe, seeds, num_classes, train_set, test_set = _probe_inputs(
         cfg, label_fraction=cfg["label_fraction"]
     )
     with train_set, test_set:
-        student, teacher = (_query_encoder(cfg[key], enc_cfg) if key in keys else None
+        student, teacher = (_query_encoder(cfg[key]) if key in keys else None
                             for key in ("ckpt", "teacher"))
         ftr = extract_features(student, teacher, train_set, mode)
         fte = extract_features(student, teacher, test_set, mode)
@@ -420,10 +417,10 @@ def cmd_sweep_labels(cfg: dict) -> int:
     fractions = _distinct(cfg, "fractions", float)
     for fraction in fractions:  # ProbeConfig holds the range check
         probe_config(cfg, label_fraction=fraction)
-    enc_cfg, probe, seeds, num_classes, train_set, test_set = _probe_inputs(cfg)
+    probe, seeds, num_classes, train_set, test_set = _probe_inputs(cfg)
     with train_set, test_set:  # the sweep releases them once its worker has forked
         # Each checkpoint key has an arm of its own, so every given one is used.
-        loaded = {key: _query_encoder(cfg[key], enc_cfg)
+        loaded = {key: _query_encoder(cfg[key])
                   for key in ("teacher", "plain", "init_student", "distilled")}
         encoders = [SweepEncoder(name, mode, loaded.get(s), loaded.get(t))
                     for name, mode, s, t in arms]
@@ -461,19 +458,19 @@ _ENCODER_KEYS = ("in_channels", "input_size", "conv_channels", "kernel_size", "c
 _AUGMENT_KEYS = ("crop_scale_lo", "crop_scale_hi", "flip_prob", "brightness_delta",
                  "contrast_lo", "contrast_hi", "aug_noise_sigma", "view_size")
 _TRAIN_KEYS = ("data", "out", "seed", "tau", "m", "batch_size", "queue_size", "lr",
-               "sgd_momentum", "weight_decay", "steps", *_ENCODER_KEYS, *_AUGMENT_KEYS)
-_PROBE_KEYS = ("data", "out", "seed", *_ENCODER_KEYS, "probe_lr", "probe_steps",
-               "probe_weight_decay", "probe_seeds", "holdout_fraction")
+               "sgd_momentum", "weight_decay", "steps", *_AUGMENT_KEYS)
+_PROBE_KEYS = ("data", "out", "seed", "probe_lr", "probe_steps", "probe_weight_decay",
+               "probe_seeds", "holdout_fraction")
 
 # command: (handler, the keys it reads); its parser takes only those.
 COMMANDS = {
     "gen-data": (cmd_gen_data, ("out", "seed", "image_size", "target_phases",
                                 "target_frames_per_phase", "generic_classes",
                                 "generic_frames_per_phase")),
-    "pretrain-generic": (cmd_pretrain_generic, _TRAIN_KEYS),
+    "pretrain-generic": (cmd_pretrain_generic, (*_TRAIN_KEYS, *_ENCODER_KEYS)),
     "adapt-teacher": (cmd_adapt_teacher, (*_TRAIN_KEYS, "generic", "freeze_backbone")),
-    "pretrain-student": (cmd_pretrain_student, (*_TRAIN_KEYS, "lambda", "distill_tau",
-                                                "distill", "teacher", "init_from")),
+    "pretrain-student": (cmd_pretrain_student, (*_TRAIN_KEYS, *_ENCODER_KEYS, "lambda",
+                                                "distill_tau", "distill", "teacher", "init_from")),
     "linear-probe": (cmd_linear_probe, (*_PROBE_KEYS, "label_fraction", "mode", "ckpt",
                                         "teacher")),
     "sweep-labels": (cmd_sweep_labels, (*_PROBE_KEYS, "fractions", "teacher", "plain",
@@ -491,6 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", metavar="command")
     for command, (_, keys) in COMMANDS.items():
         p = sub.add_parser(command, help=f"{command} stage", allow_abbrev=False)
+        p.set_defaults(print_usage=p.print_usage)  # usage errors show the command's own
         p.add_argument("--config", help="JSON config file (flat schema)")
         for key in keys:
             kind, default, help_text = CONFIG_SCHEMA[key]
@@ -511,23 +509,23 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv: list[str]) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, unknown = parser.parse_known_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     if args.command is None:
         parser.print_usage(sys.stderr)
         return 2
     try:
-        cfg = resolve_config(args)
-        return COMMANDS[args.command][0](cfg)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        parser.print_usage(sys.stderr)
-        return 2
+        if unknown:
+            raise CliError(f"unrecognized arguments: {' '.join(unknown)}")
+        return COMMANDS[args.command][0](resolve_config(args))
+    except (CliError, pipeline.ArchitectureError) as exc:
+        code, message = 2, str(exc)
     except Exception as exc:  # surface domain errors with usage context
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        parser.print_usage(sys.stderr)
-        return 1
+        code, message = 1, f"{type(exc).__name__}: {exc}"
+    print(f"error: {message}", file=sys.stderr)
+    args.print_usage(sys.stderr)
+    return code
 
 
 def main() -> None:

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import tensor as T
 from .augment import AugmentConfig, sample_views, view_seeds
-from .data import Batch, load_checkpoint, save_checkpoint
+from .data import Batch, CorruptManifestError, TensorShapeError, load_checkpoint, save_checkpoint
 from .rng import STREAM_INIT, Rng
 from .tensor import GraphError, ParamSet, ParameterError, Tensor
 
@@ -58,10 +58,30 @@ class EncoderConfig:
     d: int = 32
 
     def __post_init__(self):
-        for f in fields(self):  # every size is >= 1, the padding >= 0
+        # whole numbers, paired where the default is; sizes >= 1, the padding >= 0
+        for f in fields(self):
             value, low = getattr(self, f.name), 0 if f.name == "pad" else 1
-            if min(np.atleast_1d(value)) < low:
+            items = value if isinstance(f.default, tuple) and isinstance(value, tuple) else (value,)
+            if [type(n) for n in items] != [int] * np.size(f.default):
+                raise ParameterError(f"{f.name} must be whole numbers like {f.default}, "
+                                     f"got {value!r}")
+            if min(items) < low:
                 raise ParameterError(f"{f.name} must be >= {low}, got {value}")
+        k, side = self.kernel_size, self.input_size  # each kernel fits its padded input
+        for layer in ("conv1", "conv2"):
+            padded = [n + 2 * self.pad for n in side]
+            if min(padded) < k:
+                raise ParameterError(f"kernel_size {k} larger than {layer}'s padded input "
+                                     f"{padded[0]}x{padded[1]} at input size "
+                                     f"{self.input_size[0]}x{self.input_size[1]}")
+            side = [(n - k) // self.stride + 1 for n in padded]
+
+    @classmethod
+    def from_dict(cls, entry) -> EncoderConfig:
+        """The inverse of ``to_dict``, JSON lists back into tuples."""
+        if not isinstance(entry, dict) or sorted(entry) != sorted(f.name for f in fields(cls)):
+            raise ParameterError(f"expected the fields of {cls.__name__}, got {entry!r:.200}")
+        return cls(**{key: tuple(v) if isinstance(v, list) else v for key, v in entry.items()})
 
     def param_shapes(self) -> dict[str, dict[str, tuple[int, ...]]]:
         c1, c2 = self.conv_channels
@@ -81,16 +101,6 @@ class EncoderConfig:
             },
         }
 
-    def check_input_size(self, size: tuple[int, int]) -> None:
-        """Raise ParameterError unless each conv kernel fits its padded input at ``size``."""
-        k, side = self.kernel_size, size
-        for layer in ("conv1", "conv2"):
-            padded = [n + 2 * self.pad for n in side]
-            if min(padded) < k:
-                raise ParameterError(f"kernel_size {k} larger than {layer}'s padded input "
-                                     f"{padded[0]}x{padded[1]} at input size {size[0]}x{size[1]}")
-            side = [(n - k) // self.stride + 1 for n in padded]
-
     def to_dict(self) -> dict:
         return asdict(self)
 
@@ -109,21 +119,27 @@ class EncoderParams:
         self.head.copy_from(other.head)
 
 
-def load_encoders(
-    path, enc_cfg: EncoderConfig, sides=("query", "key"), freeze_backbone: bool = False
-) -> list[EncoderParams]:
-    """One cloned encoder per requested checkpoint side, in order.
-
-    A side may repeat: ``("query", "query")`` starts a teacher's key
-    encoder as a copy of the checkpoint's query encoder.  The shapes of
-    every requested side are validated in one load, so a mismatch loads
-    nothing.
-    """
-    shapes = enc_cfg.param_shapes()
-    expected = {f"{side}.{part}": params for side in sides for part, params in shapes.items()}
-    named, _ = load_checkpoint(path, expected_shapes=expected)
-    encoders = []
+def load_encoders(path, sides=("query", "key"), freeze_backbone=False) -> list[EncoderParams]:
+    """One cloned encoder per requested checkpoint side, in order, of the
+    architecture the manifest records as ``config.encoder``.  A side may
+    repeat: ``("query", "query")`` starts a key encoder as a copy of the
+    query encoder.  A bad entry raises ``CorruptManifestError`` and a tensor
+    of another shape ``TensorShapeError``, naming the file."""
+    named, config = load_checkpoint(path)
+    try:
+        entry = config.get("encoder") if isinstance(config, dict) else None
+        enc_cfg = EncoderConfig.from_dict(entry)
+    except ValueError as exc:
+        raise CorruptManifestError(f"checkpoint {path}: bad config.encoder: {exc}") from exc
+    shapes, encoders = enc_cfg.param_shapes(), []
     for side in sides:
+        for part, params in shapes.items():
+            got = named[f"{side}.{part}"].shapes() if f"{side}.{part}" in named else {}
+            for name, shape in params.items():
+                if got.get(name) != shape:
+                    found = got.get(name, "missing")
+                    raise TensorShapeError(f"checkpoint {path}: tensor {side}.{part}/{name} is "
+                                           f"{found}, config.encoder says {shape}")
         enc = EncoderParams(**{part: named[f"{side}.{part}"].clone() for part in shapes}, cfg=enc_cfg)
         if freeze_backbone:
             enc.backbone.set_frozen(True)
@@ -132,14 +148,12 @@ def load_encoders(
 
 
 def save_model(state: MoCoState, path, config: dict | None = None) -> None:
-    """Write the query and key encoders as the sets ``load_encoders`` reads."""
-    encoders = {"query": state.query, "key": state.key}
-    named = {
-        f"{side}.{part}": getattr(enc, part)
-        for side, enc in encoders.items()
-        for part in enc.cfg.param_shapes()
-    }
-    save_checkpoint(named, path, config)
+    """Write the query and key encoders as the sets ``load_encoders`` reads,
+    with ``config`` and the encoders' ``EncoderConfig`` as its ``encoder``."""
+    named = {f"{side}.{part}": getattr(enc, part)
+             for side, enc in (("query", state.query), ("key", state.key))
+             for part in enc.cfg.param_shapes()}
+    save_checkpoint(named, path, {**(config or {}), "encoder": state.query.cfg.to_dict()})
 
 
 def _uniform_init(rng: Rng, shape: tuple[int, ...], fan_in: int) -> np.ndarray:

@@ -581,14 +581,8 @@ def save_checkpoint(named: dict[str, ParamSet], path, config: dict | None = None
     _write_pair(tensors, path, config)
 
 
-def load_checkpoint(
-    path, expected_shapes: dict[str, dict[str, tuple[int, ...]]] | None = None
-) -> tuple[dict[str, ParamSet], dict]:
-    """Read parameter sets back; optionally validate shapes before building.
-
-    Validation happens against the full manifest first, so a single bad
-    tensor loads nothing.
-    """
+def load_checkpoint(path) -> tuple[dict[str, ParamSet], dict]:
+    """Read parameter sets back, with the manifest's ``config``."""
     tensors, config = _read_pair(path)
     grouped: dict[str, dict[str, np.ndarray]] = {}
     for key, arr in tensors.items():
@@ -596,19 +590,6 @@ def load_checkpoint(
         if not pname:
             raise CorruptManifestError(f"tensor name {key!r} lacks a '<set>/<param>' form")
         grouped.setdefault(set_name, {})[pname] = arr
-    if expected_shapes is not None:
-        for set_name, params in expected_shapes.items():
-            got = grouped.get(set_name)
-            if got is None:
-                raise TensorShapeError(f"checkpoint missing parameter set {set_name!r}")
-            for pname, shape in params.items():
-                if pname not in got:
-                    raise TensorShapeError(f"checkpoint missing tensor {set_name}/{pname}")
-                if got[pname].shape != tuple(shape):
-                    raise TensorShapeError(
-                        f"tensor {set_name}/{pname} has shape {list(got[pname].shape)}, "
-                        f"expected {list(shape)}"
-                    )
     return {name: ParamSet(params) for name, params in grouped.items()}, config
 
 

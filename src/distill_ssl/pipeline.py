@@ -26,7 +26,7 @@ loads the dataset again.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -162,11 +162,13 @@ def _run(dataset: Dataset, state: MoCoState, step, teacher: MoCoState | None = N
         return TrainRun([step(state, feed.next_batch()) for _ in range(cfg.steps)], state)
 
 
-def _loaded_state(
-    path, enc_cfg: EncoderConfig, cfg: TrainConfig, sides=("query", "key"), freeze_backbone=False
-) -> MoCoState:
-    encoders = load_encoders(path, enc_cfg, sides, freeze_backbone)
-    return MoCoState(*encoders, KeyQueue(cfg.queue_size, enc_cfg.d), cfg)
+def _loaded_state(path, cfg: TrainConfig, sides=("query", "key"), freeze_backbone=False):
+    query, key = load_encoders(path, sides, freeze_backbone)
+    return MoCoState(query, key, KeyQueue(cfg.queue_size, query.cfg.d), cfg)
+
+
+class ArchitectureError(ValueError):
+    """A checkpoint's encoder is not the one the run describes."""
 
 
 def pretrain(
@@ -176,10 +178,15 @@ def pretrain(
     init_from: str | None = None,
 ) -> TrainRun:
     """Plain momentum-contrastive pretraining; optionally initialized from
-    a checkpoint (the teacher-initialization transfer arm).  Takes over the
+    a checkpoint of ``enc_cfg`` (the teacher-initialization transfer arm;
+    another architecture raises ``ArchitectureError``).  Takes over the
     frames of ``dataset``, which keeps only its labels (``_run``)."""
     if init_from is not None:
-        state = _loaded_state(init_from, enc_cfg, cfg)
+        state = _loaded_state(init_from, cfg)
+        ours, theirs = asdict(enc_cfg), asdict(state.query.cfg)
+        differ = [f"{k} {theirs[k]} (config: {ours[k]})" for k in ours if theirs[k] != ours[k]]
+        if differ:
+            raise ArchitectureError(f"{init_from} holds an encoder with {', '.join(differ)}")
     else:
         state = init_moco_state(enc_cfg, cfg, Rng(cfg.seed))
     return _run(dataset, state, moco_train_step)
@@ -188,7 +195,6 @@ def pretrain(
 def adapt_teacher(
     dataset: Dataset,
     generic_ckpt: str,
-    enc_cfg: EncoderConfig,
     cfg: TrainConfig,
     freeze_backbone: bool = True,
 ) -> TrainRun:
@@ -197,7 +203,7 @@ def adapt_teacher(
     Query and key both start as the checkpoint's query encoder.  Takes over
     the frames of ``dataset``, which keeps only its labels (``_run``).
     """
-    teacher = _loaded_state(generic_ckpt, enc_cfg, cfg, ("query", "query"), freeze_backbone)
+    teacher = _loaded_state(generic_ckpt, cfg, ("query", "query"), freeze_backbone)
     return _run(dataset, teacher, teacher_adapt_step)
 
 
@@ -209,8 +215,8 @@ def pretrain_distilled(
 ) -> TrainRun:
     """Distilled student training: both queues warm on the same sample
     stream, then every step pushes paired keys; the teacher's side runs in
-    the view worker.  Takes over the frames of ``dataset``, which keeps only
-    its labels (``_run``)."""
+    the view worker, with a queue of the teacher's own ``d``.  Takes over
+    the frames of ``dataset``, which keeps only its labels (``_run``)."""
     student = init_moco_state(enc_cfg, cfg, Rng(cfg.seed))
-    teacher = _loaded_state(teacher_ckpt, enc_cfg, cfg, freeze_backbone=True)
+    teacher = _loaded_state(teacher_ckpt, cfg, freeze_backbone=True)
     return _run(dataset, student, distilled_train_step, teacher)

@@ -101,10 +101,9 @@ def pipeline_artifacts(tmp_path_factory):
 
 
 def _probe_accuracy(artifacts, ckpt_name: str, fraction: float, seeds=(0, 1, 2)) -> float:
-    enc_cfg = C.EncoderConfig()
     with load_dataset(artifacts["data"] / "target")[0] as dataset:
         train_set, test_set = E.split_dataset(dataset, 0.5, seed=7)
-    (enc,) = C.load_encoders(artifacts["root"] / ckpt_name / "checkpoint", enc_cfg, ("query",))
+    (enc,) = C.load_encoders(artifacts["root"] / ckpt_name / "checkpoint", ("query",))
     with train_set, test_set:
         ftr = E.extract_features(enc, None, train_set, "student")
         fte = E.extract_features(enc, None, test_set, "student")
@@ -214,7 +213,7 @@ def test_criterion_4_momentum_and_queue_invariants():
 
 def _fresh_teacher(path, cfg, freeze_backbone):
     """Query and key both start as the checkpoint's query encoder."""
-    encoders = C.load_encoders(path, TOY_ENC, ("query", "query"), freeze_backbone)
+    encoders = C.load_encoders(path, ("query", "query"), freeze_backbone)
     return C.MoCoState(*encoders, C.KeyQueue(cfg.queue_size, TOY_ENC.d), cfg)
 
 
@@ -268,7 +267,7 @@ def _teacher_checkpoint(tmp_path):
     run_gen = P.pretrain(toy_dataset(11), TOY_ENC, toy_cfg(steps=5))
     gpath = tmp_path / "gen"
     P.save_model(run_gen.state, gpath)
-    run_teach = P.adapt_teacher(toy_dataset(), gpath, TOY_ENC, toy_cfg(steps=5))
+    run_teach = P.adapt_teacher(toy_dataset(), gpath, toy_cfg(steps=5))
     tpath = tmp_path / "teach"
     P.save_model(run_teach.state, tpath)
     return tpath
@@ -278,7 +277,7 @@ def _paired_student(tmp_path, lam, steps=50):
     cfg = toy_cfg(lam=lam, steps=steps)
     tpath = _teacher_checkpoint(tmp_path)
     student = C.init_moco_state(TOY_ENC, cfg, Rng(cfg.seed))
-    encoders = C.load_encoders(tpath, TOY_ENC, freeze_backbone=True)
+    encoders = C.load_encoders(tpath, freeze_backbone=True)
     teacher = C.MoCoState(*encoders, C.KeyQueue(cfg.queue_size, TOY_ENC.d), cfg)
     batches = P.PreparedBatches(toy_dataset(), cfg, teacher)
     C.warm_up_queue(student, batches)

@@ -153,9 +153,10 @@ class TestConfigPrecedence:
         # pretrain-student takes lambda and distill_tau, the others their defaults
         for command in ("pretrain-generic", "adapt-teacher", "pretrain-student"):
             assert train_config(defaults(command)) == TrainConfig()
+        # only the commands that make a new encoder take its keys
+        for command in ("pretrain-generic", "pretrain-student"):
             assert encoder_config(defaults(command)) == EncoderConfig()
         for command in ("linear-probe", "sweep-labels"):
-            assert encoder_config(defaults(command)) == EncoderConfig()
             assert probe_config(defaults(command)) == ProbeConfig()
         cfg = defaults("gen-data")
         size = (cfg["image_size"], cfg["image_size"])
@@ -512,15 +513,22 @@ class TestStages:
             ("pretrain-student", ["--kernel-size", "40"], "larger than conv1's padded input 34x34"),
             ("pretrain-student", ["--kernel-size", "20"], "larger than conv2's padded input 10x10"),
             ("pretrain-student", ["--view-size", "16", "--kernel-size", "12"], "conv2's"),
-            # and the resized frames for probing
-            ("linear-probe", ["--kernel-size", "40"], "larger than conv1's padded input 34x34"),
-            ("linear-probe", ["--input-size", "16", "--kernel-size", "12"], "conv2's"),
-            ("sweep-labels", ["--kernel-size", "20"], "larger than conv2's padded input 10x10"),
+            # and the encoder's own input size, the side of the resized frames for probing
+            ("pretrain-generic", ["--kernel-size", "40"], "larger than conv1's padded input 34x34"),
+            ("pretrain-generic", ["--input-size", "16", "--kernel-size", "12"],
+             "conv2's padded input 6x6 at input size 16x16"),
+            ("pretrain-generic", ["--kernel-size", "20"], "larger than conv2's padded input 10x10"),
+            # a probe command takes no encoder key: a checkpoint brings its architecture
+            ("linear-probe", ["--kernel-size", "40"], "unrecognized arguments: --kernel-size 40"),
+            ("linear-probe", ["--input-size", "16", "--kernel-size", "12"],
+             "unrecognized arguments: --input-size 16 --kernel-size 12"),
+            ("sweep-labels", ["--kernel-size", "20"], "unrecognized arguments: --kernel-size 20"),
+            ("adapt-teacher", ["--conv-stride", "1"], "unrecognized arguments: --conv-stride 1"),
             # --data does not exist either: the kernel and the split fraction are
             # checked before it is read
             ("pretrain-student", ["--data", "{missing}", "--kernel-size", "40"], "conv1's"),
-            ("sweep-labels", ["--data", "{missing}", "--input-size", "8", "--kernel-size", "9"],
-             "conv2's"),
+            ("pretrain-student", ["--data", "{missing}", "--input-size", "8", "--kernel-size", "9"],
+             "conv2's padded input 3x3 at input size 8x8"),
             ("linear-probe", ["--data", "{missing}", "--holdout-fraction", "1.5"],
              "holdout_fraction"),
             ("sweep-labels", ["--data", "{missing}", "--holdout-fraction", "0"],
@@ -580,9 +588,69 @@ class TestStages:
         code = run([command, *inputs, *args, "--out", str(out)])
         err = capsys.readouterr().err
         assert code == 2
-        assert "usage:" in err
+        assert f"usage: distill-ssl {command} [-h]" in err
         assert named in err and "missing manifest" not in err
         assert not out.exists()
+
+    def test_init_from_refuses_another_architecture(
+        self, monkeypatch, small_config, data_dir, teacher_ckpt, tmp_path, capsys
+    ):
+        # the teacher has the default stride 2 and padding 1
+        from distill_ssl import pipeline
+
+        steps = []
+        monkeypatch.setattr(pipeline, "moco_train_step", lambda *args: steps.append(args))
+        out = tmp_path / "init"
+        code = run(["pretrain-student", "--config", small_config, "--data", str(data_dir / "target"),
+                    "--init-from", str(teacher_ckpt), "--conv-stride", "1", "--conv-pad", "0",
+                    "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"{teacher_ckpt} holds an encoder with stride 2 (config: 1), pad 1 (config: 0)" in err
+        assert "usage: distill-ssl pretrain-student [-h]" in err
+        assert steps == [] and not out.exists()
+
+    def test_a_wider_teacher_brings_its_own_architecture(
+        self, monkeypatch, small_config, data_dir, generic_ckpt, tmp_path, capsys
+    ):
+        from distill_ssl import pipeline, worker
+
+        common = ["--config", small_config, "--data", str(data_dir / "target")]
+        assert run(["pretrain-generic", "--config", small_config, "--data", str(data_dir / "generic"),
+                    "--conv-channels", "16,32", "--d-backbone", "128", "--embed-dim", "64",
+                    "--out", str(tmp_path / "generic")]) == 0
+        # no encoder flag from here on: each loaded checkpoint records the wide encoder
+        assert run(["adapt-teacher", *common, "--generic", str(tmp_path / "generic" / "checkpoint"),
+                    "--out", str(tmp_path / "teacher")]) == 0
+        teacher = tmp_path / "teacher" / "checkpoint"
+        manifest = json.loads(teacher.with_suffix(".json").read_text())
+        assert manifest["config"]["encoder"] == {**EncoderConfig().to_dict(), "input_size": [32, 32],
+                                                 "conv_channels": [16, 32], "d_backbone": 128,
+                                                 "d": 64}
+        loaded, load = [], pipeline._loaded_state
+        monkeypatch.setattr(pipeline, "_loaded_state",
+                            lambda *args, **kw: loaded.append(load(*args, **kw)) or loaded[-1])
+        assert run(["pretrain-student", *common, "--distill", "--teacher", str(teacher),
+                    "--out", str(tmp_path / "student")]) == 0
+        assert loaded[0].queue.rows.shape == (SMALL["queue_size"], 64)
+        rows = (tmp_path / "student" / "metrics.csv").read_text().splitlines()[1:]
+        losses = [float(v) for row in rows for v in row.split(",")[1:]]
+        assert len(rows) == SMALL["steps"] and np.isfinite(losses).all()
+        assert min(float(row.split(",")[3]) for row in rows) > 0.0
+        student = json.loads((tmp_path / "student" / "checkpoint.json").read_text())
+        assert student["config"]["encoder"]["d"] == 32  # the student keeps its own flags
+        assert run(["linear-probe", *common, "--mode", "teacher", "--teacher", str(teacher),
+                    "--out", str(tmp_path / "probe")]) == 0
+        # the addition arm needs equal widths: the sweep is refused before its worker forks
+        forks, fork = [], worker.os.fork
+        monkeypatch.setattr(worker.os, "fork", lambda: forks.append(1) or fork())
+        capsys.readouterr()
+        out = tmp_path / "sweep"
+        assert run(["sweep-labels", *common, "--teacher", str(teacher), "--plain",
+                    str(generic_ckpt), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "addition needs matching feature dims, got 128 and 64" in err
+        assert forks == [] and not out.exists()
 
     def test_commands_call_the_benchmark_main_hooks(
         self, monkeypatch, small_config, data_dir, generic_ckpt, tmp_path
@@ -681,9 +749,10 @@ class _Reads(dict):
 
 
 class TestCommandKeys:
-    def test_the_table_has_138_command_flag_pairs(self):
-        # 7 commands x 53 keys = 371 before each command took only its own
-        assert sum(len(keys) for _, keys in cli.COMMANDS.values()) == 138
+    def test_the_table_has_114_command_flag_pairs(self):
+        # 7 commands x 53 keys = 371 before each command took only its own, and
+        # 138 before the commands that load an encoder dropped its 8 keys
+        assert sum(len(keys) for _, keys in cli.COMMANDS.values()) == 114
 
     def test_each_command_reads_exactly_its_keys(
         self, monkeypatch, small_config, data_dir, generic_ckpt, teacher_ckpt, tmp_path
@@ -729,6 +798,9 @@ class TestCommandKeys:
          "unrecognized arguments: --probe-step 10 --label 0.5 --hold 0.3"),
         ("pretrain-student", ["--init", "{ckpt}"], "unrecognized arguments: --init"),
         ("pretrain-student", ["--distill", "--teach", "{ckpt}"], "unrecognized arguments: --teach"),
+        # encoder keys, which only the commands that make an encoder take
+        ("linear-probe", ["--input-size", "40"], "unrecognized arguments: --input-size 40"),
+        ("adapt-teacher", ["--embed-dim", "64"], "unrecognized arguments: --embed-dim 64"),
     ))
     def test_a_flag_the_command_does_not_take_is_a_usage_error(
         self, command, args, named, data_dir, generic_ckpt, tmp_path, capsys
@@ -736,13 +808,17 @@ class TestCommandKeys:
         inputs = {
             "linear-probe": ["--data", str(data_dir / "target"), "--ckpt", str(generic_ckpt)],
             "pretrain-student": ["--data", str(data_dir / "target"), "--steps", "1"],
+            "adapt-teacher": ["--data", str(data_dir / "target"), "--generic", str(generic_ckpt),
+                              "--steps", "1"],
             "gen-data": [],
         }[command]
         args = [a.replace("{ckpt}", str(generic_ckpt)) for a in args]
         out = tmp_path / "out"
         assert run([command, *inputs, *args, "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert "usage:" in err and named in err
+        # the command's own usage, which lists the flags it does take
+        assert f"usage: distill-ssl {command} [-h]" in err and named in err
+        assert "distill-ssl [-h] command" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", list(cli.COMMANDS))
@@ -833,7 +909,7 @@ class TestProbeSplit:
         """The class count and the two splits."""
         cfg = {key: spec[1] for key, spec in cli.CONFIG_SCHEMA.items()}
         cfg.update(data=str(path), holdout_fraction=holdout, seed=3)
-        return cli._probe_inputs(cfg)[3:]
+        return cli._probe_inputs(cfg)[2:]
 
     @pytest.mark.parametrize("holdout", [0.5, 0.3])
     def test_splits_hold_the_rows_split_indices_picks(self, holdout, tmp_path):

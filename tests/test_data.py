@@ -13,8 +13,10 @@ import numpy as np
 import pytest
 
 import distill_ssl
+import distill_ssl.contrastive as C
 import distill_ssl.data as D
 from distill_ssl.cli import run
+from distill_ssl.rng import Rng
 from distill_ssl.tensor import ParamSet, softmax_and_log
 
 
@@ -170,17 +172,6 @@ class TestCheckpointRoundTrip:
         with pytest.raises(D.TruncatedBlobError):
             D.load_checkpoint(tmp_path / "ckpt")
 
-    def test_shape_validation_names_offending_tensor(self, tmp_path):
-        named = {"query.head": ParamSet({"W": np.zeros((64, 32))})}
-        D.save_checkpoint(named, tmp_path / "ckpt")
-        with pytest.raises(D.TensorShapeError, match=r"query\.head/W"):
-            D.load_checkpoint(tmp_path / "ckpt", expected_shapes={"query.head": {"W": (64, 16)}})
-
-    def test_missing_tensor_reported(self, tmp_path):
-        D.save_checkpoint({"query.head": ParamSet({"W": np.zeros((2, 2))})}, tmp_path / "ckpt")
-        with pytest.raises(D.TensorShapeError, match="missing tensor"):
-            D.load_checkpoint(tmp_path / "ckpt", expected_shapes={"query.head": {"V": (2, 2)}})
-
     @pytest.mark.parametrize("size, at, value", [(2, 1, np.nan), (3, 0, np.inf),
                                                  (2 * D._FINITE_BLOCK + 5, -1, np.nan),
                                                  (2 * D._FINITE_BLOCK, -1, -np.inf)],
@@ -318,6 +309,80 @@ def test_no_openssl_in_a_process_that_saves_and_loads(tmp_path):
                           env=dict(os.environ, PYTHONPATH=src), check=True,
                           capture_output=True, text=True)
     assert done.stdout.strip() == "[]"
+
+
+class TestEncoderEntry:
+    """``load_encoders`` builds each encoder from the manifest's
+    ``config.encoder``; an entry that is missing or invalid, or that
+    disagrees with the tensors, refuses the load and names the file."""
+
+    @staticmethod
+    def save(path, config, drop=()):
+        """A default encoder's four sets, less the sets or tensors in ``drop``."""
+        enc = C.init_encoder(C.EncoderConfig(), Rng(0))
+        named = {f"{side}.{part}": ParamSet({name: t.data for name, t in getattr(enc, part).items()
+                                             if f"{side}.{part}/{name}" not in drop})
+                 for side in ("query", "key") for part in ("backbone", "head")
+                 if f"{side}.{part}" not in drop}
+        D.save_checkpoint(named, path, config)
+
+    def test_a_saved_model_brings_its_architecture(self, tmp_path):
+        wide = C.EncoderConfig(conv_channels=(16, 32), d_backbone=128, d=64, stride=1, pad=0)
+        enc = C.init_encoder(wide, Rng(1))
+        C.save_model(C.MoCoState(enc, enc.clone(), C.KeyQueue(32, wide.d), C.TrainConfig()),
+                     tmp_path / "wide", {"seed": 3})
+        config = json.loads((tmp_path / "wide.json").read_text())["config"]
+        assert config == {"encoder": json.loads(json.dumps(wide.to_dict())), "seed": 3}
+        query, key = C.load_encoders(tmp_path / "wide")
+        assert query.cfg == key.cfg == wide and C.EncoderConfig.from_dict(config["encoder"]) == wide
+
+    @pytest.mark.parametrize("edit, named", [
+        (lambda e: None, "bad config.encoder: expected the fields of EncoderConfig, got None"),
+        (lambda e: {**e, "depth": 3}, "expected the fields of EncoderConfig"),
+        (lambda e: {k: v for k, v in e.items() if k != "pad"}, "expected the fields"),
+        (lambda e: [e], "expected the fields of EncoderConfig"),
+        (lambda e: {**e, "kernel_size": "3"}, "whole number"),
+        (lambda e: {**e, "stride": 2.0}, "whole number"),
+        (lambda e: {**e, "d": True}, "whole number"),
+        (lambda e: {**e, "input_size": [32, None]}, "whole number"),
+        (lambda e: {**e, "conv_channels": [8, 16, 32]},
+         "conv_channels must be whole numbers like (8, 16), got (8, 16, 32)"),
+        (lambda e: {**e, "kernel_size": [3]}, "kernel_size must be whole numbers like 3, got (3,)"),
+        (lambda e: {**e, "d_backbone": 0}, "d_backbone must be >= 1"),
+        (lambda e: {**e, "pad": -1}, "pad must be >= 0"),
+        # an encoder that does not fit its own input size
+        (lambda e: {**e, "kernel_size": 40}, "larger than conv1's padded input 34x34"),
+        (lambda e: {**e, "input_size": [4, 4], "kernel_size": 5}, "conv2's padded input"),
+    ], ids=["missing", "unknown-key", "missing-key", "not-an-object", "string", "float", "bool",
+            "null-in-a-pair", "three-layers", "list-for-a-size", "zero-width", "negative-pad",
+            "kernel-over-input", "kernel-over-conv2"])
+    def test_a_bad_entry_is_refused_naming_the_file(self, edit, named, tmp_path):
+        entry = edit(C.EncoderConfig().to_dict())
+        self.save(tmp_path / "ckpt", None if entry is None else {"encoder": entry})
+        with pytest.raises(D.CorruptManifestError, match=re.escape(named)) as refused:
+            C.load_encoders(tmp_path / "ckpt")
+        assert str(tmp_path / "ckpt") in str(refused.value)
+
+    @pytest.mark.parametrize("entry, named", [
+        (C.EncoderConfig(d=16), "query.head/fc2.weight is (64, 32), config.encoder says (64, 16)"),
+        (C.EncoderConfig(kernel_size=5), "query.backbone/conv1.kernels is (8, 1, 3, 3)"),
+        (C.EncoderConfig(in_channels=3), "query.backbone/conv1.kernels is (8, 1, 3, 3)"),
+    ])
+    def test_an_entry_that_disagrees_with_the_tensors_is_refused(self, entry, named, tmp_path):
+        self.save(tmp_path / "ckpt", {"encoder": entry.to_dict()})
+        with pytest.raises(D.TensorShapeError, match=re.escape(named)) as refused:
+            C.load_encoders(tmp_path / "ckpt")
+        assert str(tmp_path / "ckpt") in str(refused.value)
+
+    @pytest.mark.parametrize("drop, named", [
+        ("key.backbone", "key.backbone/conv1.kernels is missing"),
+        ("key.head/fc2.bias", "key.head/fc2.bias is missing"),
+    ])
+    def test_a_missing_tensor_is_refused(self, drop, named, tmp_path):
+        self.save(tmp_path / "ckpt", {"encoder": C.EncoderConfig().to_dict()}, {drop})
+        assert len(C.load_encoders(tmp_path / "ckpt", ("query",))) == 1  # the intact side loads
+        with pytest.raises(D.TensorShapeError, match=re.escape(named)):
+            C.load_encoders(tmp_path / "ckpt")
 
 
 class TestDatasetPersistence:

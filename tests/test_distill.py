@@ -34,7 +34,7 @@ def toy_dataset(seed=3):
 
 def fresh_teacher(path, cfg, freeze_backbone=True):
     """Query and key both start as the checkpoint's query encoder."""
-    encoders = C.load_encoders(path, TOY_ENC, ("query", "query"), freeze_backbone)
+    encoders = C.load_encoders(path, ("query", "query"), freeze_backbone)
     return C.MoCoState(*encoders, C.KeyQueue(cfg.queue_size, TOY_ENC.d), cfg)
 
 
@@ -64,23 +64,26 @@ class TestInitTeacher:
                     assert np.array_equal(t.data, named[f"query.{tag}"][name].data)
 
     def test_wrong_shape_head_fails_atomically(self, tmp_path, generic_ckpt):
-        wrong = C.EncoderConfig(conv_channels=(4, 6), d_backbone=12, d=4, input_size=(12, 12))
-        from distill_ssl.data import TensorShapeError
+        # a manifest whose encoder entry does not describe its head
+        from distill_ssl.data import TensorShapeError, load_checkpoint, save_checkpoint
 
-        with pytest.raises(TensorShapeError, match=r"query\.head/fc2\.weight"):
-            C.load_encoders(generic_ckpt, wrong, ("query", "query"))
+        named, config = load_checkpoint(generic_ckpt)
+        wrong = C.EncoderConfig(conv_channels=(4, 6), d_backbone=12, d=4, input_size=(12, 12))
+        save_checkpoint(named, tmp_path / "wrong", {**config, "encoder": wrong.to_dict()})
+        with pytest.raises(TensorShapeError, match=r"wrong: tensor query\.head/fc2\.weight"):
+            C.load_encoders(tmp_path / "wrong", ("query", "query"))
 
     def test_wrong_shape_key_side_fails_atomically(self, tmp_path, generic_ckpt):
         from distill_ssl.data import TensorShapeError, load_checkpoint, save_checkpoint
 
-        named, _ = load_checkpoint(generic_ckpt)
+        named, config = load_checkpoint(generic_ckpt)
         narrow = C.EncoderConfig(conv_channels=(4, 6), d_backbone=12, d=4, input_size=(12, 12))
         named["key.head"] = C.init_encoder(narrow, Rng(0)).head
-        save_checkpoint(named, tmp_path / "bad_key")
+        save_checkpoint(named, tmp_path / "bad_key", config)
         # the query side alone is intact and loads; asking for both sides loads nothing
-        assert len(C.load_encoders(tmp_path / "bad_key", TOY_ENC, ("query",))) == 1
+        assert len(C.load_encoders(tmp_path / "bad_key", ("query",))) == 1
         with pytest.raises(TensorShapeError, match=r"key\.head/fc2\.weight"):
-            C.load_encoders(tmp_path / "bad_key", TOY_ENC, ("query", "key"))
+            C.load_encoders(tmp_path / "bad_key", ("query", "key"))
 
     def test_backbones_frozen(self, generic_ckpt):
         teacher = fresh_teacher(generic_ckpt, toy_cfg())
@@ -339,7 +342,7 @@ def train_teacher(tmp_path, cfg):
     run_g = P.pretrain(toy_dataset(11), TOY_ENC, cfg)
     gpath = tmp_path / "gen"
     P.save_model(run_g.state, gpath)
-    run_t = P.adapt_teacher(toy_dataset(), gpath, TOY_ENC, cfg)
+    run_t = P.adapt_teacher(toy_dataset(), gpath, cfg)
     tpath = tmp_path / "teach"
     P.save_model(run_t.state, tpath)
     return tpath
@@ -349,7 +352,7 @@ def pair_from(tpath, cfg):
     """Fresh student plus the teacher at tpath, queues warmed in sync, and
     the batches that carry the teacher's soft targets."""
     student = C.init_moco_state(TOY_ENC, cfg, Rng(cfg.seed))
-    encoders = C.load_encoders(tpath, TOY_ENC, freeze_backbone=True)
+    encoders = C.load_encoders(tpath, freeze_backbone=True)
     teacher = C.MoCoState(*encoders, C.KeyQueue(cfg.queue_size, TOY_ENC.d), cfg)
     batches = P.PreparedBatches(toy_dataset(), cfg, teacher)
     C.warm_up_queue(student, batches)

@@ -63,14 +63,14 @@ def probe_objective_curve(fs, cfg):
     return np.array(curve)
 
 
-def query_encoder(path, enc_cfg):
-    (enc,) = C.load_encoders(path, enc_cfg, ("query",))
+def query_encoder(path):
+    (enc,) = C.load_encoders(path, ("query",))
     return enc
 
 
 def transfer_state(path, cfg):
     """A student whose query and key encoders start as the checkpoint's."""
-    return C.MoCoState(*C.load_encoders(path, TOY_ENC), C.KeyQueue(cfg.queue_size, TOY_ENC.d), cfg)
+    return C.MoCoState(*C.load_encoders(path), C.KeyQueue(cfg.queue_size, TOY_ENC.d), cfg)
 
 
 @pytest.fixture(scope="module")
@@ -85,43 +85,43 @@ def ckpts(tmp_path_factory):
 
 class TestExtractFeatures:
     def test_concatenation_dimension(self, ckpts):
-        a, b = (query_encoder(p, TOY_ENC) for p in ckpts)
+        a, b = (query_encoder(p) for p in ckpts)
         data = toy_dataset().subset(slice(6))
         fs = E.extract_features(a, b, data, "concatenation")
         assert fs.features.shape == (6, 2 * TOY_ENC.d_backbone)
 
     def test_addition_with_identical_encoders_doubles(self, ckpts):
-        a = query_encoder(ckpts[0], TOY_ENC)
+        a = query_encoder(ckpts[0])
         data = toy_dataset().subset(slice(5))
         single = E.extract_features(a, None, data, "student")
         double = E.extract_features(a, a, data, "addition")
         assert np.array_equal(double.features, 2.0 * single.features)
 
     def test_deterministic(self, ckpts):
-        a = query_encoder(ckpts[0], TOY_ENC)
+        a = query_encoder(ckpts[0])
         data = toy_dataset().subset(slice(5))
         x = E.extract_features(a, None, data, "student").features
         y = E.extract_features(a, None, data, "student").features
         assert np.array_equal(x, y)
 
     def test_features_are_backbone_dimension(self, ckpts):
-        a = query_encoder(ckpts[0], TOY_ENC)
+        a = query_encoder(ckpts[0])
         data = toy_dataset().subset(slice(4))
         fs = E.extract_features(a, None, data, "student")
         assert fs.features.shape == (4, TOY_ENC.d_backbone)
 
     def test_unknown_mode_rejected(self, ckpts):
-        a = query_encoder(ckpts[0], TOY_ENC)
+        a = query_encoder(ckpts[0])
         with pytest.raises(ValueError, match="unknown mode"):
             E.extract_features(a, None, toy_dataset(), "blend")
 
     def test_missing_encoder_rejected(self, ckpts):
-        a = query_encoder(ckpts[0], TOY_ENC)
+        a = query_encoder(ckpts[0])
         with pytest.raises(C.ContractError):
             E.extract_features(a, None, toy_dataset(), "addition")
 
     def test_addition_with_mismatched_dims_rejected(self, ckpts):
-        a = query_encoder(ckpts[0], TOY_ENC)
+        a = query_encoder(ckpts[0])
         narrow = C.EncoderConfig(conv_channels=(4, 6), d_backbone=10, d=8, input_size=(12, 12))
         b = C.init_encoder(narrow, Rng(0))
         data = toy_dataset().subset(slice(3))
@@ -164,7 +164,7 @@ class TestResize:
         assert got.tobytes() == expected.tobytes()
 
     def test_equal_size_frames_skip_resize_bitwise(self, ckpts, monkeypatch):
-        a = query_encoder(ckpts[0], TOY_ENC)
+        a = query_encoder(ckpts[0])
         data = toy_dataset().subset(slice(10))
         expected = per_frame_resize_features(a, data.frames)
 
@@ -224,7 +224,7 @@ class TestLinearProbe:
         assert (diffs <= 1e-12).all()
 
     def test_loss_non_increasing_on_backbone_features(self, ckpts):
-        enc = query_encoder(ckpts[0], TOY_ENC)
+        enc = query_encoder(ckpts[0])
         dataset = toy_dataset(per_phase=10)
         fs = E.extract_features(enc, None, dataset, "student")
         curve = probe_objective_curve(fs, E.ProbeConfig(lr=0.01, steps=150, label_fraction=1.0))
@@ -244,7 +244,7 @@ class TestLinearProbe:
 @pytest.fixture(scope="module")
 def pinned_features(ckpts):
     """Student and concatenation features of a toy 4-class set."""
-    a, b = (query_encoder(p, TOY_ENC) for p in ckpts)
+    a, b = (query_encoder(p) for p in ckpts)
     data = toy_dataset(per_phase=32)
     return {"student": E.extract_features(a, None, data, "student"),
             "concatenation": E.extract_features(a, b, data, "concatenation")}
@@ -284,7 +284,7 @@ class TestProbeOutputsPinned:
             PINNED_PROBES[mode, fraction]
 
     def test_sweep_rows_pinned(self, ckpts, tmp_path):
-        a, b = (query_encoder(p, TOY_ENC) for p in ckpts)
+        a, b = (query_encoder(p) for p in ckpts)
         train_set, test_set = E.split_dataset(toy_dataset(per_phase=32), 0.5, seed=0)
         encoders = [E.SweepEncoder("plain", "student", a),
                     E.SweepEncoder("concatenation", "concatenation", a, b)]
@@ -354,7 +354,7 @@ class TestPhaseMetrics:
 
 class TestSweep:
     def test_row_count_and_degenerate_sweep(self, ckpts):
-        a = query_encoder(ckpts[0], TOY_ENC)
+        a = query_encoder(ckpts[0])
 
         def splits():  # a sweep takes its splits' frames over: one fresh pair per call
             return E.split_dataset(toy_dataset(per_phase=12), 0.5, seed=0)
@@ -375,8 +375,8 @@ class TestSweep:
         assert single_rows[0]["accuracy"] == direct.accuracy
 
     def test_shared_encoders_run_once_per_split_with_per_arm_rows(self, ckpts, monkeypatch):
-        a, b = query_encoder(ckpts[0], TOY_ENC), query_encoder(ckpts[1], TOY_ENC)
-        a_again = query_encoder(ckpts[0], TOY_ENC)  # equal weights, another object
+        a, b = query_encoder(ckpts[0]), query_encoder(ckpts[1])
+        a_again = query_encoder(ckpts[0])  # equal weights, another object
         arms = [("teacher", "teacher", None, b), ("plain", "student", a, None),
                 ("addition", "addition", a, b), ("concatenation", "concatenation", a, b),
                 ("initialization", "student", a_again, None)]
@@ -431,7 +431,7 @@ class TestSweep:
                                                        for s in (train_set, test_set))
 
     def test_failing_backbone_raises_the_workers_traceback_and_is_reaped(self, ckpts, monkeypatch):
-        a = query_encoder(ckpts[0], TOY_ENC)
+        a = query_encoder(ckpts[0])
         train_set, test_set = E.split_dataset(toy_dataset(per_phase=12), 0.5, seed=0)
 
         def broken(enc, x):
@@ -445,7 +445,7 @@ class TestSweep:
         assert_no_child()
 
     def test_probe_error_mid_sweep_propagates_and_reaps_the_worker(self, ckpts, monkeypatch):
-        a, b = query_encoder(ckpts[0], TOY_ENC), query_encoder(ckpts[1], TOY_ENC)
+        a, b = query_encoder(ckpts[0]), query_encoder(ckpts[1])
         train_set, test_set = E.split_dataset(toy_dataset(per_phase=12), 0.5, seed=0)
         real, fits = E.fit_linear_probe, []
 
@@ -473,7 +473,7 @@ class TestSweep:
          "matching feature dims, got 10 and 12"),
     ), ids=("repeated-name", "unknown-mode", "missing-encoder", "unequal-addition-widths"))
     def test_arms_refused_before_the_fork(self, ckpts, monkeypatch, arm, error, match):
-        a = query_encoder(ckpts[0], TOY_ENC)
+        a = query_encoder(ckpts[0])
         narrow = C.init_encoder(replace(TOY_ENC, d_backbone=10), Rng(0))
         train_set, test_set = E.split_dataset(toy_dataset(per_phase=12), 0.5, seed=0)
         fits = []
@@ -486,7 +486,7 @@ class TestSweep:
         assert_no_child()
 
     def test_taken_features_are_released_with_the_callers_reference(self, ckpts):
-        a, b = query_encoder(ckpts[0], TOY_ENC), query_encoder(ckpts[1], TOY_ENC)
+        a, b = query_encoder(ckpts[0]), query_encoder(ckpts[1])
         train_set, test_set = E.split_dataset(toy_dataset(per_phase=12), 0.5, seed=0)
         arms = [E.SweepEncoder("plain", "student", student=a),
                 E.SweepEncoder("concatenation", "concatenation", a, b)]
@@ -506,7 +506,7 @@ class TestSweep:
                                                                  monkeypatch):
         # the splits read the loaded blob, as the CLI makes them; the sweep process
         # reads no row, and closes both handles once its feature worker has forked
-        a, b = query_encoder(ckpts[0], TOY_ENC), query_encoder(ckpts[1], TOY_ENC)
+        a, b = query_encoder(ckpts[0]), query_encoder(ckpts[1])
         save_dataset(toy_dataset(per_phase=12), tmp_path / "d")
         with load_dataset(tmp_path / "d")[0] as loaded:
             train_set, test_set = E.split_dataset(loaded, 0.5, seed=0)
@@ -551,7 +551,7 @@ class TestSweep:
             E.split_dataset(toy_dataset(per_phase=4), holdout)
 
     def test_empty_arguments_rejected(self, ckpts):
-        a = query_encoder(ckpts[0], TOY_ENC)
+        a = query_encoder(ckpts[0])
         dataset = toy_dataset(per_phase=8)
         tr, te = E.split_dataset(dataset, 0.5, seed=0)
         with pytest.raises(ValueError):
@@ -575,7 +575,7 @@ class TestInitTransfer:
 
     def test_zero_step_features_match_teacher(self, ckpts):
         state = transfer_state(ckpts[0], toy_cfg())
-        teacher_enc = query_encoder(ckpts[0], TOY_ENC)
+        teacher_enc = query_encoder(ckpts[0])
         data = toy_dataset().subset(slice(6))
         a = E.extract_features(state.query, None, data, "student").features
         b = E.extract_features(teacher_enc, None, data, "student").features
@@ -595,7 +595,7 @@ class TestInitTransfer:
 
 class TestEmission:
     def test_csv_json_svg_outputs(self, tmp_path, ckpts):
-        a = query_encoder(ckpts[0], TOY_ENC)
+        a = query_encoder(ckpts[0])
         dataset = toy_dataset(per_phase=8)
         tr, te = E.split_dataset(dataset, 0.5, seed=0)
         rows, summary = E.label_efficiency_sweep(

@@ -70,7 +70,8 @@ def test_eval_sweep_checkpoints_match_the_package_layout(bench, tmp_path):
     enc_cfg = cli.encoder_config({key: spec[1] for key, spec in cli.CONFIG_SCHEMA.items()})
     for name in run.CHECKPOINT_INPUTS["eval_sweep"]:
         written = tmp_path / "inputs" / name
-        query, key = contrastive.load_encoders(written, enc_cfg)
+        query, key = contrastive.load_encoders(written)
+        assert query.cfg == key.cfg == enc_cfg  # the architecture run.py wrote
         state = contrastive.MoCoState(query, key, contrastive.KeyQueue(32, enc_cfg.d),
                                       contrastive.TrainConfig())
         _, config = data.load_checkpoint(written)
