@@ -53,13 +53,15 @@ class AugmentConfig:
             raise ValueError(f"crop_scale_range must satisfy 0 < lo <= hi <= 1, got {self.crop_scale_range}")
         if not 0.0 <= self.flip_prob <= 1.0:
             raise ValueError(f"flip_prob must be in [0, 1], got {self.flip_prob}")
-        if self.brightness_delta < 0.0:
-            raise ValueError(f"brightness_delta must be >= 0, got {self.brightness_delta}")
+        # each range is written to refuse NaN and infinity too
+        if not 0.0 <= self.brightness_delta < math.inf:
+            raise ValueError(f"brightness_delta must be finite and >= 0, got {self.brightness_delta}")
         clo, chi = self.contrast_range
-        if not (0.0 < clo <= chi):
-            raise ValueError(f"contrast_range must satisfy 0 < lo <= hi, got {self.contrast_range}")
-        if self.noise_sigma < 0.0:
-            raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        if not 0.0 < clo <= chi < math.inf:
+            raise ValueError(f"contrast_range must satisfy 0 < lo <= hi < inf, "
+                             f"got {self.contrast_range}")
+        if not 0.0 <= self.noise_sigma < math.inf:
+            raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
         if min(self.output_size) < 1:
             raise ValueError(f"output_size must be >= 1, got {self.output_size}")
 

@@ -368,22 +368,25 @@ class TrainConfig:
     augment: AugmentConfig = field(default_factory=AugmentConfig)
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise ParameterError(f"tau must be positive, got {self.tau}")
-        if self.distill_tau is not None and self.distill_tau <= 0:
-            raise ParameterError(f"distill_tau must be positive, got {self.distill_tau}")
+        # each float range is written to refuse NaN and infinity too
+        if not 0 < self.tau < math.inf:
+            raise ParameterError(f"tau must be positive and finite, got {self.tau}")
+        if self.distill_tau is not None and not 0 < self.distill_tau < math.inf:
+            raise ParameterError(f"distill_tau must be positive and finite, got {self.distill_tau}")
         if not 0.0 <= self.m < 1.0:
             raise ParameterError(f"m must be in [0, 1), got {self.m}")
-        if self.lam < 0:
-            raise ParameterError(f"lambda must be >= 0, got {self.lam}")
+        if not 0 <= self.lam < math.inf:
+            raise ParameterError(f"lambda must be finite and >= 0, got {self.lam}")
+        if not 0 <= self.lr < math.inf:
+            raise ParameterError(f"lr must be finite and >= 0, got {self.lr}")
         if self.steps < 0:
             raise ParameterError(f"steps must be >= 0, got {self.steps}")
         if self.batch_size < 1:
             raise ParameterError(f"batch_size must be >= 1, got {self.batch_size}")
         if not 0.0 <= self.momentum < 1.0:
             raise ParameterError(f"momentum must be in [0, 1), got {self.momentum}")
-        if self.weight_decay < 0:
-            raise ParameterError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if not 0 <= self.weight_decay < math.inf:
+            raise ParameterError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
         if self.queue_size < 1 or self.queue_size % self.batch_size != 0:
             raise ParameterError(f"queue_size {self.queue_size} must be a positive multiple "
                                  f"of batch_size {self.batch_size}")

@@ -20,12 +20,11 @@ never loads: each file is written to a temporary sibling and renamed over
 the old one, blob first, so until the new manifest lands the old
 manifest's digest rejects the new blob.
 
-Manifests are written at version 2, whose ``blake2b`` entry is the
-blob's BLAKE2b-256 (CPython's built-in ``_blake2``, which links no
-OpenSSL), and a version-2 manifest without it is refused.  Version-1
-manifests still load: their ``sha256`` entry is checked through
-``hashlib`` (OpenSSL), imported only on that path, and one written
-before the digest existed loads unchecked.
+Manifests are at version 2, the one version that loads: its ``blake2b``
+entry is the blob's BLAKE2b-256 (CPython's built-in ``_blake2``, which
+links no OpenSSL), and every load checks it.  A manifest of another
+version, or one without the entry, is refused; every stage that writes
+one is deterministic, so re-running it rebuilds the same blob.
 
 Read after verify: a value is read from a blob only through the handle
 that its digest was checked through.  A load opens the blob, notes its
@@ -60,8 +59,6 @@ from .rng import STREAM_BATCH, STREAM_DATA, Rng, derive_seeds, normals, uniforms
 from .tensor import ParamSet
 
 FORMAT_VERSION = 2
-# The blob digest's manifest entry, per format version.
-_DIGEST_KEYS = {1: "sha256", FORMAT_VERSION: "blake2b"}
 # Values per finiteness check on save: its mask is 64 KiB, not a byte per value of the blob.
 _FINITE_BLOCK = 1 << 16
 # Rows that a save writes, and the generator makes, at a time: 512 KiB of 32 x 32 frames.
@@ -410,14 +407,6 @@ def _well_formed(entry) -> bool:
             and type(entry.get("offset")) is int and type(entry.get("length")) is int)
 
 
-def _hasher(key: str):
-    if key == "sha256":
-        import hashlib  # maps OpenSSL: only a version-1 manifest's load pays for it
-
-        return hashlib.sha256()
-    return blake2b(digest_size=32)
-
-
 def _stamps(fd: int) -> tuple[int, ...]:
     st = os.fstat(fd)
     return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns
@@ -448,11 +437,11 @@ class _Blob:
         if now != self._stamps:
             raise CorruptManifestError(f"blob {self.path} changed after its digest was checked")
 
-    def digest(self, key: str, into: np.ndarray | None) -> str:
-        """The blob's ``key`` hex digest, read ``_DIGEST_BLOCK`` bytes at a time
-        into ``into`` (an array of the blob's size) or, without it, into one
-        block of scratch; refused if the file changed meanwhile."""
-        hasher = _hasher(key)
+    def digest(self, into: np.ndarray | None) -> str:
+        """The blob's BLAKE2b-256 hex digest, read ``_DIGEST_BLOCK`` bytes at a
+        time into ``into`` (an array of the blob's size) or, without it, into
+        one block of scratch; refused if the file changed meanwhile."""
+        hasher = blake2b(digest_size=32)
         whole = into is not None
         buffer = memoryview(into).cast("B") if whole else memoryview(bytearray(_DIGEST_BLOCK))
         for start in range(0, self.size, _DIGEST_BLOCK):
@@ -486,16 +475,12 @@ def _open_pair(path, whole: bool) -> tuple[dict, _Blob, np.ndarray | None]:
         raise CorruptManifestError(f"unparseable manifest {manifest_path}: {exc}")
     if not isinstance(manifest, dict) or not isinstance(manifest.get("tensors"), list):
         raise CorruptManifestError(f"manifest {manifest_path} lacks a tensor table")
-    version = manifest.get("version")
-    if type(version) is not int or version not in _DIGEST_KEYS:
+    version, digest = manifest.get("version"), manifest.get("blake2b")
+    if type(version) is not int or version != FORMAT_VERSION or digest is None:
         raise CorruptManifestError(
-            f"manifest {manifest_path} has version {version}, expected {FORMAT_VERSION} or 1"
+            f"manifest {manifest_path} is not at version {FORMAT_VERSION} with a blake2b "
+            f"digest (version {version!r}); re-run the stage that wrote it"
         )
-    digest_key = _DIGEST_KEYS[version]
-    digest = manifest.get(digest_key)
-    # Only a version-1 manifest written before the digest existed loads unchecked.
-    if digest is None and version == FORMAT_VERSION:
-        raise CorruptManifestError(f"manifest {manifest_path} lacks the blob's {digest_key}")
     expected = 0
     for entry in manifest["tensors"]:
         if not _well_formed(entry):
@@ -519,11 +504,9 @@ def _open_pair(path, whole: bool) -> tuple[dict, _Blob, np.ndarray | None]:
             raise TruncatedBlobError(f"blob {blob_path} holds {blob.size} bytes, "
                                      f"manifest says {expected}")
         flat = np.empty(expected // 8, dtype="<f8") if whole else None
-        actual = blob.digest(digest_key, flat)  # a blob without a digest is still read whole
-        if digest is not None and actual != digest:
-            raise CorruptManifestError(
-                f"blob {blob_path} does not match the {digest_key} in {manifest_path}"
-            )
+        if blob.digest(flat) != digest:
+            raise CorruptManifestError(f"blob {blob_path} does not match the blake2b in "
+                                       f"{manifest_path}")
     except BaseException:
         blob.close()
         raise

@@ -30,7 +30,8 @@ import numpy as np
 
 from . import tensor as T
 from .augment import resize_to
-from .contrastive import ContractError, EncoderParams, center_input, forward_backbone
+from .contrastive import (ContractError, DivergenceError, EncoderParams, center_input,
+                          forward_backbone)
 from .data import Dataset
 from .rng import STREAM_PROBE, Rng
 from .worker import Worker, shared
@@ -65,8 +66,11 @@ class ProbeConfig:
     def __post_init__(self):
         if self.steps < 0:
             raise ValueError(f"steps must be >= 0, got {self.steps}")
-        if self.weight_decay < 0:
-            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        # each float range is written to refuse NaN and infinity too
+        if not 0 <= self.lr < math.inf:
+            raise ValueError(f"lr must be finite and >= 0, got {self.lr}")
+        if not 0 <= self.weight_decay < math.inf:
+            raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
         if not 0.0 < self.label_fraction <= 1.0:
             raise ValueError(f"label_fraction must be in (0, 1], got {self.label_fraction}")
 
@@ -89,22 +93,17 @@ def _mode_encoders(mode: str, student, teacher) -> tuple:
 
 
 def _check_mode(mode: str, student, teacher) -> None:
-    """Refuse an unknown mode, or a mode without the encoders it reads."""
+    """Refuse an unknown mode, a mode without the encoders it reads, or the
+    addition of two backbones of different widths."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
     if mode in ("student", "addition", "concatenation") and student is None:
         raise ContractError(f"mode {mode!r} needs student parameters")
     if mode in ("teacher", "addition", "concatenation") and teacher is None:
         raise ContractError(f"mode {mode!r} needs teacher parameters")
-
-
-def _addition_width(d_teacher: int, d_student: int) -> int:
-    """The width of added features; refuses two different widths."""
-    if d_teacher != d_student:
-        raise ContractError(
-            f"addition needs matching feature dims, got {d_teacher} and {d_student}"
-        )
-    return d_teacher
+    if mode == "addition" and teacher.cfg.d_backbone != student.cfg.d_backbone:
+        raise ContractError(f"addition needs matching feature dims, got "
+                            f"{teacher.cfg.d_backbone} and {student.cfg.d_backbone}")
 
 
 def _backbone_features(enc: EncoderParams, dataset: Dataset, batch: int = 64) -> np.ndarray:
@@ -135,9 +134,7 @@ def extract_features(
     _check_mode(mode, student, teacher)
     feats = [backbone(enc, dataset) for enc in _mode_encoders(mode, student, teacher)]
     if mode == "addition":
-        f_t, f_s = feats
-        _addition_width(f_t.shape[1], f_s.shape[1])
-        return FeatureSet(f_t + f_s, dataset.labels)
+        return FeatureSet(feats[0] + feats[1], dataset.labels)
     return FeatureSet(np.concatenate(feats, axis=1) if mode == "concatenation" else feats[0],
                       dataset.labels)
 
@@ -181,7 +178,8 @@ def _softmax_class_major(z: np.ndarray) -> np.ndarray:
 
 def fit_linear_probe(fs: FeatureSet, cfg: ProbeConfig, num_classes: int | None = None) -> LinearProbe:
     """Full-batch gradient descent on softmax cross-entropy + L2 penalty;
-    the logits and residual are held class-major, the gradients' operands not."""
+    the logits and residual are held class-major, the gradients' operands not.
+    A fit whose weights end up not finite raises ``DivergenceError``."""
     k = int(num_classes if num_classes is not None else fs.labels.max() + 1)
     subset = stratified_indices(fs.labels, cfg.label_fraction, cfg.seed)
     x = fs.features[subset]
@@ -196,15 +194,19 @@ def fit_linear_probe(fs: FeatureSet, cfg: ProbeConfig, num_classes: int | None =
     w = np.zeros((x.shape[1], k))
     b = np.zeros(k)
     z, d = np.empty((k, n)), np.empty((n, k))
-    for _ in range(cfg.steps):
-        np.copyto(z, (x @ w).T)
-        z += b[:, None]
-        _softmax_class_major(z)
-        z -= onehot
-        z /= n
-        np.copyto(d, z.T)
-        w -= cfg.lr * (x.T @ d + cfg.weight_decay * w)
-        b -= cfg.lr * d.sum(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked once, after the loop
+        for _ in range(cfg.steps):
+            np.copyto(z, (x @ w).T)
+            z += b[:, None]
+            _softmax_class_major(z)
+            z -= onehot
+            z /= n
+            np.copyto(d, z.T)
+            w -= cfg.lr * (x.T @ d + cfg.weight_decay * w)
+            b -= cfg.lr * d.sum(axis=0)
+    if not (np.isfinite(w).all() and np.isfinite(b).all()):
+        raise DivergenceError(f"the linear probe diverged: its weights are not finite after "
+                              f"{cfg.steps} steps at lr {cfg.lr}")
     return LinearProbe(w, b)
 
 
@@ -304,7 +306,7 @@ def _feature_width(arm: SweepEncoder) -> int:
     """The width of ``arm``'s features, refused as ``extract_features`` refuses it."""
     _check_mode(arm.mode, arm.student, arm.teacher)
     widths = [enc.cfg.d_backbone for enc in _mode_encoders(arm.mode, arm.student, arm.teacher)]
-    return _addition_width(*widths) if arm.mode == "addition" else sum(widths)
+    return widths[0] if arm.mode == "addition" else sum(widths)
 
 
 class _FeatureFeed(Worker):

@@ -419,6 +419,15 @@ class TestStages:
         assert code == 2
         assert "usage:" in err and named in err
 
+    def test_diverged_probe_exits_1_and_writes_no_metrics(
+        self, small_config, data_dir, teacher_ckpt, tmp_path, capsys
+    ):
+        out = tmp_path / "probe"
+        assert run(["linear-probe", "--config", small_config, "--data", str(data_dir / "target"),
+                    "--ckpt", str(teacher_ckpt), "--probe-lr", "1e200", "--out", str(out)]) == 1
+        assert "DivergenceError: the linear probe diverged" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("mode, used, unused", (("student", "ckpt", "teacher"),
                                                     ("teacher", "teacher", "ckpt")))
     def test_linear_probe_reads_only_the_checkpoints_its_mode_uses(
@@ -565,6 +574,22 @@ class TestStages:
             ("gen-data", ["--image-size", "-2"], "image_size and channels must be >= 1"),
             ("gradcheck", ["--gradcheck-instances", "0"], "gradcheck_instances must be >= 1"),
             ("gradcheck", ["--gradcheck-instances", "-1"], "gradcheck_instances must be >= 1"),
+            # a float range refuses NaN and infinity, and a learning rate a negative value
+            ("pretrain-student", ["--tau", "nan"], "tau must be positive and finite, got nan"),
+            ("pretrain-student", ["--tau", "inf"], "tau must be positive and finite, got inf"),
+            ("pretrain-student", ["--lambda", "nan"], "lambda must be finite and >= 0"),
+            ("pretrain-student", ["--lr", "nan"], "lr must be finite and >= 0, got nan"),
+            ("pretrain-student", ["--lr", "-1"], "lr must be finite and >= 0, got -1.0"),
+            ("pretrain-student", ["--weight-decay", "inf"], "weight_decay must be finite and >= 0"),
+            ("pretrain-student", ["--distill-tau", "nan"],
+             "distill_tau must be positive and finite"),
+            ("pretrain-student", ["--brightness-delta", "inf"],
+             "brightness_delta must be finite and >= 0"),
+            ("pretrain-student", ["--contrast-hi", "inf"], "contrast_range must satisfy"),
+            ("pretrain-student", ["--aug-noise-sigma", "nan"], "noise_sigma must be finite"),
+            ("linear-probe", ["--probe-lr", "nan"], "lr must be finite and >= 0, got nan"),
+            ("linear-probe", ["--probe-lr", "-1"], "lr must be finite and >= 0, got -1.0"),
+            ("sweep-labels", ["--probe-weight-decay", "inf"], "weight_decay must be finite"),
         ),
     )
     def test_bad_value_fails_before_any_load_and_leaves_no_out(

@@ -95,16 +95,6 @@ class TestSyntheticDataset:
             small_spec(base_intensity=(0.1, 0.5, 0.7))
 
 
-def write_version_1(path, with_digest: bool):
-    """The manifest that format version 1 wrote for the blob at ``path``."""
-    manifest = json.loads(path.with_suffix(".json").read_text())
-    del manifest["blake2b"]
-    manifest["version"] = 1
-    if with_digest:
-        manifest["sha256"] = hashlib.sha256(path.with_suffix(".bin").read_bytes()).hexdigest()
-    path.with_suffix(".json").write_text(json.dumps(manifest, indent=1, sort_keys=True))
-
-
 class TestCheckpointRoundTrip:
     def make_sets(self):
         rng = np.random.default_rng(0)
@@ -202,22 +192,6 @@ class TestCheckpointRoundTrip:
         )
         assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.bin", "ckpt.json"]
 
-    def test_version_1_manifest_with_sha256_still_loads_and_is_checked(self, tmp_path):
-        D.save_checkpoint(self.make_sets(), tmp_path / "ckpt", config={"note": 1})
-        write_version_1(tmp_path / "ckpt", with_digest=True)
-        # the manifest's bytes as format version 1 wrote them
-        assert hashlib.sha256((tmp_path / "ckpt.json").read_bytes()).hexdigest() == (
-            "11ab66800e98cd7d06b6ee7c8b6fb4e6a42977407a56822aac86ba0eadeb7598"
-        )
-        loaded, config = D.load_checkpoint(tmp_path / "ckpt")
-        assert config == {"note": 1}
-        assert np.array_equal(loaded["query.head"]["fc.b"].data, self.make_sets()["query.head"]["fc.b"].data)
-        blob = bytearray((tmp_path / "ckpt.bin").read_bytes())
-        blob[3] ^= 1
-        (tmp_path / "ckpt.bin").write_bytes(bytes(blob))
-        with pytest.raises(D.CorruptManifestError, match="does not match the sha256"):
-            D.load_checkpoint(tmp_path / "ckpt")
-
     def test_blob_not_matching_its_digest_rejected(self, tmp_path):
         D.save_checkpoint(self.make_sets(), tmp_path / "ckpt")
         blob = bytearray((tmp_path / "ckpt.bin").read_bytes())
@@ -226,34 +200,32 @@ class TestCheckpointRoundTrip:
         with pytest.raises(D.CorruptManifestError, match="does not match the blake2b"):
             D.load_checkpoint(tmp_path / "ckpt")
 
-    def test_manifest_without_digest_still_loads(self, tmp_path):
-        # a version-1 manifest written before the digest existed
-        D.save_checkpoint(self.make_sets(), tmp_path / "ckpt", config={"note": 1})
-        write_version_1(tmp_path / "ckpt", with_digest=False)
-        assert hashlib.sha256((tmp_path / "ckpt.json").read_bytes()).hexdigest() == (
-            "b228d780e475c8930d87ca06f1bd1bb17c52c2560b4b48e12724ce67692813cb"
-        )
-        loaded, _ = D.load_checkpoint(tmp_path / "ckpt")
-        assert np.array_equal(loaded["query.head"]["fc.b"].data, self.make_sets()["query.head"]["fc.b"].data)
-
     def test_version_2_manifest_without_its_digest_rejected(self, tmp_path):
-        # a reader of version 1 alone would take it for a manifest from before the digest
+        # a sha256 entry in place of the blake2b one does not stand in for it
         D.save_checkpoint(self.make_sets(), tmp_path / "ckpt")
         manifest = json.loads((tmp_path / "ckpt.json").read_text())
         del manifest["blake2b"]
         manifest["sha256"] = hashlib.sha256((tmp_path / "ckpt.bin").read_bytes()).hexdigest()
         (tmp_path / "ckpt.json").write_text(json.dumps(manifest))
-        with pytest.raises(D.CorruptManifestError, match="ckpt.json lacks the blob's blake2b"):
+        with pytest.raises(D.CorruptManifestError, match=r"ckpt.json .* blake2b .* re-run the stage"):
             D.load_checkpoint(tmp_path / "ckpt")
 
-    @pytest.mark.parametrize("version", [3, 0, True, 2.0, "2", None])
+    @pytest.mark.parametrize("version", [1, 3, 0, True, 2.0, "2", None])
     def test_unknown_version_rejected(self, tmp_path, version):
+        # version 1 as it was written: a valid sha256 entry and no blake2b one
         D.save_checkpoint(self.make_sets(), tmp_path / "ckpt")
-        manifest = json.loads((tmp_path / "ckpt.json").read_text())
-        manifest["version"] = version
-        (tmp_path / "ckpt.json").write_text(json.dumps(manifest))
-        with pytest.raises(D.CorruptManifestError, match="expected 2 or 1"):
-            D.load_checkpoint(tmp_path / "ckpt")
+        D.save_dataset(D.generate_synthetic_dataset(small_spec(), 9), tmp_path / "d")
+        for name, load in (("ckpt", D.load_checkpoint), ("d", D.load_dataset)):
+            manifest = json.loads((tmp_path / f"{name}.json").read_text())
+            manifest["version"] = version
+            if version == 1:
+                del manifest["blake2b"]
+                blob = (tmp_path / f"{name}.bin").read_bytes()
+                manifest["sha256"] = hashlib.sha256(blob).hexdigest()
+            (tmp_path / f"{name}.json").write_text(json.dumps(manifest))
+            with pytest.raises(D.CorruptManifestError,
+                               match=rf"{name}.json is not at version 2 .* re-run the stage"):
+                load(tmp_path / name)
 
     @pytest.mark.parametrize("existing", [True, False], ids=["rewrite", "first_write"])
     def test_write_interrupted_between_the_files_never_loads(self, tmp_path, monkeypatch, existing):
@@ -499,21 +471,6 @@ class TestDatasetPersistence:
         part = D.Dataset(np.arange(12.0).reshape(3, 1, 2, 2), [2, 0, 1]).subset([2, 0])
         assert len(part) == 2 and part.labels.tolist() == [1, 2] and part.shape == (2, 1, 2, 2)
         assert np.array_equal(part.frames[0], np.arange(8.0, 12.0).reshape(1, 2, 2))
-
-    def test_version_1_dataset_keeps_its_sha256_check(self, tmp_path):
-        ds = D.generate_synthetic_dataset(small_spec(), 9)
-        D.save_dataset(ds, tmp_path / "d")
-        write_version_1(tmp_path / "d", with_digest=True)
-        with D.load_dataset(tmp_path / "d")[0] as loaded:
-            assert loaded.frames.tobytes() == ds.frames.tobytes()
-        flip_byte(tmp_path / "d.bin", 3)
-        with pytest.raises(D.CorruptManifestError, match="does not match the sha256"):
-            D.load_dataset(tmp_path / "d")
-        D.save_dataset(ds, tmp_path / "d")
-        write_version_1(tmp_path / "d", with_digest=False)
-        flip_byte(tmp_path / "d.bin", 3)
-        with D.load_dataset(tmp_path / "d")[0] as loaded:  # written before the digest: unchecked
-            assert loaded.frames.tobytes() != ds.frames.tobytes()
 
 
 def flip_byte(path, at: int) -> None:

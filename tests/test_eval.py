@@ -120,13 +120,20 @@ class TestExtractFeatures:
         with pytest.raises(C.ContractError):
             E.extract_features(a, None, toy_dataset(), "addition")
 
-    def test_addition_with_mismatched_dims_rejected(self, ckpts):
+    def test_addition_with_mismatched_dims_rejected_before_any_backbone_pass(self, ckpts):
         a = query_encoder(ckpts[0])
         narrow = C.EncoderConfig(conv_channels=(4, 6), d_backbone=10, d=8, input_size=(12, 12))
         b = C.init_encoder(narrow, Rng(0))
         data = toy_dataset().subset(slice(3))
-        with pytest.raises(C.ContractError, match="matching feature dims"):
-            E.extract_features(a, b, data, "addition")
+        calls = []
+
+        def counting(enc, dataset):
+            calls.append(enc.cfg.d_backbone)
+            return E._backbone_features(enc, dataset)
+
+        with pytest.raises(C.ContractError, match="matching feature dims, got 10 and 12"):
+            E.extract_features(a, b, data, "addition", backbone=counting)
+        assert calls == []
 
 
 class TestResize:
@@ -239,6 +246,17 @@ class TestLinearProbe:
         with pytest.raises(ValueError, match=field):
             E.ProbeConfig(**{field: value})
         E.ProbeConfig(**{field: 0})  # the boundary itself is accepted
+
+    @pytest.mark.parametrize("field, value", (("lr", -1.0), ("lr", np.nan), ("lr", np.inf),
+                                              ("weight_decay", np.nan), ("weight_decay", np.inf)))
+    def test_negative_or_non_finite_rate_rejected_naming_the_field(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite and >= 0"):
+            E.ProbeConfig(**{field: value})
+
+    def test_diverged_fit_raises_instead_of_scoring(self):
+        # a finite rate so large that the weights overflow to inf, then NaN
+        with pytest.raises(C.DivergenceError, match="not finite after 300 steps at lr 1e"):
+            E.fit_linear_probe(self.separable_features(), E.ProbeConfig(lr=1e200))
 
 
 @pytest.fixture(scope="module")
