@@ -14,8 +14,9 @@ process drops an arm's features once it is done with them.  The splits'
 frames belong to the worker: the calling process never reads a row, and
 releases the splits once it has forked.  The probe is multinomial
 logistic regression fit by full-batch gradient descent on a per-class
-stratified label subset, its logits held class-major (classes x samples)
-so that its softmax folds a few long rows.
+stratified label subset.  Its weights, with the bias as their last column,
+and its logits are held class-major, so that its softmax folds a few long
+rows, and its features once per GEMM of a step.
 """
 
 from __future__ import annotations
@@ -177,37 +178,36 @@ def _softmax_class_major(z: np.ndarray) -> np.ndarray:
 
 
 def fit_linear_probe(fs: FeatureSet, cfg: ProbeConfig, num_classes: int | None = None) -> LinearProbe:
-    """Full-batch gradient descent on softmax cross-entropy + L2 penalty;
-    the logits and residual are held class-major, the gradients' operands not.
-    A fit whose weights end up not finite raises ``DivergenceError``."""
+    """Full-batch gradient descent on softmax cross-entropy + L2 penalty: class-major weights
+    with the bias as their last column, and the features once per GEMM, each with the ones
+    that carry the bias.  A fit whose weights end up not finite raises ``DivergenceError``."""
     k = int(num_classes if num_classes is not None else fs.labels.max() + 1)
     subset = stratified_indices(fs.labels, cfg.label_fraction, cfg.seed)
-    x = fs.features[subset]
     y = fs.labels[subset]
     present = np.unique(y)
     if present.size < k:
         missing = sorted(set(range(k)) - set(int(c) for c in present))
         raise SamplingError(f"classes {missing} absent from probe subset; change seed or fraction")
-    n = x.shape[0]
-    onehot = np.zeros((k, n))
-    onehot[y, np.arange(n)] = 1.0
-    w = np.zeros((x.shape[1], k))
-    b = np.zeros(k)
-    z, d = np.empty((k, n)), np.empty((n, k))
+    xa = np.hstack((fs.features[subset], np.ones((subset.size, 1))))
+    xaT = np.ascontiguousarray(xa.T)  # a transposed view of xa ran slower
+    n, width = xa.shape
+    onehot = (y == np.arange(k)[:, None]).astype(float)
+    wa = np.zeros((k, width))
+    decay = np.append(np.full(width - 1, 1.0 - cfg.lr * cfg.weight_decay), 1.0)  # not the bias
+    z, g = np.empty((k, n)), np.empty((k, width))
     with np.errstate(over="ignore", invalid="ignore"):  # checked once, after the loop
         for _ in range(cfg.steps):
-            np.copyto(z, (x @ w).T)
-            z += b[:, None]
+            np.matmul(wa, xaT, out=z)
             _softmax_class_major(z)
             z -= onehot
-            z /= n
-            np.copyto(d, z.T)
-            w -= cfg.lr * (x.T @ d + cfg.weight_decay * w)
-            b -= cfg.lr * d.sum(axis=0)
-    if not (np.isfinite(w).all() and np.isfinite(b).all()):
+            np.matmul(z, xa, out=g)
+            g *= cfg.lr / n
+            wa *= decay
+            wa -= g
+    if not np.isfinite(wa).all():
         raise DivergenceError(f"the linear probe diverged: its weights are not finite after "
                               f"{cfg.steps} steps at lr {cfg.lr}")
-    return LinearProbe(w, b)
+    return LinearProbe(np.ascontiguousarray(wa[:, :-1].T), wa[:, -1].copy())
 
 
 # ---------------------------------------------------------------------------

@@ -63,6 +63,23 @@ def probe_objective_curve(fs, cfg):
     return np.array(curve)
 
 
+def reference_fit(fs, cfg, num_classes):
+    """The probe's fit as a row-major loop: weights D x classes, a separate
+    bias, and the residual transposed samples-major for each gradient."""
+    subset = E.stratified_indices(fs.labels, cfg.label_fraction, cfg.seed)
+    x, y = fs.features[subset], fs.labels[subset]
+    n = x.shape[0]
+    onehot = np.zeros((num_classes, n))
+    onehot[y, np.arange(n)] = 1.0
+    w, b = np.zeros((x.shape[1], num_classes)), np.zeros(num_classes)
+    for _ in range(cfg.steps):
+        z = E._softmax_class_major((x @ w).T + b[:, None])
+        d = np.ascontiguousarray(((z - onehot) / n).T)
+        w -= cfg.lr * (x.T @ d + cfg.weight_decay * w)
+        b -= cfg.lr * d.sum(axis=0)
+    return E.LinearProbe(w, b)
+
+
 def query_encoder(path):
     (enc,) = C.load_encoders(path, ("query",))
     return enc
@@ -253,6 +270,15 @@ class TestLinearProbe:
         with pytest.raises(ValueError, match=f"{field} must be finite and >= 0"):
             E.ProbeConfig(**{field: value})
 
+    def test_bias_takes_no_weight_decay(self):
+        # zero features leave the bias gradient independent of the weights;
+        # unbalanced classes make it move
+        fs = E.FeatureSet(np.zeros((20, 5)), np.repeat(np.arange(4), (2, 4, 6, 8)))
+        decayed = E.fit_linear_probe(fs, E.ProbeConfig(weight_decay=10.0, steps=50))
+        free = E.fit_linear_probe(fs, E.ProbeConfig(weight_decay=0.0, steps=50))
+        assert np.array_equal(decayed.bias, free.bias) and np.abs(free.bias).min() > 0
+        assert (decayed.weight == 0).all() and (free.weight == 0).all()
+
     def test_diverged_fit_raises_instead_of_scoring(self):
         # a finite rate so large that the weights overflow to inf, then NaN
         with pytest.raises(C.DivergenceError, match="not finite after 300 steps at lr 1e"):
@@ -273,21 +299,21 @@ def pinned_features(ckpts):
 # keeps these, as it keeps the sweep's rows below.
 PINNED_PROBES = {
     ("student", 0.05):
-        "7f078c29fa0c1c94f2307a025bbb5ada59c855e4f391fd1c5fb8a229a33fe741",
+        "510fd9ff220b2b7c01062a640ff671f62902536de5d2985bf95ef11fb2c3962e",
     ("student", 0.1):
-        "d22dd1fbdddaa38d225b3ec7733d8fa2871073279d4a67c1e330d643ff1ea949",
+        "368a8a3749886b6c2a838cd56979bad0c67d019ffa2e6658a1b6e71f6622d623",
     ("student", 0.5):
-        "8b4fc115a958090c44af388ec691b55a47cc574961fedc47fd5951c3aae06a20",
+        "921d927e9f8a962eae6f861dc94ff1a5868596f1345dbaba59d690c91644c795",
     ("student", 1.0):
-        "5274d2712eef0bcbfef1a96ef178fb2233eb0f8058c8253521328a21c5bc54e4",
+        "c3ce83ad39c4373b8c36ef4bc39e7da86e37486e7404c9e1436ddb7927f31afc",
     ("concatenation", 0.05):
-        "5791e3fa2be659c185b181ab2c89946cf6dc24a0a03fc9065a5b48b79ee1785c",
+        "9797b36b4f7fbe7a6337f6d91277eba03874efe5f848585258640f1e09846dec",
     ("concatenation", 0.1):
-        "3e7f413d6b9ecd6b1152fdf796fa5a34867012a93cf25b27e28c151547cb3ece",
+        "a1909147212762372e1ec09e390e8965e5f8982efaa73e884d58a65a0bb6a001",
     ("concatenation", 0.5):
-        "81f6ca4cce76f6591d52394311dabea070bdfbedae03f7c18f5e7cf61753b8ff",
+        "59fdad95e1e864a44d2871e9434b0b51e22f4041e6152fc1f2ba9202108cbe92",
     ("concatenation", 1.0):
-        "14a70097395264f4b556268fb680cc63a8331e3448d723bc3680f8925e4424a1",
+        "b2f64ae7dcd35c6564b5b003aef95b1c3bb1792c93e0f146e65a45369fac5ddf",
 }
 PINNED_SWEEP_ROWS = "d879e3bf1beb3eb483d8b88d3dec3c65e01d7f5d6017b1d6233e7cda51440959"
 
@@ -300,6 +326,18 @@ class TestProbeOutputsPinned:
                 for seed in (0, 1, 2)]
         assert sha256_of(*(a for fit in fits for a in (fit.weight, fit.bias))) == \
             PINNED_PROBES[mode, fraction]
+
+    @pytest.mark.parametrize("weight_decay", (E.ProbeConfig.weight_decay, 0.05))
+    @pytest.mark.parametrize("mode, fraction", sorted(PINNED_PROBES))
+    def test_fits_match_the_row_major_reference(self, pinned_features, mode, fraction,
+                                                weight_decay):
+        fs = pinned_features[mode]
+        for seed in (0, 1, 2):
+            cfg = E.ProbeConfig(label_fraction=fraction, seed=seed, weight_decay=weight_decay)
+            fit, ref = E.fit_linear_probe(fs, cfg, 4), reference_fit(fs, cfg, 4)
+            assert np.abs(fit.weight - ref.weight).max() <= 1e-12
+            assert np.abs(fit.bias - ref.bias).max() <= 1e-12
+            assert np.array_equal(fit.predict(fs.features), ref.predict(fs.features))
 
     def test_sweep_rows_pinned(self, ckpts, tmp_path):
         a, b = (query_encoder(p) for p in ckpts)
