@@ -3,11 +3,12 @@
 Configuration is a flat JSON schema.  Each command takes only the keys it
 reads (``COMMANDS``), and one config file may hold those of the whole
 pipeline; a loaded checkpoint brings its own architecture, so only the
-commands that make an encoder take its keys.  Flags override file values,
-which override built-in defaults (flag > file > env > default for the
-seed).  Every command checks its keys, builds its configs, loads --data
-(and splits it, for probing), loads checkpoints and runs, and only then
-creates --out to write its resolved config.json plus its metrics and
+commands that make an encoder take its keys, and a new one takes its
+channels from --data and its input side from --view-size.  Flags override
+file values, which override built-in defaults (flag > file > env > default
+for the seed).  Every command checks its keys, builds its configs, loads
+--data (and splits it, for probing), loads checkpoints and runs, and only
+then creates --out to write its resolved config.json plus its metrics and
 checkpoints there, so bad input fails before any load and leaves nothing
 behind.  A flag the command does not take, a value that cannot be parsed
 or that a config rejects, and an --init-from of another architecture are
@@ -74,14 +75,12 @@ CONFIG_SCHEMA: dict[str, tuple] = {
     "weight_decay": (float, _TRAIN.weight_decay, "SGD weight decay"),
     "steps": (int, _TRAIN.steps, "training steps per stage"),
     "distill_tau": (float, _TRAIN.distill_tau, "distillation temperature (defaults to tau)"),
-    "in_channels": (int, _ENC.in_channels, "encoder input channels"),
     "conv_channels": (str, ",".join(map(str, _ENC.conv_channels)), "conv layer channel counts"),
     "kernel_size": (int, _ENC.kernel_size, "conv kernel size"),
     "conv_stride": (int, _ENC.stride, "conv stride"),
     "conv_pad": (int, _ENC.pad, "conv zero padding"),
     "d_backbone": (int, _ENC.d_backbone, "backbone feature dimension"),
     "embed_dim": (int, _ENC.d, "projection head output dimension"),
-    "input_size": (int, _ENC.input_size[0], "encoder input side length"),
     "crop_scale_lo": (float, _AUG.crop_scale_range[0], "random crop minimum area fraction"),
     "crop_scale_hi": (float, _AUG.crop_scale_range[1], "random crop maximum area fraction"),
     "flip_prob": (float, _AUG.flip_prob, "horizontal flip probability"),
@@ -209,10 +208,10 @@ def _usage_error(build):
 
 @_usage_error
 def encoder_config(cfg: dict) -> EncoderConfig:
-    """A new encoder; ``EncoderConfig`` refuses one that does not fit its input size."""
+    """A new encoder of the views, of the default channel count until the
+    data is loaded; ``EncoderConfig`` refuses one whose kernels do not fit."""
     return EncoderConfig(
-        in_channels=cfg["in_channels"],
-        input_size=(cfg["input_size"], cfg["input_size"]),
+        input_size=(cfg["view_size"], cfg["view_size"]),
         conv_channels=tuple(_list(cfg, "conv_channels", int)),
         kernel_size=cfg["kernel_size"],
         stride=cfg["conv_stride"],
@@ -318,16 +317,16 @@ def cmd_gen_data(cfg: dict) -> int:
 
 def _train(cfg: dict, command: str, stage, *checkpoints: str, **options) -> int:
     """Run ``stage(dataset, *checkpoint paths, cfg=train_cfg, **options)``,
-    plus ``enc_cfg`` for a command that makes an encoder, and write its
-    metrics, checkpoint and provenance.  The stage takes the loaded dataset
-    over and releases it once its worker has forked; a stage that fails
-    before then leaves it to the ``with`` block."""
+    plus ``enc_cfg`` (the views' side, the data's channels) for a command
+    that makes an encoder, and write its metrics, checkpoint and provenance.
+    The stage takes the loaded dataset over and releases it once its worker
+    has forked; a stage that fails before then leaves it to the ``with`` block."""
     _require(cfg, command, "data", "out", *checkpoints)
     train_cfg = train_config(cfg)  # the view size is checked before the encoder is fitted to it
-    if "embed_dim" in cfg:  # a new encoder, whose kernels must also fit the views
-        enc_cfg = options["enc_cfg"] = encoder_config(cfg)
-        _usage_error(replace)(enc_cfg, input_size=(cfg["view_size"], cfg["view_size"]))
+    enc_cfg = encoder_config(cfg) if "embed_dim" in cfg else None
     with load_dataset(cfg["data"])[0] as dataset:
+        if enc_cfg is not None:
+            options["enc_cfg"] = replace(enc_cfg, in_channels=dataset.shape[1])
         run = stage(dataset, *(cfg[key] for key in checkpoints), cfg=train_cfg, **options)
     out = _out_dir(cfg)
     _write_train_metrics(out, run)
@@ -375,12 +374,12 @@ def cmd_linear_probe(cfg: dict) -> int:
         raise CliError(f"mode must be one of {MODES}, got {mode!r}")
     keys = {"student": ("ckpt",), "teacher": ("teacher",)}.get(mode, ("ckpt", "teacher"))
     _require(cfg, "linear-probe", "data", "out", *keys)
+    _refuse(cfg, f"linear-probe --mode {mode}", *(k for k in ("ckpt", "teacher") if k not in keys))
     probe, seeds, num_classes, train_set, test_set = _probe_inputs(
         cfg, label_fraction=cfg["label_fraction"]
     )
     with train_set, test_set:
-        student, teacher = (_query_encoder(cfg[key]) if key in keys else None
-                            for key in ("ckpt", "teacher"))
+        student, teacher = (_query_encoder(cfg[key]) for key in ("ckpt", "teacher"))
         ftr = extract_features(student, teacher, train_set, mode)
         fte = extract_features(student, teacher, test_set, mode)
     rows = []
@@ -453,8 +452,8 @@ def cmd_gradcheck(cfg: dict) -> int:
 
 
 # The keys each config builder reads; a command takes those of the builders it calls.
-_ENCODER_KEYS = ("in_channels", "input_size", "conv_channels", "kernel_size", "conv_stride",
-                 "conv_pad", "d_backbone", "embed_dim")
+_ENCODER_KEYS = ("conv_channels", "kernel_size", "conv_stride", "conv_pad", "d_backbone",
+                 "embed_dim")
 _AUGMENT_KEYS = ("crop_scale_lo", "crop_scale_hi", "flip_prob", "brightness_delta",
                  "contrast_lo", "contrast_hi", "aug_noise_sigma", "view_size")
 _TRAIN_KEYS = ("data", "out", "seed", "tau", "m", "batch_size", "queue_size", "lr",

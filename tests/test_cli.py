@@ -207,6 +207,17 @@ class TestConfigPrecedence:
         assert run(["gen-data", "--config", str(old), "--out", str(tmp_path / "o")]) == 2
         assert "unknown config key 'generic_data'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", (("in_channels", 1), ("input_size", 32)))
+    def test_removed_encoder_key_rejected(self, key, value, data_dir, tmp_path, capsys):
+        # a pretrain-student config.json written while the encoder took these keys
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps({"command": "pretrain-student", "steps": 1, key: value}))
+        out = tmp_path / "o"
+        assert run(["pretrain-student", "--config", str(old), "--data", str(data_dir / "target"),
+                    "--out", str(out)]) == 2
+        assert f"unknown config key {key!r}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestProvenance:
     def test_config_json_written_with_command(self, generic_ckpt):
@@ -436,10 +447,10 @@ class TestStages:
         common = ["linear-probe", "--config", small_config, "--data", str(data_dir / "target"),
                   "--mode", mode, f"--{used}", str(teacher_ckpt)]
         assert run([*common, "--out", str(tmp_path / "alone")]) == 0
-        assert run([*common, f"--{unused}", str(tmp_path / "missing"),
-                    "--out", str(tmp_path / "extra")]) == 0
-        alone = (tmp_path / "alone" / "metrics.csv").read_bytes()
-        assert (tmp_path / "extra" / "metrics.csv").read_bytes() == alone
+        # the other checkpoint flag would be recorded in config.json but never read
+        extra = tmp_path / "extra"
+        assert run([*common, f"--{unused}", str(tmp_path / "missing"), "--out", str(extra)]) == 2
+        assert not extra.exists()
 
     @pytest.mark.parametrize("command, ckpt_flag", (("linear-probe", "--ckpt"),
                                                     ("sweep-labels", "--plain")))
@@ -518,25 +529,26 @@ class TestStages:
             ("pretrain-student", ["--d-backbone", "0"], "d_backbone must be >= 1"),
             ("pretrain-student", ["--conv-stride", "0"], "stride must be >= 1"),
             ("pretrain-student", ["--view-size", "0"], "output_size must be >= 1"),
-            # a kernel must fit every conv layer's padded input: the views for training
+            # a kernel must fit every conv layer's padded input: the views, which are
+            # also the encoder's input size, the side of the resized frames for probing
             ("pretrain-student", ["--kernel-size", "40"], "larger than conv1's padded input 34x34"),
             ("pretrain-student", ["--kernel-size", "20"], "larger than conv2's padded input 10x10"),
             ("pretrain-student", ["--view-size", "16", "--kernel-size", "12"], "conv2's"),
-            # and the encoder's own input size, the side of the resized frames for probing
+            # in each command that makes an encoder
             ("pretrain-generic", ["--kernel-size", "40"], "larger than conv1's padded input 34x34"),
-            ("pretrain-generic", ["--input-size", "16", "--kernel-size", "12"],
+            ("pretrain-generic", ["--view-size", "16", "--kernel-size", "12"],
              "conv2's padded input 6x6 at input size 16x16"),
             ("pretrain-generic", ["--kernel-size", "20"], "larger than conv2's padded input 10x10"),
             # a probe command takes no encoder key: a checkpoint brings its architecture
             ("linear-probe", ["--kernel-size", "40"], "unrecognized arguments: --kernel-size 40"),
-            ("linear-probe", ["--input-size", "16", "--kernel-size", "12"],
-             "unrecognized arguments: --input-size 16 --kernel-size 12"),
+            ("linear-probe", ["--view-size", "16", "--kernel-size", "12"],
+             "unrecognized arguments: --view-size 16 --kernel-size 12"),
             ("sweep-labels", ["--kernel-size", "20"], "unrecognized arguments: --kernel-size 20"),
             ("adapt-teacher", ["--conv-stride", "1"], "unrecognized arguments: --conv-stride 1"),
             # --data does not exist either: the kernel and the split fraction are
             # checked before it is read
             ("pretrain-student", ["--data", "{missing}", "--kernel-size", "40"], "conv1's"),
-            ("pretrain-student", ["--data", "{missing}", "--input-size", "8", "--kernel-size", "9"],
+            ("pretrain-student", ["--data", "{missing}", "--view-size", "8", "--kernel-size", "9"],
              "conv2's padded input 3x3 at input size 8x8"),
             ("linear-probe", ["--data", "{missing}", "--holdout-fraction", "1.5"],
              "holdout_fraction"),
@@ -590,6 +602,11 @@ class TestStages:
             ("linear-probe", ["--probe-lr", "nan"], "lr must be finite and >= 0, got nan"),
             ("linear-probe", ["--probe-lr", "-1"], "lr must be finite and >= 0, got -1.0"),
             ("sweep-labels", ["--probe-weight-decay", "inf"], "weight_decay must be finite"),
+            # a probe reads only the checkpoints its mode names (--ckpt is given here)
+            ("linear-probe", ["--teacher", "{missing}"],
+             "linear-probe --mode student takes no --teacher"),
+            ("linear-probe", ["--mode", "teacher", "--teacher", "{missing}"],
+             "linear-probe --mode teacher takes no --ckpt"),
         ),
     )
     def test_bad_value_fails_before_any_load_and_leaves_no_out(
@@ -676,6 +693,35 @@ class TestStages:
         err = capsys.readouterr().err
         assert "addition needs matching feature dims, got 128 and 64" in err
         assert forks == [] and not out.exists()
+
+    def test_color_frames_train_and_probe_with_no_encoder_flag(
+        self, small_config, generic_ckpt, tmp_path, capsys
+    ):
+        rng = np.random.default_rng(4)
+        save_dataset(Dataset(rng.random((48, 3, 32, 32)), np.repeat(np.arange(4), 12)),
+                     tmp_path / "color")
+        common = ["--config", small_config, "--data", str(tmp_path / "color")]
+        assert run(["pretrain-generic", *common, "--out", str(tmp_path / "gen")]) == 0
+        manifest = json.loads((tmp_path / "gen" / "checkpoint.json").read_text())
+        assert manifest["config"]["encoder"]["in_channels"] == 3
+        assert run(["linear-probe", *common, "--ckpt", str(tmp_path / "gen" / "checkpoint"),
+                    "--out", str(tmp_path / "probe")]) == 0
+        # the generic checkpoint was trained on 1-channel frames
+        capsys.readouterr()
+        out = tmp_path / "init"
+        assert run(["pretrain-student", *common, "--init-from", str(generic_ckpt),
+                    "--out", str(out)]) == 2
+        assert "holds an encoder with in_channels 1 (config: 3)" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_a_new_encoder_takes_the_view_size_as_its_input_size(
+        self, small_config, data_dir, tmp_path
+    ):
+        out = tmp_path / "student"
+        assert run(["pretrain-student", "--config", small_config, "--data", str(data_dir / "target"),
+                    "--view-size", "16", "--steps", "1", "--out", str(out)]) == 0
+        manifest = json.loads((out / "checkpoint.json").read_text())
+        assert manifest["config"]["encoder"]["input_size"] == [16, 16]
 
     def test_commands_call_the_benchmark_main_hooks(
         self, monkeypatch, small_config, data_dir, generic_ckpt, tmp_path
@@ -774,10 +820,15 @@ class _Reads(dict):
 
 
 class TestCommandKeys:
-    def test_the_table_has_114_command_flag_pairs(self):
-        # 7 commands x 53 keys = 371 before each command took only its own, and
-        # 138 before the commands that load an encoder dropped its 8 keys
-        assert sum(len(keys) for _, keys in cli.COMMANDS.values()) == 114
+    def test_the_table_has_110_command_flag_pairs(self):
+        # 7 commands x 53 keys = 371 before each command took only its own, 138
+        # before the commands that load an encoder dropped its 8 keys, and 114
+        # before a new encoder took its channels from the data and its size from the views
+        assert sum(len(keys) for _, keys in cli.COMMANDS.values()) == 110
+
+    def test_every_schema_key_is_taken_by_a_command(self):
+        # a key no command takes could be set in a config file and never read
+        assert set(cli.CONFIG_SCHEMA) == {key for _, keys in cli.COMMANDS.values() for key in keys}
 
     def test_each_command_reads_exactly_its_keys(
         self, monkeypatch, small_config, data_dir, generic_ckpt, teacher_ckpt, tmp_path
@@ -798,8 +849,9 @@ class TestCommandKeys:
             ["adapt-teacher", "--data", target, "--generic", generic, "--steps", "1"],
             student,
             [*student, "--distill", "--teacher", str(teacher_ckpt)],
-            *(["linear-probe", "--data", target, "--ckpt", generic, "--teacher", generic,
-               "--mode", mode] for mode in MODES),
+            *(["linear-probe", "--data", target, "--mode", mode,
+               *([] if mode == "teacher" else ["--ckpt", generic]),
+               *([] if mode == "student" else ["--teacher", generic])] for mode in MODES),
             ["sweep-labels", "--data", target, "--teacher", generic, "--plain", generic,
              "--distilled", generic, "--init-student", generic, "--fractions", "1.0"],
             ["gradcheck", "--gradcheck-instances", "1"],
@@ -824,8 +876,11 @@ class TestCommandKeys:
         ("pretrain-student", ["--init", "{ckpt}"], "unrecognized arguments: --init"),
         ("pretrain-student", ["--distill", "--teach", "{ckpt}"], "unrecognized arguments: --teach"),
         # encoder keys, which only the commands that make an encoder take
-        ("linear-probe", ["--input-size", "40"], "unrecognized arguments: --input-size 40"),
+        ("linear-probe", ["--d-backbone", "40"], "unrecognized arguments: --d-backbone 40"),
         ("adapt-teacher", ["--embed-dim", "64"], "unrecognized arguments: --embed-dim 64"),
+        # keys no command takes: a new encoder's come from the data and the views
+        ("pretrain-student", ["--in-channels", "3", "--input-size", "40"],
+         "unrecognized arguments: --in-channels 3 --input-size 40"),
     ))
     def test_a_flag_the_command_does_not_take_is_a_usage_error(
         self, command, args, named, data_dir, generic_ckpt, tmp_path, capsys
