@@ -11,9 +11,11 @@ for the seed).  Every command checks its keys, builds its configs, loads
 then creates --out to write its resolved config.json plus its metrics and
 checkpoints there, so bad input fails before any load and leaves nothing
 behind.  A flag the command does not take, a value that cannot be parsed
-or that a config rejects, and an --init-from of another architecture are
-usage errors: the command exits 2 and prints its own usage.  Progress
-goes to stderr; files carry the machine-readable results.
+or that a config rejects, an --init-from of another architecture and a
+checkpoint whose encoder takes another channel count than --data's frames
+are usage errors: the command exits 2 and prints its own usage, before any
+worker forks.  Progress goes to stderr; files carry the machine-readable
+results.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from .eval import (
     SweepEncoder,
     check_holdout_fraction,
     compute_phase_metrics,
+    distinct_probes,
     extract_features,
     fit_linear_probe,
     label_efficiency_sweep,
@@ -292,9 +295,14 @@ def _progress(msg: str) -> None:
     print(msg, file=sys.stderr, flush=True)
 
 
-def _query_encoder(path):
-    """The checkpoint's query encoder, or None when no checkpoint is named."""
-    return load_encoders(path, ("query",))[0] if path else None
+def _query_encoder(path, channels: int):
+    """The checkpoint's query encoder, or None when no checkpoint is named;
+    one that does not take frames of ``channels`` channels is a usage error."""
+    if not path:
+        return None
+    enc = load_encoders(path, ("query",))[0]
+    pipeline.check_channels(path, enc, channels)
+    return enc
 
 
 def cmd_gen_data(cfg: dict) -> int:
@@ -379,16 +387,17 @@ def cmd_linear_probe(cfg: dict) -> int:
         cfg, label_fraction=cfg["label_fraction"]
     )
     with train_set, test_set:
-        student, teacher = (_query_encoder(cfg[key]) for key in ("ckpt", "teacher"))
+        student, teacher = (_query_encoder(cfg[key], train_set.shape[1])
+                            for key in ("ckpt", "teacher"))
         ftr = extract_features(student, teacher, train_set, mode)
         fte = extract_features(student, teacher, test_set, mode)
     rows = []
-    for seed in seeds:
-        model = fit_linear_probe(ftr, replace(probe, seed=seed), num_classes)
+    for seeded in distinct_probes(ftr.labels, probe, seeds):
+        model = fit_linear_probe(ftr, seeded, num_classes)
         metrics = compute_phase_metrics(model.predict(fte.features), fte.labels, num_classes)
         rows.append({"encoder": mode, "mode": mode, "fraction": probe.label_fraction,
-                     "seed": seed, **asdict(metrics)})
-        _progress(f"linear-probe: seed {seed} accuracy {metrics.accuracy:.4f}")
+                     "seed": seeded.seed, **asdict(metrics)})
+        _progress(f"linear-probe: seed {seeded.seed} accuracy {metrics.accuracy:.4f}")
     out = _out_dir(cfg)
     write_results_csv(rows, out / "metrics.csv")
     _write_provenance(out, "linear-probe", cfg)
@@ -419,7 +428,7 @@ def cmd_sweep_labels(cfg: dict) -> int:
     probe, seeds, num_classes, train_set, test_set = _probe_inputs(cfg)
     with train_set, test_set:  # the sweep releases them once its worker has forked
         # Each checkpoint key has an arm of its own, so every given one is used.
-        loaded = {key: _query_encoder(cfg[key])
+        loaded = {key: _query_encoder(cfg[key], train_set.shape[1])
                   for key in ("teacher", "plain", "init_student", "distilled")}
         encoders = [SweepEncoder(name, mode, loaded.get(s), loaded.get(t))
                     for name, mode, s, t in arms]

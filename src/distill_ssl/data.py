@@ -695,11 +695,12 @@ def load_image_directory(
 class Batch:
     """One training batch plus the provenance needed for seeded augmentation."""
 
-    # B x C x H x W; None on the training loop's batches, whose views come
-    # from the worker (pipeline._ViewFeed)
+    # The frames, B x C x H x W, their dataset indices and epoch; all None on
+    # the training loop's batches, whose views come from the worker
+    # (pipeline._ViewFeed)
     frames: np.ndarray | None
-    indices: np.ndarray  # dataset indices, length B
-    epoch: int
+    indices: np.ndarray | None
+    epoch: int | None
     # The query and key view stacks (pipeline.PreparedBatches); the query
     # stack is None on a batch that only warms the queues.  A step raises
     # ContractError on a batch without both.
@@ -716,15 +717,13 @@ class BatchStream:
 
     Epoch e's order is a Fisher-Yates permutation drawn from a stream
     keyed by (seed, epoch); the trailing remainder that does not fill a
-    whole batch is dropped.  ``next_batch`` reads the batch's rows from the
-    dataset; ``next_indices`` reads only the row count, so an owner that
-    takes indices alone may set ``dataset`` to None.
+    whole batch is dropped.
     """
 
     def __init__(self, dataset: Dataset, batch_size: int, seed: int):
-        self.dataset, self._rows = dataset, len(dataset)
-        if batch_size < 1 or batch_size > self._rows:
-            raise ValueError(f"batch_size {batch_size} invalid for dataset of {self._rows} frames")
+        self._dataset = dataset
+        if batch_size < 1 or batch_size > len(dataset):
+            raise ValueError(f"batch_size {batch_size} invalid for dataset of {len(dataset)} frames")
         self._batch = batch_size
         self._seed = seed
         self._epoch = 0
@@ -732,18 +731,13 @@ class BatchStream:
         self._cursor = 0
 
     def _shuffle(self, epoch: int) -> np.ndarray:
-        return Rng(self._seed).derive(STREAM_BATCH, epoch).permutation(self._rows)
+        return Rng(self._seed).derive(STREAM_BATCH, epoch).permutation(len(self._dataset))
 
-    def next_indices(self) -> tuple[np.ndarray, int]:
-        """The next batch's dataset indices and epoch, without its frames."""
+    def next_batch(self) -> Batch:
         if self._cursor + self._batch > self._order.size:
             self._epoch += 1
             self._order = self._shuffle(self._epoch)
             self._cursor = 0
         idx = self._order[self._cursor : self._cursor + self._batch].copy()
         self._cursor += self._batch
-        return idx, self._epoch
-
-    def next_batch(self) -> Batch:
-        idx, epoch = self.next_indices()
-        return Batch(frames=self.dataset.rows(idx), indices=idx, epoch=epoch)
+        return Batch(frames=self._dataset.rows(idx), indices=idx, epoch=self._epoch)

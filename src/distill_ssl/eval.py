@@ -156,6 +156,20 @@ def stratified_indices(labels: np.ndarray, fraction: float, seed: int) -> np.nda
     return np.sort(np.concatenate(chosen))
 
 
+def distinct_probes(labels: np.ndarray, probe: ProbeConfig, seeds: list[int]) -> list[ProbeConfig]:
+    """``probe`` at each of ``seeds``, in order, whose stratified subset of
+    ``labels`` no earlier seed drew.  A fit reads its seed only through that
+    subset, so a dropped seed's probe would repeat the kept one's bit for bit
+    (at fraction 1.0 every seed draws the whole split)."""
+    drawn, kept = set(), []
+    for seed in seeds:
+        subset = stratified_indices(labels, probe.label_fraction, seed).tobytes()
+        if subset not in drawn:
+            drawn.add(subset)
+            kept.append(replace(probe, seed=seed))
+    return kept
+
+
 @dataclass
 class LinearProbe:
     weight: np.ndarray  # D x classes
@@ -369,7 +383,13 @@ def label_efficiency_sweep(
     num_classes: int,
     probe: ProbeConfig = ProbeConfig(),
 ) -> tuple[list[dict], dict]:
-    """One probe per (encoder, fraction, seed); rows plus mean/std summary.
+    """One probe per (encoder, fraction, distinct subset); rows plus a
+    mean/std summary over each fraction's probes.
+
+    At each fraction only the seeds ``distinct_probes`` keeps are fitted,
+    the first of each distinct stratified subset of the training labels
+    (the same for every arm): one row each, and ``seeds`` in the summary
+    counts them, so at fraction 1.0 a sweep fits and reports one probe.
 
     Every arm's features are made by ``extract_features`` in a
     ``_FeatureFeed`` worker forked as the call starts, each distinct
@@ -380,19 +400,22 @@ def label_efficiency_sweep(
     held only until the next arm's are taken.  This process reads only the
     splits' labels, so once the worker has forked both splits are released
     (``Dataset.release_frames``): the call takes them over,
-    and a caller that needs them again splits a fresh load.  Arms are
-    checked before the fork: a repeated name raises ``ValueError`` (its
-    summary entry would hide the other's), and a mode, encoder or width
-    that ``extract_features`` would refuse raises its error.  The worker is
+    and a caller that needs them again splits a fresh load.  Arms and
+    fractions are checked before the fork: a repeated name raises
+    ``ValueError`` (its summary entry would hide the other's), a mode,
+    encoder or width that ``extract_features`` would refuse raises its
+    error, and ``ProbeConfig`` range-checks each fraction.  The worker is
     reaped before the call returns or raises; one that fails raises
-    ``worker.WorkerError`` with its traceback.  ``ProbeConfig``
-    range-checks each fraction as its first probe is built.
+    ``worker.WorkerError`` with its traceback.
     """
     if not encoders or not fractions or not seeds:
         raise ValueError("encoders, fractions and seeds must be non-empty")
     repeated = sorted(name for name, n in Counter(enc.name for enc in encoders).items() if n > 1)
     if repeated:
         raise ValueError(f"every arm needs a name of its own; repeated: {repeated}")
+    probes = {fraction: distinct_probes(train_set.labels, replace(probe, label_fraction=fraction),
+                                        seeds)
+              for fraction in fractions}
     rows = []
     summary: dict[str, dict] = {}
     with _FeatureFeed(encoders, (train_set, test_set)) as feed:
@@ -403,14 +426,13 @@ def label_efficiency_sweep(
             summary[enc.name] = {}
             for fraction in fractions:
                 accs = []
-                for seed in seeds:
-                    cfg = replace(probe, label_fraction=fraction, seed=seed)
+                for cfg in probes[fraction]:
                     model = fit_linear_probe(fs_train, cfg, num_classes)
                     m = compute_phase_metrics(model.predict(fs_test.features), fs_test.labels,
                                               num_classes)
                     rows.append(
                         {"encoder": enc.name, "mode": enc.mode, "fraction": fraction,
-                         "seed": seed, **asdict(m)}
+                         "seed": cfg.seed, **asdict(m)}
                     )
                     accs.append(m.accuracy)
                 summary[enc.name][str(fraction)] = {

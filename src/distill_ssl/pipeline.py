@@ -32,6 +32,7 @@ import numpy as np
 
 from .contrastive import (
     EncoderConfig,
+    EncoderParams,
     KeyQueue,
     MoCoState,
     StepResult,
@@ -63,12 +64,12 @@ class PreparedBatches:
     queue is warm), so they carry no query views."""
 
     def __init__(self, dataset: Dataset, cfg: TrainConfig, teacher: MoCoState | None = None):
-        self.stream, self._rng = BatchStream(dataset, cfg.batch_size, cfg.seed), Rng(cfg.seed)
+        self._stream, self._rng = BatchStream(dataset, cfg.batch_size, cfg.seed), Rng(cfg.seed)
         self.cfg, self.teacher = cfg, teacher
         self.warm_up, self._made = cfg.queue_size // cfg.batch_size, 0
 
     def next_batch(self) -> Batch:
-        batch = self.stream.next_batch()
+        batch = self._stream.next_batch()
         key_only, self._made = self._made < self.warm_up, self._made + 1
         batch.views = build_views(batch, self.cfg.augment, self._rng, key_only)
         if self.teacher is not None:
@@ -81,14 +82,13 @@ class _ViewFeed(Worker):
 
     The worker runs its copy of the producer ``count`` times and writes
     each batch's views, and any teacher targets and pointer, into rings of
-    ``_RING`` slots in shared arrays; the loop advances its own copy of
-    the stream, taking each batch's indices and epoch but not its frames,
-    and copies each slot out, only its key half for a warm-up batch, the
-    only half the worker wrote.  The worker fills a slot a second time
-    only after the loop has released it.  The worker starts from the
-    loop's dataset, stream and teacher; its teacher encodes call BLAS.
-    Once it has forked, the feed keeps only its stream, without the
-    dataset, and the warm-up count.
+    ``_RING`` slots in shared arrays; the loop copies each slot out into a
+    batch of views alone, with no frames, indices or epoch (no step reads
+    them), and only the key half for a warm-up batch, the only half the
+    worker wrote.  The worker fills a slot a second time only after the
+    loop has released it.  The worker starts from the loop's dataset,
+    stream and teacher; its teacher encodes call BLAS.  Once it has
+    forked, the feed keeps only the warm-up count.
     """
 
     name, item = "view worker", "batch"
@@ -103,11 +103,10 @@ class _ViewFeed(Worker):
             self._ptrs = shared((_RING,), np.int64)
             self._ptrs[:] = -1  # no targets in a slot until the teacher queue is warm
         super().__init__(count)
-        self._stream, self._warm_up = self._source.stream, self._source.warm_up
-        self._stream.dataset = self._source = None  # only the worker's copies read rows
+        self._warm_up, self._source = self._source.warm_up, None  # only the worker's copy runs
 
     def next_batch(self) -> Batch:
-        batch = Batch(None, *self._stream.next_indices())  # the worker has the frames
+        batch = Batch(None, None, None)  # the worker has the frames and their order
         self._wait()
         slot = (self._received - 1) % _RING
         views_q = None if self._received <= self._warm_up else self._views[slot, 0].copy()
@@ -171,6 +170,14 @@ class ArchitectureError(ValueError):
     """A checkpoint's encoder is not the one the run describes."""
 
 
+def check_channels(path, enc: EncoderParams, channels: int) -> None:
+    """Refuse checkpoint ``path``'s encoder ``enc`` for frames of ``channels``
+    channels it does not take, before any worker forks."""
+    if enc.cfg.in_channels != channels:
+        raise ArchitectureError(f"{path} holds an encoder for {enc.cfg.in_channels}-channel "
+                                f"frames; the data's frames have {channels} channels")
+
+
 def pretrain(
     dataset: Dataset,
     enc_cfg: EncoderConfig,
@@ -200,10 +207,12 @@ def adapt_teacher(
 ) -> TrainRun:
     """Head-only adaptation of a generic-domain encoder on the target data.
 
-    Query and key both start as the checkpoint's query encoder.  Takes over
+    Query and key both start as the checkpoint's query encoder; one for
+    frames of another channel count raises ``ArchitectureError``.  Takes over
     the frames of ``dataset``, which keeps only its labels (``_run``).
     """
     teacher = _loaded_state(generic_ckpt, cfg, ("query", "query"), freeze_backbone)
+    check_channels(generic_ckpt, teacher.query, dataset.shape[1])
     return _run(dataset, teacher, teacher_adapt_step)
 
 
@@ -215,8 +224,10 @@ def pretrain_distilled(
 ) -> TrainRun:
     """Distilled student training: both queues warm on the same sample
     stream, then every step pushes paired keys; the teacher's side runs in
-    the view worker, with a queue of the teacher's own ``d``.  Takes over
+    the view worker, with a queue of the teacher's own ``d``.  A teacher for
+    frames of another channel count raises ``ArchitectureError``.  Takes over
     the frames of ``dataset``, which keeps only its labels (``_run``)."""
     student = init_moco_state(enc_cfg, cfg, Rng(cfg.seed))
     teacher = _loaded_state(teacher_ckpt, cfg, freeze_backbone=True)
+    check_channels(teacher_ckpt, teacher.query, dataset.shape[1])
     return _run(dataset, student, distilled_train_step, teacher)

@@ -387,7 +387,7 @@ def test_criterion_10_transfer_mode_ablation(pipeline_artifacts):
         assert lines[0] == "encoder,mode,fraction,seed,accuracy,precision,recall,jaccard"
         arms = {line.split(",")[0] for line in lines[1:]}
         assert {"addition", "concatenation", "initialization", "distillation"} <= arms
-        rows_per_arm = 4 * 3  # fractions x seeds
+        rows_per_arm = 3 * 3 + 1  # seeds at each fraction below 1; one probe at 1.0
         assert len(lines) - 1 == len(arms) * rows_per_arm
 
 

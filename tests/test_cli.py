@@ -714,6 +714,50 @@ class TestStages:
         assert "holds an encoder with in_channels 1 (config: 3)" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, flags", (
+        ("adapt-teacher", ["--generic", "{generic}"]),
+        ("pretrain-student", ["--distill", "--teacher", "{teacher}"]),
+        ("linear-probe", ["--ckpt", "{generic}"]),
+        ("sweep-labels", ["--plain", "{generic}"]),
+    ))
+    def test_a_checkpoint_of_another_channel_count_is_refused_before_any_fork(
+        self, command, flags, monkeypatch, small_config, generic_ckpt, teacher_ckpt, tmp_path,
+        capsys
+    ):
+        from distill_ssl import worker
+
+        # both checkpoints were trained on 1-channel frames
+        rng = np.random.default_rng(4)
+        save_dataset(Dataset(rng.random((48, 3, 32, 32)), np.repeat(np.arange(4), 12)),
+                     tmp_path / "color")
+        flags = [f.format(generic=generic_ckpt, teacher=teacher_ckpt) for f in flags]
+        forks, fork = [], worker.os.fork
+        monkeypatch.setattr(worker.os, "fork", lambda: forks.append(1) or fork())
+        out = tmp_path / "out"
+        code = run([command, "--config", small_config, "--data", str(tmp_path / "color"), *flags,
+                    "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"{flags[-1]} holds an encoder for 1-channel frames; the data's frames have " \
+               f"3 channels" in err
+        assert f"usage: distill-ssl {command} [-h]" in err
+        assert forks == [] and not out.exists()
+
+    def test_linear_probe_fits_one_probe_per_distinct_subset(
+        self, monkeypatch, small_config, data_dir, generic_ckpt, tmp_path
+    ):
+        fits, fit = [], cli.fit_linear_probe
+        monkeypatch.setattr(cli, "fit_linear_probe",
+                            lambda fs, probe, k: fits.append(probe.seed) or fit(fs, probe, k))
+        out = tmp_path / "probe"
+        assert run(["linear-probe", "--config", small_config, "--data", str(data_dir / "target"),
+                    "--ckpt", str(generic_ckpt), "--label-fraction", "1.0", "--probe-seeds",
+                    "0,1,2", "--out", str(out)]) == 0
+        # every seed draws the whole split: one row, the first seed's
+        rows = (out / "metrics.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[:4] for row in rows] == [["student", "student", "1.0", "0"]]
+        assert fits == [0]
+
     def test_a_new_encoder_takes_the_view_size_as_its_input_size(
         self, small_config, data_dir, tmp_path
     ):
@@ -745,12 +789,13 @@ class TestStages:
         assert run(["linear-probe", *common, "--ckpt", str(generic_ckpt),
                     "--out", str(tmp_path / "probe")]) == 0
         # four arms share two encoders; the benchmark takes each hooked
-        # eval.fit_linear_probe call as one sweep step and needs one per row
+        # eval.fit_linear_probe call as one sweep step and needs one per row.
+        # Both seeds draw the whole split at fraction 1.0: one probe there
         assert run(["sweep-labels", *common, "--plain", str(generic_ckpt), "--teacher",
                     str(generic_ckpt), "--fractions", "0.5,1.0", "--probe-seeds", "0,1",
                     "--out", str(tmp_path / "sweep")]) == 0
         rows = (tmp_path / "sweep" / "metrics.csv").read_text().splitlines()[1:]
-        assert len(rows) == 4 * 2 * 2
+        assert len(rows) == 4 * (2 + 1)
         assert calls == {"cli.generate_synthetic_dataset": 2, "cli.fit_linear_probe": 2,
                          "cli.label_efficiency_sweep": 1, "eval.fit_linear_probe": len(rows)}
 

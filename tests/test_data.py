@@ -714,12 +714,3 @@ class TestBatchStream:
         stream = stream_over(frames, 4, seed=1)
         seen = np.concatenate([stream.next_batch().indices for _ in range(3)])
         assert sorted(seen.tolist()) == list(range(12))
-
-    def test_indices_without_frames_follow_the_batches(self):
-        frames = np.arange(40, dtype=np.float64).reshape(10, 1, 2, 2)
-        a = stream_over(frames, 4, seed=3)
-        b = stream_over(frames, 4, seed=3)
-        for _ in range(6):
-            batch, (indices, epoch) = a.next_batch(), b.next_indices()
-            assert np.array_equal(batch.indices, indices) and batch.epoch == epoch
-            assert np.array_equal(batch.frames, frames[indices])

@@ -315,7 +315,7 @@ PINNED_PROBES = {
     ("concatenation", 1.0):
         "b2f64ae7dcd35c6564b5b003aef95b1c3bb1792c93e0f146e65a45369fac5ddf",
 }
-PINNED_SWEEP_ROWS = "d879e3bf1beb3eb483d8b88d3dec3c65e01d7f5d6017b1d6233e7cda51440959"
+PINNED_SWEEP_ROWS = "0331f1b86867f65b8c674d4b52e43f689f2137d4d6af9c214c3e89653497adc0"
 
 
 class TestProbeOutputsPinned:
@@ -420,7 +420,10 @@ class TestSweep:
         rows, summary = E.label_efficiency_sweep(
             encoders, [0.5, 1.0], [0, 1, 2], *splits(), 4, probe
         )
-        assert len(rows) == 1 * 2 * 3
+        # every seed draws the whole split at fraction 1.0: one probe there, seed 0's
+        assert [(r["fraction"], r["seed"]) for r in rows] == [(0.5, 0), (0.5, 1), (0.5, 2),
+                                                              (1.0, 0)]
+        assert [summary["a"][f]["seeds"] for f in ("0.5", "1.0")] == [3, 1]
         # degenerate sweep equals a direct probe run
         single_rows, _ = E.label_efficiency_sweep(encoders, [1.0], [0], *splits(), 4, probe)
         train_set, test_set = splits()
@@ -439,9 +442,10 @@ class TestSweep:
         encoders = [E.SweepEncoder(*arm) for arm in arms]
         train_set, test_set = E.split_dataset(toy_dataset(per_phase=12), 0.5, seed=0)
         probe = E.ProbeConfig(lr=0.5, steps=40)
-        fractions, seeds = [0.5, 1.0], [0, 1]
+        fractions, seeds = [0.5, 1.0], [0, 1, 2]
+        assert len({E.stratified_indices(train_set.labels, 0.5, s).tobytes() for s in seeds}) == 3
 
-        oracle = []
+        oracle = []  # one row per (arm, fraction, seed), every seed fitted
         for name, mode, student, teacher in arms:
             ftr = E.extract_features(student, teacher, train_set, mode)
             fte = E.extract_features(student, teacher, test_set, mode)
@@ -452,6 +456,8 @@ class TestSweep:
                     m = E.compute_phase_metrics(model.predict(fte.features), fte.labels, 4)
                     oracle.append({"encoder": name, "mode": mode, "fraction": fraction,
                                    "seed": seed, **vars(m)})
+        # at fraction 1.0 the seeds share one subset, so only the first one's row stays
+        kept = [row for row in oracle if row["fraction"] < 1.0 or row["seed"] == seeds[0]]
 
         # the passes and every arm's extraction run in the forked feature
         # worker, which reports each on a pipe
@@ -466,8 +472,15 @@ class TestSweep:
             os.write(reported, f"extract {os.getpid()}\n".encode())
             return extract(*args)
 
+        fits, fit = [], E.fit_linear_probe
+
+        def fitting(fs, cfg, num_classes):
+            fits.append((cfg.label_fraction, cfg.seed))
+            return fit(fs, cfg, num_classes)
+
         monkeypatch.setattr(E, "forward_backbone", counted)
         monkeypatch.setattr(E, "extract_features", extracting)
+        monkeypatch.setattr(E, "fit_linear_probe", fitting)
         try:
             rows, _ = E.label_efficiency_sweep(encoders, fractions, seeds, train_set, test_set, 4,
                                                probe)
@@ -477,7 +490,9 @@ class TestSweep:
             lines = [line.split() for line in fh]
         passes = [tuple(map(int, rest)) for tag, *rest in lines if tag == "pass"]
         extractions = [int(rest[0]) for tag, *rest in lines if tag == "extract"]
-        assert rows == oracle
+        assert rows == kept
+        assert fits == [(r["fraction"], r["seed"]) for r in rows]  # 3 + 1 per arm
+        assert len(rows) == len(arms) * (3 + 1)
         assert len(extractions) == 2 * len(arms)  # one per (arm, split)
         pids = set(extractions) | {pid for pid, _, _ in passes}
         assert len(pids) == 1 and os.getpid() not in pids  # all in the one worker
@@ -485,6 +500,28 @@ class TestSweep:
         assert len(train_set) <= 128 and len(test_set) <= 128
         assert sorted(p[1:] for p in passes) == sorted((id(e), len(s)) for e in (a, b, a_again)
                                                        for s in (train_set, test_set))
+
+    def test_a_seed_that_redraws_an_earlier_subset_is_dropped_below_fraction_one(
+        self, ckpts, monkeypatch
+    ):
+        # 3 training frames per class, 2 of them drawn at fraction 0.5
+        a = query_encoder(ckpts[0])
+        train_set, test_set = E.split_dataset(toy_dataset(per_phase=6), 0.5, seed=0)
+        subsets = {s: E.stratified_indices(train_set.labels, 0.5, s).tobytes() for s in (5, 6, 7)}
+        assert subsets[6] == subsets[7] != subsets[5]
+        fits, fit = [], E.fit_linear_probe
+
+        def fitting(fs, cfg, num_classes):
+            fits.append(cfg.seed)
+            return fit(fs, cfg, num_classes)
+
+        monkeypatch.setattr(E, "fit_linear_probe", fitting)
+        rows, summary = E.label_efficiency_sweep([E.SweepEncoder("a", "student", student=a)],
+                                                 [0.5], [7, 5, 6], train_set, test_set, 4,
+                                                 E.ProbeConfig(lr=0.5, steps=40))
+        # seed 6 repeats seed 7's subset, which comes first in seed order
+        assert [row["seed"] for row in rows] == fits == [7, 5]
+        assert summary["a"]["0.5"]["seeds"] == 2
 
     def test_failing_backbone_raises_the_workers_traceback_and_is_reaped(self, ckpts, monkeypatch):
         a = query_encoder(ckpts[0])
@@ -541,6 +578,14 @@ class TestSweep:
         assert fits == []
         assert_no_child()
 
+    def test_a_fraction_out_of_range_is_refused_before_the_fork(self, ckpts):
+        a = query_encoder(ckpts[0])
+        train_set, test_set = E.split_dataset(toy_dataset(per_phase=12), 0.5, seed=0)
+        with pytest.raises(ValueError, match=r"label_fraction must be in \(0, 1\], got 1.5"):
+            E.label_efficiency_sweep([E.SweepEncoder("a", "student", student=a)], [1.0, 1.5],
+                                     [0], train_set, test_set, 4)
+        assert train_set.rows(slice(1)).shape[0] == 1  # not released: no worker forked
+
     def test_taken_features_are_released_with_the_callers_reference(self, ckpts):
         a, b = query_encoder(ckpts[0]), query_encoder(ckpts[1])
         train_set, test_set = E.split_dataset(toy_dataset(per_phase=12), 0.5, seed=0)
@@ -579,7 +624,7 @@ class TestSweep:
         with deadline(10):
             rows, _ = E.label_efficiency_sweep(arms, [1.0], [0, 1], train_set, test_set, 4,
                                                E.ProbeConfig(steps=5))
-        assert len(rows) == 4 and held == [False] * 4
+        assert len(rows) == 2 and held == [False] * 2  # fraction 1.0: one probe per arm
         assert_no_read_covers_every_row(tmp_path / "reads", worker_only=True)
         assert train_set.labels.shape == test_set.labels.shape == (24,)
         for split in (train_set, test_set):

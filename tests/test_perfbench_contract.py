@@ -55,6 +55,22 @@ def test_every_stage_hook_resolves(bench, tmp_path):
                 spans.resolve(stage.step)
 
 
+def test_every_stage_parses_with_the_cli(bench, tmp_path):
+    # a removed flag or a renamed command would fail every benchmark run of its workload
+    run, _ = bench
+    from distill_ssl import cli
+
+    parser = cli.build_parser()
+    for workload in run.WORKLOADS:
+        for stage in run.stages_for(workload, 1, tmp_path / "inputs", tmp_path / "run"):
+            try:
+                args, unknown = parser.parse_known_args(stage.argv)
+            except SystemExit:
+                pytest.fail(f"{workload}/{stage.name}: the CLI refuses {stage.argv}")
+            assert args.command == stage.argv[0]
+            assert unknown == [], f"{workload}/{stage.name}: unknown arguments {unknown}"
+
+
 def test_eval_sweep_inputs_count_every_frame(bench, tmp_path):
     run, _ = bench
     assert run.build_inputs("eval_sweep", 1, tmp_path) == 1200
