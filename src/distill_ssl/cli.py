@@ -14,8 +14,8 @@ behind.  A flag the command does not take, a value that cannot be parsed
 or that a config rejects, an --init-from of another architecture and a
 checkpoint whose encoder takes another channel count than --data's frames
 are usage errors: the command exits 2 and prints its own usage, before any
-worker forks.  Progress goes to stderr; files carry the machine-readable
-results.
+worker forks.  Any other error exits 1 with its one line and no usage.
+Progress goes to stderr; files carry the machine-readable results.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from dataclasses import asdict, replace
 from pathlib import Path
 
 from .augment import AugmentConfig
-from .contrastive import EncoderConfig, TrainConfig, load_encoders
+from .contrastive import ArchitectureError, EncoderConfig, TrainConfig, load_encoders, save_model
 from .data import (
     generate_synthetic_dataset,
     generic_spec,
@@ -296,13 +296,8 @@ def _progress(msg: str) -> None:
 
 
 def _query_encoder(path, channels: int):
-    """The checkpoint's query encoder, or None when no checkpoint is named;
-    one that does not take frames of ``channels`` channels is a usage error."""
-    if not path:
-        return None
-    enc = load_encoders(path, ("query",))[0]
-    pipeline.check_channels(path, enc, channels)
-    return enc
+    """The checkpoint's query encoder, or None when no checkpoint is named."""
+    return load_encoders(path, channels, ("query",))[0] if path else None
 
 
 def cmd_gen_data(cfg: dict) -> int:
@@ -338,7 +333,7 @@ def _train(cfg: dict, command: str, stage, *checkpoints: str, **options) -> int:
         run = stage(dataset, *(cfg[key] for key in checkpoints), cfg=train_cfg, **options)
     out = _out_dir(cfg)
     _write_train_metrics(out, run)
-    pipeline.save_model(run.state, out / "checkpoint", config={"seed": cfg["seed"]})
+    save_model(run.state, out / "checkpoint", config={"seed": cfg["seed"]})
     _write_provenance(out, command, cfg)
     losses = f", loss {run.steps[0].total:.4f} -> {run.steps[-1].total:.4f}" if run.steps else ""
     _progress(f"{command}: {len(run.steps)} steps{losses}")
@@ -527,13 +522,13 @@ def run(argv: list[str]) -> int:
         if unknown:
             raise CliError(f"unrecognized arguments: {' '.join(unknown)}")
         return COMMANDS[args.command][0](resolve_config(args))
-    except (CliError, pipeline.ArchitectureError) as exc:
-        code, message = 2, str(exc)
-    except Exception as exc:  # surface domain errors with usage context
-        code, message = 1, f"{type(exc).__name__}: {exc}"
-    print(f"error: {message}", file=sys.stderr)
-    args.print_usage(sys.stderr)
-    return code
+    except (CliError, ArchitectureError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        args.print_usage(sys.stderr)
+        return 2
+    except Exception as exc:  # a runtime error: its one line, no usage
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
 
 
 def main() -> None:

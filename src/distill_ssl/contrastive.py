@@ -119,12 +119,19 @@ class EncoderParams:
         self.head.copy_from(other.head)
 
 
-def load_encoders(path, sides=("query", "key"), freeze_backbone=False) -> list[EncoderParams]:
+class ArchitectureError(ValueError):
+    """A checkpoint's encoder is not the one the run describes."""
+
+
+def load_encoders(path, channels: int, sides=("query", "key"),
+                  freeze_backbone=False) -> list[EncoderParams]:
     """One cloned encoder per requested checkpoint side, in order, of the
     architecture the manifest records as ``config.encoder``.  A side may
     repeat: ``("query", "query")`` starts a key encoder as a copy of the
     query encoder.  A bad entry raises ``CorruptManifestError`` and a tensor
-    of another shape ``TensorShapeError``, naming the file."""
+    of another shape ``TensorShapeError``, naming the file; an intact
+    encoder that does not take frames of ``channels`` channels raises
+    ``ArchitectureError``, naming the file and both counts."""
     named, config = load_checkpoint(path)
     try:
         entry = config.get("encoder") if isinstance(config, dict) else None
@@ -144,6 +151,9 @@ def load_encoders(path, sides=("query", "key"), freeze_backbone=False) -> list[E
         if freeze_backbone:
             enc.backbone.set_frozen(True)
         encoders.append(enc)
+    if enc_cfg.in_channels != channels:  # after the shapes: a corrupt manifest is named as such
+        raise ArchitectureError(f"{path} holds an encoder for {enc_cfg.in_channels}-channel "
+                                f"frames; the data's frames have {channels} channels")
     return encoders
 
 

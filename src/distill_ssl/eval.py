@@ -107,8 +107,8 @@ def _check_mode(mode: str, student, teacher) -> None:
                             f"{teacher.cfg.d_backbone} and {student.cfg.d_backbone}")
 
 
-def _backbone_features(enc: EncoderParams, dataset: Dataset, batch: int = 64) -> np.ndarray:
-    # 64 frames keep conv2's column buffer at 2.4 MB; 128-frame batches ran slower
+def _backbone_features(enc: EncoderParams, dataset: Dataset) -> np.ndarray:
+    batch = 64  # 64 frames keep conv2's column buffer at 2.4 MB; 128-frame batches ran slower
     size = tuple(enc.cfg.input_size)
     outs = []
     with T.no_grad():
@@ -463,9 +463,9 @@ def write_summary_json(summary: dict, path) -> None:
         json.dump(summary, fh, indent=1, sort_keys=True)
 
 
-def write_accuracy_svg(summary: dict, path, width: int = 640, height: int = 420) -> None:
+def write_accuracy_svg(summary: dict, path) -> None:
     """Accuracy-vs-fraction line chart, one polyline per encoder."""
-    pad = 56
+    width, height, pad = 640, 420, 56
     plot_w, plot_h = width - 2 * pad, height - 2 * pad
     fractions = sorted({float(f) for per_enc in summary.values() for f in per_enc})
     if not fractions:

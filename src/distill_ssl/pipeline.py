@@ -31,8 +31,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .contrastive import (
+    ArchitectureError,
     EncoderConfig,
-    EncoderParams,
     KeyQueue,
     MoCoState,
     StepResult,
@@ -41,7 +41,6 @@ from .contrastive import (
     init_moco_state,
     load_encoders,
     moco_train_step,
-    save_model,  # cli and the tests call it as pipeline.save_model
     warm_up_queue,
 )
 from .data import Batch, BatchStream, Dataset
@@ -161,21 +160,10 @@ def _run(dataset: Dataset, state: MoCoState, step, teacher: MoCoState | None = N
         return TrainRun([step(state, feed.next_batch()) for _ in range(cfg.steps)], state)
 
 
-def _loaded_state(path, cfg: TrainConfig, sides=("query", "key"), freeze_backbone=False):
-    query, key = load_encoders(path, sides, freeze_backbone)
+def _loaded_state(path, cfg: TrainConfig, channels: int, sides=("query", "key"),
+                  freeze_backbone=False):
+    query, key = load_encoders(path, channels, sides, freeze_backbone)
     return MoCoState(query, key, KeyQueue(cfg.queue_size, query.cfg.d), cfg)
-
-
-class ArchitectureError(ValueError):
-    """A checkpoint's encoder is not the one the run describes."""
-
-
-def check_channels(path, enc: EncoderParams, channels: int) -> None:
-    """Refuse checkpoint ``path``'s encoder ``enc`` for frames of ``channels``
-    channels it does not take, before any worker forks."""
-    if enc.cfg.in_channels != channels:
-        raise ArchitectureError(f"{path} holds an encoder for {enc.cfg.in_channels}-channel "
-                                f"frames; the data's frames have {channels} channels")
 
 
 def pretrain(
@@ -189,7 +177,7 @@ def pretrain(
     another architecture raises ``ArchitectureError``).  Takes over the
     frames of ``dataset``, which keeps only its labels (``_run``)."""
     if init_from is not None:
-        state = _loaded_state(init_from, cfg)
+        state = _loaded_state(init_from, cfg, dataset.shape[1])
         ours, theirs = asdict(enc_cfg), asdict(state.query.cfg)
         differ = [f"{k} {theirs[k]} (config: {ours[k]})" for k in ours if theirs[k] != ours[k]]
         if differ:
@@ -211,8 +199,8 @@ def adapt_teacher(
     frames of another channel count raises ``ArchitectureError``.  Takes over
     the frames of ``dataset``, which keeps only its labels (``_run``).
     """
-    teacher = _loaded_state(generic_ckpt, cfg, ("query", "query"), freeze_backbone)
-    check_channels(generic_ckpt, teacher.query, dataset.shape[1])
+    teacher = _loaded_state(generic_ckpt, cfg, dataset.shape[1], ("query", "query"),
+                            freeze_backbone)
     return _run(dataset, teacher, teacher_adapt_step)
 
 
@@ -228,6 +216,5 @@ def pretrain_distilled(
     frames of another channel count raises ``ArchitectureError``.  Takes over
     the frames of ``dataset``, which keeps only its labels (``_run``)."""
     student = init_moco_state(enc_cfg, cfg, Rng(cfg.seed))
-    teacher = _loaded_state(teacher_ckpt, cfg, freeze_backbone=True)
-    check_channels(teacher_ckpt, teacher.query, dataset.shape[1])
+    teacher = _loaded_state(teacher_ckpt, cfg, dataset.shape[1], freeze_backbone=True)
     return _run(dataset, student, distilled_train_step, teacher)

@@ -692,10 +692,11 @@ class TestStages:
                     str(generic_ckpt), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert "addition needs matching feature dims, got 128 and 64" in err
+        assert "usage:" not in err  # a runtime error (exit 1) prints its one line alone
         assert forks == [] and not out.exists()
 
     def test_color_frames_train_and_probe_with_no_encoder_flag(
-        self, small_config, generic_ckpt, tmp_path, capsys
+        self, small_config, generic_ckpt, tmp_path
     ):
         rng = np.random.default_rng(4)
         save_dataset(Dataset(rng.random((48, 3, 32, 32)), np.repeat(np.arange(4), 12)),
@@ -707,11 +708,9 @@ class TestStages:
         assert run(["linear-probe", *common, "--ckpt", str(tmp_path / "gen" / "checkpoint"),
                     "--out", str(tmp_path / "probe")]) == 0
         # the generic checkpoint was trained on 1-channel frames
-        capsys.readouterr()
         out = tmp_path / "init"
         assert run(["pretrain-student", *common, "--init-from", str(generic_ckpt),
                     "--out", str(out)]) == 2
-        assert "holds an encoder with in_channels 1 (config: 3)" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("command, flags", (
@@ -719,6 +718,7 @@ class TestStages:
         ("pretrain-student", ["--distill", "--teacher", "{teacher}"]),
         ("linear-probe", ["--ckpt", "{generic}"]),
         ("sweep-labels", ["--plain", "{generic}"]),
+        ("pretrain-student", ["--init-from", "{generic}"]),
     ))
     def test_a_checkpoint_of_another_channel_count_is_refused_before_any_fork(
         self, command, flags, monkeypatch, small_config, generic_ckpt, teacher_ckpt, tmp_path,

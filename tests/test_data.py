@@ -286,7 +286,8 @@ def test_no_openssl_in_a_process_that_saves_and_loads(tmp_path):
 class TestEncoderEntry:
     """``load_encoders`` builds each encoder from the manifest's
     ``config.encoder``; an entry that is missing or invalid, or that
-    disagrees with the tensors, refuses the load and names the file."""
+    disagrees with the tensors, refuses the load and names the file, as
+    does an intact encoder for frames of another channel count."""
 
     @staticmethod
     def save(path, config, drop=()):
@@ -305,7 +306,7 @@ class TestEncoderEntry:
                      tmp_path / "wide", {"seed": 3})
         config = json.loads((tmp_path / "wide.json").read_text())["config"]
         assert config == {"encoder": json.loads(json.dumps(wide.to_dict())), "seed": 3}
-        query, key = C.load_encoders(tmp_path / "wide")
+        query, key = C.load_encoders(tmp_path / "wide", 1)
         assert query.cfg == key.cfg == wide and C.EncoderConfig.from_dict(config["encoder"]) == wide
 
     @pytest.mark.parametrize("edit, named", [
@@ -332,7 +333,7 @@ class TestEncoderEntry:
         entry = edit(C.EncoderConfig().to_dict())
         self.save(tmp_path / "ckpt", None if entry is None else {"encoder": entry})
         with pytest.raises(D.CorruptManifestError, match=re.escape(named)) as refused:
-            C.load_encoders(tmp_path / "ckpt")
+            C.load_encoders(tmp_path / "ckpt", 1)
         assert str(tmp_path / "ckpt") in str(refused.value)
 
     @pytest.mark.parametrize("entry, named", [
@@ -343,7 +344,7 @@ class TestEncoderEntry:
     def test_an_entry_that_disagrees_with_the_tensors_is_refused(self, entry, named, tmp_path):
         self.save(tmp_path / "ckpt", {"encoder": entry.to_dict()})
         with pytest.raises(D.TensorShapeError, match=re.escape(named)) as refused:
-            C.load_encoders(tmp_path / "ckpt")
+            C.load_encoders(tmp_path / "ckpt", 1)
         assert str(tmp_path / "ckpt") in str(refused.value)
 
     @pytest.mark.parametrize("drop, named", [
@@ -352,9 +353,16 @@ class TestEncoderEntry:
     ])
     def test_a_missing_tensor_is_refused(self, drop, named, tmp_path):
         self.save(tmp_path / "ckpt", {"encoder": C.EncoderConfig().to_dict()}, {drop})
-        assert len(C.load_encoders(tmp_path / "ckpt", ("query",))) == 1  # the intact side loads
+        assert len(C.load_encoders(tmp_path / "ckpt", 1, ("query",))) == 1  # the intact side loads
         with pytest.raises(D.TensorShapeError, match=re.escape(named)):
-            C.load_encoders(tmp_path / "ckpt")
+            C.load_encoders(tmp_path / "ckpt", 1)
+
+    def test_an_encoder_for_frames_of_another_channel_count_is_refused(self, tmp_path):
+        self.save(tmp_path / "ckpt", {"encoder": C.EncoderConfig().to_dict()})
+        with pytest.raises(C.ArchitectureError) as refused:
+            C.load_encoders(tmp_path / "ckpt", 3, ("query",))
+        assert str(refused.value) == (f"{tmp_path / 'ckpt'} holds an encoder for 1-channel "
+                                      f"frames; the data's frames have 3 channels")
 
 
 class TestDatasetPersistence:

@@ -34,7 +34,7 @@ def toy_dataset(seed=3):
 
 def fresh_teacher(path, cfg, freeze_backbone=True):
     """Query and key both start as the checkpoint's query encoder."""
-    encoders = C.load_encoders(path, ("query", "query"), freeze_backbone)
+    encoders = C.load_encoders(path, 1, ("query", "query"), freeze_backbone)
     return C.MoCoState(*encoders, C.KeyQueue(cfg.queue_size, TOY_ENC.d), cfg)
 
 
@@ -48,7 +48,7 @@ def generic_ckpt(tmp_path):
     cfg = toy_cfg(steps=5)
     run = P.pretrain(toy_dataset(9), TOY_ENC, cfg)
     path = tmp_path / "generic"
-    P.save_model(run.state, path)
+    C.save_model(run.state, path)
     return path
 
 
@@ -71,7 +71,7 @@ class TestInitTeacher:
         wrong = C.EncoderConfig(conv_channels=(4, 6), d_backbone=12, d=4, input_size=(12, 12))
         save_checkpoint(named, tmp_path / "wrong", {**config, "encoder": wrong.to_dict()})
         with pytest.raises(TensorShapeError, match=r"wrong: tensor query\.head/fc2\.weight"):
-            C.load_encoders(tmp_path / "wrong", ("query", "query"))
+            C.load_encoders(tmp_path / "wrong", 1, ("query", "query"))
 
     def test_wrong_shape_key_side_fails_atomically(self, tmp_path, generic_ckpt):
         from distill_ssl.data import TensorShapeError, load_checkpoint, save_checkpoint
@@ -81,9 +81,9 @@ class TestInitTeacher:
         named["key.head"] = C.init_encoder(narrow, Rng(0)).head
         save_checkpoint(named, tmp_path / "bad_key", config)
         # the query side alone is intact and loads; asking for both sides loads nothing
-        assert len(C.load_encoders(tmp_path / "bad_key", ("query",))) == 1
+        assert len(C.load_encoders(tmp_path / "bad_key", 1, ("query",))) == 1
         with pytest.raises(TensorShapeError, match=r"key\.head/fc2\.weight"):
-            C.load_encoders(tmp_path / "bad_key", ("query", "key"))
+            C.load_encoders(tmp_path / "bad_key", 1, ("query", "key"))
 
     def test_backbones_frozen(self, generic_ckpt):
         teacher = fresh_teacher(generic_ckpt, toy_cfg())
@@ -341,10 +341,10 @@ def train_teacher(tmp_path, cfg):
     """Checkpoint path of a toy teacher adapted from a toy generic model."""
     run_g = P.pretrain(toy_dataset(11), TOY_ENC, cfg)
     gpath = tmp_path / "gen"
-    P.save_model(run_g.state, gpath)
+    C.save_model(run_g.state, gpath)
     run_t = P.adapt_teacher(toy_dataset(), gpath, cfg)
     tpath = tmp_path / "teach"
-    P.save_model(run_t.state, tpath)
+    C.save_model(run_t.state, tpath)
     return tpath
 
 
@@ -352,7 +352,7 @@ def pair_from(tpath, cfg):
     """Fresh student plus the teacher at tpath, queues warmed in sync, and
     the batches that carry the teacher's soft targets."""
     student = C.init_moco_state(TOY_ENC, cfg, Rng(cfg.seed))
-    encoders = C.load_encoders(tpath, freeze_backbone=True)
+    encoders = C.load_encoders(tpath, 1, freeze_backbone=True)
     teacher = C.MoCoState(*encoders, C.KeyQueue(cfg.queue_size, TOY_ENC.d), cfg)
     batches = P.PreparedBatches(toy_dataset(), cfg, teacher)
     C.warm_up_queue(student, batches)

@@ -81,22 +81,22 @@ def reference_fit(fs, cfg, num_classes):
 
 
 def query_encoder(path):
-    (enc,) = C.load_encoders(path, ("query",))
+    (enc,) = C.load_encoders(path, 1, ("query",))
     return enc
 
 
 def transfer_state(path, cfg):
     """A student whose query and key encoders start as the checkpoint's."""
-    return C.MoCoState(*C.load_encoders(path), C.KeyQueue(cfg.queue_size, TOY_ENC.d), cfg)
+    return C.MoCoState(*C.load_encoders(path, 1), C.KeyQueue(cfg.queue_size, TOY_ENC.d), cfg)
 
 
 @pytest.fixture(scope="module")
 def ckpts(tmp_path_factory):
     root = tmp_path_factory.mktemp("ckpts")
     run_a = P.pretrain(toy_dataset(), TOY_ENC, toy_cfg())
-    P.save_model(run_a.state, root / "a")
+    C.save_model(run_a.state, root / "a")
     run_b = P.pretrain(toy_dataset(), TOY_ENC, toy_cfg(seed=9))
-    P.save_model(run_b.state, root / "b")
+    C.save_model(run_b.state, root / "b")
     return root / "a", root / "b"
 
 

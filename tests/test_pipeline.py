@@ -48,9 +48,9 @@ def stage_artifacts(tmp_path_factory):
     root = tmp_path_factory.mktemp("stages")
     cfg = toy_cfg()
     run_g = P.pretrain(toy_dataset(9), TOY_ENC, cfg)
-    P.save_model(run_g.state, root / "generic")
+    C.save_model(run_g.state, root / "generic")
     run_t = P.adapt_teacher(toy_dataset(), root / "generic", cfg)
-    P.save_model(run_t.state, root / "teacher")
+    C.save_model(run_t.state, root / "teacher")
     return root, run_g, run_t
 
 
@@ -77,7 +77,7 @@ def test_adapt_teacher_counts_steps_and_freezes(stage_artifacts):
 def test_load_teacher_round_trip(stage_artifacts):
     root, _, run_t = stage_artifacts
     cfg = toy_cfg()
-    encoders = C.load_encoders(root / "teacher", freeze_backbone=True)
+    encoders = C.load_encoders(root / "teacher", 1, freeze_backbone=True)
     teacher = C.MoCoState(*encoders, C.KeyQueue(cfg.queue_size, TOY_ENC.d), cfg)
     for ps_a, ps_b in (
         (teacher.query.backbone, run_t.state.query.backbone),
@@ -167,15 +167,15 @@ def test_stages_equal_a_hand_loop_with_in_process_views(stage_artifacts, stage):
         state, step = C.init_moco_state(TOY_ENC, cfg, Rng(cfg.seed)), C.moco_train_step
     elif stage == "pretrain_init_from":
         run = P.pretrain(data, TOY_ENC, cfg, init_from=root / "teacher")
-        state, step = P._loaded_state(root / "teacher", cfg), C.moco_train_step
+        state, step = P._loaded_state(root / "teacher", cfg, 1), C.moco_train_step
     elif stage == "adapt_teacher":
         run = P.adapt_teacher(data, root / "generic", cfg)
-        state = P._loaded_state(root / "generic", cfg, ("query", "query"), True)
+        state = P._loaded_state(root / "generic", cfg, 1, ("query", "query"), True)
         step = distill.teacher_adapt_step
     else:
         run = P.pretrain_distilled(data, root / "teacher", TOY_ENC, cfg)
         state = C.init_moco_state(TOY_ENC, cfg, Rng(cfg.seed))
-        teacher = P._loaded_state(root / "teacher", cfg, freeze_backbone=True)
+        teacher = P._loaded_state(root / "teacher", cfg, 1, freeze_backbone=True)
         step = distill.distilled_train_step
     assert run.steps == hand_run(state, toy_dataset(), step, teacher)  # the run took data over
     assert_states_equal(run.state, state)
@@ -221,7 +221,7 @@ def test_steps_and_warm_up_refuse_a_batch_without_views(stage_artifacts, stage):
     if stage == "pretrain":
         state, step = C.init_moco_state(TOY_ENC, cfg, Rng(cfg.seed)), C.moco_train_step
     else:
-        state = P._loaded_state(root / "generic", cfg, ("query", "query"), True)
+        state = P._loaded_state(root / "generic", cfg, 1, ("query", "query"), True)
         step = distill.teacher_adapt_step
     bare = BatchStream(data, cfg.batch_size, cfg.seed)
     before = copy.deepcopy(state)
@@ -267,7 +267,7 @@ def test_a_gradient_where_none_belongs_changes_no_state(stage_artifacts, where):
     root, _, _ = stage_artifacts
     cfg = toy_cfg()
     if where == "frozen backbone":
-        state = P._loaded_state(root / "generic", cfg, ("query", "query"), True)
+        state = P._loaded_state(root / "generic", cfg, 1, ("query", "query"), True)
         step, bad = distill.teacher_adapt_step, state.query.backbone["conv1.kernels"]
     else:
         state = C.init_moco_state(TOY_ENC, cfg, Rng(cfg.seed))
@@ -289,7 +289,7 @@ def test_keys_off_the_unit_sphere_stop_the_step_before_any_update(stage_artifact
     cfg = toy_cfg()
     state, teacher, step = C.init_moco_state(TOY_ENC, cfg, Rng(cfg.seed)), None, C.moco_train_step
     if distilled:
-        teacher = P._loaded_state(root / "teacher", cfg, freeze_backbone=True)
+        teacher = P._loaded_state(root / "teacher", cfg, 1, freeze_backbone=True)
         step = distill.distilled_train_step
     batches = P.PreparedBatches(toy_dataset(), cfg, teacher)
     C.warm_up_queue(state, batches)
@@ -340,7 +340,7 @@ def test_an_accepted_extreme_trains_finite_or_stops_named_before_any_update(
         cfg = toy_cfg(steps=30, **{key: value})
     state, teacher, step = C.init_moco_state(TOY_ENC, cfg, Rng(cfg.seed)), None, C.moco_train_step
     if distilled:
-        teacher = P._loaded_state(root / "teacher", cfg, freeze_backbone=True)
+        teacher = P._loaded_state(root / "teacher", cfg, 1, freeze_backbone=True)
         step = distill.distilled_train_step
     before = []
 
@@ -532,8 +532,8 @@ def test_feed_batches_carry_the_views_build_views_makes():
 def test_feed_batches_carry_the_teacher_soft_targets(stage_artifacts):
     root, _, _ = stage_artifacts
     cfg, data = toy_cfg(), toy_dataset()
-    teacher = P._loaded_state(root / "teacher", cfg, freeze_backbone=True)
-    hand = P._loaded_state(root / "teacher", cfg, freeze_backbone=True)
+    teacher = P._loaded_state(root / "teacher", cfg, 1, freeze_backbone=True)
+    hand = P._loaded_state(root / "teacher", cfg, 1, freeze_backbone=True)
     stream, rng = BatchStream(data, cfg.batch_size, cfg.seed), Rng(cfg.seed)
     warm = cfg.queue_size // cfg.batch_size
     with deadline(10), P._ViewFeed(data, cfg, warm + 5, teacher) as f:
