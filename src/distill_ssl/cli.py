@@ -421,7 +421,7 @@ def cmd_sweep_labels(cfg: dict) -> int:
     for fraction in fractions:  # ProbeConfig holds the range check
         probe_config(cfg, label_fraction=fraction)
     probe, seeds, num_classes, train_set, test_set = _probe_inputs(cfg)
-    with train_set, test_set:  # the sweep releases them once its worker has forked
+    with train_set, test_set:  # the sweep releases them once its backbone passes are done
         # Each checkpoint key has an arm of its own, so every given one is used.
         loaded = {key: _query_encoder(cfg[key], train_set.shape[1])
                   for key in ("teacher", "plain", "init_student", "distilled")}

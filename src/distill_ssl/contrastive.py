@@ -405,6 +405,11 @@ class TrainConfig:
     def effective_distill_tau(self) -> float:
         return self.tau if self.distill_tau is None else self.distill_tau
 
+    @property
+    def warm_up_batches(self) -> int:
+        """The batches that fill the key queue before the first step."""
+        return self.queue_size // self.batch_size
+
 
 @dataclass
 class MoCoState:
@@ -457,11 +462,11 @@ def build_views(
 def warm_up_queue(state: MoCoState, batches) -> None:
     """Fill the queue with key-encoder embeddings before any loss is taken.
 
-    Consumes capacity/batch_size batches, each carrying its key views
+    Consumes ``cfg.warm_up_batches`` batches, each carrying its key views
     (``pipeline.PreparedBatches`` builds no query views for them); a batch
     without views raises ``ContractError`` before it touches the queue.
     """
-    for _ in range(state.queue.capacity // state.cfg.batch_size):
+    for _ in range(state.cfg.warm_up_batches):
         batch = batches.next_batch()
         if batch.views is None:
             raise ContractError("batch carries no views; pipeline.PreparedBatches builds them")

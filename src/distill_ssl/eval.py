@@ -6,17 +6,13 @@ comes (and resized only when it differs from the encoder's input size),
 and its labels travel with the features.
 Features are backbone outputs (pre projection head).  Transfer modes
 combine teacher and student features by addition or concatenation, or
-evaluate either alone.  A sweep's features are made in a worker forked as
-it starts, ahead of the probe fits, which stay in the calling process: the
-worker runs each distinct encoder's backbone once per split, combines the
-outputs into each arm's features and hands them over arm by arm, and each
-process drops an arm's features once it is done with them.  The splits'
-frames belong to the worker: the calling process never reads a row, and
-releases the splits once it has forked.  The probe is multinomial
-logistic regression fit by full-batch gradient descent on a per-class
-stratified label subset.  Its weights, with the bias as their last column,
-and its logits are held class-major, so that its softmax folds a few long
-rows, and its features once per GEMM of a step.
+evaluate either alone.  A sweep runs each distinct encoder's backbone once
+per split, in process, and releases the splits before its first probe
+fit.  The probe is multinomial logistic regression fit by full-batch
+gradient descent on a per-class stratified label subset.  Its weights,
+with the bias as their last column, and its logits are held class-major,
+so that its softmax folds a few long rows, and its features once per GEMM
+of a step.
 """
 
 from __future__ import annotations
@@ -35,7 +31,6 @@ from .contrastive import (ContractError, DivergenceError, EncoderParams, center_
                           forward_backbone)
 from .data import Dataset
 from .rng import STREAM_PROBE, Rng
-from .worker import Worker, shared
 
 MODES = ("student", "teacher", "addition", "concatenation")
 
@@ -316,64 +311,6 @@ def split_indices(
     return np.sort(train_idx), np.sort(test_idx)
 
 
-def _feature_width(arm: SweepEncoder) -> int:
-    """The width of ``arm``'s features, refused as ``extract_features`` refuses it."""
-    _check_mode(arm.mode, arm.student, arm.teacher)
-    widths = [enc.cfg.d_backbone for enc in _mode_encoders(arm.mode, arm.student, arm.teacher)]
-    return widths[0] if arm.mode == "addition" else sum(widths)
-
-
-class _FeatureFeed(Worker):
-    """The features of every sweep arm, made ahead of its probe fits in a
-    forked ``Worker``.
-
-    One job per (arm, split), in sweep order (the first arm's train and
-    test splits, then the next arm's): the worker runs ``extract_features``
-    on each into a shared array of exactly the arm's width.  Its backbone
-    runs each distinct (encoder object, split) pass once and keeps the
-    output only until the last job that reads it, reading the rows of the
-    splits the calling process gave it, so every feature keeps its bits.  Each side
-    drops a job's array once it is done with it: the worker after writing
-    it, the feed as ``take`` hands it over.  Every arm is checked before
-    the fork, with the errors ``extract_features`` raises.
-    """
-
-    name, item = "feature worker", "feature job"
-
-    def __init__(self, arms: list[SweepEncoder], splits: tuple[Dataset, ...]):
-        self._jobs = [(arm, split) for arm in arms for split in splits]
-        # mapped here, before the fork; a page is resident once written or read
-        self._features = [shared((len(split), _feature_width(arm))) for arm, split in self._jobs]
-        super().__init__(len(self._jobs))
-
-    def take(self) -> FeatureSet:
-        """The next job's features, once the worker has made them.  The feed
-        keeps no reference to them: their mapping closes with the caller's."""
-        i = self._received
-        self._wait()
-        features, self._features[i] = self._features[i], None
-        return FeatureSet(features, self._jobs[i][1].labels)
-
-    def _produce(self, free: int):
-        # backbone passes keyed by identity: ``self._jobs`` keeps every key alive
-        uses = Counter((id(enc), id(split)) for arm, split in self._jobs
-                       for enc in _mode_encoders(arm.mode, arm.student, arm.teacher))
-        outputs = {}
-
-        def backbone(enc: EncoderParams, split: Dataset) -> np.ndarray:
-            key = (id(enc), id(split))
-            if key not in outputs:
-                outputs[key] = _backbone_features(enc, split)
-            uses[key] -= 1
-            return outputs[key] if uses[key] else outputs.pop(key)
-
-        for i, (arm, split) in enumerate(self._jobs):
-            fs = extract_features(arm.student, arm.teacher, split, arm.mode, backbone)
-            self._features[i][...] = fs.features
-            self._features[i] = None  # this side is done with the job's mapping
-            yield
-
-
 def label_efficiency_sweep(
     encoders: list[SweepEncoder],
     fractions: list[float],
@@ -391,22 +328,16 @@ def label_efficiency_sweep(
     (the same for every arm): one row each, and ``seeds`` in the summary
     counts them, so at fraction 1.0 a sweep fits and reports one probe.
 
-    Every arm's features are made by ``extract_features`` in a
-    ``_FeatureFeed`` worker forked as the call starts, each distinct
-    encoder object's backbone once per split however many arms share it:
-    while this process fits one arm's probes, the worker makes the next
-    arms' features on the other core.  Every fit, prediction and metric
-    runs here, in arm, fraction and seed order, and an arm's features are
-    held only until the next arm's are taken.  This process reads only the
-    splits' labels, so once the worker has forked both splits are released
-    (``Dataset.release_frames``): the call takes them over,
-    and a caller that needs them again splits a fresh load.  Arms and
-    fractions are checked before the fork: a repeated name raises
-    ``ValueError`` (its summary entry would hide the other's), a mode,
-    encoder or width that ``extract_features`` would refuse raises its
-    error, and ``ProbeConfig`` range-checks each fraction.  The worker is
-    reaped before the call returns or raises; one that fails raises
-    ``worker.WorkerError`` with its traceback.
+    Arms and fractions are checked before any backbone pass: a repeated
+    name raises ``ValueError`` (its summary entry would hide the other's),
+    a mode, encoder or width that ``extract_features`` would refuse raises
+    its error, and ``ProbeConfig`` range-checks each fraction.  Then each
+    distinct (encoder object, split) backbone pass runs once, however many
+    arms share it, and both splits are released
+    (``Dataset.release_frames``): the call takes them over, and a caller
+    that needs them again splits a fresh load.  Last, arm by arm,
+    ``extract_features`` combines the passes into the arm's features, and
+    its probes are fitted and scored in fraction and seed order.
     """
     if not encoders or not fractions or not seeds:
         raise ValueError("encoders, fractions and seeds must be non-empty")
@@ -416,30 +347,41 @@ def label_efficiency_sweep(
     probes = {fraction: distinct_probes(train_set.labels, replace(probe, label_fraction=fraction),
                                         seeds)
               for fraction in fractions}
+    for arm in encoders:  # every arm is refused here, as extract_features would refuse it
+        _check_mode(arm.mode, arm.student, arm.teacher)
+    splits = (train_set, test_set)
+    # keyed by identity; ``jobs`` keeps every key's objects alive
+    jobs = {(id(enc), id(split)): (enc, split) for arm in encoders
+            for enc in _mode_encoders(arm.mode, arm.student, arm.teacher) for split in splits}
+    passes = {key: _backbone_features(*job) for key, job in jobs.items()}
+    for split in splits:  # every row is read: no fit runs with a blob handle open
+        split.release_frames()
+
+    def passed(enc: EncoderParams, split: Dataset) -> np.ndarray:
+        return passes[id(enc), id(split)]
+
     rows = []
     summary: dict[str, dict] = {}
-    with _FeatureFeed(encoders, (train_set, test_set)) as feed:
-        for split in (train_set, test_set):  # the worker's copies are the ones it reads
-            split.release_frames()
-        for enc in encoders:
-            fs_train, fs_test = feed.take(), feed.take()
-            summary[enc.name] = {}
-            for fraction in fractions:
-                accs = []
-                for cfg in probes[fraction]:
-                    model = fit_linear_probe(fs_train, cfg, num_classes)
-                    m = compute_phase_metrics(model.predict(fs_test.features), fs_test.labels,
-                                              num_classes)
-                    rows.append(
-                        {"encoder": enc.name, "mode": enc.mode, "fraction": fraction,
-                         "seed": cfg.seed, **asdict(m)}
-                    )
-                    accs.append(m.accuracy)
-                summary[enc.name][str(fraction)] = {
-                    "mean_accuracy": float(np.mean(accs)),
-                    "std_accuracy": float(np.std(accs)),
-                    "seeds": len(accs),
-                }
+    for arm in encoders:
+        fs_train, fs_test = (extract_features(arm.student, arm.teacher, split, arm.mode, passed)
+                             for split in splits)
+        summary[arm.name] = {}
+        for fraction in fractions:
+            accs = []
+            for cfg in probes[fraction]:
+                model = fit_linear_probe(fs_train, cfg, num_classes)
+                m = compute_phase_metrics(model.predict(fs_test.features), fs_test.labels,
+                                          num_classes)
+                rows.append(
+                    {"encoder": arm.name, "mode": arm.mode, "fraction": fraction,
+                     "seed": cfg.seed, **asdict(m)}
+                )
+                accs.append(m.accuracy)
+            summary[arm.name][str(fraction)] = {
+                "mean_accuracy": float(np.mean(accs)),
+                "std_accuracy": float(np.std(accs)),
+                "seeds": len(accs),
+            }
     return rows, summary
 
 

@@ -58,18 +58,17 @@ class PreparedBatches:
     ``_ViewFeed`` runs this producer in a forked worker and the tests run
     it in process, for the same bits.
 
-    The first ``warm_up`` batches only warm the queues, which read their
+    The first ``cfg.warm_up_batches`` only warm the queues, which read their
     key views alone (``warm_up_queue``, and ``teach`` before the teacher
     queue is warm), so they carry no query views."""
 
     def __init__(self, dataset: Dataset, cfg: TrainConfig, teacher: MoCoState | None = None):
         self._stream, self._rng = BatchStream(dataset, cfg.batch_size, cfg.seed), Rng(cfg.seed)
-        self.cfg, self.teacher = cfg, teacher
-        self.warm_up, self._made = cfg.queue_size // cfg.batch_size, 0
+        self.cfg, self.teacher, self._made = cfg, teacher, 0
 
     def next_batch(self) -> Batch:
         batch = self._stream.next_batch()
-        key_only, self._made = self._made < self.warm_up, self._made + 1
+        key_only, self._made = self._made < self.cfg.warm_up_batches, self._made + 1
         batch.views = build_views(batch, self.cfg.augment, self._rng, key_only)
         if self.teacher is not None:
             teach(self.teacher, batch, self.cfg.effective_distill_tau)
@@ -102,7 +101,7 @@ class _ViewFeed(Worker):
             self._ptrs = shared((_RING,), np.int64)
             self._ptrs[:] = -1  # no targets in a slot until the teacher queue is warm
         super().__init__(count)
-        self._warm_up, self._source = self._source.warm_up, None  # only the worker's copy runs
+        self._warm_up, self._source = cfg.warm_up_batches, None  # only the worker's copy runs
 
     def next_batch(self) -> Batch:
         batch = Batch(None, None, None)  # the worker has the frames and their order
@@ -153,8 +152,7 @@ def _run(dataset: Dataset, state: MoCoState, step, teacher: MoCoState | None = N
     module attribute (the benchmark's stage hooks) takes effect.
     """
     cfg = state.cfg
-    batches = cfg.queue_size // cfg.batch_size + cfg.steps
-    with _ViewFeed(dataset, cfg, batches, teacher) as feed:
+    with _ViewFeed(dataset, cfg, cfg.warm_up_batches + cfg.steps, teacher) as feed:
         dataset.release_frames()
         warm_up_queue(state, feed)
         return TrainRun([step(state, feed.next_batch()) for _ in range(cfg.steps)], state)

@@ -655,7 +655,8 @@ class TestStages:
     def test_a_wider_teacher_brings_its_own_architecture(
         self, monkeypatch, small_config, data_dir, generic_ckpt, tmp_path, capsys
     ):
-        from distill_ssl import pipeline, worker
+        from distill_ssl import eval as E
+        from distill_ssl import pipeline
 
         common = ["--config", small_config, "--data", str(data_dir / "target")]
         assert run(["pretrain-generic", "--config", small_config, "--data", str(data_dir / "generic"),
@@ -683,9 +684,9 @@ class TestStages:
         assert student["config"]["encoder"]["d"] == 32  # the student keeps its own flags
         assert run(["linear-probe", *common, "--mode", "teacher", "--teacher", str(teacher),
                     "--out", str(tmp_path / "probe")]) == 0
-        # the addition arm needs equal widths: the sweep is refused before its worker forks
-        forks, fork = [], worker.os.fork
-        monkeypatch.setattr(worker.os, "fork", lambda: forks.append(1) or fork())
+        # the addition arm needs equal widths: the sweep is refused before any backbone pass
+        passes = []
+        monkeypatch.setattr(E, "forward_backbone", lambda *args: passes.append(args))
         capsys.readouterr()
         out = tmp_path / "sweep"
         assert run(["sweep-labels", *common, "--teacher", str(teacher), "--plain",
@@ -693,7 +694,7 @@ class TestStages:
         err = capsys.readouterr().err
         assert "addition needs matching feature dims, got 128 and 64" in err
         assert "usage:" not in err  # a runtime error (exit 1) prints its one line alone
-        assert forks == [] and not out.exists()
+        assert passes == [] and not out.exists()
 
     def test_color_frames_train_and_probe_with_no_encoder_flag(
         self, small_config, generic_ckpt, tmp_path
@@ -799,12 +800,24 @@ class TestStages:
         assert calls == {"cli.generate_synthetic_dataset": 2, "cli.fit_linear_probe": 2,
                          "cli.label_efficiency_sweep": 1, "eval.fit_linear_probe": len(rows)}
 
+    def test_a_sweep_forks_no_process(self, monkeypatch, small_config, data_dir, generic_ckpt,
+                                      tmp_path):
+        from distill_ssl import worker
+
+        forks, fork = [], worker.os.fork
+        monkeypatch.setattr(worker.os, "fork", lambda: forks.append(1) or fork())
+        assert run(["sweep-labels", "--config", small_config, "--data", str(data_dir / "target"),
+                    "--plain", str(generic_ckpt), "--teacher", str(generic_ckpt),
+                    "--out", str(tmp_path / "sweep")]) == 0
+        assert forks == []
+
     @pytest.mark.parametrize("command", ["pretrain-student", "sweep-labels"])
     def test_a_command_holds_no_frames_by_its_first_step(
         self, command, monkeypatch, small_config, data_dir, generic_ckpt, tmp_path
     ):
-        # the forked worker reads the rows, a batch's at a time; the command's own
-        # process reads none, and has closed every handle on the blob by its first step
+        # the rows are read a batch's at a time: in a training run by the forked
+        # worker alone, in a sweep by the command's own process before its first fit;
+        # either way the command has closed every handle on the blob by its first step
         from distill_ssl import eval as E
         from distill_ssl import pipeline
 
@@ -823,7 +836,8 @@ class TestStages:
         assert run([command, "--config", small_config, "--data", str(data_dir / "target"),
                     "--out", str(tmp_path / "out"), *extra]) == 0
         assert held and not any(held)
-        assert_no_read_covers_every_row(tmp_path / "reads", worker_only=True)
+        assert_no_read_covers_every_row(tmp_path / "reads",
+                                        worker_only=command == "pretrain-student")
 
     def test_linear_probe_reads_the_rows_a_batch_at_a_time(
         self, monkeypatch, small_config, data_dir, generic_ckpt, tmp_path

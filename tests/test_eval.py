@@ -1,7 +1,6 @@
 """Feature extraction modes, linear probe, metrics, sweeps."""
 
 import os
-import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -14,11 +13,10 @@ from distill_ssl import tensor as T
 from distill_ssl.augment import AugmentConfig, resize_to
 from distill_ssl.data import generate_synthetic_dataset, load_dataset, save_dataset, target_spec
 from distill_ssl.rng import Rng
-from distill_ssl.worker import WorkerError
 
 from digests import sha256_of
-from procs import assert_no_child, deadline
-from reads import assert_no_read_covers_every_row, holds_open, log_row_reads
+from procs import assert_no_child
+from reads import assert_no_read_covers_every_row, holds_open, log_row_reads, row_reads
 
 TOY_ENC = C.EncoderConfig(conv_channels=(4, 6), d_backbone=12, d=8, input_size=(12, 12))
 
@@ -459,45 +457,40 @@ class TestSweep:
         # at fraction 1.0 the seeds share one subset, so only the first one's row stays
         kept = [row for row in oracle if row["fraction"] < 1.0 or row["seed"] == seeds[0]]
 
-        # the passes and every arm's extraction run in the forked feature
-        # worker, which reports each on a pipe
-        report, reported = os.pipe()
-        original, extract = E.forward_backbone, E.extract_features
+        # the passes and every arm's extraction run in this process, every
+        # pass before the first fit
+        events, original, extract, fit = [], E.forward_backbone, E.extract_features, \
+            E.fit_linear_probe
 
         def counted(enc, x):
-            os.write(reported, f"pass {os.getpid()} {id(enc)} {x.data.shape[0]}\n".encode())
+            events.append(("pass", os.getpid(), id(enc), x.data.shape[0]))
             return original(enc, x)
 
         def extracting(*args):
-            os.write(reported, f"extract {os.getpid()}\n".encode())
+            events.append(("extract", os.getpid()))
             return extract(*args)
 
-        fits, fit = [], E.fit_linear_probe
-
         def fitting(fs, cfg, num_classes):
-            fits.append((cfg.label_fraction, cfg.seed))
+            events.append(("fit", cfg.label_fraction, cfg.seed))
             return fit(fs, cfg, num_classes)
 
         monkeypatch.setattr(E, "forward_backbone", counted)
         monkeypatch.setattr(E, "extract_features", extracting)
         monkeypatch.setattr(E, "fit_linear_probe", fitting)
-        try:
-            rows, _ = E.label_efficiency_sweep(encoders, fractions, seeds, train_set, test_set, 4,
-                                               probe)
-        finally:
-            os.close(reported)
-        with os.fdopen(report) as fh:  # EOF: the reaped worker held the only other write end
-            lines = [line.split() for line in fh]
-        passes = [tuple(map(int, rest)) for tag, *rest in lines if tag == "pass"]
-        extractions = [int(rest[0]) for tag, *rest in lines if tag == "extract"]
+        rows, _ = E.label_efficiency_sweep(encoders, fractions, seeds, train_set, test_set, 4,
+                                           probe)
+        passes = [event[1:] for event in events if event[0] == "pass"]
+        extractions = [event[1] for event in events if event[0] == "extract"]
+        fits = [event[1:] for event in events if event[0] == "fit"]
         assert rows == kept
         assert fits == [(r["fraction"], r["seed"]) for r in rows]  # 3 + 1 per arm
         assert len(rows) == len(arms) * (3 + 1)
         assert len(extractions) == 2 * len(arms)  # one per (arm, split)
-        pids = set(extractions) | {pid for pid, _, _ in passes}
-        assert len(pids) == 1 and os.getpid() not in pids  # all in the one worker
+        assert set(extractions) | {pid for pid, _, _ in passes} == {os.getpid()}
+        first_fit = [event[0] for event in events].index("fit")
+        assert "pass" not in [event[0] for event in events[first_fit:]]
         # one batch per split here: a, b and a_again each run once on train and once on test
-        assert len(train_set) <= 128 and len(test_set) <= 128
+        assert len(train_set) <= 64 and len(test_set) <= 64
         assert sorted(p[1:] for p in passes) == sorted((id(e), len(s)) for e in (a, b, a_again)
                                                        for s in (train_set, test_set))
 
@@ -523,21 +516,23 @@ class TestSweep:
         assert [row["seed"] for row in rows] == fits == [7, 5]
         assert summary["a"]["0.5"]["seeds"] == 2
 
-    def test_failing_backbone_raises_the_workers_traceback_and_is_reaped(self, ckpts, monkeypatch):
+    def test_a_failing_backbone_raises_its_own_error_before_any_fit(self, ckpts, monkeypatch):
         a = query_encoder(ckpts[0])
         train_set, test_set = E.split_dataset(toy_dataset(per_phase=12), 0.5, seed=0)
+        fits = []
 
         def broken(enc, x):
             raise ValueError("no features today")
 
-        monkeypatch.setattr(E, "forward_backbone", broken)  # before the fork: the worker inherits it
-        with deadline(5), pytest.raises(WorkerError, match="feature worker failed") as info:
+        monkeypatch.setattr(E, "forward_backbone", broken)
+        monkeypatch.setattr(E, "fit_linear_probe", lambda *args: fits.append(args))
+        with pytest.raises(ValueError, match="no features today"):
             E.label_efficiency_sweep([E.SweepEncoder("a", "student", student=a)], [1.0], [0],
                                      train_set, test_set, 4)
-        assert "Traceback" in str(info.value) and "ValueError: no features today" in str(info.value)
+        assert fits == []
         assert_no_child()
 
-    def test_probe_error_mid_sweep_propagates_and_reaps_the_worker(self, ckpts, monkeypatch):
+    def test_probe_error_mid_sweep_propagates_and_leaves_no_child(self, ckpts, monkeypatch):
         a, b = query_encoder(ckpts[0]), query_encoder(ckpts[1])
         train_set, test_set = E.split_dataset(toy_dataset(per_phase=12), 0.5, seed=0)
         real, fits = E.fit_linear_probe, []
@@ -550,7 +545,7 @@ class TestSweep:
 
         monkeypatch.setattr(E, "fit_linear_probe", fails_at_fit_3)
         arms = [E.SweepEncoder("a", "student", student=a), E.SweepEncoder("b", "student", student=b)]
-        with deadline(5), pytest.raises(E.SamplingError, match="absent"):
+        with pytest.raises(E.SamplingError, match="absent"):
             E.label_efficiency_sweep(arms, [0.5, 1.0], [0], train_set, test_set, 4,
                                      E.ProbeConfig(steps=5))
         assert len(fits) == 3  # the second arm's first fit
@@ -565,50 +560,40 @@ class TestSweep:
         (lambda a, narrow: E.SweepEncoder("b", "addition", a, narrow), C.ContractError,
          "matching feature dims, got 10 and 12"),
     ), ids=("repeated-name", "unknown-mode", "missing-encoder", "unequal-addition-widths"))
-    def test_arms_refused_before_the_fork(self, ckpts, monkeypatch, arm, error, match):
+    def test_arms_refused_before_any_backbone_pass(self, ckpts, monkeypatch, arm, error,
+                                                    match):
         a = query_encoder(ckpts[0])
         narrow = C.init_encoder(replace(TOY_ENC, d_backbone=10), Rng(0))
         train_set, test_set = E.split_dataset(toy_dataset(per_phase=12), 0.5, seed=0)
-        fits = []
+        passes, fits = [], []
+        monkeypatch.setattr(E, "forward_backbone", lambda *args: passes.append(args))
         monkeypatch.setattr(E, "fit_linear_probe", lambda *args: fits.append(args))
-        # the bad arm comes last: a check made only as the sweep reaches it would fit arm "a"
+        # the bad arm comes last: a check made only as the sweep reaches it would pass arm "a"
         arms = [E.SweepEncoder("a", "student", student=a), arm(a, narrow)]
-        with deadline(5), pytest.raises(error, match=match):
+        with pytest.raises(error, match=match):
             E.label_efficiency_sweep(arms, [1.0], [0], train_set, test_set, 4)
-        assert fits == []
+        assert passes == fits == []
         assert_no_child()
 
-    def test_a_fraction_out_of_range_is_refused_before_the_fork(self, ckpts):
+    def test_a_fraction_out_of_range_is_refused_before_any_backbone_pass(self, ckpts,
+                                                                         monkeypatch):
         a = query_encoder(ckpts[0])
         train_set, test_set = E.split_dataset(toy_dataset(per_phase=12), 0.5, seed=0)
+        passes = []
+        monkeypatch.setattr(E, "forward_backbone", lambda *args: passes.append(args))
         with pytest.raises(ValueError, match=r"label_fraction must be in \(0, 1\], got 1.5"):
             E.label_efficiency_sweep([E.SweepEncoder("a", "student", student=a)], [1.0, 1.5],
                                      [0], train_set, test_set, 4)
-        assert train_set.rows(slice(1)).shape[0] == 1  # not released: no worker forked
-
-    def test_taken_features_are_released_with_the_callers_reference(self, ckpts):
-        a, b = query_encoder(ckpts[0]), query_encoder(ckpts[1])
-        train_set, test_set = E.split_dataset(toy_dataset(per_phase=12), 0.5, seed=0)
-        arms = [E.SweepEncoder("plain", "student", student=a),
-                E.SweepEncoder("concatenation", "concatenation", a, b)]
-        with deadline(5), E._FeatureFeed(arms, (train_set, test_set)) as feed:
-            for arm in arms:
-                for split in (train_set, test_set):
-                    fs = feed.take()
-                    want = E.extract_features(arm.student, arm.teacher, split, arm.mode)
-                    assert np.array_equal(fs.features, want.features)
-                    assert np.array_equal(fs.labels, split.labels)
-                    array, mapping = weakref.ref(fs.features), weakref.ref(fs.features.base)
-                    del fs
-                    assert array() is None and mapping() is None  # the feed kept no reference
-        assert_no_child()
+        assert passes == []
+        assert train_set.rows(slice(1)).shape[0] == 1  # not released
 
     def test_the_sweep_process_holds_no_frames_by_its_first_fit(self, ckpts, tmp_path,
                                                                  monkeypatch):
-        # the splits read the loaded blob, as the CLI makes them; the sweep process
-        # reads no row, and closes both handles once its feature worker has forked
+        # the splits read the loaded blob, as the CLI makes them; the sweep reads
+        # each split's rows in 64-row batches, once per encoder, and closes both
+        # handles before its first fit
         a, b = query_encoder(ckpts[0]), query_encoder(ckpts[1])
-        save_dataset(toy_dataset(per_phase=12), tmp_path / "d")
+        save_dataset(toy_dataset(per_phase=40), tmp_path / "d")
         with load_dataset(tmp_path / "d")[0] as loaded:
             train_set, test_set = E.split_dataset(loaded, 0.5, seed=0)
         log_row_reads(monkeypatch, tmp_path / "reads")
@@ -621,12 +606,13 @@ class TestSweep:
         monkeypatch.setattr(E, "fit_linear_probe", fit)
         arms = [E.SweepEncoder("plain", "student", student=a),
                 E.SweepEncoder("addition", "addition", a, b)]
-        with deadline(10):
-            rows, _ = E.label_efficiency_sweep(arms, [1.0], [0, 1], train_set, test_set, 4,
-                                               E.ProbeConfig(steps=5))
+        rows, _ = E.label_efficiency_sweep(arms, [1.0], [0, 1], train_set, test_set, 4,
+                                           E.ProbeConfig(steps=5))
         assert len(rows) == 2 and held == [False] * 2  # fraction 1.0: one probe per arm
-        assert_no_read_covers_every_row(tmp_path / "reads", worker_only=True)
-        assert train_set.labels.shape == test_set.labels.shape == (24,)
+        # a, then b (the addition arm's first encoder), on 80-row train and test splits
+        assert row_reads(tmp_path / "reads") == [(os.getpid(), n, 160) for _ in range(4)
+                                                 for n in (64, 16)]
+        assert train_set.labels.shape == test_set.labels.shape == (80,)
         for split in (train_set, test_set):
             with pytest.raises(RuntimeError, match="frames were taken over by a stage"):
                 E.extract_features(a, None, split, "student")
